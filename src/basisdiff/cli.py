@@ -58,17 +58,32 @@ def _training_setup(cfg: dict):
     return task, p, ds, task.mask, widths
 
 
+_TRAINING_CASTS = {"steps": int, "batch": int, "lr": float, "beta1": float,
+                   "beta2": float, "eps": float, "seed": int,
+                   "lr_decay": float, "lr_decay_every": int,
+                   "ema_decay": float}
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    """TrainConfig from the training section; a bad value is a ConfigError."""
+    tr = cfg["training"]
+    values = {}
+    for key, cast in _TRAINING_CASTS.items():
+        try:
+            values[key] = cast(tr[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"training.{key} = {tr[key]!r}: {exc}") from exc
+    try:
+        return TrainConfig(**values, optimizer=tr["optimizer"],
+                           objective=resolved_objective(cfg),
+                           time_dist=tr["time_dist"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"training: {exc}") from exc
+
+
 def _train_network(cfg: dict):
     task, p, ds, mask, widths = _training_setup(cfg)
-    tr = cfg["training"]
-    tc = TrainConfig(
-        steps=int(tr["steps"]), batch=int(tr["batch"]), lr=float(tr["lr"]),
-        optimizer=tr["optimizer"], beta1=float(tr["beta1"]),
-        beta2=float(tr["beta2"]), eps=float(tr["eps"]),
-        objective=resolved_objective(cfg), time_dist=tr["time_dist"],
-        seed=int(tr["seed"]), lr_decay=float(tr["lr_decay"]),
-        lr_decay_every=int(tr["lr_decay_every"]),
-        ema_decay=float(tr["ema_decay"]))
+    tc = _train_config(cfg)
     net = TinyNetwork(widths, Rng(int(cfg["seed"]), 2))
     net, trace = train(net, p, ds, tc, mask=mask)
     return task, p, net, trace

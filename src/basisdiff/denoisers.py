@@ -134,22 +134,22 @@ class TinyNetwork:
         return a, acts
 
     def backward(self, acts, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of sum(grad_out * output) w.r.t. the flat parameters."""
-        grad = np.zeros_like(self.params)
+        """Gradient of sum(grad_out * output) w.r.t. the flat parameters.
+
+        An (n, out) grad_out sums the per-row gradients inside the weight
+        products; a 1-D grad_out (with 1-D activations) is one row.
+        """
+        grad = np.empty_like(self.params)
         layers = list(self._layers())
-        delta = np.asarray(grad_out, dtype=np.float64)
+        delta = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            a_prev = acts[i]
+            a_prev = np.atleast_2d(acts[i])
             off, fan_out, fan_in = self._layout[i]
-            if delta.ndim == 1:
-                gw = np.outer(delta, a_prev)
-                gb = delta
-            else:
-                gw = delta.T @ a_prev
-                gb = delta.sum(axis=0)
-            grad[off:off + fan_out * fan_in] = gw.reshape(-1)
-            grad[off + fan_out * fan_in:off + fan_out * (fan_in + 1)] = gb
+            gw = grad[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
+            np.matmul(delta.T, a_prev, out=gw)
+            np.sum(delta, axis=0,
+                   out=grad[off + fan_out * fan_in:off + fan_out * (fan_in + 1)])
             if i > 0:
                 delta = (delta @ w) * (1.0 - acts[i] ** 2)
         return grad
@@ -180,16 +180,19 @@ class PreconditionedDenoiser(Denoiser):
         self.process = process
         self.objective = objective
 
-    def _net_input(self, x_flat: np.ndarray, t: float) -> np.ndarray:
-        sig = self.process.schedule.sigma(t)
+    def _net_input(self, x: np.ndarray, t) -> np.ndarray:
+        """Network input [c_in x, t/T]: one (d,) state at a scalar t, or
+        (n, d) states with one time per row."""
+        sched = self.process.schedule
+        t = np.asarray(t, dtype=np.float64)
+        sig = np.array([sched.sigma(v) for v in t.reshape(-1)]).reshape(t.shape)
         c_in = 1.0 / np.sqrt(1.0 + sig * sig)
-        c_noise = t / self.process.schedule.T
-        return np.concatenate([c_in * x_flat, [c_noise]])
+        return np.concatenate([c_in[..., None] * x, (t / sched.T)[..., None]],
+                              axis=-1)
 
-    def net_forward(self, x: Field, t: float):
-        """(F output, activation cache) for the training path."""
-        z = self._net_input(x.flat(), t)
-        return self.net.forward_cached(z)
+    def net_forward(self, x: np.ndarray, t):
+        """(F output, activation cache) for flat states, as in _net_input."""
+        return self.net.forward_cached(self._net_input(x, t))
 
     def out_gain(self, t: float) -> float:
         """dD/dF, the c_out coefficient of the wrapper."""
@@ -198,7 +201,7 @@ class PreconditionedDenoiser(Denoiser):
         return 1.0
 
     def denoise(self, x: Field, t: float) -> Field:
-        f_out, _ = self.net_forward(x, t)
+        f_out, _ = self.net_forward(x.flat(), t)
         s, _, sig, _ = self.process.schedule.evaluate(t)
         if self.objective == "predict-noise":
             out = x.flat() / s - sig * f_out
@@ -226,13 +229,21 @@ def save_network(net: TinyNetwork, path) -> None:
 
 
 def load_network(path) -> TinyNetwork:
+    """Inverse of save_network; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    if len(buf) < 8:
+        raise ValueError(f"checkpoint of {len(buf)} bytes has no width count")
     (n,) = struct.unpack_from("<Q", buf, 0)
+    if len(buf) < 8 + 8 * n:
+        raise ValueError(f"checkpoint header declares {n} widths but the "
+                         f"file has only {len(buf)} bytes")
     widths = struct.unpack_from(f"<{n}Q", buf, 8)
     params = field_from_bytes(buf[8 + 8 * n:])
-    net = TinyNetwork(widths, Rng(0))
-    if params.size != net.n_params:
+    # checked before TinyNetwork allocates anything from the header widths
+    n_params = sum(o * i + o for i, o in zip(widths[:-1], widths[1:]))
+    if params.size != n_params:
         raise ValueError("parameter payload does not match the architecture")
+    net = TinyNetwork(widths, Rng(0))
     net.params[:] = params.flat()
     return net

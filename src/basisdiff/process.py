@@ -82,8 +82,17 @@ class DiffusionProcess:
 
     def _noise_batch(self, n: int, rng: Rng, conditioning=None) -> np.ndarray:
         """(n, d) matrix of independent noise draws; vectorized Monte Carlo path."""
+        return self.noise_from_normals(
+            rng.standard_normal((n, self.basis.M)), conditioning)
+
+    def noise_from_normals(self, eps: np.ndarray, conditioning=None) -> np.ndarray:
+        """(n, d) noise rows N for (n, M) standard normal weights eps.
+
+        Each row of eps is one draw of (eps_1 .. eps_M); drawing the weights
+        apart from mixing them lets a caller take draws one at a time from a
+        stream and mix a whole batch in one product.
+        """
         rows = self._elements(conditioning)
-        eps = rng.standard_normal((n, rows.shape[0]))
         return ((self.eta + eps) / (self.eta + 1.0)) @ rows
 
     def forward_sample(self, x0: Field, t: float, rng: Rng,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import Denoiser, PreconditionedDenoiser, TinyNetwork, precondition_wrap
+from .denoisers import Denoiser, PreconditionedDenoiser, TinyNetwork
 from .fields import Field, Rng
 from .process import DiffusionProcess, DiracDataset
 
@@ -44,10 +44,12 @@ class TrainConfig:
     ema_decay: float = 0.0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1:
-            raise ValueError("steps and batch must be at least 1")
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
         if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.time_dist not in ("continuous", "discrete"):
@@ -65,6 +67,12 @@ class Sgd:
 
 
 class Adam:
+    """Adam with bias correction; updates params and its moments in place.
+
+    One scratch buffer of the parameter size is reused across steps, so a
+    step allocates no parameter-sized temporaries.
+    """
+
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
@@ -72,18 +80,31 @@ class Adam:
         self.eps = eps
         self._m = None
         self._v = None
+        self._buf = None
         self._k = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
+            self._buf = np.empty_like(params)
         self._k += 1
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
-        m_hat = self._m / (1.0 - self.beta1 ** self._k)
-        v_hat = self._v / (1.0 - self.beta2 ** self._k)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, buf = self._m, self._v, self._buf
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=buf)
+        m += buf
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=buf)
+        buf *= grad
+        v += buf
+        # params -= lr m_hat / (sqrt(v_hat) + eps), m_hat = m / (1 - beta1^k)
+        np.divide(v, 1.0 - self.beta2 ** self._k, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += self.eps
+        np.divide(m, buf, out=buf)
+        buf *= self.lr / (1.0 - self.beta1 ** self._k)
+        params -= buf
 
 
 def _validate_mask(mask: Field, shape) -> np.ndarray:
@@ -95,6 +116,14 @@ def _validate_mask(mask: Field, shape) -> np.ndarray:
     return m
 
 
+def _row_weights(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """weight_from_mask for each row of (n, d) noise under the flat mask m."""
+    num = np.max(np.abs(m * noise), axis=1)
+    den = np.max(np.abs((1.0 - m) * noise), axis=1)
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    return 1.0 + (1.0 - m) * ratio[:, None]
+
+
 def weight_from_mask(mask: Field, noise: Field) -> Field:
     """Pixel weight 1 + (1-m) * max|m N| / max|(1-m) N|.
 
@@ -102,11 +131,58 @@ def weight_from_mask(mask: Field, noise: Field) -> Field:
     maximum is zero the second term is defined as zero.
     """
     m = _validate_mask(mask, noise.shape)
-    n = noise.flat()
-    num = float(np.max(np.abs(m * n)))
-    den = float(np.max(np.abs((1.0 - m) * n)))
-    ratio = 0.0 if den == 0.0 else num / den
-    return Field((1.0 + (1.0 - m) * ratio).reshape(noise.shape))
+    return Field(_row_weights(m, noise.flat()[None, :])[0].reshape(noise.shape))
+
+
+def _check_objective(objective: str, den: Denoiser, mask: Field, shape):
+    """Validate the objective/denoiser pairing; the flat mask or None."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == "weighted-noise-pred" and mask is None:
+        raise ValueError("weighted-noise-pred requires a mask")
+    if objective != "mse-x0":
+        if not isinstance(den, PreconditionedDenoiser):
+            raise ValueError(
+                f"objective {objective!r} needs a preconditioned network")
+        need = "predict-x0" if objective == "x0-pred" else "predict-noise"
+        if den.objective != need:
+            raise ValueError(f"{objective} training requires a {need} wrapper")
+    if objective == "weighted-noise-pred":
+        return _validate_mask(mask, shape)
+    return None
+
+
+def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
+                x0: np.ndarray, t: np.ndarray, noise: np.ndarray, m=None):
+    """Per-row losses and the summed parameter gradient of one batch.
+
+    x0 and noise hold one flat sample per row, t one time per row, and m is
+    the validated flat mask of weighted-noise-pred.  The network runs one
+    forward and one backward pass over all rows.  The gradient is
+    zero-length for denoisers without trainable parameters.
+    """
+    coef = np.array([p.schedule.evaluate(v) for v in t])
+    s, sig = coef[:, :1], coef[:, 2:3]
+    x_t = s * x0 + (s * sig) * noise
+
+    if objective == "mse-x0" and not isinstance(den, PreconditionedDenoiser):
+        d_out = np.stack([den.denoise(Field(x, shape=p.shape), v).flat()
+                          for x, v in zip(x_t, t)])
+        resid = d_out - x0
+        return np.einsum("ij,ij->i", resid, resid), np.zeros(0)
+
+    f_out, acts = den.net_forward(x_t, t)
+    if objective == "mse-x0":
+        d_out = x_t / s - sig * f_out \
+            if den.objective == "predict-noise" else f_out
+        resid = d_out - x0
+        gain = np.array([[den.out_gain(v)] for v in t])
+        return (np.einsum("ij,ij->i", resid, resid),
+                den.net.backward(acts, 2.0 * gain * resid))
+    resid = f_out - (x0 if objective == "x0-pred" else noise)
+    w = _row_weights(m, noise) if objective == "weighted-noise-pred" else 1.0
+    return (np.einsum("ij,ij->i", resid, w * resid),
+            den.net.backward(acts, 2.0 * w * resid))
 
 
 def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
@@ -118,53 +194,17 @@ def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     seeded Rng objects reproduces the same (loss, gradient) pair.  Returns a
     zero-length gradient for denoisers without trainable parameters.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "weighted-noise-pred" and mask is None:
-        raise ValueError("weighted-noise-pred requires a mask")
+    m = _check_objective(objective, den, mask, p.shape)
     conditioning = None
     if p.basis.mode == "sample-dependent":
         if degraded is None:
             raise ValueError("sample-dependent basis requires a degraded partner")
         conditioning = (x0, degraded)
-
-    noise = p.sample_noise(rng, conditioning)
-    s, _, sig, _ = p.schedule.evaluate(t)
-    x_t = Field(s * x0.flat() + (s * sig) * noise.flat(), shape=p.shape)
-
-    if objective == "mse-x0":
-        if isinstance(den, PreconditionedDenoiser):
-            f_out, acts = den.net_forward(x_t, t)
-            d_out = x_t.flat() / s - sig * f_out \
-                if den.objective == "predict-noise" else f_out
-            resid = d_out - x0.flat()
-            grad = den.net.backward(acts, 2.0 * den.out_gain(t) * resid)
-        else:
-            resid = den.denoise(x_t, t).flat() - x0.flat()
-            grad = np.zeros(0)
-        return float(resid @ resid), grad
-
-    if not isinstance(den, PreconditionedDenoiser):
-        raise ValueError(f"objective {objective!r} needs a preconditioned network")
-    if objective == "x0-pred":
-        if den.objective != "predict-x0":
-            raise ValueError("x0-pred training requires a predict-x0 wrapper")
-        target = x0.flat()
-    else:
-        if den.objective != "predict-noise":
-            raise ValueError("noise-pred training requires a predict-noise wrapper")
-        target = noise.flat()
-
-    f_out, acts = den.net_forward(x_t, t)
-    resid = f_out - target
-    if objective == "weighted-noise-pred":
-        w = weight_from_mask(mask, noise).flat()
-        loss = float(resid @ (w * resid))
-        grad = den.net.backward(acts, 2.0 * w * resid)
-    else:
-        loss = float(resid @ resid)
-        grad = den.net.backward(acts, 2.0 * resid)
-    return loss, grad
+    noise = p.noise_from_normals(rng.standard_normal((1, p.basis.M)),
+                                 conditioning)
+    losses, grad = _batch_loss(objective, den, p, x0.flat()[None, :],
+                               np.array([float(t)]), noise, m)
+    return float(losses[0]), grad
 
 
 def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
@@ -174,48 +214,73 @@ def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
     return float(rng.integers(1, int(round(T)) + 1))
 
 
+def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
+                ds: DiracDataset, points: np.ndarray):
+    """(x0, t, noise) for one step, each with one row per batch element.
+
+    Each element draws its data index, then its time, then its M noise
+    weights, in the order compute_loss would draw them one call at a time.
+    A fixed basis mixes all the weights in one product; a sample-dependent
+    basis mixes each element's weights with its own conditioning pair.
+    """
+    idx = np.empty(cfg.batch, dtype=np.intp)
+    t = np.empty(cfg.batch)
+    eps = np.empty((cfg.batch, p.basis.M))
+    for k in range(cfg.batch):
+        idx[k] = rng.integers(0, len(ds))
+        t[k] = _draw_time(rng, cfg, p.schedule.T)
+        eps[k] = rng.standard_normal(p.basis.M)
+    if p.basis.mode == "fixed":
+        noise = p.noise_from_normals(eps)
+    else:
+        noise = np.concatenate([
+            p.noise_from_normals(eps[k:k + 1], (ds.points[i], ds.degraded[i]))
+            for k, i in enumerate(idx)])
+    return points[idx], t, noise
+
+
 def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
           cfg: TrainConfig, mask: Field = None):
     """Run the training loop; returns (net, per-step mean loss trace).
 
     The network is wrapped per the objective (predict-x0 for x0-pred,
     predict-noise otherwise).  All randomness comes from Rng(cfg.seed, 1),
-    so a fixed config reproduces its trace exactly.
+    so a fixed config reproduces its trace exactly.  Each step evaluates
+    its whole batch in one forward and one backward pass.
     """
     if len(ds) < 1:
         raise ValueError("dataset must be nonempty")
+    if p.basis.mode == "sample-dependent" and ds.degraded is None:
+        raise ValueError("sample-dependent basis requires a degraded partner")
     wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
-    den = precondition_wrap(net, p, wrap)
+    den = PreconditionedDenoiser(net, p, wrap)
+    m = _check_objective(cfg.objective, den, mask, p.shape)
     if cfg.optimizer == "adam":
         opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     else:
         opt = Sgd(cfg.lr)
     rng = Rng(cfg.seed, 1)
+    points = ds.stacked()
     ema = net.params.copy() if cfg.ema_decay > 0.0 else None
+    ema_buf = np.empty_like(net.params) if ema is not None else None
 
     trace = []
     lr = cfg.lr
     for step in range(cfg.steps):
-        loss_sum = 0.0
-        grad = np.zeros_like(net.params)
-        for _ in range(cfg.batch):
-            i = rng.integers(0, len(ds))
-            x0 = ds.points[i]
-            degraded = ds.degraded[i] if ds.degraded is not None else None
-            t = _draw_time(rng, cfg, p.schedule.T)
-            loss, g = compute_loss(cfg.objective, den, p, x0, t, rng,
-                                   mask=mask, degraded=degraded)
-            loss_sum += loss
-            grad += g
-        mean_loss = loss_sum / cfg.batch
+        x0, t, noise = _draw_batch(rng, cfg, p, ds, points)
+        losses, grad = _batch_loss(cfg.objective, den, p, x0, t, noise, m)
+        mean_loss = float(losses.sum()) / cfg.batch
         if not np.isfinite(mean_loss):
             raise RuntimeError(f"non-finite loss {mean_loss} at step {step}")
         if cfg.lr_decay_every > 0 and step > 0 and step % cfg.lr_decay_every == 0:
             lr *= cfg.lr_decay
             opt.lr = lr
-        opt.step(net.params, grad / cfg.batch)
+        grad /= cfg.batch
+        opt.step(net.params, grad)
         if ema is not None:
-            ema = cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * net.params
+            ema *= cfg.ema_decay
+            np.multiply(net.params, 1.0 - cfg.ema_decay, out=ema_buf)
+            ema += ema_buf
         trace.append(mean_loss)
     if ema is not None:
         net.params[:] = ema

@@ -37,6 +37,16 @@ def test_malformed_override(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("override,key", [("training.steps=abc", "steps"),
+                                          ("training.batch=0", "batch")])
+def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
+    code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "task.size=8", "--set", override,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_task_kind(tmp_path):
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
                  "--set", "task.kind=zebra", "--out", str(tmp_path)])

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basisdiff.bases import BasisSet, pixel_basis, residual_basis
 from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
@@ -57,6 +61,24 @@ def test_network_forward_matches_flat_layout():
     z = Rng(3).standard_normal(4)
     assert np.allclose(net.forward(z), _manual_forward(net.params, widths, z),
                        rtol=1e-14)
+
+
+def test_network_backward_sums_rows():
+    net = TinyNetwork([3, 5, 4, 2], Rng(40))
+    net.params[:] = 0.5 * Rng(41).standard_normal(net.n_params)
+    z = Rng(42).standard_normal((6, 3))
+    g = Rng(43).standard_normal((6, 2))
+    _, acts = net.forward_cached(z)
+    batch = net.backward(acts, g)
+    rows = np.zeros(net.n_params)
+    for zi, gi in zip(z, g):
+        _, acts_i = net.forward_cached(zi)  # 1-D input, one row
+        one = net.backward(acts_i, gi)
+        _, acts_2d = net.forward_cached(zi[None, :])
+        assert np.array_equal(one, net.backward(acts_2d, gi[None, :]))
+        rows += one
+    np.testing.assert_allclose(batch, rows, rtol=1e-12,
+                               atol=1e-15 * np.abs(rows).max())
 
 
 def test_network_backward_matches_finite_differences():
@@ -247,3 +269,41 @@ def test_load_rejects_mismatched_payload(tmp_path):
     (tmp_path / "short.bin").write_bytes(buf[:-16])
     with pytest.raises(ValueError):
         load_network(tmp_path / "short.bin")
+
+
+def _checkpoint(tmp_path, blob):
+    path = tmp_path / "net.bin"
+    path.write_bytes(blob)
+    return path
+
+
+def test_load_rejects_malformed_headers(tmp_path):
+    net = TinyNetwork([4, 7, 3], Rng(22))
+    save_network(net, tmp_path / "good.bin")
+    good = (tmp_path / "good.bin").read_bytes()
+    bad = [b"\x01",                                  # no width count
+           struct.pack("<Q", 2 ** 64 - 1) + good[8:],  # absurd width count
+           good[:8 + 8 * 2],                          # header cut short
+           struct.pack("<Q", 2) + struct.pack("<2Q", 2 ** 40, 2 ** 40)
+           + good[8 + 8 * 3:]]                        # huge widths
+    for blob in bad:
+        with pytest.raises(ValueError):
+            load_network(_checkpoint(tmp_path, blob))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=96),
+    # a plausible header in front of arbitrary bytes
+    st.builds(lambda n, widths, rest: struct.pack("<Q", n)
+              + struct.pack(f"<{len(widths)}Q", *widths) + rest,
+              st.integers(0, 4), st.lists(st.integers(0, 8), max_size=4),
+              st.binary(max_size=96))))
+def test_load_network_fuzz(tmp_path_factory, blob):
+    path = _checkpoint(tmp_path_factory.mktemp("fuzz"), blob)
+    try:
+        net = load_network(path)
+    except ValueError:
+        return
+    assert isinstance(net, TinyNetwork)
+    assert net.params.size == net.n_params

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                                 TinyNetwork, precondition_wrap)
+                                 PreconditionedDenoiser, TinyNetwork,
+                                 precondition_wrap)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import make_vp_schedule
-from basisdiff.bases import pixel_basis
-from basisdiff.training import (Adam, Sgd, TrainConfig, compute_loss, train,
-                                weight_from_mask, write_loss_trace)
+from basisdiff.bases import pixel_basis, residual_basis
+from basisdiff.training import (Adam, Sgd, TrainConfig, _batch_loss,
+                                _check_objective, _draw_batch, _draw_time,
+                                compute_loss, train, weight_from_mask,
+                                write_loss_trace)
 
 
 def _pixel_process(d=2, eta=0.0):
@@ -59,6 +62,110 @@ def test_sgd_and_adam_single_step():
     # first step with bias correction: update = lr * g / (|g| + eps)
     expect = np.array([1.0, -2.0]) - 0.1 * grad / (np.abs(grad) + 1e-8)
     assert np.allclose(params, expect, rtol=1e-12)
+
+
+def test_adam_matches_textbook_update_in_place():
+    rng = Rng(30)
+    params = rng.standard_normal(7)
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = Adam(lr, b1, b2, eps)
+    ref = params.copy()
+    m = np.zeros(7)
+    v = np.zeros(7)
+    for k in range(1, 6):
+        grad = rng.standard_normal(7) * k
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad ** 2
+        m_hat = m / (1.0 - b1 ** k)
+        v_hat = v / (1.0 - b2 ** k)
+        ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+        before = params
+        opt.step(params, grad)
+        assert params is before
+        np.testing.assert_allclose(params, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(opt._m, m, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(opt._v, v, rtol=1e-12, atol=0.0)
+    # the update lands in the caller's memory, here a view of a larger array
+    big = np.ones(9)
+    Adam(lr).step(big[2:7], np.full(5, 0.5))
+    assert np.array_equal(big[[0, 1, 7, 8]], np.ones(4))
+    assert np.all(big[2:7] < 1.0)
+
+
+def test_adam_zero_rate_leaves_params_bit_identical():
+    rng = Rng(31)
+    params = rng.standard_normal(6)
+    before = params.tobytes()
+    opt = Adam(0.0)
+    for _ in range(5):
+        opt.step(params, rng.standard_normal(6))
+    assert params.tobytes() == before
+
+
+def _equivalence_case(basis_kind, objective):
+    if basis_kind == "pixel":
+        p = DiffusionProcess(make_vp_schedule(), pixel_basis((3,)), 0.0)
+        ds = DiracDataset([Field([0.4, -0.6, 0.2]), Field([-0.1, 0.3, 0.8])])
+    else:
+        pts = [Field([0.4, -0.6, 0.2]), Field([-0.1, 0.3, 0.8])]
+        deg = [Field([0.9, -0.2, 0.1]), Field([0.3, 0.3, -0.5])]
+        p = DiffusionProcess(make_vp_schedule(),
+                             residual_basis(pts[0], deg[0]), 0.5)
+        ds = DiracDataset(pts, degraded=deg)
+    wrap = "predict-x0" if objective == "x0-pred" else "predict-noise"
+    net = TinyNetwork([4, 6, 3], Rng(32))
+    net.params[:] = 0.7 * Rng(33).standard_normal(net.n_params)
+    mask = Field([1.0, 0.0, 0.0]) if objective == "weighted-noise-pred" else None
+    return p, ds, PreconditionedDenoiser(net, p, wrap), mask
+
+
+@pytest.mark.parametrize("basis_kind", ["pixel", "residual"])
+@pytest.mark.parametrize("objective", ["mse-x0", "noise-pred",
+                                       "weighted-noise-pred", "x0-pred"])
+def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
+    p, ds, den, mask = _equivalence_case(basis_kind, objective)
+    cfg = TrainConfig(steps=1, batch=3, objective=objective, seed=34)
+    m = _check_objective(objective, den, mask, p.shape)
+
+    batch_rng = Rng(cfg.seed, 1)
+    x0, t, noise = _draw_batch(batch_rng, cfg, p, ds, ds.stacked())
+    losses, grad = _batch_loss(objective, den, p, x0, t, noise, m)
+
+    seq_rng = Rng(cfg.seed, 1)
+    seq_losses = []
+    seq_grad = np.zeros_like(den.net.params)
+    for k in range(cfg.batch):
+        i = seq_rng.integers(0, len(ds))
+        tk = _draw_time(seq_rng, cfg, p.schedule.T)
+        degraded = ds.degraded[i] if ds.degraded is not None else None
+        loss, g = compute_loss(objective, den, p, ds.points[i], tk, seq_rng,
+                               mask=mask, degraded=degraded)
+        assert tk == t[k] and np.array_equal(ds.points[i].flat(), x0[k])
+        seq_losses.append(loss)
+        seq_grad += g
+
+    np.testing.assert_allclose(losses, seq_losses, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(grad, seq_grad, rtol=1e-12,
+                               atol=1e-15 * np.abs(seq_grad).max())
+    # both paths leave the training stream at the same state
+    assert batch_rng.standard_normal() == seq_rng.standard_normal()
+
+
+def test_training_conditions_each_element_on_its_own_pair():
+    # x0-pred on a residual basis: the loss sees only the noise through x_t,
+    # so swapping the degraded partners must change the trace
+    pts = [Field([0.4, -0.6]), Field([-0.1, 0.3])]
+    deg = [Field([0.9, -0.2]), Field([0.3, 0.7])]
+    p = DiffusionProcess(make_vp_schedule(), residual_basis(pts[0], deg[0]), 0.5)
+    cfg = TrainConfig(steps=5, batch=4, objective="x0-pred", seed=35)
+
+    def trace(degraded):
+        net = TinyNetwork([3, 5, 2], Rng(36))
+        return train(net, p, DiracDataset(pts, degraded=degraded), cfg)[1]
+
+    assert trace(deg) != trace(deg[::-1])
+    with pytest.raises(ValueError):
+        train(TinyNetwork([3, 5, 2], Rng(36)), p, DiracDataset(pts), cfg)
 
 
 def test_mse_x0_on_parameterless_denoiser():
