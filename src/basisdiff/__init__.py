@@ -10,11 +10,10 @@ suites and a CLI.
 """
 
 from .bases import (BasisSet, CovarianceOp, SingularCovarianceError,
-                    apply_covariance, basis_sum, covariance_op,
-                    legendre_trig_basis, pixel_basis, residual_basis)
+                    basis_sum, legendre_trig_basis, pixel_basis,
+                    residual_basis)
 from .denoisers import (ConstantDenoiser, Denoiser, DiracMixtureDenoiser,
-                        PreconditionedDenoiser, TinyNetwork,
-                        analytic_dirac_denoiser, load_network,
+                        PreconditionedDenoiser, TinyNetwork, load_network,
                         precondition_wrap, save_network)
 from .fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                      field_to_bytes, psnr, randn, read_field, rmse,
@@ -36,11 +35,11 @@ from .verify import CheckResult, SuiteReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSet", "CovarianceOp", "SingularCovarianceError", "apply_covariance",
-    "basis_sum", "covariance_op", "legendre_trig_basis", "pixel_basis",
-    "residual_basis", "ConstantDenoiser", "Denoiser", "DiracMixtureDenoiser",
-    "PreconditionedDenoiser", "TinyNetwork", "analytic_dirac_denoiser",
-    "load_network", "precondition_wrap", "save_network", "PSNR_EXACT_MATCH",
+    "BasisSet", "CovarianceOp", "SingularCovarianceError", "basis_sum",
+    "legendre_trig_basis", "pixel_basis", "residual_basis",
+    "ConstantDenoiser", "Denoiser", "DiracMixtureDenoiser",
+    "PreconditionedDenoiser", "TinyNetwork", "load_network",
+    "precondition_wrap", "save_network", "PSNR_EXACT_MATCH",
     "Field", "Rng", "field_from_bytes", "field_to_bytes", "psnr", "randn",
     "read_field", "rmse", "write_field", "write_pgm", "ConditionalMoments",
     "DiffusionProcess", "DiracDataset", "euler_trajectory", "make_time_grid",

@@ -202,35 +202,43 @@ class CovarianceOp:
             self._cond = float(np.linalg.cond(self.dense()))
         return self._cond
 
-    def solve_flat(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs via a cached Cholesky factorization.
+    def _factor(self):
+        """Cached lower Cholesky factor of Sigma, as returned by cho_factor.
 
         Raises SingularCovarianceError when rank < d or the condition
         estimate exceeds COND_LIMIT; no pseudo-inverse fallback.
         """
-        if self._rows.shape[0] < self._d:
-            raise SingularCovarianceError(
-                f"rank <= {self._rows.shape[0]} < d = {self._d}")
-        cond = self.condition()
-        if not math.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularCovarianceError(f"condition estimate {cond:.3e}")
         if self._chol is None:
+            if self._rows.shape[0] < self._d:
+                raise SingularCovarianceError(
+                    f"rank <= {self._rows.shape[0]} < d = {self._d}")
+            cond = self.condition()
+            if not math.isfinite(cond) or cond > COND_LIMIT:
+                raise SingularCovarianceError(f"condition estimate {cond:.3e}")
             try:
                 self._chol = sla.cho_factor(self.dense(), lower=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularCovarianceError(str(exc)) from exc
-        return sla.cho_solve(self._chol, rhs)
+        return self._chol
+
+    def solve_flat(self, rhs: np.ndarray) -> np.ndarray:
+        """Sigma^{-1} rhs via the cached Cholesky factorization."""
+        return sla.cho_solve(self._factor(), rhs)
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """L^{-1} v for Sigma = L L^T: one (d,) vector or each row of (n, d).
+
+        Whitened vectors turn Sigma^{-1} quadratic forms into squared norms,
+        r^T Sigma^{-1} r = |L^{-1} r|^2.  Only the lower triangle of the
+        cached factor is read.
+        """
+        factor, _ = self._factor()
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 1:
+            return sla.solve_triangular(factor, v, lower=True)
+        return sla.solve_triangular(factor, v.T, lower=True).T
 
     def solve(self, v: Field) -> Field:
         if v.shape != self.shape:
             raise ValueError(f"shape mismatch: {v.shape} vs {self.shape}")
         return Field(self.solve_flat(v.flat()).reshape(self.shape))
-
-
-def covariance_op(b: BasisSet, conditioning=None) -> CovarianceOp:
-    return CovarianceOp(b, conditioning)
-
-
-def apply_covariance(op: CovarianceOp, v: Field) -> Field:
-    """Sigma v computed through the operator form H(H^T v)."""
-    return op.apply(v)

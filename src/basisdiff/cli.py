@@ -58,10 +58,18 @@ def _training_setup(cfg: dict):
     return task, p, ds, task.mask, widths
 
 
-_TRAINING_CASTS = {"steps": int, "batch": int, "lr": float, "beta1": float,
-                   "beta2": float, "eps": float, "seed": int,
-                   "lr_decay": float, "lr_decay_every": int,
-                   "ema_decay": float}
+def _count(value) -> int:
+    """int(value) for an integral number; int() alone would truncate 2.9."""
+    n = int(value)
+    if n != value:
+        raise ValueError("expected an integer")
+    return n
+
+
+_TRAINING_CASTS = {"steps": _count, "batch": _count, "lr": float,
+                   "beta1": float, "beta2": float, "eps": float,
+                   "seed": _count, "lr_decay": float,
+                   "lr_decay_every": _count, "ema_decay": float}
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -71,7 +79,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     for key, cast in _TRAINING_CASTS.items():
         try:
             values[key] = cast(tr[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"training.{key} = {tr[key]!r}: {exc}") from exc
     try:
         return TrainConfig(**values, optimizer=tr["optimizer"],

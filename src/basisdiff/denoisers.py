@@ -19,7 +19,6 @@ import struct
 
 import numpy as np
 
-from .bases import CovarianceOp
 from .fields import Field, Rng, field_from_bytes, field_to_bytes
 from .process import DiffusionProcess, DiracDataset
 
@@ -57,31 +56,14 @@ class DiracMixtureDenoiser(Denoiser):
             raise ValueError("dataset shape does not match the process")
         self.dataset = dataset
         self.process = process
-        self._cov_op = CovarianceOp(process.basis)
 
     def denoise(self, x: Field, t: float) -> Field:
-        w, pts, _ = self.process._dirac_log_weights(
-            self.dataset, t, x.flat(), self._cov_op)
-        return Field((w @ pts).reshape(self.process.shape))
+        w, pts = self.process.dirac_weights(self.dataset, t, x.flat())
+        return Field((w[0] @ pts).reshape(self.process.shape))
 
     def denoise_batch(self, states: np.ndarray, t: float) -> np.ndarray:
         """(n, d) -> (n, d) posterior means; vectorized Monte Carlo path."""
-        p = self.process
-        s, _, sig, _ = p.schedule.evaluate(t)
-        rows = p.basis.elements(None)
-        shift = (p.eta * s * sig / (p.eta + 1.0)) * rows.sum(axis=0)
-        cov_scale = (s * sig / (p.eta + 1.0)) ** 2
-        if cov_scale == 0.0:
-            raise ValueError("mixture weights undefined at sigma = 0")
-        pts = self.dataset.stacked()
-        quad = np.empty((states.shape[0], pts.shape[0]))
-        for i, y in enumerate(pts):
-            r = states - s * y[None, :] - shift[None, :]
-            quad[:, i] = np.sum(r.T * self._cov_op.solve_flat(r.T), axis=0)
-        logw = -0.5 * quad / cov_scale
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
+        w, pts = self.process.dirac_weights(self.dataset, t, states)
         return w @ pts
 
 
@@ -213,11 +195,6 @@ class PreconditionedDenoiser(Denoiser):
 def precondition_wrap(net: TinyNetwork, p: DiffusionProcess,
                       objective: str) -> PreconditionedDenoiser:
     return PreconditionedDenoiser(net, p, objective)
-
-
-def analytic_dirac_denoiser(ds: DiracDataset,
-                            p: DiffusionProcess) -> DiracMixtureDenoiser:
-    return DiracMixtureDenoiser(ds, p)
 
 
 def save_network(net: TinyNetwork, path) -> None:

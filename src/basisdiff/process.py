@@ -14,6 +14,7 @@ their raw (score) and simplified (denoiser) assemblies.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,12 @@ class ConditionalMoments:
 
 
 class DiracDataset:
-    """Finite point dataset [y_1 .. y_Y], optionally with degraded partners."""
+    """Finite point dataset [y_1 .. y_Y], optionally with degraded partners.
+
+    A process caches whitened copies of the points (see
+    DiffusionProcess.dirac_weights), so the points are not to be changed
+    once a process has used the dataset.
+    """
 
     def __init__(self, points, degraded=None):
         if len(points) < 1:
@@ -70,11 +76,43 @@ class DiffusionProcess:
         self.eta = float(eta)
         self.shape = basis.shape
         self._d = int(np.prod(self.shape))
+        self._fixed_op = None
+        self._whitened_sets = weakref.WeakKeyDictionary()
 
     # -- forward direction ---------------------------------------------------
 
     def _elements(self, conditioning):
         return self.basis.elements(conditioning)
+
+    def _cov_op(self, conditioning=None) -> CovarianceOp:
+        """Sigma's operator: one per process for a fixed basis, so its
+        factorization is made once; one per conditioning pair otherwise."""
+        if self.basis.mode != "fixed":
+            return CovarianceOp(self.basis, conditioning)
+        if self._fixed_op is None:
+            self._fixed_op = CovarianceOp(self.basis)
+        return self._fixed_op
+
+    def _kernel_scales(self, t: float):
+        """(s, sigma, shift gain eta s sigma/(eta+1), cov_scale) at time t."""
+        s, _, sig, _ = self.schedule.evaluate(t)
+        return (s, sig, self.eta * s * sig / (self.eta + 1.0),
+                (s * sig / (self.eta + 1.0)) ** 2)
+
+    def _whitened(self, ds: DiracDataset):
+        """(Y, L^{-1} Y, L^{-1} sum_m h_m) for a dataset, made on first use.
+
+        Y stacks the points as rows and Sigma = L L^T for the fixed basis.
+        The cache holds arrays only, never the process, so a process and its
+        factor are freed as soon as the last caller drops them.
+        """
+        sets = self._whitened_sets.get(ds)
+        if sets is None:
+            op = self._cov_op()
+            pts = ds.stacked()
+            sets = self._whitened_sets[ds] = (
+                pts, op.whiten(pts), op.whiten(self._elements(None).sum(axis=0)))
+        return sets
 
     def sample_noise(self, rng: Rng, conditioning=None) -> Field:
         """One draw of N = sum_m ((eta + eps_m)/(eta + 1)) h_m."""
@@ -112,13 +150,11 @@ class DiffusionProcess:
         """Exact kernel parameters: mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        s, _, sig, _ = self.schedule.evaluate(t)
-        rows = self._elements(conditioning)
-        shift = (self.eta * s * sig / (self.eta + 1.0)) * rows.sum(axis=0)
+        s, _, shift_gain, cov_scale = self._kernel_scales(t)
+        shift = shift_gain * self._elements(conditioning).sum(axis=0)
         mean = Field((s * x0.flat() + shift).reshape(self.shape))
-        cov_scale = (s * sig / (self.eta + 1.0)) ** 2
         return ConditionalMoments(mean=mean, cov_scale=cov_scale,
-                                  cov_op=CovarianceOp(self.basis, conditioning))
+                                  cov_op=self._cov_op(conditioning))
 
     # -- SDE simulation -------------------------------------------------------
 
@@ -155,6 +191,11 @@ class DiffusionProcess:
                           conditioning=None) -> Field:
         """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x)."""
         mom = self.conditional_moments(x0, t, conditioning)
+        return Field(self._moment_score(mom, t, x).reshape(self.shape))
+
+    def _moment_score(self, mom: ConditionalMoments, t: float,
+                      x: Field) -> np.ndarray:
+        """Flat conditional score at x for the kernel moments at time t."""
         s, _, sig, _ = self.schedule.evaluate(t)
         if sig == 0.0:
             raise EndpointError("score undefined at sigma = 0")
@@ -162,32 +203,38 @@ class DiffusionProcess:
             raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
         resid = mom.mean.flat() - x.flat()
-        return Field((gain * mom.cov_op.solve_flat(resid)).reshape(self.shape))
+        return gain * mom.cov_op.solve_flat(resid)
 
-    def _dirac_log_weights(self, ds: DiracDataset, t: float,
-                           x_flat: np.ndarray, cov_op: CovarianceOp):
-        """Posterior log-weights of the mixture components at state x.
+    def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
+        """Posterior weights of the mixture components, and the stacked points.
 
-        w_i is proportional to N(x; s y_i + shift, cov_scale Sigma); computed
-        through log densities with max subtraction so small sigma cannot
-        underflow.  Returns (weights, points_matrix, shift).
+        Returns (n, Y) weights for (n, d) states (a (d,) state is one row),
+        each row summing to one, and the (Y, d) points.  w_i is proportional
+        to N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With Sigma = L L^T the
+        exponent is |z - s L^{-1} y_i - c L^{-1} sum_m h_m|^2 / cov_scale for
+        z = L^{-1} x, so with the dataset whitened once (_whitened) a call
+        makes one triangular solve on the states.  The residual is formed
+        before squaring: expanding the square as |z|^2 - 2 z.y + |y|^2
+        cancels catastrophically at small sigma.  Log densities with max
+        subtraction keep exp from underflowing.
         """
-        s, _, sig, _ = self.schedule.evaluate(t)
-        rows = self._elements(None)
-        shift = (self.eta * s * sig / (self.eta + 1.0)) * rows.sum(axis=0)
-        cov_scale = (s * sig / (self.eta + 1.0)) ** 2
+        s, _, shift_gain, cov_scale = self._kernel_scales(t)
         if cov_scale == 0.0:
             raise EndpointError("mixture weights undefined at sigma = 0")
-        pts = ds.stacked()
-        resid = x_flat[None, :] - s * pts - shift[None, :]
-        # quadratic forms r^T Sigma^{-1} r / cov_scale, one per component
-        solved = cov_op.solve_flat(resid.T)
-        quad = np.sum(resid.T * solved, axis=0) / cov_scale
-        logw = -0.5 * quad
-        logw = logw - logw.max()
-        w = np.exp(logw)
-        w = w / w.sum()
-        return w, pts, shift
+        pts, white_pts, white_shift = self._whitened(ds)
+        resid = (self._cov_op().whiten(np.atleast_2d(states))[:, None, :]
+                 - s * white_pts)
+        resid -= shift_gain * white_shift
+        np.square(resid, out=resid)
+        # in place from here: n can be 1e5 states, where every (n, Y)
+        # temporary adds to the peak memory
+        w = resid.sum(axis=-1)
+        w /= cov_scale
+        w *= -0.5
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return w, pts
 
     def marginal_score_dirac(self, ds: DiracDataset, t: float,
                              x: Field) -> Field:
@@ -196,37 +243,36 @@ class DiffusionProcess:
             raise ValueError("marginal score requires a fixed-mode basis")
         if x.shape != self.shape:
             raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
-        s, _, sig, _ = self.schedule.evaluate(t)
+        s, sig, shift_gain, _ = self._kernel_scales(t)
         if sig == 0.0:
             raise EndpointError("score undefined at sigma = 0")
-        cov_op = CovarianceOp(self.basis)
-        w, pts, shift = self._dirac_log_weights(ds, t, x.flat(), cov_op)
+        w, pts = self.dirac_weights(ds, t, x.flat())
+        shift = shift_gain * self._elements(None).sum(axis=0)
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
-        resid = s * (w @ pts) + shift - x.flat()
-        return Field((gain * cov_op.solve_flat(resid)).reshape(self.shape))
+        resid = s * (w[0] @ pts) + shift - x.flat()
+        return Field((gain * self._cov_op().solve_flat(resid)).reshape(self.shape))
+
+    def _score_flow(self, t: float, x: Field, score: np.ndarray,
+                    cov_op: CovarianceOp, conditioning=None) -> Field:
+        """Raw PFODE right-hand side f x + phi - (1/2) g^2 Sigma score."""
+        bsum = Field(self._elements(conditioning).sum(axis=0).reshape(self.shape))
+        c = sde_coefficients(self.schedule, self.eta, bsum, t)
+        out = c.f * x.flat() + c.phi.flat() \
+            - 0.5 * c.g * c.g * cov_op.apply_flat(score)
+        return Field(out.reshape(self.shape))
 
     def pfode_rhs_conditional(self, x0: Field, t: float, x: Field,
                               conditioning=None) -> Field:
-        """Raw PFODE right-hand side: f x + phi - (1/2) g^2 Sigma score."""
-        rows = self._elements(conditioning)
-        bsum = Field(rows.sum(axis=0).reshape(self.shape))
-        c = sde_coefficients(self.schedule, self.eta, bsum, t)
-        score = self.conditional_score(x0, t, x, conditioning)
-        cov_op = CovarianceOp(self.basis, conditioning)
-        out = c.f * x.flat() + c.phi.flat() \
-            - 0.5 * c.g * c.g * cov_op.apply_flat(score.flat())
-        return Field(out.reshape(self.shape))
+        """Raw PFODE right-hand side with the conditional score."""
+        mom = self.conditional_moments(x0, t, conditioning)
+        score = self._moment_score(mom, t, x)
+        return self._score_flow(t, x, score, mom.cov_op, conditioning)
 
     def pfode_rhs_marginal(self, ds: DiracDataset, t: float,
                            x: Field) -> Field:
         """Marginal PFODE right-hand side with the Dirac-mixture score."""
-        bsum = Field(self._elements(None).sum(axis=0).reshape(self.shape))
-        c = sde_coefficients(self.schedule, self.eta, bsum, t)
         score = self.marginal_score_dirac(ds, t, x)
-        cov_op = CovarianceOp(self.basis)
-        out = c.f * x.flat() + c.phi.flat() \
-            - 0.5 * c.g * c.g * cov_op.apply_flat(score.flat())
-        return Field(out.reshape(self.shape))
+        return self._score_flow(t, x, score.flat(), self._cov_op())
 
     def pfode_rhs(self, den, t: float, x: Field) -> Field:
         """Simplified PFODE right-hand side (s'/s + sigma'/sigma) x - (sigma' s/sigma) D.

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basisdiff.bases import (BasisSet, CovarianceOp, SingularCovarianceError,
-                             apply_covariance, basis_sum, covariance_op,
-                             legendre_trig_basis, pixel_basis, residual_basis)
+                             basis_sum, legendre_trig_basis, pixel_basis,
+                             residual_basis)
 from basisdiff.fields import Field, Rng
 
 
@@ -80,10 +80,10 @@ def test_family_argument_errors():
 def test_pixel_basis_identity_covariance():
     b = pixel_basis((2, 2))
     assert b.M == 4
-    op = covariance_op(b)
+    op = CovarianceOp(b)
     assert np.array_equal(op.dense(), np.eye(4))
     v = Field([[1.0, -2.0], [0.5, 3.0]])
-    assert np.array_equal(apply_covariance(op, v).values, v.values)
+    assert np.array_equal(op.apply(v).values, v.values)
     assert pixel_basis((1, 1)).M == 1
     with pytest.raises(ValueError):
         pixel_basis((0,))
@@ -97,10 +97,10 @@ def test_residual_basis_tracks_conditioning():
     pair = (clean, degraded)
     assert np.array_equal(b.elements(pair), [[1.0, 2.0]])
     assert np.array_equal(basis_sum(b, pair).values, [1.0, 2.0])
-    op = covariance_op(b, pair)
+    op = CovarianceOp(b, pair)
     assert np.array_equal(op.dense(), [[1.0, 2.0], [2.0, 4.0]])
     # same-image pair: residual direction collapses to zero
-    z = covariance_op(b, (clean, clean)).dense()
+    z = CovarianceOp(b, (clean, clean)).dense()
     assert np.all(z == 0.0)
 
 
@@ -145,7 +145,7 @@ def test_operator_matches_dense_product():
     rng = Rng(3)
     rows = rng.standard_normal((5, 3)) + 0.3
     b = BasisSet((3,), elements=rows)
-    op = covariance_op(b)
+    op = CovarianceOp(b)
     dense = op.dense()
     assert np.allclose(dense, rows.T @ rows, rtol=1e-14)
     for _ in range(10):
@@ -156,21 +156,39 @@ def test_operator_matches_dense_product():
 def test_solve_inverts_apply():
     rng = Rng(4)
     rows = rng.standard_normal((6, 4)) + np.eye(4)[None, 0] * 0.0
-    op = covariance_op(BasisSet((4,), elements=rows))
+    op = CovarianceOp(BasisSet((4,), elements=rows))
     v = Field(rng.standard_normal(4))
     back = op.solve(op.apply(v))
     assert np.allclose(back.values, v.values, rtol=1e-9, atol=1e-12)
 
 
+def test_whiten_is_the_inverse_cholesky_factor():
+    rng = Rng(5)
+    rows = rng.standard_normal((5, 3)) + 0.3
+    op = CovarianceOp(BasisSet((3,), elements=rows))
+    sigma = rows.T @ rows
+    lower = np.linalg.cholesky(sigma)
+    vs = rng.standard_normal((6, 3))
+    white = op.whiten(vs)
+    assert white.shape == (6, 3)
+    np.testing.assert_allclose(lower @ white.T, vs.T, rtol=1e-12, atol=1e-14)
+    for v, w in zip(vs, white):
+        np.testing.assert_allclose(op.whiten(v), w, rtol=1e-14, atol=0.0)
+        # squared whitened norm is the Sigma^{-1} quadratic form
+        assert np.isclose(w @ w, v @ np.linalg.solve(sigma, v), rtol=1e-12)
+
+
 def test_solve_rejects_rank_deficiency():
-    op = covariance_op(BasisSet((2,), elements=[[1.0, 2.0]]))
+    op = CovarianceOp(BasisSet((2,), elements=[[1.0, 2.0]]))
     with pytest.raises(SingularCovarianceError):
         op.solve_flat(np.array([1.0, 0.0]))
+    with pytest.raises(SingularCovarianceError):
+        op.whiten(np.array([1.0, 0.0]))
 
 
 def test_solve_rejects_ill_conditioning():
     rows = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-    op = covariance_op(BasisSet((2,), elements=rows))
+    op = CovarianceOp(BasisSet((2,), elements=rows))
     with pytest.raises(SingularCovarianceError):
         op.solve_flat(np.array([1.0, 0.0]))
 
@@ -178,7 +196,7 @@ def test_solve_rejects_ill_conditioning():
 def test_dense_capped_at_large_dimension():
     d = 65 * 65  # 4225 > cap
     b = BasisSet((65, 65), elements=np.ones((1, d)))
-    op = covariance_op(b)
+    op = CovarianceOp(b)
     with pytest.raises(ValueError):
         op.dense()
     # the operator form still works at this size
@@ -187,7 +205,7 @@ def test_dense_capped_at_large_dimension():
 
 
 def test_shape_mismatch_errors():
-    op = covariance_op(pixel_basis((2, 2)))
+    op = CovarianceOp(pixel_basis((2, 2)))
     with pytest.raises(ValueError):
         op.apply(Field([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -199,6 +217,6 @@ def test_shape_mismatch_errors():
 def test_covariance_is_positive_semidefinite(seed, m, d):
     rng = Rng(seed)
     rows = rng.standard_normal((m, d))
-    op = covariance_op(BasisSet((d,), elements=rows))
+    op = CovarianceOp(BasisSet((d,), elements=rows))
     v = rng.standard_normal(d)
     assert v @ op.apply_flat(v) >= -1e-12

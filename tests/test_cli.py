@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from basisdiff import bases
 from basisdiff.cli import main
 from basisdiff.denoisers import load_network
 
@@ -38,7 +39,9 @@ def test_malformed_override(tmp_path):
 
 
 @pytest.mark.parametrize("override,key", [("training.steps=abc", "steps"),
-                                          ("training.batch=0", "batch")])
+                                          ("training.batch=0", "batch"),
+                                          ("training.steps=2.9", "steps"),
+                                          ("training.batch=1e400", "batch")])
 def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
                  "--set", "task.size=8", "--set", override,
@@ -76,6 +79,15 @@ def test_train_writes_checkpoint_and_trace(tmp_path):
     lines = (out / "loss.csv").read_text().splitlines()
     assert lines[0] == "step,loss" and len(lines) == 9
     assert all(float(line.split(",")[1]) >= 0.0 for line in lines[1:])
+
+
+def test_integral_float_count_trains(tmp_path):
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--set", "training.steps=3.0",
+                 "--out", str(out)])
+    assert code == 0
+    assert len((out / "loss.csv").read_text().splitlines()) == 4
 
 
 def test_restore_from_checkpoint(tmp_path):
@@ -134,6 +146,22 @@ def test_sample_writes_trajectories(tmp_path):
     for i in range(2):
         tlines = (out / f"trajectory_{i:03d}.csv").read_text().splitlines()
         assert len(tlines) == 6  # header + 5 knots
+
+
+def test_sample_factors_sigma_once(tmp_path, monkeypatch):
+    calls = []
+    cho_factor = bases.sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(bases.sla, "cho_factor", counting)
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", "sampling.n_samples=3",
+                 "--set", "sampling.steps=20", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_simulate_is_reproducible(tmp_path):

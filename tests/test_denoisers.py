@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basisdiff.bases import BasisSet, pixel_basis, residual_basis
+from basisdiff import bases, process
+from basisdiff.bases import (BasisSet, SingularCovarianceError, pixel_basis,
+                             residual_basis)
 from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
                                  PreconditionedDenoiser, TinyNetwork,
-                                 analytic_dirac_denoiser, load_network,
-                                 precondition_wrap, save_network)
+                                 load_network, precondition_wrap,
+                                 save_network)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import make_vp_schedule
@@ -164,7 +166,7 @@ def test_wrapped_network_smoke():
 def test_analytic_single_point_returns_it_everywhere():
     p = _pixel_process(2)
     y = Field([0.9, -0.1])
-    den = analytic_dirac_denoiser(DiracDataset([y]), p)
+    den = DiracMixtureDenoiser(DiracDataset([y]), p)
     rng = Rng(15)
     for t in (0.01, 50.0, 100.0):
         x = Field(rng.standard_normal(2))
@@ -231,6 +233,112 @@ def test_analytic_batch_matches_loop():
     lo = np.min([y.values for y in pts], axis=0)
     hi = np.max([y.values for y in pts], axis=0)
     assert np.all(batch >= lo - 1e-12) and np.all(batch <= hi + 1e-12)
+
+
+# non-orthogonal d = 3 basis with M = 4 elements; cond(Sigma) ~ 13
+SKEW_ROWS = np.array([[1.0, 0.4, 0.0], [0.3, 1.0, 0.5], [0.0, 0.6, 1.0],
+                      [0.5, 0.0, 0.2]])
+
+
+def _skew_process(eta=2.0):
+    return DiffusionProcess(make_vp_schedule(),
+                            BasisSet((3,), elements=SKEW_ROWS), eta)
+
+
+@pytest.mark.parametrize("t", [50.0, 0.1])  # sigma ~ 0.47 and ~ 3.3e-3
+def test_whitened_weights_match_dense_inverse_oracle(t):
+    p = _skew_process()
+    s, sig = p.schedule.s(t), p.schedule.sigma(t)
+    rng = Rng(21)
+    # points and states within about one kernel width of each other, so the
+    # weights stay far from one-hot at both noise levels
+    width = sig / (p.eta + 1.0)
+    pts = rng.standard_normal(3) + 0.5 * width * rng.standard_normal((4, 3))
+    ds = DiracDataset([Field(y) for y in pts])
+    shift = (p.eta * s * sig / (p.eta + 1.0)) * SKEW_ROWS.sum(axis=0)
+    cov_scale = (s * width) ** 2
+    states = s * pts[[0, 1, 2, 3, 0, 1]] + shift \
+        + 0.5 * s * width * rng.standard_normal((6, 3))
+    sigma_inv = np.linalg.inv(SKEW_ROWS.T @ SKEW_ROWS)
+    expect = np.empty((6, 4))
+    for n, x in enumerate(states):
+        quad = [(x - s * y - shift) @ sigma_inv @ (x - s * y - shift)
+                for y in pts]
+        logw = -0.5 * np.array(quad) / cov_scale
+        w = np.exp(logw - logw.max())
+        expect[n] = w / w.sum()
+    assert np.all(np.sort(expect, axis=1)[:, -2] > 1e-3)  # regime check
+    got, _ = p.dirac_weights(ds, t, states)
+    # exponents are O(10) here, so roundoff in them stays near
+    # 10 * cond(Sigma) * eps ~ 1e-13 relative in the weights
+    np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0.0)
+    den = DiracMixtureDenoiser(ds, p)
+    np.testing.assert_allclose(den.denoise_batch(states, t), expect @ pts,
+                               rtol=1e-10, atol=1e-14)
+
+
+def test_marginal_score_and_denoiser_share_weights(monkeypatch):
+    p = _skew_process()
+    rng = Rng(22)
+    ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(5)])
+    den = DiracMixtureDenoiser(ds, p)
+    seen = []
+    weights = process.DiffusionProcess.dirac_weights
+
+    def record(proc, ds, t, states):
+        w, pts = weights(proc, ds, t, states)
+        seen.append(w)
+        return w, pts
+
+    monkeypatch.setattr(process.DiffusionProcess, "dirac_weights", record)
+    for t in (0.5, 20.0, 80.0):
+        x = Field(rng.standard_normal(3))
+        score = p.marginal_score_dirac(ds, t, x)
+        mean = den.denoise(x, t)
+        assert len(seen) == 2
+        np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12, atol=0.0)
+        # the score is gain * Sigma^{-1} (s D + shift - x) with the same D
+        s, sig = p.schedule.s(t), p.schedule.sigma(t)
+        shift = (p.eta * s * sig / (p.eta + 1.0)) * SKEW_ROWS.sum(axis=0)
+        gain = ((p.eta + 1.0) / (s * sig)) ** 2
+        implied = (SKEW_ROWS.T @ SKEW_ROWS @ score.values / gain
+                   - shift + x.values) / s
+        np.testing.assert_allclose(implied, mean.values, rtol=1e-9, atol=1e-9)
+        seen.clear()
+
+
+def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
+    builds = []
+    init = bases.CovarianceOp.__init__
+
+    def counting_init(op, *args, **kwargs):
+        builds.append(1)
+        init(op, *args, **kwargs)
+
+    monkeypatch.setattr(bases.CovarianceOp, "__init__", counting_init)
+    p = _skew_process()
+    rng = Rng(23)
+    ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(4)])
+    den = DiracMixtureDenoiser(ds, p)
+    for k in range(100):
+        den.denoise(Field(rng.standard_normal(3)), 1.0 + k)
+    den.denoise_batch(rng.standard_normal((7, 3)), 30.0)
+    p.pfode_rhs_marginal(ds, 30.0, Field(rng.standard_normal(3)))
+    p.pfode_rhs_conditional(ds.points[0], 30.0, Field(rng.standard_normal(3)))
+    assert len(builds) == 1
+    assert p._whitened(ds) is p._whitened(ds)  # whitened once per dataset
+
+
+def test_rank_deficient_basis_fails_at_first_use():
+    # M = 2 < d = 3: Sigma is singular and the mixture weights have no
+    # whitening; the denoiser builds, its first call refuses
+    p = DiffusionProcess(make_vp_schedule(),
+                         BasisSet((3,), elements=SKEW_ROWS[:2]), 0.0)
+    den = DiracMixtureDenoiser(DiracDataset([Field([0.0, 1.0, 2.0])]), p)
+    with pytest.raises(SingularCovarianceError):
+        den.denoise(Field([1.0, 1.0, 1.0]), 10.0)
+    with pytest.raises(SingularCovarianceError):
+        den.denoise_batch(np.ones((2, 3)), 10.0)
 
 
 def test_analytic_validation():

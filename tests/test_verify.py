@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from basisdiff import verify
 from basisdiff.verify import (CheckResult, SUITE_NAMES, SuiteReport, _lower,
                               _upper, run_suite)
 
@@ -53,3 +55,8 @@ def test_aggregate_report_covers_every_suite():
     assert agg_counts == len(reports[0].checks) + len(reports[1].checks)
     for r in reports:
         assert r.seed == 3
+
+
+def test_coefficient_suite_keeps_ten_thousand_rk4_steps():
+    params = inspect.signature(verify._checks_coefficients).parameters
+    assert params["n_steps"].default == 10_000
