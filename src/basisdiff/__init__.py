@@ -10,14 +10,13 @@ suites and a CLI.
 """
 
 from .bases import (BasisSet, CovarianceOp, SingularCovarianceError,
-                    basis_sum, legendre_trig_basis, pixel_basis,
-                    residual_basis)
+                    legendre_trig_basis, pixel_basis, residual_basis)
 from .denoisers import (ConstantDenoiser, Denoiser, DiracMixtureDenoiser,
                         PreconditionedDenoiser, TinyNetwork, load_network,
-                        precondition_wrap, save_network)
+                        save_network)
 from .fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
-                     field_to_bytes, psnr, randn, read_field, rmse,
-                     write_field, write_pgm)
+                     field_to_bytes, psnr, read_field, rmse, write_field,
+                     write_pgm)
 from .process import ConditionalMoments, DiffusionProcess, DiracDataset
 from .samplers import (euler_trajectory, make_time_grid, sample_euler,
                        sample_reference, write_trajectory_csv)
@@ -35,15 +34,15 @@ from .verify import CheckResult, SuiteReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSet", "CovarianceOp", "SingularCovarianceError", "basis_sum",
+    "BasisSet", "CovarianceOp", "SingularCovarianceError",
     "legendre_trig_basis", "pixel_basis", "residual_basis",
     "ConstantDenoiser", "Denoiser", "DiracMixtureDenoiser",
     "PreconditionedDenoiser", "TinyNetwork", "load_network",
-    "precondition_wrap", "save_network", "PSNR_EXACT_MATCH",
-    "Field", "Rng", "field_from_bytes", "field_to_bytes", "psnr", "randn",
-    "read_field", "rmse", "write_field", "write_pgm", "ConditionalMoments",
-    "DiffusionProcess", "DiracDataset", "euler_trajectory", "make_time_grid",
-    "sample_euler", "sample_reference", "write_trajectory_csv",
+    "save_network", "PSNR_EXACT_MATCH", "Field", "Rng", "field_from_bytes",
+    "field_to_bytes", "psnr", "read_field", "rmse", "write_field",
+    "write_pgm", "ConditionalMoments", "DiffusionProcess", "DiracDataset",
+    "euler_trajectory", "make_time_grid", "sample_euler",
+    "sample_reference", "write_trajectory_csv",
     "EndpointError", "Schedule", "SdeCoefficients", "make_ddpm_schedule",
     "make_vp_schedule", "sde_coefficients", "RestorationResult",
     "TaskInstance", "case3_discrete_demo", "centered_poisson_sampler",

@@ -157,11 +157,6 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
     return BasisSet(clean.shape, provider=provider, size=1)
 
 
-def basis_sum(b: BasisSet, conditioning=None) -> Field:
-    """Elementwise sum of all basis elements (the phi direction in Eq. form)."""
-    return Field(b.elements(conditioning).sum(axis=0).reshape(b.shape))
-
-
 class CovarianceOp:
     """Sigma = sum_m h_m h_m^T for one resolved element matrix.
 

@@ -163,22 +163,27 @@ def cmd_sample(args) -> int:
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     grid = make_time_grid(p.schedule.T, int(cfg["sampling"]["steps"]),
                           cfg["sampling"]["scheme"])
-    out = _out_dir(args)
     n = int(cfg["sampling"]["n_samples"])
-    final_lines = ["sample," + ",".join(f"x{i}" for i in range(pts[0].size))]
+    if n < 0:
+        raise ConfigError(f"sampling.n_samples = {n} must be non-negative")
+    out = _out_dir(args)
+    # one stream per sample: the index draw, then the forward noise
+    x_top = np.empty((n, pts[0].size))
     for i in range(n):
         rng = Rng(int(cfg["seed"]), 100 + i)
         y = pts[rng.integers(0, len(pts))]
-        x_top = p.forward_sample(y, p.schedule.T, rng)
-        states = euler_trajectory(p, den, x_top, grid)
-        final = states[-1]
-        if cfg["sampling"]["final_denoise"]:
-            final = den.denoise(final, float(grid[-1]))
-        write_trajectory_csv(grid, states, out / f"trajectory_{i:03d}.csv")
-        if final.ndim == 2:
-            write_pgm(final, out / f"sample_{i:03d}.pgm")
-        final_lines.append(
-            f"{i}," + ",".join(repr(float(v)) for v in final.flat()))
+        x_top[i] = p.forward_sample(y, p.schedule.T, rng).flat()
+    states = euler_trajectory(p, den, x_top, grid)
+    finals = states[-1]
+    if cfg["sampling"]["final_denoise"]:
+        finals = den.denoise(finals, float(grid[-1]))
+    final_lines = ["sample," + ",".join(f"x{i}" for i in range(pts[0].size))]
+    for i in range(n):
+        write_trajectory_csv(grid, states[:, i], out / f"trajectory_{i:03d}.csv")
+        if pts[0].ndim == 2:
+            write_pgm(Field(finals[i], shape=pts[0].shape),
+                      out / f"sample_{i:03d}.pgm")
+        final_lines.append(f"{i}," + ",".join(map(repr, finals[i].tolist())))
     with open(out / "samples.csv", "w") as fh:
         fh.write("\n".join(final_lines) + "\n")
     print(f"wrote {n} samples over a {grid.size - 1}-step grid")
@@ -203,8 +208,8 @@ def cmd_simulate(args) -> int:
             conditioning = (x0, _transform(task, task.degraded))
     sim = cfg["simulate"]
     n_paths, n_steps = int(sim["n_paths"]), int(sim["n_steps"])
-    paths = p._sde_batch(x0, n_steps, n_paths, Rng(int(cfg["seed"]), 3),
-                         conditioning)
+    paths = p.simulate_sde(x0, n_steps, n_paths, Rng(int(cfg["seed"]), 3),
+                           conditioning)
     mom = p.conditional_moments(x0, p.schedule.T, conditioning)
     elements = p.basis.elements(conditioning)
     closed_var = mom.cov_scale * (elements ** 2).sum(axis=0)

@@ -1,6 +1,7 @@
 """Denoisers D(x; t) -> x0 estimate, and the tiny trainable network behind them.
 
-Three variants share one calling convention:
+Three variants share one calling convention: ``denoise(x, t)`` takes flat
+(n, d) states at one time t and returns their (n, d) estimates.
 
 * constant-oracle: returns a fixed field (the conditional optimum when the
   data distribution is a single point).
@@ -26,7 +27,7 @@ from .process import DiffusionProcess, DiracDataset
 class Denoiser:
     variant = "abstract"
 
-    def denoise(self, x: Field, t: float) -> Field:
+    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -38,10 +39,10 @@ class ConstantDenoiser(Denoiser):
     def __init__(self, y: Field):
         self.y = y
 
-    def denoise(self, x: Field, t: float) -> Field:
-        if x.shape != self.y.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {self.y.shape}")
-        return self.y
+    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
+        if np.shape(x)[-1] != self.y.size:
+            raise ValueError(f"state width {np.shape(x)[-1]} != {self.y.size}")
+        return np.broadcast_to(self.y.flat(), np.shape(x))
 
 
 class DiracMixtureDenoiser(Denoiser):
@@ -57,14 +58,12 @@ class DiracMixtureDenoiser(Denoiser):
         self.dataset = dataset
         self.process = process
 
-    def denoise(self, x: Field, t: float) -> Field:
-        w, pts = self.process.dirac_weights(self.dataset, t, x.flat())
-        return Field((w[0] @ pts).reshape(self.process.shape))
-
-    def denoise_batch(self, states: np.ndarray, t: float) -> np.ndarray:
-        """(n, d) -> (n, d) posterior means; vectorized Monte Carlo path."""
-        w, pts = self.process.dirac_weights(self.dataset, t, states)
+    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
+        w, pts = self.process.dirac_weights(self.dataset, t, x)
         return w @ pts
+
+    # the benchmark tracer wraps this name on the class itself
+    denoise_batch = denoise
 
 
 class TinyNetwork:
@@ -163,18 +162,27 @@ class PreconditionedDenoiser(Denoiser):
         self.objective = objective
 
     def _net_input(self, x: np.ndarray, t) -> np.ndarray:
-        """Network input [c_in x, t/T]: one (d,) state at a scalar t, or
-        (n, d) states with one time per row."""
+        """Network input [c_in x, t/T] for flat states at one time t or at
+        one time per row."""
         sched = self.process.schedule
-        t = np.asarray(t, dtype=np.float64)
-        sig = np.array([sched.sigma(v) for v in t.reshape(-1)]).reshape(t.shape)
-        c_in = 1.0 / np.sqrt(1.0 + sig * sig)
-        return np.concatenate([c_in[..., None] * x, (t / sched.T)[..., None]],
-                              axis=-1)
+        sig = _per_row(sched.sigma, t)
+        z = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.multiply(1.0 / np.sqrt(1.0 + sig * sig), x, out=z[..., :-1])
+        z[..., -1] = np.asarray(t, dtype=np.float64) / sched.T
+        return z
 
     def net_forward(self, x: np.ndarray, t):
         """(F output, activation cache) for flat states, as in _net_input."""
         return self.net.forward_cached(self._net_input(x, t))
+
+    def assemble(self, x: np.ndarray, f_out: np.ndarray, t) -> np.ndarray:
+        """D from the network output: x/s - sigma F for predict-noise, F for
+        predict-x0; t is one time or one time per row, as in _net_input."""
+        if self.objective == "predict-x0":
+            return f_out
+        # columns s, s', sigma, sigma' of Schedule.evaluate
+        coef = _per_row(self.process.schedule.evaluate, t)
+        return x / coef[..., :1] - coef[..., 2:3] * f_out
 
     def out_gain(self, t: float) -> float:
         """dD/dF, the c_out coefficient of the wrapper."""
@@ -182,19 +190,16 @@ class PreconditionedDenoiser(Denoiser):
             return -self.process.schedule.sigma(t)
         return 1.0
 
-    def denoise(self, x: Field, t: float) -> Field:
-        f_out, _ = self.net_forward(x.flat(), t)
-        s, _, sig, _ = self.process.schedule.evaluate(t)
-        if self.objective == "predict-noise":
-            out = x.flat() / s - sig * f_out
-        else:
-            out = f_out
-        return Field(out.reshape(self.process.shape))
+    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
+        f_out, _ = self.net_forward(x, t)
+        return self.assemble(x, f_out, t)
 
 
-def precondition_wrap(net: TinyNetwork, p: DiffusionProcess,
-                      objective: str) -> PreconditionedDenoiser:
-    return PreconditionedDenoiser(net, p, objective)
+def _per_row(fn, t) -> np.ndarray:
+    """fn at each time of t, with its values on a last axis that scales whole
+    rows: (k,) for one time, (n, k) for one time per row."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.array([fn(v) for v in t.reshape(-1)]).reshape(t.shape + (-1,))
 
 
 def save_network(net: TinyNetwork, path) -> None:

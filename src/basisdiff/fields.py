@@ -149,14 +149,6 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def randn(shape, rng: Rng) -> Field:
-    """Field of i.i.d. standard normal entries; empty extents are allowed."""
-    shape = tuple(int(n) for n in shape)
-    if any(n < 0 for n in shape):
-        raise ValueError("extents must be non-negative")
-    return Field(rng.standard_normal(shape))
-
-
 def psnr(a: Field, b: Field, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; PSNR_EXACT_MATCH when a == b."""
     if a.shape != b.shape:

@@ -158,18 +158,13 @@ class DiffusionProcess:
 
     # -- SDE simulation -------------------------------------------------------
 
-    def simulate_sde(self, x0: Field, n_steps: int, rng: Rng,
-                     conditioning=None) -> Field:
-        """Euler-Maruyama over a uniform grid on (T/1000, T].
+    def simulate_sde(self, x0: Field, n_steps: int, n_paths: int, rng: Rng,
+                     conditioning=None) -> np.ndarray:
+        """(n_paths, d) Euler-Maruyama endpoints over a uniform grid on (T/1000, T].
 
-        The trajectory starts from an exact forward_sample at the grid start,
+        Each path starts from an exact forward_sample at the grid start,
         which sidesteps the coefficient endpoint at t = 0.
         """
-        return Field(self._sde_batch(x0, n_steps, 1, rng,
-                                     conditioning)[0].reshape(self.shape))
-
-    def _sde_batch(self, x0: Field, n_steps: int, n_paths: int, rng: Rng,
-                   conditioning=None) -> np.ndarray:
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         sched = self.schedule
@@ -274,15 +269,14 @@ class DiffusionProcess:
         score = self.marginal_score_dirac(ds, t, x)
         return self._score_flow(t, x, score.flat(), self._cov_op())
 
-    def pfode_rhs(self, den, t: float, x: Field) -> Field:
+    def pfode_rhs(self, den, t: float, x: np.ndarray) -> np.ndarray:
         """Simplified PFODE right-hand side (s'/s + sigma'/sigma) x - (sigma' s/sigma) D.
 
-        All basis terms cancel exactly in this form; only the denoiser output
-        enters.
+        x holds (n, d) flat states at time t and the result has the same
+        shape.  All basis terms cancel exactly in this form; only the
+        denoiser output enters.
         """
         s, s_p, sig, sig_p = self.schedule.evaluate(t)
         if sig == 0.0:
             raise EndpointError("PFODE undefined at sigma = 0")
-        d = den.denoise(x, t)
-        out = (s_p / s + sig_p / sig) * x.flat() - (sig_p * s / sig) * d.flat()
-        return Field(out.reshape(self.shape))
+        return (s_p / s + sig_p / sig) * x - (sig_p * s / sig) * den.denoise(x, t)

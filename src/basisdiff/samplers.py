@@ -48,18 +48,21 @@ def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
     return grid
 
 
-def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: Field,
-                     grid) -> list:
-    """All Euler states down the grid, x_init first; len(grid) entries."""
+def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
+                     grid) -> np.ndarray:
+    """Euler states of n trajectories down the grid, x_init first.
+
+    x_init holds (n, d) flat start states; the result is (len(grid), n, d).
+    """
     grid = _check_grid(grid, p.schedule.T)
-    states = [x_init]
+    states = np.empty((grid.size,) + np.shape(x_init))
+    states[0] = x_init
     for i in range(grid.size - 1):
         t = float(grid[i])
-        rhs = p.pfode_rhs(den, t, states[-1])
-        nxt = states[-1].values + (float(grid[i + 1]) - t) * rhs.values
-        if not np.all(np.isfinite(nxt)):
+        rhs = p.pfode_rhs(den, t, states[i])
+        states[i + 1] = states[i] + (float(grid[i + 1]) - t) * rhs
+        if not np.all(np.isfinite(states[i + 1])):
             raise RuntimeError(f"non-finite state after the step at t={t}")
-        states.append(Field(nxt))
     return states
 
 
@@ -72,11 +75,25 @@ def sample_euler(p: DiffusionProcess, den: Denoiser, x_init: Field,
     knot.  With final_denoise the returned state is one exact denoising jump
     D(x; t_last) instead of x.
     """
-    grid = _check_grid(grid, p.schedule.T)
-    x = euler_trajectory(p, den, x_init, grid)[-1]
+    x = euler_trajectory(p, den, x_init.flat()[None, :], grid)[-1]
     if final_denoise:
         x = den.denoise(x, float(grid[-1]))
-    return x
+    return Field(x[0], shape=x_init.shape)
+
+
+def rk4_step(rhs, x, h, stages):
+    """One classical RK4 step of size h from x.
+
+    rhs(stage, x) is evaluated at the step's start, midpoint and end, which
+    the three entries of stages name: the times t, t + h/2 and t + h, or the
+    keys the caller's rhs looks its coefficients up by.
+    """
+    start, mid, end = stages
+    k1 = rhs(start, x)
+    k2 = rhs(mid, x + 0.5 * h * k1)
+    k3 = rhs(mid, x + 0.5 * h * k2)
+    k4 = rhs(end, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: Field,
@@ -97,26 +114,22 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: Field,
 
     def rhs_u(u: float, x: np.ndarray) -> np.ndarray:
         t = min(eps_t + span * u * u, T)
-        return (2.0 * span * u) * p.pfode_rhs(den, t, Field(x)).values
+        return (2.0 * span * u) * p.pfode_rhs(den, t, x)
 
     us = np.linspace(1.0, 0.0, steps + 1)
-    x = x_init.values
+    x = x_init.flat()[None, :]
     for i in range(steps):
         u = float(us[i])
         h = float(us[i + 1]) - u
-        k1 = rhs_u(u, x)
-        k2 = rhs_u(u + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs_u(u + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs_u(u + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Field(x)
+        x = rk4_step(rhs_u, x, h, (u, u + 0.5 * h, u + h))
+    return Field(x[0], shape=x_init.shape)
 
 
 def write_trajectory_csv(times, states, path) -> None:
-    """CSV rows (t, state coordinates...) for plotting toy trajectories."""
-    lines = ["t," + ",".join(f"x{i}" for i in range(states[0].size))]
-    for t, s in zip(times, states):
-        lines.append(repr(float(t)) + ","
-                     + ",".join(repr(float(v)) for v in s.flat()))
+    """CSV rows (t, state coordinates...) of one (K, d) trajectory; floats
+    print as repr, which round-trips exactly."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t," + ",".join(f"x{i}" for i in range(states.shape[1])) + "\n")
+        for t, row in zip(times, states):
+            fh.write(repr(float(t)) + "," + ",".join(map(repr, row.tolist()))
+                     + "\n")

@@ -166,16 +166,14 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     x_t = s * x0 + (s * sig) * noise
 
     if objective == "mse-x0" and not isinstance(den, PreconditionedDenoiser):
-        d_out = np.stack([den.denoise(Field(x, shape=p.shape), v).flat()
-                          for x, v in zip(x_t, t)])
-        resid = d_out - x0
+        # a generic denoiser takes one time per call: one row at a time
+        resid = np.concatenate([den.denoise(x_t[k:k + 1], v)
+                                for k, v in enumerate(t)]) - x0
         return np.einsum("ij,ij->i", resid, resid), np.zeros(0)
 
     f_out, acts = den.net_forward(x_t, t)
     if objective == "mse-x0":
-        d_out = x_t / s - sig * f_out \
-            if den.objective == "predict-noise" else f_out
-        resid = d_out - x0
+        resid = den.assemble(x_t, f_out, t) - x0
         gain = np.array([[den.out_gain(v)] for v in t])
         return (np.einsum("ij,ij->i", resid, resid),
                 den.net.backward(acts, 2.0 * gain * resid))

@@ -23,7 +23,7 @@ from .bases import BasisSet, pixel_basis
 from .denoisers import ConstantDenoiser, DiracMixtureDenoiser
 from .fields import Field, Rng
 from .process import DiffusionProcess, DiracDataset
-from .samplers import make_time_grid, sample_euler, sample_reference
+from .samplers import make_time_grid, rk4_step, sample_euler, sample_reference
 from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
 
 SUITE_NAMES = (
@@ -130,19 +130,14 @@ def _rk4_grid(knots, n_steps: int):
 
 
 def _rk4_walk(rhs, x, h, last):
-    """RK4 over the steps of _rk4_grid; returns the state after each step in last.
+    """rk4_step over the steps of _rk4_grid; the state after each step in last.
 
-    rhs(k, i, x) is the right-hand side at time k (0 start, 1 midpoint,
+    rhs((k, i), x) is the right-hand side at time k (0 start, 1 midpoint,
     2 end) of step i.
     """
     out = []
     for i in range(h.size):
-        hi = h[i]
-        k1 = rhs(0, i, x)
-        k2 = rhs(1, i, x + 0.5 * hi * k1)
-        k3 = rhs(1, i, x + 0.5 * hi * k2)
-        k4 = rhs(2, i, x + hi * k3)
-        x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(rhs, x, h[i], ((0, i), (1, i), (2, i)))
         if i in last:
             out.append(x)
     return out
@@ -185,8 +180,8 @@ def _integrate_mean_odes(cases, bsums, x0s, t_targets, n_steps: int):
                 * math.sqrt(sched.dsigma2_dt(0.0))
     f, c = f[..., None], c[..., None]
 
-    def rhs(k, i, mu):
-        return twou[k, i] * (f[k, i] * mu + c[k, i] * bsums)
+    def rhs(ki, mu):
+        return twou[ki] * (f[ki] * mu + c[ki] * bsums)
 
     return _rk4_walk(rhs, x0s, h, last)
 
@@ -211,8 +206,8 @@ def _integrate_variance_odes(cases, sigma_mats, t_targets, n_steps: int):
             g2[..., j] = (s / (cases[j][2] + 1.0)) ** 2 * ds2
     f2, g2 = f2[..., None, None], g2[..., None, None]
 
-    def rhs(k, i, v):
-        return f2[k, i] * v + g2[k, i] * sigma_mats
+    def rhs(ki, v):
+        return f2[ki] * v + g2[ki] * sigma_mats
 
     return _rk4_walk(rhs, np.zeros_like(sigma_mats), h, last)
 
@@ -302,7 +297,7 @@ def _checks_moments(seed: int, n_paths: int = 10_000, n_steps: int = 512):
     checks = []
     for stream, eta in ((21, 0.0), (22, 10.0)):
         p = DiffusionProcess(sched, basis, eta=eta)
-        paths = p._sde_batch(x0, n_steps, n_paths, Rng(seed, stream))
+        paths = p.simulate_sde(x0, n_steps, n_paths, Rng(seed, stream))
         mom = p.conditional_moments(x0, sched.T)
         mu = mom.mean.flat()
         cov = mom.cov_scale * (rows.T @ rows)
@@ -427,9 +422,9 @@ def _checks_cancellation(seed: int, draws_per_case: int = 17):
                 t = float(sched.T * (0.005 + 0.995 * rng.uniform()))
                 x = Field(2.0 * rng.standard_normal((d,)))
                 raw = p.pfode_rhs_conditional(x0, t, x)
-                simp = p.pfode_rhs(den, t, x)
+                simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
                 scale = max(1.0, float(np.abs(raw.flat()).max()))
-                worst = max(worst, float(np.abs(raw.flat() - simp.flat()).max()) / scale)
+                worst = max(worst, float(np.abs(raw.flat() - simp).max()) / scale)
         checks.append(_upper(f"cancellation/d{d}/max-abs-diff", worst, 1.0e-10, seed))
     return checks
 
@@ -456,9 +451,9 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
                 t = float(sched.T * (0.01 + 0.99 * rng.uniform()))
                 x = Field(2.0 * rng.standard_normal((d,)))
                 raw = p.pfode_rhs_marginal(ds, t, x)
-                simp = p.pfode_rhs(den, t, x)
+                simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
                 scale = max(1.0, float(np.abs(raw.flat()).max()))
-                worst = max(worst, float(np.abs(raw.flat() - simp.flat()).max()) / scale)
+                worst = max(worst, float(np.abs(raw.flat() - simp).max()) / scale)
         checks.append(_upper(f"marginal/d{d}/max-abs-diff", worst, 1.0e-10, seed))
     return checks
 
@@ -486,7 +481,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     sig = sched.sigma(t)
     noise = p._noise_batch(n_samples, draw)
     x = s * y + (s * sig) * noise
-    d_opt = den.denoise_batch(x, t)
+    d_opt = den.denoise(x, t)
     resid = d_opt - y
 
     # Perturbing the denoiser by a constant delta changes each per-sample loss
@@ -577,11 +572,11 @@ def _checks_sampler(seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _edm_flow_rhs(sched: Schedule, den, x: Field, t: float) -> np.ndarray:
+def _edm_flow_rhs(sched: Schedule, den, x: np.ndarray, t: float) -> np.ndarray:
     """Independently coded standard flow: (s'/s + sig'/sig) x - (sig' s / sig) D(x/s; t)."""
     s, s_p, sig, sig_p = sched.evaluate(t)
-    d = den.denoise(Field(x.values / s), t)
-    return (s_p / s + sig_p / sig) * x.values - (sig_p * s / sig) * d.values
+    d = den.denoise(x / s, t)
+    return (s_p / s + sig_p / sig) * x - (sig_p * s / sig) * d
 
 
 def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
@@ -622,9 +617,9 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
     worst = 0.0
     for _ in range(20):
         t = float(sched.T * (0.01 + 0.99 * rng.uniform()))
-        x = Field(rng.standard_normal((2, 2)))
-        mine = p.pfode_rhs(den, t, x).flat()
-        std = _edm_flow_rhs(sched, den, x, t).reshape(-1)
+        x = rng.standard_normal((2, 2)).reshape(1, -1)
+        mine = p.pfode_rhs(den, t, x)
+        std = _edm_flow_rhs(sched, den, x, t)
         worst = max(worst, float(np.abs(mine - std).max()))
     checks.append(_upper("edm-reduction/flow-rhs-max-diff", worst, 1.0e-12, seed))
     return checks

@@ -19,7 +19,7 @@ from basisdiff import verify
 from basisdiff.bases import pixel_basis
 from basisdiff.cli import _train_network, _wrap_variant, main
 from basisdiff.config import load_config, resolved_objective
-from basisdiff.denoisers import PreconditionedDenoiser, TinyNetwork, precondition_wrap
+from basisdiff.denoisers import PreconditionedDenoiser, TinyNetwork
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import make_vp_schedule
@@ -164,7 +164,7 @@ def test_criterion_10_backward_pass_matches_finite_differences():
     for objective, wrap, m in cases:
         net = TinyNetwork([4, 6, 3], Rng(100))
         net.params[:] = 0.7 * Rng(101).standard_normal(net.n_params)
-        den = precondition_wrap(net, p, wrap)
+        den = PreconditionedDenoiser(net, p, wrap)
 
         def loss(seed=500):
             return compute_loss(objective, den, p, x0, t, Rng(seed), mask=m)

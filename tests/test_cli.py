@@ -6,7 +6,12 @@ import pytest
 
 from basisdiff import bases
 from basisdiff.cli import main
-from basisdiff.denoisers import load_network
+from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
+                              resolved_eta)
+from basisdiff.denoisers import DiracMixtureDenoiser, load_network
+from basisdiff.fields import Field, Rng
+from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.samplers import make_time_grid, sample_euler
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,6 +151,46 @@ def test_sample_writes_trajectories(tmp_path):
     for i in range(2):
         tlines = (out / f"trajectory_{i:03d}.csv").read_text().splitlines()
         assert len(tlines) == 6  # header + 5 knots
+
+
+@pytest.mark.parametrize("final_denoise", ["false", "true"])
+def test_sample_batch_matches_one_trajectory_runs(tmp_path, final_denoise):
+    # all samples walk one stacked Euler pass; each row must still be the
+    # one-trajectory run from its own Rng(seed, 100 + i) start
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", f"sampling.final_denoise={final_denoise}",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    cfg = load_config(CONFIGS / "toy_sample.json")
+    pts = [Field(np.asarray(r, dtype=np.float64)) for r in cfg["points"]]
+    p = DiffusionProcess(build_schedule(cfg),
+                         build_fixed_basis(cfg, (2,), default_kind="pixel"),
+                         resolved_eta(cfg))
+    den = DiracMixtureDenoiser(DiracDataset(pts), p)
+    grid = make_time_grid(p.schedule.T, cfg["sampling"]["steps"],
+                          cfg["sampling"]["scheme"])
+    rows = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+    n = cfg["sampling"]["n_samples"]
+    assert rows.shape == (n, 3)
+    for i in range(n):
+        rng = Rng(cfg["seed"], 100 + i)
+        y = pts[rng.integers(0, len(pts))]
+        x_top = p.forward_sample(y, p.schedule.T, rng)
+        end = sample_euler(p, den, x_top, grid)
+        traj = np.loadtxt(tmp_path / f"trajectory_{i:03d}.csv",
+                          delimiter=",", skiprows=1)
+        np.testing.assert_allclose(traj[0, 1:], x_top.values, rtol=1e-12)
+        np.testing.assert_allclose(traj[-1, 1:], end.values, rtol=1e-12)
+        if final_denoise == "true":
+            end = sample_euler(p, den, x_top, grid, final_denoise=True)
+        assert rows[i, 0] == i
+        np.testing.assert_allclose(rows[i, 1:], end.values, rtol=1e-12)
+
+
+def test_sample_rejects_negative_count(tmp_path):
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", "sampling.n_samples=-2", "--out", str(tmp_path)])
+    assert code == 2
 
 
 def test_sample_factors_sigma_once(tmp_path, monkeypatch):

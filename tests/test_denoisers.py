@@ -10,8 +10,7 @@ from basisdiff.bases import (BasisSet, SingularCovarianceError, pixel_basis,
                              residual_basis)
 from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
                                  PreconditionedDenoiser, TinyNetwork,
-                                 load_network, precondition_wrap,
-                                 save_network)
+                                 load_network, save_network)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import make_vp_schedule
@@ -39,9 +38,11 @@ def _manual_forward(params, widths, z):
 def test_constant_denoiser():
     y = Field([1.0, 2.0])
     den = ConstantDenoiser(y)
-    assert den.denoise(Field([0.0, 0.0]), 5.0) is y
+    out = den.denoise(np.zeros((3, 2)), 5.0)
+    assert out.shape == (3, 2)
+    assert np.array_equal(out, [[1.0, 2.0]] * 3)
     with pytest.raises(ValueError):
-        den.denoise(Field([0.0]), 5.0)
+        den.denoise(np.zeros((3, 1)), 5.0)
 
 
 def test_network_init_layout():
@@ -107,22 +108,26 @@ def test_predict_noise_wrapper_algebra():
     p = _pixel_process(3)
     widths = [4, 6, 3]
     net = TinyNetwork(widths, Rng(9))
-    den = precondition_wrap(net, p, "predict-noise")
-    x = Field([0.4, -1.1, 2.0])
+    den = PreconditionedDenoiser(net, p, "predict-noise")
+    x = np.array([[0.4, -1.1, 2.0], [-0.3, 0.8, 0.05]])
     for t in (8.0, 77.0):
         sig = p.schedule.sigma(t)
-        z = np.concatenate([x.flat() / np.sqrt(1 + sig * sig), [t / 100.0]])
-        f = _manual_forward(net.params, widths, z)
-        expect = x.flat() / 1.0 - sig * f  # s == 1 for this schedule
-        assert np.allclose(den.denoise(x, t).values, expect, rtol=1e-13)
+        out = den.denoise(x, t)
+        assert out.shape == x.shape
+        for row, got in zip(x, out):
+            z = np.concatenate([row / np.sqrt(1 + sig * sig), [t / 100.0]])
+            f = _manual_forward(net.params, widths, z)
+            expect = row / 1.0 - sig * f  # s == 1 for this schedule
+            assert np.allclose(got, expect, rtol=1e-13)
         assert den.out_gain(t) == -sig
 
 
 def test_predict_noise_is_identity_at_time_zero():
     p = _pixel_process(2)
-    den = precondition_wrap(TinyNetwork([3, 4, 2], Rng(10)), p, "predict-noise")
-    x = Field([0.3, -0.7])
-    assert np.array_equal(den.denoise(x, 0.0).values, x.values)
+    den = PreconditionedDenoiser(TinyNetwork([3, 4, 2], Rng(10)), p,
+                                 "predict-noise")
+    x = np.array([[0.3, -0.7]])
+    assert np.array_equal(den.denoise(x, 0.0), x)
 
 
 def test_predict_x0_wrapper_passes_network_through():
@@ -130,33 +135,34 @@ def test_predict_x0_wrapper_passes_network_through():
     net = TinyNetwork([3, 5, 2], Rng(11))
     net.params[:] = 0.0
     net.params[-2:] = [0.25, -0.5]  # output bias only: F is constant
-    den = precondition_wrap(net, p, "predict-x0")
+    den = PreconditionedDenoiser(net, p, "predict-x0")
     rng = Rng(12)
     for t in (0.5, 60.0):
-        x = Field(rng.standard_normal(2))
-        assert np.array_equal(den.denoise(x, t).values, [0.25, -0.5])
+        x = rng.standard_normal((3, 2))
+        assert np.array_equal(den.denoise(x, t), [[0.25, -0.5]] * 3)
         assert den.out_gain(t) == 1.0
 
 
 def test_wrapper_validation():
     p = _pixel_process(3)
     with pytest.raises(ValueError):
-        precondition_wrap(TinyNetwork([3, 3], Rng(0)), p, "predict-noise")
+        PreconditionedDenoiser(TinyNetwork([3, 3], Rng(0)), p, "predict-noise")
     with pytest.raises(ValueError):
-        precondition_wrap(TinyNetwork([4, 2], Rng(0)), p, "predict-noise")
+        PreconditionedDenoiser(TinyNetwork([4, 2], Rng(0)), p, "predict-noise")
     with pytest.raises(ValueError):
-        precondition_wrap(TinyNetwork([4, 3], Rng(0)), p, "something-else")
+        PreconditionedDenoiser(TinyNetwork([4, 3], Rng(0)), p, "something-else")
 
 
 def test_wrapped_network_smoke():
     p = _pixel_process(4)
-    den = precondition_wrap(TinyNetwork([5, 8, 8, 4], Rng(13)), p, "predict-noise")
+    den = PreconditionedDenoiser(TinyNetwork([5, 8, 8, 4], Rng(13)), p,
+                                 "predict-noise")
     rng = Rng(14)
     for _ in range(100):
         t = float(rng.standard_normal(()) ** 2 * 10 + 1.0)
         t = min(t, 100.0)
-        out = den.denoise(Field(rng.standard_normal(4)), t)
-        assert np.all(np.isfinite(out.values))
+        out = den.denoise(rng.standard_normal((1, 4)), t)
+        assert np.all(np.isfinite(out))
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +175,16 @@ def test_analytic_single_point_returns_it_everywhere():
     den = DiracMixtureDenoiser(DiracDataset([y]), p)
     rng = Rng(15)
     for t in (0.01, 50.0, 100.0):
-        x = Field(rng.standard_normal(2))
-        assert np.array_equal(den.denoise(x, t).values, y.values)
+        x = rng.standard_normal((4, 2))
+        assert np.array_equal(den.denoise(x, t), [y.values] * 4)
 
 
 def test_analytic_midpoint_between_equidistant_points():
     p = _pixel_process(2)
     ds = DiracDataset([Field([1.0, 0.0]), Field([-1.0, 0.0])])
     den = DiracMixtureDenoiser(ds, p)
-    out = den.denoise(Field([0.0, 0.7]), 40.0)
-    assert np.allclose(out.values, [0.0, 0.0], atol=1e-15)
+    out = den.denoise(np.array([[0.0, 0.7]]), 40.0)
+    assert np.allclose(out, [[0.0, 0.0]], atol=1e-15)
 
 
 def test_analytic_collapses_to_nearest_point_at_small_noise():
@@ -190,8 +196,8 @@ def test_analytic_collapses_to_nearest_point_at_small_noise():
     for _ in range(20):
         x = rng.standard_normal(2)
         nearest = stacked[np.argmin(np.sum((stacked - x) ** 2, axis=1))]
-        out = den.denoise(Field(x), 0.1)  # sigma ~ 3e-3: posterior collapses
-        assert np.allclose(out.values, nearest, atol=1e-12)
+        out = den.denoise(x[None, :], 0.1)  # sigma ~ 3e-3: posterior collapses
+        assert np.allclose(out[0], nearest, atol=1e-12)
 
 
 def test_analytic_matches_naive_weights_at_moderate_noise():
@@ -216,7 +222,7 @@ def test_analytic_matches_naive_weights_at_moderate_noise():
         assert w.sum() > 0  # regime check: no underflow in the oracle
         w /= w.sum()
         expect = w @ np.stack([y.values for y in pts])
-        assert np.allclose(den.denoise(Field(x), t).values, expect, atol=1e-10)
+        assert np.allclose(den.denoise(x[None, :], t)[0], expect, atol=1e-10)
 
 
 def test_analytic_batch_matches_loop():
@@ -226,10 +232,10 @@ def test_analytic_batch_matches_loop():
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     states = rng.standard_normal((12, 3))
     t = 30.0
-    batch = den.denoise_batch(states, t)
+    batch = den.denoise(states, t)
     for i in range(12):
-        single = den.denoise(Field(states[i]), t)
-        assert np.allclose(batch[i], single.values, rtol=1e-12, atol=1e-14)
+        single = den.denoise(states[i:i + 1], t)
+        assert np.allclose(batch[i], single[0], rtol=1e-12, atol=1e-14)
     lo = np.min([y.values for y in pts], axis=0)
     hi = np.max([y.values for y in pts], axis=0)
     assert np.all(batch >= lo - 1e-12) and np.all(batch <= hi + 1e-12)
@@ -273,7 +279,7 @@ def test_whitened_weights_match_dense_inverse_oracle(t):
     # 10 * cond(Sigma) * eps ~ 1e-13 relative in the weights
     np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0.0)
     den = DiracMixtureDenoiser(ds, p)
-    np.testing.assert_allclose(den.denoise_batch(states, t), expect @ pts,
+    np.testing.assert_allclose(den.denoise(states, t), expect @ pts,
                                rtol=1e-10, atol=1e-14)
 
 
@@ -294,7 +300,7 @@ def test_marginal_score_and_denoiser_share_weights(monkeypatch):
     for t in (0.5, 20.0, 80.0):
         x = Field(rng.standard_normal(3))
         score = p.marginal_score_dirac(ds, t, x)
-        mean = den.denoise(x, t)
+        mean = den.denoise(x.flat()[None, :], t)[0]
         assert len(seen) == 2
         np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12, atol=0.0)
         # the score is gain * Sigma^{-1} (s D + shift - x) with the same D
@@ -303,7 +309,7 @@ def test_marginal_score_and_denoiser_share_weights(monkeypatch):
         gain = ((p.eta + 1.0) / (s * sig)) ** 2
         implied = (SKEW_ROWS.T @ SKEW_ROWS @ score.values / gain
                    - shift + x.values) / s
-        np.testing.assert_allclose(implied, mean.values, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(implied, mean, rtol=1e-9, atol=1e-9)
         seen.clear()
 
 
@@ -321,8 +327,8 @@ def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
     ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(4)])
     den = DiracMixtureDenoiser(ds, p)
     for k in range(100):
-        den.denoise(Field(rng.standard_normal(3)), 1.0 + k)
-    den.denoise_batch(rng.standard_normal((7, 3)), 30.0)
+        den.denoise(rng.standard_normal((1, 3)), 1.0 + k)
+    den.denoise(rng.standard_normal((7, 3)), 30.0)
     p.pfode_rhs_marginal(ds, 30.0, Field(rng.standard_normal(3)))
     p.pfode_rhs_conditional(ds.points[0], 30.0, Field(rng.standard_normal(3)))
     assert len(builds) == 1
@@ -336,9 +342,7 @@ def test_rank_deficient_basis_fails_at_first_use():
                          BasisSet((3,), elements=SKEW_ROWS[:2]), 0.0)
     den = DiracMixtureDenoiser(DiracDataset([Field([0.0, 1.0, 2.0])]), p)
     with pytest.raises(SingularCovarianceError):
-        den.denoise(Field([1.0, 1.0, 1.0]), 10.0)
-    with pytest.raises(SingularCovarianceError):
-        den.denoise_batch(np.ones((2, 3)), 10.0)
+        den.denoise(np.ones((2, 3)), 10.0)
 
 
 def test_analytic_validation():
@@ -352,7 +356,7 @@ def test_analytic_validation():
         DiracMixtureDenoiser(DiracDataset([Field([1.0])]), p)
     den = DiracMixtureDenoiser(DiracDataset([clean]), p)
     with pytest.raises(ValueError):
-        den.denoise_batch(np.zeros((1, 2)), 0.0)
+        den.denoise(np.zeros((1, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------

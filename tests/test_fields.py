@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basisdiff.fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
-                              field_to_bytes, psnr, randn, read_field, rmse,
+                              field_to_bytes, psnr, read_field, rmse,
                               write_field, write_pgm)
 
 
@@ -92,12 +92,12 @@ def test_rng_rejects_negative_key():
         Rng(-1)
 
 
-def test_randn_empty_extent():
-    assert randn((0,), Rng(0)).size == 0
+def test_standard_normal_empty_extent():
+    assert Rng(0).standard_normal((0,)).size == 0
 
 
-def test_randn_moments_one_million_draws():
-    x = randn((1_000_000,), Rng(5, 9)).values
+def test_standard_normal_moments_one_million_draws():
+    x = Rng(5, 9).standard_normal((1_000_000,))
     assert -0.003 <= x.mean() <= 0.003
     assert 0.995 <= x.var() <= 1.005
 

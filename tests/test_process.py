@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basisdiff.bases import (BasisSet, SingularCovarianceError, basis_sum,
+from basisdiff.bases import (BasisSet, SingularCovarianceError,
                              legendre_trig_basis, pixel_basis, residual_basis)
 from basisdiff.denoisers import ConstantDenoiser
 from basisdiff.fields import Field, Rng
@@ -23,7 +23,7 @@ def test_negative_eta_rejected():
 
 def test_extreme_eta_noise_freezes_at_element_sum():
     p, _ = _toy_process(eta=1e9)
-    target = basis_sum(p.basis).values
+    target = p.basis.elements().sum(axis=0)
     rng = Rng(0)
     for _ in range(5):
         n = p.sample_noise(rng).values
@@ -114,11 +114,12 @@ def test_sde_terminal_tracks_deterministic_limit():
     basis = BasisSet((2,), elements=[[1.0, 0.0], [0.5, -0.5]])
     p = DiffusionProcess(sched, basis, 1e9)
     x0 = Field([0.2, -0.4])
-    out = p.simulate_sde(x0, 2000, Rng(4))
+    out = p.simulate_sde(x0, 2000, 3, Rng(4))
     mean = p.conditional_moments(x0, sched.T).mean
-    assert np.allclose(out.values, mean.values, atol=1e-3)
+    assert out.shape == (3, 2)
+    assert np.allclose(out, mean.values, atol=1e-3)
     with pytest.raises(ValueError):
-        p.simulate_sde(x0, 0, Rng(4))
+        p.simulate_sde(x0, 0, 3, Rng(4))
 
 
 def test_conditional_score_pixel_closed_form():
@@ -189,20 +190,21 @@ def test_pfode_assemblies_agree():
             x = Field(rng.standard_normal(3))
             raw_c = p.pfode_rhs_conditional(y, t, x)
             raw_m = p.pfode_rhs_marginal(ds, t, x)
-            simp = p.pfode_rhs(den, t, x)
-            assert np.allclose(raw_c.values, simp.values, atol=1e-10)
-            assert np.allclose(raw_m.values, simp.values, atol=1e-10)
+            simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
+            assert np.allclose(raw_c.values, simp, atol=1e-10)
+            assert np.allclose(raw_m.values, simp, atol=1e-10)
 
 
 def test_pfode_constant_denoiser_closed_form():
     p, _ = _toy_process(eta=0.0)
     sched = p.schedule
     y = Field([0.1, 0.2, 0.3])
-    x = Field([1.0, -1.0, 0.5])
+    x = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -3.0]])
     t = 33.0
     rhs = p.pfode_rhs(ConstantDenoiser(y), t, x)
     ratio = sched.sigma_prime(t) / sched.sigma(t)  # s == 1 here
-    assert np.allclose(rhs.values, ratio * (x.values - y.values), rtol=1e-13)
+    assert rhs.shape == x.shape
+    assert np.allclose(rhs, ratio * (x - y.values), rtol=1e-13)
     with pytest.raises(EndpointError):
         p.pfode_rhs(ConstantDenoiser(y), 0.0, x)
 

@@ -62,13 +62,14 @@ def test_grid_validation_on_walk():
 def test_trajectory_bookkeeping():
     p = _process()
     den = ConstantDenoiser(Field([0.0, 0.0]))
-    x = Field([1.0, -1.0])
+    x = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.0]])
     grid = make_time_grid(100.0, 7)
     states = euler_trajectory(p, den, x, grid)
-    assert len(states) == 8
-    assert states[0] is x
-    assert np.array_equal(sample_euler(p, den, x, grid).values,
-                          states[-1].values)
+    assert states.shape == (8, 3, 2)
+    assert np.array_equal(states[0], x)
+    for i in range(3):
+        end = sample_euler(p, den, Field(x[i]), grid)
+        assert np.array_equal(end.values, states[-1, i])
 
 
 def test_terminal_fraction_constant():
@@ -131,10 +132,21 @@ def test_non_finite_state_aborts():
 
 def test_write_trajectory_csv(tmp_path):
     path = tmp_path / "traj.csv"
-    times = [100.0, 0.1]
-    states = [Field([1.0, 2.0]), Field([0.5, 0.25])]
-    write_trajectory_csv(times, states, path)
-    lines = path.read_text().splitlines()
+    times = np.array([100.0, 0.1, 0.05, 0.01])
+    rows = np.array([[1.0, 2.0], [0.5, 0.25], [-0.0, 5e-324],
+                     [0.1 + 0.2, 1e16]])
+    # one trajectory of a stacked (K, n, d) walk, as the sample command
+    # passes it: a strided view
+    walk = np.stack([np.zeros_like(rows), rows], axis=1)
+    write_trajectory_csv(times, walk[:, 1], path)
+    text = path.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == 5
     assert lines[0] == "t,x0,x1"
     assert lines[1] == "100.0,1.0,2.0"
     assert lines[2] == "0.1,0.5,0.25"
+    for line, t, row in zip(lines[1:], times, rows):
+        assert line == ",".join(repr(float(v)) for v in [t, *row])
+    assert lines[3] == "0.05,-0.0,5e-324"
+    assert lines[4] == "0.01,0.30000000000000004,1e+16"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                                 PreconditionedDenoiser, TinyNetwork,
-                                 precondition_wrap)
+                                 PreconditionedDenoiser, TinyNetwork)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import make_vp_schedule
@@ -178,8 +177,8 @@ def test_mse_x0_on_parameterless_denoiser():
 def test_objective_wrapper_pairing_enforced():
     p = _pixel_process()
     x0 = Field([0.0, 0.0])
-    noise_den = precondition_wrap(TinyNetwork([3, 4, 2], Rng(2)), p, "predict-noise")
-    x0_den = precondition_wrap(TinyNetwork([3, 4, 2], Rng(2)), p, "predict-x0")
+    noise_den = PreconditionedDenoiser(TinyNetwork([3, 4, 2], Rng(2)), p, "predict-noise")
+    x0_den = PreconditionedDenoiser(TinyNetwork([3, 4, 2], Rng(2)), p, "predict-x0")
     with pytest.raises(ValueError):
         compute_loss("x0-pred", noise_den, p, x0, 10.0, Rng(3))
     with pytest.raises(ValueError):
@@ -194,7 +193,7 @@ def test_objective_wrapper_pairing_enforced():
 
 def test_compute_loss_reproducible_from_seed():
     p = _pixel_process()
-    den = precondition_wrap(TinyNetwork([3, 6, 2], Rng(4)), p, "predict-noise")
+    den = PreconditionedDenoiser(TinyNetwork([3, 6, 2], Rng(4)), p, "predict-noise")
     x0 = Field([0.7, 0.1])
     a = compute_loss("noise-pred", den, p, x0, 35.0, Rng(5))
     b = compute_loss("noise-pred", den, p, x0, 35.0, Rng(5))
@@ -203,7 +202,7 @@ def test_compute_loss_reproducible_from_seed():
 
 def test_zero_mask_weight_reduces_to_plain_loss():
     p = _pixel_process()
-    den = precondition_wrap(TinyNetwork([3, 6, 2], Rng(6)), p, "predict-noise")
+    den = PreconditionedDenoiser(TinyNetwork([3, 6, 2], Rng(6)), p, "predict-noise")
     x0 = Field([0.3, -0.2])
     mask = Field([0.0, 0.0])
     plain = compute_loss("noise-pred", den, p, x0, 22.0, Rng(7))
@@ -222,7 +221,7 @@ def test_zero_mask_weight_reduces_to_plain_loss():
 def test_loss_gradient_matches_finite_differences(objective, wrap, masked):
     p = _pixel_process(3)
     net = TinyNetwork([4, 5, 3], Rng(8))
-    den = precondition_wrap(net, p, wrap)
+    den = PreconditionedDenoiser(net, p, wrap)
     x0 = Field([0.4, -0.6, 0.2])
     mask = Field([1.0, 0.0, 0.0]) if masked else None
     t = 47.0
@@ -307,7 +306,7 @@ def test_trained_network_cannot_beat_exact_posterior_mean():
     net = TinyNetwork([3, 10, 2], Rng(15))
     train(net, p, ds, TrainConfig(steps=500, lr=3e-3, objective="noise-pred",
                                   seed=8))
-    net_den = precondition_wrap(net, p, "predict-noise")
+    net_den = PreconditionedDenoiser(net, p, "predict-noise")
     exact_den = DiracMixtureDenoiser(ds, p)
     rng = Rng(16)
     diffs = []
