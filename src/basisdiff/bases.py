@@ -160,8 +160,10 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
 class CovarianceOp:
     """Sigma = sum_m h_m h_m^T for one resolved element matrix.
 
-    apply() works at any size in O(M d); the dense matrix, condition estimate
-    and symmetric-factorization solve exist only up to DENSE_COV_LIMIT.
+    apply() works at any size in O(M d).  The dense matrix, the condition
+    estimate and the whitener W = L^{-1} (Sigma = L L^T) exist only up to
+    DENSE_COV_LIMIT; W is made once per operator and is then its only
+    d x d array, so every whitening or solve is a matrix product.
     """
 
     def __init__(self, basis: BasisSet, conditioning=None):
@@ -171,7 +173,7 @@ class CovarianceOp:
         self._d = self._rows.shape[1]
         self._dense = None
         self._cond = None
-        self._chol = None
+        self._white = None
 
     def apply(self, v: Field) -> Field:
         if v.shape != self.shape:
@@ -197,13 +199,17 @@ class CovarianceOp:
             self._cond = float(np.linalg.cond(self.dense()))
         return self._cond
 
-    def _factor(self):
-        """Cached lower Cholesky factor of Sigma, as returned by cho_factor.
+    def _whitener(self) -> np.ndarray:
+        """Cached lower-triangular W = L^{-1} for Sigma = L L^T.
 
-        Raises SingularCovarianceError when rank < d or the condition
-        estimate exceeds COND_LIMIT; no pseudo-inverse fallback.
+        One Cholesky factorization, then LAPACK trtri inverts the factor in
+        place, so no second d x d array is made; the strict upper triangle
+        (left over from the factorization) is zeroed.  Dense Sigma is
+        dropped once W exists.  Raises SingularCovarianceError when
+        rank < d or the condition estimate exceeds COND_LIMIT; no
+        pseudo-inverse fallback.
         """
-        if self._chol is None:
+        if self._white is None:
             if self._rows.shape[0] < self._d:
                 raise SingularCovarianceError(
                     f"rank <= {self._rows.shape[0]} < d = {self._d}")
@@ -211,27 +217,31 @@ class CovarianceOp:
             if not math.isfinite(cond) or cond > COND_LIMIT:
                 raise SingularCovarianceError(f"condition estimate {cond:.3e}")
             try:
-                self._chol = sla.cho_factor(self.dense(), lower=True)
+                factor, _ = sla.cho_factor(self.dense(), lower=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularCovarianceError(str(exc)) from exc
-        return self._chol
+            white, info = sla.lapack.dtrtri(factor, lower=1, overwrite_c=1)
+            if info != 0:
+                raise SingularCovarianceError(
+                    f"triangular inverse failed (info = {info})")
+            for j in range(1, self._d):
+                white[:j, j] = 0.0
+            self._white = white
+            self._dense = None
+        return self._white
 
     def solve_flat(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs via the cached Cholesky factorization."""
-        return sla.cho_solve(self._factor(), rhs)
+        """Sigma^{-1} rhs = W^T (W rhs) for a (d,) vector or (d, k) columns."""
+        white = self._whitener()
+        return white.T @ (white @ rhs)
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        """L^{-1} v for Sigma = L L^T: one (d,) vector or each row of (n, d).
+        """W v = L^{-1} v for Sigma = L L^T: one (d,) vector or each row of (n, d).
 
         Whitened vectors turn Sigma^{-1} quadratic forms into squared norms,
-        r^T Sigma^{-1} r = |L^{-1} r|^2.  Only the lower triangle of the
-        cached factor is read.
+        r^T Sigma^{-1} r = |W r|^2.
         """
-        factor, _ = self._factor()
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 1:
-            return sla.solve_triangular(factor, v, lower=True)
-        return sla.solve_triangular(factor, v.T, lower=True).T
+        return v @ self._whitener().T
 
     def solve(self, v: Field) -> Field:
         if v.shape != self.shape:

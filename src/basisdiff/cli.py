@@ -32,8 +32,14 @@ from .training import TrainConfig, train, write_loss_trace
 from .verify import SUITE_NAMES, run_suite
 
 
+# samples walked together by `basisdiff sample`; bounds its peak memory
+_SAMPLE_BLOCK = 16
+
+
 def _load(args) -> dict:
-    return apply_overrides(load_config(args.config), args.set)
+    cfg = apply_overrides(load_config(args.config), args.set)
+    cfg["seed"] = _config_count(cfg, "seed")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -54,7 +60,11 @@ def _training_setup(cfg: dict):
     deg = _transform(task, task.degraded)
     ds = DiracDataset([x0], degraded=[deg])
     d = task.clean.size
-    widths = [d + 1] + [int(w) for w in cfg["network"]["hidden"]] + [d]
+    hidden = cfg["network"]["hidden"]
+    try:
+        widths = [d + 1] + [_count(w) for w in hidden] + [d]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"network.hidden = {hidden!r}: {exc}") from exc
     return task, p, ds, task.mask, widths
 
 
@@ -63,6 +73,21 @@ def _count(value) -> int:
     n = int(value)
     if n != value:
         raise ValueError("expected an integer")
+    return n
+
+
+def _config_count(cfg: dict, path: str, minimum: int = 0) -> int:
+    """The count at a dotted config path; a bad value is a ConfigError
+    that names the path."""
+    node = cfg
+    for key in path.split("."):
+        node = node[key]
+    try:
+        n = _count(node)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
+    if n < minimum:
+        raise ConfigError(f"{path} = {n} must be at least {minimum}")
     return n
 
 
@@ -92,7 +117,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 def _train_network(cfg: dict):
     task, p, ds, mask, widths = _training_setup(cfg)
     tc = _train_config(cfg)
-    net = TinyNetwork(widths, Rng(int(cfg["seed"]), 2))
+    net = TinyNetwork(widths, Rng(cfg["seed"], 2))
     net, trace = train(net, p, ds, tc, mask=mask)
     return task, p, net, trace
 
@@ -136,8 +161,8 @@ def cmd_restore(args) -> int:
         cfg["sampling"]["steps"] = args.steps
     if args.checkpoint is not None:
         cfg["restore"]["checkpoint"] = args.checkpoint
+    steps = _config_count(cfg, "sampling.steps")
     task, p, den = _build_restore_denoiser(cfg, cfg["restore"]["denoiser"])
-    steps = int(cfg["sampling"]["steps"])
     result = run_restoration(task, p, den, steps,
                              scheme=cfg["sampling"]["scheme"])
     out = _out_dir(args)
@@ -161,31 +186,35 @@ def cmd_sample(args) -> int:
     basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
     p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
-    grid = make_time_grid(p.schedule.T, int(cfg["sampling"]["steps"]),
+    grid = make_time_grid(p.schedule.T, _config_count(cfg, "sampling.steps", 1),
                           cfg["sampling"]["scheme"])
-    n = int(cfg["sampling"]["n_samples"])
-    if n < 0:
-        raise ConfigError(f"sampling.n_samples = {n} must be non-negative")
+    n = _config_count(cfg, "sampling.n_samples")
     out = _out_dir(args)
-    # one stream per sample: the index draw, then the forward noise
-    x_top = np.empty((n, pts[0].size))
-    for i in range(n):
-        rng = Rng(int(cfg["seed"]), 100 + i)
-        y = pts[rng.integers(0, len(pts))]
-        x_top[i] = p.forward_sample(y, p.schedule.T, rng).flat()
-    states = euler_trajectory(p, den, x_top, grid)
-    finals = states[-1]
-    if cfg["sampling"]["final_denoise"]:
-        finals = den.denoise(finals, float(grid[-1]))
-    final_lines = ["sample," + ",".join(f"x{i}" for i in range(pts[0].size))]
-    for i in range(n):
-        write_trajectory_csv(grid, states[:, i], out / f"trajectory_{i:03d}.csv")
-        if pts[0].ndim == 2:
-            write_pgm(Field(finals[i], shape=pts[0].shape),
-                      out / f"sample_{i:03d}.pgm")
-        final_lines.append(f"{i}," + ",".join(map(repr, finals[i].tolist())))
-    with open(out / "samples.csv", "w") as fh:
-        fh.write("\n".join(final_lines) + "\n")
+    with open(out / "samples.csv", "w") as samples:
+        samples.write("sample," + ",".join(f"x{i}" for i in range(pts[0].size))
+                      + "\n")
+        # blocks of samples walk together; each block is written and freed
+        # before the next, so the peak memory does not grow with n
+        for lo in range(0, n, _SAMPLE_BLOCK):
+            block = range(lo, min(lo + _SAMPLE_BLOCK, n))
+            x_top = np.empty((len(block), pts[0].size))
+            for k, i in enumerate(block):
+                # one stream per sample: the index draw, then the forward noise
+                rng = Rng(cfg["seed"], 100 + i)
+                y = pts[rng.integers(0, len(pts))]
+                x_top[k] = p.forward_sample(y, p.schedule.T, rng).flat()
+            states = euler_trajectory(p, den, x_top, grid)
+            finals = states[-1]
+            if cfg["sampling"]["final_denoise"]:
+                finals = den.denoise(finals, float(grid[-1]))
+            for k, i in enumerate(block):
+                write_trajectory_csv(grid, states[:, k],
+                                     out / f"trajectory_{i:03d}.csv")
+                if pts[0].ndim == 2:
+                    write_pgm(Field(finals[k], shape=pts[0].shape),
+                              out / f"sample_{i:03d}.pgm")
+                samples.write(f"{i}," + ",".join(map(repr, finals[k].tolist()))
+                              + "\n")
     print(f"wrote {n} samples over a {grid.size - 1}-step grid")
     return 0
 
@@ -206,9 +235,9 @@ def cmd_simulate(args) -> int:
         conditioning = None
         if basis.mode == "sample-dependent":
             conditioning = (x0, _transform(task, task.degraded))
-    sim = cfg["simulate"]
-    n_paths, n_steps = int(sim["n_paths"]), int(sim["n_steps"])
-    paths = p.simulate_sde(x0, n_steps, n_paths, Rng(int(cfg["seed"]), 3),
+    n_paths = _config_count(cfg, "simulate.n_paths", 1)
+    n_steps = _config_count(cfg, "simulate.n_steps", 1)
+    paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3),
                            conditioning)
     mom = p.conditional_moments(x0, p.schedule.T, conditioning)
     elements = p.basis.elements(conditioning)
@@ -247,7 +276,8 @@ def cmd_demo_case3(args) -> int:
     cc = cfg["case3"]
     sampler = centered_poisson_sampler(float(cc["poisson_lambda"]))
     table = case3_discrete_demo(sampler, [float(e) for e in cc["eta_grid"]],
-                                int(cc["n_draws"]), Rng(int(cfg["seed"]), 5))
+                                _config_count(cfg, "case3.n_draws"),
+                                Rng(cfg["seed"], 5))
     out = _out_dir(args)
     lines = ["eta,tv_distance"]
     lines += [f"{repr(eta)},{repr(tv)}" for eta, tv in table]

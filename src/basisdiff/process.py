@@ -208,10 +208,10 @@ class DiffusionProcess:
         to N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With Sigma = L L^T the
         exponent is |z - s L^{-1} y_i - c L^{-1} sum_m h_m|^2 / cov_scale for
         z = L^{-1} x, so with the dataset whitened once (_whitened) a call
-        makes one triangular solve on the states.  The residual is formed
-        before squaring: expanding the square as |z|^2 - 2 z.y + |y|^2
-        cancels catastrophically at small sigma.  Log densities with max
-        subtraction keep exp from underflowing.
+        makes one product of the states with the operator's whitener.  The
+        residual is formed before squaring: expanding the square as
+        |z|^2 - 2 z.y + |y|^2 cancels catastrophically at small sigma.  Log
+        densities with max subtraction keep exp from underflowing.
         """
         s, _, shift_gain, cov_scale = self._kernel_scales(t)
         if cov_scale == 0.0:

@@ -25,22 +25,20 @@ class EndpointError(ValueError):
 class Schedule:
     """Signal scale s(t) and noise level sigma(t) with analytic derivatives.
 
-    sigma_prime may be reported as +inf at t = 0 when the analytic formula
-    diverges there (true for the variance-preserving family, where
-    sigma ~ sqrt(t) near zero).
+    parts(t) returns (s, s', sigma, sigma', d sigma^2/dt) at one time in
+    [0, T], so a family shares its common terms across all five in one
+    call; every method below calls it once.  sigma' may be reported as +inf
+    at t = 0 when the analytic formula diverges there (true for the
+    variance-preserving family, where sigma ~ sqrt(t) near zero).
     """
 
-    def __init__(self, T, s, s_prime, sigma, sigma_prime, dsigma2_dt,
-                 kind="custom", alpha_bar=None, alpha_bar_table=None):
+    def __init__(self, T, parts, kind="custom", alpha_bar=None,
+                 alpha_bar_table=None):
         if T <= 0:
             raise ValueError("horizon T must be positive")
         self.T = float(T)
         self.kind = kind
-        self._s = s
-        self._s_prime = s_prime
-        self._sigma = sigma
-        self._sigma_prime = sigma_prime
-        self._dsigma2_dt = dsigma2_dt
+        self._parts = parts
         self._alpha_bar = alpha_bar
         if alpha_bar_table is not None:
             alpha_bar_table = np.asarray(alpha_bar_table, dtype=np.float64)
@@ -54,20 +52,20 @@ class Schedule:
         return t
 
     def s(self, t: float) -> float:
-        return self._s(self._check(t))
+        return self._parts(self._check(t))[0]
 
     def s_prime(self, t: float) -> float:
-        return self._s_prime(self._check(t))
+        return self._parts(self._check(t))[1]
 
     def sigma(self, t: float) -> float:
-        return self._sigma(self._check(t))
+        return self._parts(self._check(t))[2]
 
     def sigma_prime(self, t: float) -> float:
-        return self._sigma_prime(self._check(t))
+        return self._parts(self._check(t))[3]
 
     def dsigma2_dt(self, t: float) -> float:
         """d(sigma^2)/dt; finite on [0, T] even where sigma' diverges."""
-        return self._dsigma2_dt(self._check(t))
+        return self._parts(self._check(t))[4]
 
     def alpha_bar(self, t: float) -> float:
         if self._alpha_bar is None:
@@ -76,8 +74,7 @@ class Schedule:
 
     def evaluate(self, t: float):
         """(s, s', sigma, sigma') at time t in [0, T]."""
-        t = self._check(t)
-        return (self._s(t), self._s_prime(t), self._sigma(t), self._sigma_prime(t))
+        return self._parts(self._check(t))[:4]
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,11 @@ class SdeCoefficients:
 
 
 def _vp_parts(beta_min: float, beta_max: float, T: float):
+    """(beta, B, abar, discrete abar table) for the linear beta ramp.
+
+    B(t) = int_0^t beta is the one integral both VP families build on, and
+    abar = exp(-B).
+    """
     if beta_min <= 0 or beta_max < beta_min:
         raise ValueError("need 0 < beta_min <= beta_max")
     if T <= 0:
@@ -99,52 +101,35 @@ def _vp_parts(beta_min: float, beta_max: float, T: float):
     def beta(t):
         return beta_min + slope * t
 
-    def beta_integral(t):
+    def b_int(t):
         return beta_min * t + 0.5 * slope * t * t
 
     def alpha_bar(t):
-        return math.exp(-beta_integral(t))
+        return math.exp(-b_int(t))
 
     t_int = int(round(T))
     table = None
     if t_int >= 1:
         betas = np.linspace(beta_min, beta_max, t_int)
         table = np.cumprod(1.0 - betas)
-    return beta, alpha_bar, table
+    return beta, b_int, alpha_bar, table
 
 
 def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
                      T: float = 100.0) -> Schedule:
     """Variance-preserving schedule: s = 1, sigma = sqrt(1 - abar(t))."""
-    beta, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
+    beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
 
-    def b_int(t):
-        return beta_min * t + 0.5 * (beta_max - beta_min) / T * t * t
-
-    def sigma(t):
+    def parts(t):
+        b = b_int(t)
         # 1 - exp(-B) via expm1 keeps precision near t = 0
-        return math.sqrt(-math.expm1(-b_int(t)))
+        sig = math.sqrt(-math.expm1(-b))
+        dsigma2 = beta(t) * math.exp(-b)
+        sig_p = dsigma2 / (2.0 * sig) if sig != 0.0 else math.inf
+        return 1.0, 0.0, sig, sig_p, dsigma2
 
-    def sigma_prime(t):
-        sig = sigma(t)
-        if sig == 0.0:
-            return math.inf
-        return beta(t) * alpha_bar(t) / (2.0 * sig)
-
-    def dsigma2(t):
-        return beta(t) * alpha_bar(t)
-
-    return Schedule(
-        T,
-        s=lambda t: 1.0,
-        s_prime=lambda t: 0.0,
-        sigma=sigma,
-        sigma_prime=sigma_prime,
-        dsigma2_dt=dsigma2,
-        kind="vp-continuous",
-        alpha_bar=alpha_bar,
-        alpha_bar_table=table,
-    )
+    return Schedule(T, parts, kind="vp-continuous", alpha_bar=alpha_bar,
+                    alpha_bar_table=table)
 
 
 def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
@@ -153,41 +138,20 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
 
     Satisfies s^2 * (1 + sigma^2) = 1 at every t (variance preservation).
     """
-    beta, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
+    beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
 
-    def b_int(t):
-        return beta_min * t + 0.5 * (beta_max - beta_min) / T * t * t
-
-    def s(t):
-        return math.exp(-0.5 * b_int(t))
-
-    def s_prime(t):
-        return -0.5 * beta(t) * s(t)
-
-    def sigma(t):
+    def parts(t):
+        b = b_int(t)
+        beta_t = beta(t)
+        s = math.exp(-0.5 * b)
         # sigma^2 = 1/abar - 1 = expm1(B)
-        return math.sqrt(math.expm1(b_int(t)))
+        sig = math.sqrt(math.expm1(b))
+        dsigma2 = beta_t * math.exp(b)
+        sig_p = dsigma2 / (2.0 * sig) if sig != 0.0 else math.inf
+        return s, -0.5 * beta_t * s, sig, sig_p, dsigma2
 
-    def dsigma2(t):
-        return beta(t) * math.exp(b_int(t))
-
-    def sigma_prime(t):
-        sig = sigma(t)
-        if sig == 0.0:
-            return math.inf
-        return dsigma2(t) / (2.0 * sig)
-
-    return Schedule(
-        T,
-        s=s,
-        s_prime=s_prime,
-        sigma=sigma,
-        sigma_prime=sigma_prime,
-        dsigma2_dt=dsigma2,
-        kind="vp-ddpm",
-        alpha_bar=alpha_bar,
-        alpha_bar_table=table,
-    )
+    return Schedule(T, parts, kind="vp-ddpm", alpha_bar=alpha_bar,
+                    alpha_bar_table=table)
 
 
 def sde_coefficients(sched: Schedule, eta: float, basis_sum: Field,

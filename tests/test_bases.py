@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basisdiff import bases
 from basisdiff.bases import (BasisSet, CovarianceOp, SingularCovarianceError,
                              legendre_trig_basis, pixel_basis, residual_basis)
 from basisdiff.fields import Field, Rng
@@ -171,10 +172,68 @@ def test_whiten_is_the_inverse_cholesky_factor():
     white = op.whiten(vs)
     assert white.shape == (6, 3)
     np.testing.assert_allclose(lower @ white.T, vs.T, rtol=1e-12, atol=1e-14)
+    assert op.whiten(vs[:1]).shape == (1, 3)
     for v, w in zip(vs, white):
-        np.testing.assert_allclose(op.whiten(v), w, rtol=1e-14, atol=0.0)
+        assert op.whiten(v).shape == (3,)
+        np.testing.assert_allclose(op.whiten(v), w, rtol=1e-15, atol=0.0)
         # squared whitened norm is the Sigma^{-1} quadratic form
         assert np.isclose(w @ w, v @ np.linalg.solve(sigma, v), rtol=1e-12)
+
+
+def _skewed_op(seed=6, d=4):
+    """Operator of a non-orthogonal basis, and its dense Sigma built here."""
+    rng = Rng(seed)
+    rows = rng.standard_normal((d + 2, d)) + 0.3
+    return CovarianceOp(BasisSet((d,), elements=rows)), rows.T @ rows, rng
+
+
+def test_whitened_forms_and_solve_match_dense_oracle():
+    op, sigma, rng = _skewed_op()
+    rs = rng.standard_normal((5, 4))
+    white = op.whiten(rs)
+    for r, w in zip(rs, white):
+        exact = np.linalg.solve(sigma, r)
+        np.testing.assert_allclose(w @ w, r @ exact, rtol=1e-12)
+        np.testing.assert_allclose(op.solve_flat(r), exact, rtol=1e-12)
+    # (d, k) right-hand sides solve column by column
+    np.testing.assert_allclose(op.solve_flat(rs.T), np.linalg.solve(sigma, rs.T),
+                               rtol=1e-12)
+    # dense Sigma is dropped once the whitener exists, and re-formed on demand
+    assert op._dense is None
+    np.testing.assert_array_equal(op.dense(), sigma)
+
+
+def test_whitener_is_made_once_per_operator(monkeypatch):
+    calls = []
+    dtrtri = bases.sla.lapack.dtrtri
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dtrtri(*args, **kwargs)
+
+    monkeypatch.setattr(bases.sla.lapack, "dtrtri", counting)
+    op, _, rng = _skewed_op()
+    for _ in range(50):
+        v = rng.standard_normal(4)
+        op.whiten(v)
+        op.solve_flat(v)
+    assert len(calls) == 1
+
+
+def test_failed_triangular_inverse_is_singular(monkeypatch):
+    monkeypatch.setattr(bases.sla.lapack, "dtrtri",
+                        lambda c, lower, overwrite_c: (c, 2))
+    op, _, _ = _skewed_op()
+    with pytest.raises(SingularCovarianceError):
+        op.whiten(np.ones(4))
+
+
+def test_pixel_whitener_is_exactly_the_identity():
+    op = CovarianceOp(pixel_basis((3, 3)))
+    vs = Rng(8).standard_normal((5, 9))
+    assert np.array_equal(op.whiten(vs), vs)
+    assert np.array_equal(op.whiten(vs[2]), vs[2])
+    assert np.array_equal(op.solve_flat(vs[3]), vs[3])
 
 
 def test_solve_rejects_rank_deficiency():

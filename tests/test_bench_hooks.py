@@ -1,0 +1,43 @@
+"""The benchmark's traced mode wraps basisdiff callables by name.
+
+perfbench/layers.py looks each wrapped name up on its class or module, so a
+renamed or deleted name breaks the traced benchmark run.  This test installs
+and removes the wraps, so such a change fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+from basisdiff import bases, schedules
+from basisdiff.bases import CovarianceOp, pixel_basis
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _harness():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import layers
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return layers, Tracer
+
+
+def test_tracer_installs_and_uninstalls_every_wrap():
+    layers, Tracer = _harness()
+    solve_flat = CovarianceOp.__dict__["solve_flat"]
+    cho_factor = bases.sla.cho_factor
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        # the wraps see the calls: one factorization, one schedule call
+        CovarianceOp(pixel_basis((2,))).whiten([1.0, 2.0])
+        schedules.make_vp_schedule().evaluate(1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["bases.CovarianceOp"].counters == {"builds": 1,
+                                                           "factorizations": 1}
+    assert tracer.stats["schedules.Schedule"].calls == 1
+    assert CovarianceOp.__dict__["solve_flat"] is solve_flat
+    assert bases.sla.cho_factor is cho_factor

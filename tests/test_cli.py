@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from basisdiff import bases
+from basisdiff import bases, cli
 from basisdiff.cli import main
 from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
                               resolved_eta)
@@ -53,6 +53,15 @@ def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
                  "--out", str(tmp_path)])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hidden", ["[6.7]", "6"])
+def test_bad_hidden_width_is_config_error(tmp_path, capsys, hidden):
+    code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--set", f"network.hidden={hidden}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "network.hidden" in capsys.readouterr().err
 
 
 def test_unknown_task_kind(tmp_path):
@@ -153,14 +162,9 @@ def test_sample_writes_trajectories(tmp_path):
         assert len(tlines) == 6  # header + 5 knots
 
 
-@pytest.mark.parametrize("final_denoise", ["false", "true"])
-def test_sample_batch_matches_one_trajectory_runs(tmp_path, final_denoise):
-    # all samples walk one stacked Euler pass; each row must still be the
-    # one-trajectory run from its own Rng(seed, 100 + i) start
-    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
-                 "--set", f"sampling.final_denoise={final_denoise}",
-                 "--out", str(tmp_path)])
-    assert code == 0
+def _check_against_one_trajectory_runs(out, n, final_denoise):
+    """Every samples.csv row, and each trajectory's ends, equal a
+    one-trajectory run from that sample's own Rng(seed, 100 + i) start."""
     cfg = load_config(CONFIGS / "toy_sample.json")
     pts = [Field(np.asarray(r, dtype=np.float64)) for r in cfg["points"]]
     p = DiffusionProcess(build_schedule(cfg),
@@ -169,15 +173,14 @@ def test_sample_batch_matches_one_trajectory_runs(tmp_path, final_denoise):
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     grid = make_time_grid(p.schedule.T, cfg["sampling"]["steps"],
                           cfg["sampling"]["scheme"])
-    rows = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
-    n = cfg["sampling"]["n_samples"]
+    rows = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
     assert rows.shape == (n, 3)
     for i in range(n):
         rng = Rng(cfg["seed"], 100 + i)
         y = pts[rng.integers(0, len(pts))]
         x_top = p.forward_sample(y, p.schedule.T, rng)
         end = sample_euler(p, den, x_top, grid)
-        traj = np.loadtxt(tmp_path / f"trajectory_{i:03d}.csv",
+        traj = np.loadtxt(out / f"trajectory_{i:03d}.csv",
                           delimiter=",", skiprows=1)
         np.testing.assert_allclose(traj[0, 1:], x_top.values, rtol=1e-12)
         np.testing.assert_allclose(traj[-1, 1:], end.values, rtol=1e-12)
@@ -187,10 +190,77 @@ def test_sample_batch_matches_one_trajectory_runs(tmp_path, final_denoise):
         np.testing.assert_allclose(rows[i, 1:], end.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize("final_denoise", ["false", "true"])
+def test_sample_batch_matches_one_trajectory_runs(tmp_path, monkeypatch,
+                                                  final_denoise):
+    # samples walk stacked Euler passes, one per block; each row must still
+    # be the one-trajectory run from its own Rng(seed, 100 + i) start
+    args = ["sample", "--config", str(CONFIGS / "toy_sample.json"),
+            "--set", f"sampling.final_denoise={final_denoise}"]
+    n = load_config(CONFIGS / "toy_sample.json")["sampling"]["n_samples"]
+    assert n <= cli._SAMPLE_BLOCK  # all samples in one block
+    assert main(args + ["--out", str(tmp_path / "one")]) == 0
+    _check_against_one_trajectory_runs(tmp_path / "one", n, final_denoise)
+    # blocks of 2, the last one short
+    monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 2)
+    assert main(args + ["--set", "sampling.n_samples=5",
+                        "--out", str(tmp_path / "blocks")]) == 0
+    _check_against_one_trajectory_runs(tmp_path / "blocks", 5, final_denoise)
+
+
 def test_sample_rejects_negative_count(tmp_path):
     code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
                  "--set", "sampling.n_samples=-2", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("override,key", [
+    ("sampling.n_samples=2.9", "sampling.n_samples"),
+    ("sampling.steps=3.7", "sampling.steps"),
+    ("sampling.steps=0", "sampling.steps"),
+    ("seed=1.5", "seed"),
+    ("seed=-1", "seed")])
+def test_sample_rejects_bad_counts(tmp_path, capsys, override, key):
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_sample_takes_integral_float_counts(tmp_path):
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", "sampling.n_samples=2.0",
+                 "--set", "sampling.steps=3.0", "--out", str(tmp_path)])
+    assert code == 0
+    assert len((tmp_path / "samples.csv").read_text().splitlines()) == 3
+    lines = (tmp_path / "trajectory_001.csv").read_text().splitlines()
+    assert len(lines) == 5  # header + 4 knots
+
+
+def test_restore_rejects_fractional_steps(tmp_path, capsys):
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "task.size=8",
+                 "--set", "restore.denoiser=oracle-clean",
+                 "--set", "sampling.steps=2.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "sampling.steps" in capsys.readouterr().err
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "restore.denoiser=oracle-clean",
+                 "--steps", "2.5", "--out", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("override,key", [
+    ("simulate.n_paths=10.5", "simulate.n_paths"),
+    ("simulate.n_steps=3.2", "simulate.n_steps"),
+    ("simulate.n_paths=0", "simulate.n_paths")])
+def test_simulate_rejects_bad_counts(tmp_path, capsys, override, key):
+    code = main(["simulate", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "sde_stats.csv").exists()
 
 
 def test_sample_factors_sigma_once(tmp_path, monkeypatch):
@@ -249,3 +319,10 @@ def test_demo_case3_table(tmp_path):
     d0 = float(lines[1].split(",")[1])
     dinf = float(lines[2].split(",")[1])
     assert dinf < d0
+
+
+def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):
+    code = main(["demo-case3", "--config", str(CONFIGS / "case3.json"),
+                 "--set", "case3.n_draws=2000.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "case3.n_draws" in capsys.readouterr().err

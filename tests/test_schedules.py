@@ -112,6 +112,39 @@ def test_ddpm_s_prime_matches_finite_difference():
         assert sched.s_prime(t) == pytest.approx(fd, rel=1e-6)
 
 
+def _per_function_parts(kind, bmin, bmax, T, t):
+    """(s, s', sigma, sigma', dsigma2/dt, abar), one formula per quantity."""
+    beta = bmin + (bmax - bmin) / T * t
+    big_b = bmin * t + 0.5 * (bmax - bmin) / T * t * t
+    abar = math.exp(-big_b)
+    if kind == "vp":
+        s, s_p = 1.0, 0.0
+        sig = math.sqrt(-math.expm1(-big_b))
+        ds2 = beta * abar
+    else:
+        s = math.exp(-0.5 * big_b)
+        s_p = -0.5 * beta * s
+        sig = math.sqrt(math.expm1(big_b))
+        ds2 = beta * math.exp(big_b)
+    sig_p = ds2 / (2.0 * sig) if sig > 0 else math.inf
+    return s, s_p, sig, sig_p, ds2, abar
+
+
+@pytest.mark.parametrize("kind,make", [("vp", make_vp_schedule),
+                                       ("ddpm", make_ddpm_schedule)])
+@pytest.mark.parametrize("ramp", [(1e-4, 0.02, 100.0), (1e-3, 0.05, 37.0)])
+def test_fused_evaluation_matches_per_function_formulas(kind, make, ramp):
+    sched = make(*ramp)
+    T = ramp[2]
+    for t in [0.0, 1e-9, 1e-3, 0.5, T / 3.0, T / 2.0, 0.9 * T, T]:
+        got = (sched.s(t), sched.s_prime(t), sched.sigma(t),
+               sched.sigma_prime(t), sched.dsigma2_dt(t), sched.alpha_bar(t))
+        np.testing.assert_allclose(got, _per_function_parts(kind, *ramp, t),
+                                   rtol=1e-15, atol=0.0)
+        assert sched.evaluate(t) == got[:4]
+    assert sched.sigma(0.0) == 0.0 and sched.sigma_prime(0.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # SDE coefficients
 
