@@ -1,8 +1,10 @@
 """Run configuration: one JSON file, deep-merged over defaults.
 
-Every command reads the sections it needs from a single config dict; unknown
-keys are left in place (they are harmless and keep configs forward
-compatible).  ``--set a.b.c=value`` overrides follow JSON value syntax with a
+Every command reads the sections it needs from a single config dict.  Every
+key, in a file or an override, must name a key of ``DEFAULTS``: an unknown
+one (a typo such as ``training.stpes``) is refused with the nearest known
+key, since it would otherwise be ignored and the run would quietly use the
+default.  ``--set a.b.c=value`` overrides follow JSON value syntax with a
 bare-string fallback, so ``--set training.steps=200`` and
 ``--set task.kind=streaks`` both do the obvious thing.
 
@@ -15,6 +17,7 @@ eta = 10 with their weighted / direct objectives).
 from __future__ import annotations
 
 import copy
+import difflib
 import json
 from pathlib import Path
 
@@ -66,6 +69,37 @@ def _deep_merge(base: dict, update: dict) -> dict:
     return out
 
 
+def _dotted_keys(node: dict, prefix: str = "") -> list:
+    """Every dotted key path of a nested dict, sections included."""
+    out = []
+    for key, val in node.items():
+        out.append(prefix + key)
+        if isinstance(val, dict):
+            out += _dotted_keys(val, prefix + key + ".")
+    return out
+
+
+_KNOWN_KEYS = _dotted_keys(DEFAULTS)
+
+
+def _check_keys(user: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None:
+    """ConfigError naming the first key of user that DEFAULTS does not have."""
+    for key, val in user.items():
+        path = prefix + str(key)
+        if key not in defaults:
+            near = difflib.get_close_matches(path, _KNOWN_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {path!r}{hint}")
+        known = defaults[key]
+        if isinstance(val, dict):
+            # a plain value has no keys below it
+            _check_keys(val, known if isinstance(known, dict) else {},
+                        path + ".")
+        elif isinstance(known, dict):
+            raise ConfigError(f"config key {path!r} must be an object, "
+                              f"got {val!r}")
+
+
 def load_config(path) -> dict:
     """Read one JSON config file and merge it over the defaults."""
     p = Path(path)
@@ -78,6 +112,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
+    _check_keys(user)
     return _deep_merge(DEFAULTS, user)
 
 
@@ -91,8 +126,12 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
         parts = key.split(".")
+        nested = value
+        for part in reversed(parts):
+            nested = {part: nested}
+        _check_keys(nested)
+        node = cfg
         for part in parts[:-1]:
             nxt = node.setdefault(part, {})
             if not isinstance(nxt, dict):

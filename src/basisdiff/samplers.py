@@ -96,10 +96,12 @@ def rk4_step(rhs, x, h, stages):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: Field,
-                     steps: int) -> Field:
-    """Classical RK4 endpoint over [T, T/1000]; the test-side accuracy oracle.
+def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
+                     steps: int) -> np.ndarray:
+    """Classical RK4 endpoints over [T, T/1000]; the test-side accuracy oracle.
 
+    x_init holds (n, d) flat start states; the result is their (n, d)
+    endpoints, each row walked independently as in euler_trajectory.
     Integrates the same right-hand side in the reparametrized time
     t = eps_t + (T - eps_t) u^2 with uniform u steps.  Near the terminal knot
     the RHS scale grows like sigma'/sigma ~ 1/(2t); the quadratic map keeps
@@ -117,12 +119,12 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: Field,
         return (2.0 * span * u) * p.pfode_rhs(den, t, x)
 
     us = np.linspace(1.0, 0.0, steps + 1)
-    x = x_init.flat()[None, :]
+    x = np.asarray(x_init, dtype=np.float64)
     for i in range(steps):
         u = float(us[i])
         h = float(us[i + 1]) - u
         x = rk4_step(rhs_u, x, h, (u, u + 0.5 * h, u + h))
-    return Field(x[0], shape=x_init.shape)
+    return x
 
 
 def write_trajectory_csv(times, states, path) -> None:

@@ -25,11 +25,15 @@ class EndpointError(ValueError):
 class Schedule:
     """Signal scale s(t) and noise level sigma(t) with analytic derivatives.
 
-    parts(t) returns (s, s', sigma, sigma', d sigma^2/dt) at one time in
-    [0, T], so a family shares its common terms across all five in one
-    call; every method below calls it once.  sigma' may be reported as +inf
-    at t = 0 when the analytic formula diverges there (true for the
-    variance-preserving family, where sigma ~ sqrt(t) near zero).
+    parts(t, xp=math) returns (s, s', sigma, sigma', d sigma^2/dt) at t in
+    [0, T], so a family shares its common terms across all five in one call;
+    every method below calls it once.  Each method takes a float or a numpy
+    array of times: a float runs parts on the math namespace and returns
+    floats, an array runs it with xp = numpy and returns float64 arrays of
+    the array's shape.  One formula per family serves both.
+    sigma' may be reported as +inf at t = 0 when the analytic formula
+    diverges there (true for the variance-preserving family, where
+    sigma ~ sqrt(t) near zero).
     """
 
     def __init__(self, T, parts, kind="custom", alpha_bar=None,
@@ -45,36 +49,58 @@ class Schedule:
             alpha_bar_table.setflags(write=False)
         self.alpha_bar_table = alpha_bar_table
 
-    def _check(self, t: float) -> float:
+    def _check(self, t):
+        """t as a float in [0, T], or as a float64 array with every entry there."""
+        if isinstance(t, np.ndarray):
+            t = t.astype(np.float64)
+            bad = ~((0.0 <= t) & (t <= self.T))
+            if bad.any():
+                raise ValueError(f"t={t[bad].flat[0]} outside the schedule "
+                                 f"horizon [0, {self.T}]")
+            return t
         t = float(t)
         if not 0.0 <= t <= self.T:
             raise ValueError(f"t={t} outside the schedule horizon [0, {self.T}]")
         return t
 
-    def s(self, t: float) -> float:
-        return self._parts(self._check(t))[0]
+    def _eval(self, t):
+        """parts at t: floats for a float, arrays of t's shape for an array."""
+        # the common case, a float inside the horizon, costs one type check
+        if type(t) is not float or not 0.0 <= t <= self.T:
+            t = self._check(t)
+            if type(t) is not float:
+                # adding zero gives constant parts (the VP s and s') t's shape;
+                # sigma' divides by sigma, and is +inf where sigma = 0
+                zero = np.zeros(t.shape)
+                with np.errstate(divide="ignore"):
+                    return tuple(v + zero for v in self._parts(t, np))
+        return self._parts(t)
 
-    def s_prime(self, t: float) -> float:
-        return self._parts(self._check(t))[1]
+    def s(self, t):
+        return self._eval(t)[0]
 
-    def sigma(self, t: float) -> float:
-        return self._parts(self._check(t))[2]
+    def s_prime(self, t):
+        return self._eval(t)[1]
 
-    def sigma_prime(self, t: float) -> float:
-        return self._parts(self._check(t))[3]
+    def sigma(self, t):
+        return self._eval(t)[2]
 
-    def dsigma2_dt(self, t: float) -> float:
+    def sigma_prime(self, t):
+        return self._eval(t)[3]
+
+    def dsigma2_dt(self, t):
         """d(sigma^2)/dt; finite on [0, T] even where sigma' diverges."""
-        return self._parts(self._check(t))[4]
+        return self._eval(t)[4]
 
-    def alpha_bar(self, t: float) -> float:
+    def alpha_bar(self, t):
         if self._alpha_bar is None:
             raise ValueError("this schedule has no alpha-bar form")
-        return self._alpha_bar(self._check(t))
+        t = self._check(t)
+        return self._alpha_bar(t, np if isinstance(t, np.ndarray) else math)
 
-    def evaluate(self, t: float):
+    def evaluate(self, t):
         """(s, s', sigma, sigma') at time t in [0, T]."""
-        return self._parts(self._check(t))[:4]
+        return self._eval(t)[:4]
 
 
 @dataclass(frozen=True)
@@ -104,8 +130,8 @@ def _vp_parts(beta_min: float, beta_max: float, T: float):
     def b_int(t):
         return beta_min * t + 0.5 * slope * t * t
 
-    def alpha_bar(t):
-        return math.exp(-b_int(t))
+    def alpha_bar(t, xp=math):
+        return xp.exp(-b_int(t))
 
     t_int = int(round(T))
     table = None
@@ -120,12 +146,15 @@ def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
     """Variance-preserving schedule: s = 1, sigma = sqrt(1 - abar(t))."""
     beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
 
-    def parts(t):
+    def parts(t, xp=math):
         b = b_int(t)
         # 1 - exp(-B) via expm1 keeps precision near t = 0
-        sig = math.sqrt(-math.expm1(-b))
-        dsigma2 = beta(t) * math.exp(-b)
-        sig_p = dsigma2 / (2.0 * sig) if sig != 0.0 else math.inf
+        sig = xp.sqrt(-xp.expm1(-b))
+        dsigma2 = beta(t) * xp.exp(-b)
+        try:
+            sig_p = dsigma2 / (2.0 * sig)
+        except ZeroDivisionError:  # a float sigma of 0 at t = 0
+            sig_p = math.inf
         return 1.0, 0.0, sig, sig_p, dsigma2
 
     return Schedule(T, parts, kind="vp-continuous", alpha_bar=alpha_bar,
@@ -140,14 +169,17 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
     """
     beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
 
-    def parts(t):
+    def parts(t, xp=math):
         b = b_int(t)
         beta_t = beta(t)
-        s = math.exp(-0.5 * b)
+        s = xp.exp(-0.5 * b)
         # sigma^2 = 1/abar - 1 = expm1(B)
-        sig = math.sqrt(math.expm1(b))
-        dsigma2 = beta_t * math.exp(b)
-        sig_p = dsigma2 / (2.0 * sig) if sig != 0.0 else math.inf
+        sig = xp.sqrt(xp.expm1(b))
+        dsigma2 = beta_t * xp.exp(b)
+        try:
+            sig_p = dsigma2 / (2.0 * sig)
+        except ZeroDivisionError:  # a float sigma of 0 at t = 0
+            sig_p = math.inf
         return s, -0.5 * beta_t * s, sig, sig_p, dsigma2
 
     return Schedule(T, parts, kind="vp-ddpm", alpha_bar=alpha_bar,

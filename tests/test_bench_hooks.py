@@ -8,8 +8,13 @@ and removes the wraps, so such a change fails here first.
 import sys
 from pathlib import Path
 
-from basisdiff import bases, schedules
+import numpy as np
+
+from basisdiff import bases, samplers, schedules
 from basisdiff.bases import CovarianceOp, pixel_basis
+from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.fields import Field
+from basisdiff.process import DiffusionProcess
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +46,24 @@ def test_tracer_installs_and_uninstalls_every_wrap():
     assert tracer.stats["schedules.Schedule"].calls == 1
     assert CovarianceOp.__dict__["solve_flat"] is solve_flat
     assert bases.sla.cho_factor is cho_factor
+
+
+def test_tracer_counts_stacked_walks_and_array_schedule_calls():
+    layers, Tracer = _harness()
+    sched = schedules.make_vp_schedule()
+    p = DiffusionProcess(sched, pixel_basis((2,)), 0.0)
+    den = ConstantDenoiser(Field([0.3, -0.2]))
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        # the wrap reads the step count from the 4th positional argument
+        out = samplers.sample_reference(p, den, np.ones((3, 2)), 6)
+        calls_before = tracer.stats["schedules.Schedule"].calls
+        sigma = sched.sigma(np.linspace(0.0, 100.0, 50))
+        array_calls = tracer.stats["schedules.Schedule"].calls - calls_before
+    finally:
+        tracer.uninstall()
+    assert out.shape == (3, 2) and sigma.shape == (50,)
+    ref = tracer.stats["samplers.sample_reference"]
+    assert ref.calls == 1 and ref.counters == {"steps": 6}
+    assert array_calls == 1

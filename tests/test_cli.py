@@ -43,6 +43,14 @@ def test_malformed_override(tmp_path):
     assert code == 2
 
 
+def test_unknown_config_key_exits_2_before_training(tmp_path, capsys):
+    code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "training.stpes=3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "did you mean 'training.steps'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("override,key", [("training.steps=abc", "steps"),
                                           ("training.batch=0", "batch"),
                                           ("training.steps=2.9", "steps"),

@@ -36,11 +36,12 @@ def test_load_rejects_bad_files(tmp_path):
 def test_overrides_parse_json_with_string_fallback():
     cfg = load_config(CONFIGS / "smooth_field.json")
     cfg = apply_overrides(cfg, ["training.lr=0.5", "task.kind=streaks",
-                                "network.hidden=[1,2]", "restore.note=plain"])
+                                "network.hidden=[1,2]",
+                                "restore.checkpoint=plain"])
     assert cfg["training"]["lr"] == 0.5
     assert cfg["task"]["kind"] == "streaks"
     assert cfg["network"]["hidden"] == [1, 2]
-    assert cfg["restore"]["note"] == "plain"
+    assert cfg["restore"]["checkpoint"] == "plain"
 
 
 def test_override_errors():
@@ -49,6 +50,32 @@ def test_override_errors():
         apply_overrides(cfg, ["training.steps"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["seed.nested=1"])  # crosses a scalar
+
+
+def test_unknown_override_key_names_the_nearest_known_key():
+    cfg = load_config(CONFIGS / "smooth_field.json")
+    with pytest.raises(ConfigError, match=r"'training\.stpes'.*'training\.steps'"):
+        apply_overrides(cfg, ["training.stpes=3"])
+    assert "stpes" not in cfg["training"]
+    with pytest.raises(ConfigError, match=r"'seed\.nested'"):
+        apply_overrides(cfg, ["seed.nested=1"])  # no keys below a value
+    with pytest.raises(ConfigError, match=r"'sampling\.nsamples'"):
+        apply_overrides(cfg, ['sampling={"steps": 3, "nsamples": 2}'])
+
+
+def test_unknown_file_key_is_refused(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"training": {"batch": 9, "lr_decy": 0.5}}))
+    with pytest.raises(ConfigError, match=r"'training\.lr_decy'.*'training\.lr_decay'"):
+        load_config(path)
+    path.write_text(json.dumps({"schedule": 5}))
+    with pytest.raises(ConfigError, match="'schedule' must be an object"):
+        load_config(path)
+
+
+def test_shipped_configs_use_only_known_keys():
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config(path)
 
 
 def test_schedule_builders():

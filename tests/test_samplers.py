@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from basisdiff.bases import pixel_basis
-from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.bases import BasisSet, pixel_basis
+from basisdiff.denoisers import ConstantDenoiser, DiracMixtureDenoiser
 from basisdiff.fields import Field
-from basisdiff.process import DiffusionProcess
+from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.samplers import (TERMINAL_FRACTION, euler_trajectory,
                                 make_time_grid, sample_euler,
                                 sample_reference, write_trajectory_csv)
@@ -96,17 +96,18 @@ def test_reference_integrator_is_sharp_on_the_closed_form():
     x_top = Field([1.5, -2.0])
     ratio = sched.sigma(0.1) / sched.sigma(100.0)
     exact = y.values + (x_top.values - y.values) * ratio
-    out = sample_reference(p, ConstantDenoiser(y), x_top, 1000)
-    assert np.max(np.abs(out.values - exact)) < 1e-8
+    out = sample_reference(p, ConstantDenoiser(y), x_top.values[None, :], 1000)
+    assert out.shape == (1, 2)
+    assert np.max(np.abs(out[0] - exact)) < 1e-8
 
 
 def test_reference_is_deterministic():
     p = _process()
     den = ConstantDenoiser(Field([0.3, 0.4]))
-    x = Field([2.0, -1.0])
+    x = np.array([[2.0, -1.0]])
     a = sample_reference(p, den, x, 64)
     b = sample_reference(p, den, x, 64)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         sample_reference(p, den, x, 3)
 
@@ -150,3 +151,19 @@ def test_write_trajectory_csv(tmp_path):
         assert line == ",".join(repr(float(v)) for v in [t, *row])
     assert lines[3] == "0.05,-0.0,5e-324"
     assert lines[4] == "0.01,0.30000000000000004,1e+16"
+
+
+def test_reference_walks_stacked_rows_independently():
+    # a mixture denoiser over a non-orthogonal basis couples the coordinates
+    # of a row, never two rows
+    rows = np.array([[1.0, 0.0], [0.3, 1.0]])
+    p = DiffusionProcess(make_vp_schedule(), BasisSet.from_elements(rows, (2,)),
+                         0.0)
+    pts = [Field([-1.0, 0.5]), Field([1.2, -0.3]), Field([0.2, 1.5])]
+    den = DiracMixtureDenoiser(DiracDataset(pts), p)
+    x = np.array([[0.9, -1.4], [-2.0, 0.3], [0.1, 1.1]])
+    stacked = sample_reference(p, den, x, 64)
+    assert stacked.shape == (3, 2)
+    for i in range(3):
+        one = sample_reference(p, den, x[i:i + 1], 64)
+        np.testing.assert_allclose(stacked[i], one[0], rtol=1e-12, atol=0.0)

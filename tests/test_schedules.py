@@ -145,6 +145,107 @@ def test_fused_evaluation_matches_per_function_formulas(kind, make, ramp):
     assert sched.sigma(0.0) == 0.0 and sched.sigma_prime(0.0) == math.inf
 
 
+# every method, by name; evaluate is the first four parts
+METHODS = ("s", "s_prime", "sigma", "sigma_prime", "dsigma2_dt", "alpha_bar")
+
+# scalar values at the default ramp, frozen from the one-pass closures as
+# they stood before the array path: (s, s', sigma, sigma', dsigma2/dt, abar)
+FROZEN = {
+    "vp": {
+        0.0: (1.0, 0.0, 0.0, math.inf, 0.0001, 1.0),
+        0.1: (1.0, 0.0, 0.00331586181183852, 0.01807956551124609,
+              0.00011989868170674734, 0.9999890050604447),
+        37.5: (1.0, 0.0, 0.36582521223259395, 0.008952943757439095,
+               0.006550425100343269, 0.8661719140949776),
+        100.0: (1.0, 0.0, 0.7962131405572158, 0.004597319689396804,
+                0.007320892696080307, 0.36604463480401533),
+    },
+    "ddpm": {
+        0.0: (1.0, -5e-05, 0.0, math.inf, 0.0001, 1.0),
+        0.1: (0.9999945025151112, -5.994967042578093e-05,
+              0.003315880040838937, 0.01807986369093914,
+              0.00011990131830774739, 0.9999890050604447),
+        37.5: (0.9306835735603038, -0.003519147262524899,
+               0.3930715257315006, 0.011106052190920992,
+               0.00873094575907798, 0.8661719140949776),
+        100.0: (0.6050162268931432, -0.006050162268931431,
+                1.3160194804127814, 0.020758866517454892,
+                0.054638145456518544, 0.36604463480401533),
+    },
+}
+
+
+def _scalar_parts(sched, t):
+    return tuple(getattr(sched, m)(t) for m in METHODS)
+
+
+@pytest.mark.parametrize("kind,make", [("vp", make_vp_schedule),
+                                       ("ddpm", make_ddpm_schedule)])
+def test_scalar_values_are_frozen(kind, make):
+    sched = make()
+    for t, want in FROZEN[kind].items():
+        got = _scalar_parts(sched, t)
+        assert got == want
+        assert all(type(v) is float for v in got)
+        assert _scalar_parts(sched, np.float64(t)) == want
+
+
+@pytest.mark.parametrize("kind,make", [("vp", make_vp_schedule),
+                                       ("ddpm", make_ddpm_schedule)])
+@pytest.mark.parametrize("ramp", [(1e-4, 0.02, 100.0), (1e-3, 0.05, 37.0)])
+def test_array_path_matches_scalar_path(kind, make, ramp):
+    sched = make(*ramp)
+    T = ramp[2]
+    ts = np.concatenate([[0.0, 5e-324, T],
+                         np.random.default_rng(5).uniform(0.0, T, 20_000)])
+    scalar = np.array([_scalar_parts(sched, float(t)) for t in ts]).T
+    # the scalar path is the per-function formulas, bit for bit
+    for j in (0, 1, 2, len(ts) // 2, len(ts) - 1):
+        assert tuple(scalar[:, j]) == _per_function_parts(kind, *ramp, ts[j])
+    for name, want in zip(METHODS, scalar):
+        got = getattr(sched, name)(ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        inf = np.isinf(want)
+        assert np.array_equal(np.isinf(got), inf)
+        assert np.all(got[inf] == want[inf])
+        np.testing.assert_allclose(got[~inf], want[~inf], rtol=1e-15, atol=0.0)
+    evaluated = sched.evaluate(ts)
+    assert len(evaluated) == 4
+    for got, name in zip(evaluated, METHODS):
+        assert np.array_equal(got, getattr(sched, name)(ts))
+    # sigma' is +inf exactly where sigma is 0: t = 0 and the subnormal time
+    assert np.array_equal(np.isinf(sched.sigma_prime(ts)),
+                          sched.sigma(ts) == 0.0)
+    assert np.isinf(sched.sigma_prime(ts)).sum() == 2
+
+
+@pytest.mark.parametrize("make", [make_vp_schedule, make_ddpm_schedule])
+def test_array_path_keeps_the_shape(make):
+    sched = make()
+    for t in (np.array(50.0), np.array([0.0, 50.0]),
+              np.array([[0.0, 10.0, 20.0], [30.0, 40.0, 100.0]])):
+        for name in METHODS:
+            got = getattr(sched, name)(t)
+            assert np.shape(got) == t.shape, name
+            np.testing.assert_allclose(
+                np.ravel(got), [getattr(sched, name)(v) for v in t.flat],
+                rtol=1e-15, atol=0.0)
+        assert all(np.shape(v) == t.shape for v in sched.evaluate(t))
+    # integer times are times too
+    assert np.array_equal(sched.sigma(np.array([0, 50])),
+                          sched.sigma(np.array([0.0, 50.0])))
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 100.0 + 1e-12, math.nan])
+def test_array_with_one_time_outside_the_horizon_is_refused(bad):
+    sched = make_vp_schedule()
+    ts = np.linspace(0.0, 100.0, 7)
+    ts[3] = bad
+    for name in METHODS + ("evaluate",):
+        with pytest.raises(ValueError, match="outside the schedule horizon"):
+            getattr(sched, name)(ts)
+
+
 # ---------------------------------------------------------------------------
 # SDE coefficients
 

@@ -60,3 +60,32 @@ def test_aggregate_report_covers_every_suite():
 def test_coefficient_suite_keeps_ten_thousand_rk4_steps():
     params = inspect.signature(verify._checks_coefficients).parameters
     assert params["n_steps"].default == 10_000
+
+
+def test_sampler_suite_keeps_its_walks(monkeypatch):
+    # (integrator, steps, rows, denoiser) of every walk the suite makes; a
+    # speedup must not come from shorter or fewer walks
+    from basisdiff import samplers
+
+    walks = []
+    euler, reference = samplers.euler_trajectory, samplers.sample_reference
+
+    def record_euler(p, den, x_init, grid):
+        walks.append(("euler", len(grid) - 1, len(x_init), type(den).__name__))
+        return euler(p, den, x_init, grid)
+
+    def record_reference(p, den, x_init, steps):
+        walks.append(("reference", steps, len(x_init), type(den).__name__))
+        return reference(p, den, x_init, steps)
+
+    monkeypatch.setattr(samplers, "euler_trajectory", record_euler)
+    monkeypatch.setattr(verify, "euler_trajectory", record_euler)
+    monkeypatch.setattr(verify, "sample_reference", record_reference)
+    assert run_suite("sampler", seed=7).passed
+    assert sorted(walks) == sorted([
+        ("reference", 4096, 2, "DiracMixtureDenoiser"),
+        ("reference", 1000, 1, "ConstantDenoiser"),
+        ("euler", 1000, 2, "DiracMixtureDenoiser"),
+        ("euler", 100, 1, "DiracMixtureDenoiser"),
+        ("euler", 10_000, 1, "ConstantDenoiser"),
+    ])
