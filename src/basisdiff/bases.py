@@ -6,6 +6,10 @@ are constants of the model; sample-dependent sets produce their elements from
 a conditioning pair (clean, degraded), e.g. the single-element residual
 basis h_1 = degraded - clean.  The induced covariance Sigma = H H^T is only
 materialized at toy dimensions; the operator form H(H^T v) covers the rest.
+
+scipy is not imported with this module: ``scipy.linalg`` loads at the first
+covariance factorization, so a run that never factors Sigma (training, a
+network restore) never pays its import.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import linalg as sla
 
 from .fields import Field
 
@@ -22,6 +25,14 @@ from .fields import Field
 DENSE_COV_LIMIT = 4096
 # Condition-number ceiling beyond which Sigma counts as numerically singular.
 COND_LIMIT = 1e12
+
+
+def __getattr__(name):
+    # `bases.sla` is kept for the benchmark tracer and the tests that patch it
+    if name == "sla":
+        from scipy import linalg
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SingularCovarianceError(RuntimeError):
@@ -207,9 +218,13 @@ class CovarianceOp:
         (left over from the factorization) is zeroed.  Dense Sigma is
         dropped once W exists.  Raises SingularCovarianceError when
         rank < d or the condition estimate exceeds COND_LIMIT; no
-        pseudo-inverse fallback.
+        pseudo-inverse fallback.  scipy.linalg is imported here, at the first
+        factorization; cho_factor and dtrtri are read from the module at
+        call time, so a patched attribute is seen.
         """
         if self._white is None:
+            from scipy import linalg as sla
+
             if self._rows.shape[0] < self._d:
                 raise SingularCovarianceError(
                     f"rank <= {self._rows.shape[0]} < d = {self._d}")

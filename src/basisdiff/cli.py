@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, apply_overrides, build_fixed_basis,
-                     build_process, build_schedule, build_task, load_config,
-                     resolved_eta, resolved_objective)
+from .config import (ConfigError, _config_count, _count, apply_overrides,
+                     build_fixed_basis, build_process, build_schedule,
+                     build_task, load_config, resolved_eta, resolved_objective,
+                     resolved_scheme)
 from .denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
                         PreconditionedDenoiser, TinyNetwork, load_network,
                         save_network)
@@ -66,29 +67,6 @@ def _training_setup(cfg: dict):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"network.hidden = {hidden!r}: {exc}") from exc
     return task, p, ds, task.mask, widths
-
-
-def _count(value) -> int:
-    """int(value) for an integral number; int() alone would truncate 2.9."""
-    n = int(value)
-    if n != value:
-        raise ValueError("expected an integer")
-    return n
-
-
-def _config_count(cfg: dict, path: str, minimum: int = 0) -> int:
-    """The count at a dotted config path; a bad value is a ConfigError
-    that names the path."""
-    node = cfg
-    for key in path.split("."):
-        node = node[key]
-    try:
-        n = _count(node)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
-    if n < minimum:
-        raise ConfigError(f"{path} = {n} must be at least {minimum}")
-    return n
 
 
 _TRAINING_CASTS = {"steps": _count, "batch": _count, "lr": float,
@@ -162,9 +140,9 @@ def cmd_restore(args) -> int:
     if args.checkpoint is not None:
         cfg["restore"]["checkpoint"] = args.checkpoint
     steps = _config_count(cfg, "sampling.steps")
+    scheme = resolved_scheme(cfg)
     task, p, den = _build_restore_denoiser(cfg, cfg["restore"]["denoiser"])
-    result = run_restoration(task, p, den, steps,
-                             scheme=cfg["sampling"]["scheme"])
+    result = run_restoration(task, p, den, steps, scheme=scheme)
     out = _out_dir(args)
     with open(out / "metrics.json", "w") as fh:
         fh.write(json.dumps(result.metrics_dict(), indent=2) + "\n")
@@ -187,7 +165,7 @@ def cmd_sample(args) -> int:
     p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     grid = make_time_grid(p.schedule.T, _config_count(cfg, "sampling.steps", 1),
-                          cfg["sampling"]["scheme"])
+                          resolved_scheme(cfg))
     n = _config_count(cfg, "sampling.n_samples")
     out = _out_dir(args)
     with open(out / "samples.csv", "w") as samples:

@@ -19,11 +19,13 @@ from __future__ import annotations
 import copy
 import difflib
 import json
+import math
 from pathlib import Path
 
 from .bases import BasisSet, legendre_trig_basis, pixel_basis
 from .fields import Rng
 from .process import DiffusionProcess
+from .samplers import GRID_SCHEMES
 from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
 from .tasks import gen_residual_task, gen_smooth_field_task, task_residual_basis
 
@@ -141,21 +143,70 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
+def _count(value) -> int:
+    """int(value) for an integral number; int() alone would truncate 2.9."""
+    n = int(value)
+    if n != value:
+        raise ValueError("expected an integer")
+    return n
+
+
+def _lookup(cfg: dict, path: str):
+    node = cfg
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
+def _config_count(cfg: dict, path: str, minimum: int = 0) -> int:
+    """The count at a dotted config path; a bad value is a ConfigError
+    that names the path."""
+    node = _lookup(cfg, path)
+    try:
+        n = _count(node)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
+    if n < minimum:
+        raise ConfigError(f"{path} = {n} must be at least {minimum}")
+    return n
+
+
+def _config_float(cfg: dict, path: str, positive: bool = False) -> float:
+    """The finite number >= 0 (> 0 if positive) at a dotted config path; a
+    bad value is a ConfigError that names the path."""
+    node = _lookup(cfg, path)
+    try:
+        x = float(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
+    if not math.isfinite(x) or x < 0 or (positive and x == 0):
+        need = "positive" if positive else "non-negative"
+        raise ConfigError(f"{path} = {x!r} must be finite and {need}")
+    return x
+
+
+_SCHEDULES = {"vp-continuous": make_vp_schedule,
+              "vp-ddpm": make_ddpm_schedule}
+
+
 def build_schedule(cfg: dict) -> Schedule:
-    sc = cfg["schedule"]
-    kind = sc.get("kind", "vp-continuous")
-    if kind == "vp-continuous":
-        return make_vp_schedule(sc["beta_min"], sc["beta_max"], sc["T"])
-    if kind == "vp-ddpm":
-        return make_ddpm_schedule(sc["beta_min"], sc["beta_max"], sc["T"])
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    kind = cfg["schedule"].get("kind", "vp-continuous")
+    if kind not in _SCHEDULES:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    beta_min = _config_float(cfg, "schedule.beta_min", positive=True)
+    beta_max = _config_float(cfg, "schedule.beta_max", positive=True)
+    if beta_max < beta_min:
+        raise ConfigError(f"schedule.beta_max = {beta_max!r} must be at least "
+                          f"schedule.beta_min = {beta_min!r}")
+    T = _config_float(cfg, "schedule.T", positive=True)
+    return _SCHEDULES[kind](beta_min, beta_max, T)
 
 
 def build_fixed_basis(cfg: dict, shape, default_kind="legendre-trig") -> BasisSet:
-    bc = cfg["basis"]
-    kind = bc.get("kind") or default_kind
+    kind = cfg["basis"].get("kind") or default_kind
     if kind == "legendre-trig":
-        return legendre_trig_basis(int(bc["n1"]), int(bc["n2"]), shape)
+        return legendre_trig_basis(_config_count(cfg, "basis.n1"),
+                                   _config_count(cfg, "basis.n2", 2), shape)
     if kind == "pixel":
         return pixel_basis(shape)
     raise ConfigError(f"unknown basis kind {kind!r}")
@@ -163,9 +214,8 @@ def build_fixed_basis(cfg: dict, shape, default_kind="legendre-trig") -> BasisSe
 
 def build_task(cfg: dict):
     """(task, basis) from the task section; deterministic in cfg['seed']."""
-    tc = cfg["task"]
-    kind = tc.get("kind")
-    size = int(tc.get("size", 16))
+    kind = cfg["task"].get("kind")
+    size = _config_count(cfg, "task.size", 1)
     rng = Rng(int(cfg["seed"]), 0)
     if kind == "smooth-field":
         basis = build_fixed_basis(cfg, (size, size))
@@ -177,13 +227,18 @@ def build_task(cfg: dict):
 
 
 def resolved_eta(cfg: dict) -> float:
-    eta = cfg["process"].get("eta")
-    if eta is None:
-        eta = _TASK_ETA.get(cfg["task"].get("kind"), 0.0)
-    eta = float(eta)
-    if eta < 0:
-        raise ConfigError("process.eta must be non-negative")
-    return eta
+    if cfg["process"].get("eta") is None:
+        return float(_TASK_ETA.get(cfg["task"].get("kind"), 0.0))
+    return _config_float(cfg, "process.eta")
+
+
+def resolved_scheme(cfg: dict) -> str:
+    """sampling.scheme, checked before any work is done."""
+    scheme = cfg["sampling"]["scheme"]
+    if scheme not in GRID_SCHEMES:
+        raise ConfigError(f"sampling.scheme = {scheme!r} must be one of "
+                          f"{', '.join(GRID_SCHEMES)}")
+    return scheme
 
 
 def resolved_objective(cfg: dict) -> str:

@@ -16,6 +16,7 @@ from .fields import Field
 from .process import DiffusionProcess
 
 TERMINAL_FRACTION = 1e-3  # eps_t = T * this
+GRID_SCHEMES = ("uniform", "quadratic")  # make_time_grid's spacings
 
 
 def make_time_grid(T: float, steps: int, scheme: str = "uniform") -> np.ndarray:

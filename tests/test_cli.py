@@ -260,6 +260,40 @@ def test_restore_rejects_fractional_steps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override,key", [
+    ("schedule.T=abc", "schedule.T"),
+    ("schedule.T=-5", "schedule.T"),
+    ("schedule.beta_max=0", "schedule.beta_max"),
+    ("schedule.beta_max=0.00001", "schedule.beta_max"),
+    ("process.eta=abc", "process.eta"),
+    ("sampling.scheme=foo", "sampling.scheme"),
+    ("task.size=0", "task.size"),
+    ("task.size=2.5", "task.size"),
+    ("basis.n1=2.5", "basis.n1"),
+    ("basis.n1=-1", "basis.n1"),
+    ("basis.n2=2.5", "basis.n2"),
+    ("basis.n2=1", "basis.n2")])
+def test_restore_rejects_bad_config_values(tmp_path, capsys, override, key):
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "restore.denoiser=oracle-clean",
+                 "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_bad_scheme_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the scheme was checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--set", "sampling.scheme=cubic",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "sampling.scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,key", [
     ("simulate.n_paths=10.5", "simulate.n_paths"),
     ("simulate.n_steps=3.2", "simulate.n_steps"),
     ("simulate.n_paths=0", "simulate.n_paths")])

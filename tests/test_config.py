@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from basisdiff.config import (ConfigError, DEFAULTS, apply_overrides,
-                              build_fixed_basis, build_schedule, build_task,
+                              build_fixed_basis, build_process,
+                              build_schedule, build_task,
                               load_config, resolved_eta, resolved_objective)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -123,6 +125,21 @@ def test_eta_resolution():
     cfg["process"]["eta"] = -1.0
     with pytest.raises(ConfigError):
         resolved_eta(cfg)
+
+
+@pytest.mark.parametrize("path,value", [
+    ("task.size", 2.5), ("task.size", 0), ("basis.n1", 2.5),
+    ("basis.n2", 2.5), ("basis.n2", 1), ("schedule.T", "abc"),
+    ("schedule.T", float("inf")), ("schedule.beta_min", 0.0),
+    ("schedule.beta_max", 1e-5), ("process.eta", "abc"),
+    ("process.eta", float("nan"))])
+def test_builders_name_the_bad_key(path, value):
+    cfg = load_config(CONFIGS / "smooth_field.json")
+    section, key = path.split(".")
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        _, basis = build_task(cfg)
+        build_process(cfg, basis)
 
 
 def test_objective_resolution():
