@@ -171,7 +171,7 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
 class CovarianceOp:
     """Sigma = sum_m h_m h_m^T for one resolved element matrix.
 
-    apply() works at any size in O(M d).  The dense matrix, the condition
+    apply_flat() works at any size in O(M d).  The dense matrix, the condition
     estimate and the whitener W = L^{-1} (Sigma = L L^T) exist only up to
     DENSE_COV_LIMIT; W is made once per operator and is then its only
     d x d array, so every whitening or solve is a matrix product.
@@ -180,19 +180,14 @@ class CovarianceOp:
     def __init__(self, basis: BasisSet, conditioning=None):
         self.basis = basis
         self._rows = basis.elements(conditioning)
-        self.shape = basis.shape
         self._d = self._rows.shape[1]
         self._dense = None
         self._cond = None
         self._white = None
 
-    def apply(self, v: Field) -> Field:
-        if v.shape != self.shape:
-            raise ValueError(f"shape mismatch: {v.shape} vs {self.shape}")
-        return Field(self.apply_flat(v.flat()).reshape(self.shape))
-
     def apply_flat(self, v: np.ndarray) -> np.ndarray:
-        # H (H^T v): one (M,) contraction then one (d,) accumulation
+        # H^T (H v) for a (d,) vector or (d, k) columns: one (M,) contraction
+        # then one (d,) accumulation per column
         return self._rows.T @ (self._rows @ v)
 
     def dense(self) -> np.ndarray:
@@ -257,8 +252,3 @@ class CovarianceOp:
         r^T Sigma^{-1} r = |W r|^2.
         """
         return v @ self._whitener().T
-
-    def solve(self, v: Field) -> Field:
-        if v.shape != self.shape:
-            raise ValueError(f"shape mismatch: {v.shape} vs {self.shape}")
-        return Field(self.solve_flat(v.flat()).reshape(self.shape))

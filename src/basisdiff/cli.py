@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, _config_count, _count, apply_overrides,
-                     build_fixed_basis, build_process, build_schedule,
-                     build_task, load_config, resolved_eta, resolved_objective,
-                     resolved_scheme)
+from .config import (ConfigError, _config_bool, _config_count, _config_float,
+                     _count, _finite, apply_overrides, build_fixed_basis,
+                     build_process, build_schedule, build_task, load_config,
+                     resolved_eta, resolved_objective, resolved_scheme)
 from .denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
                         PreconditionedDenoiser, TinyNetwork, load_network,
                         save_network)
@@ -69,10 +69,10 @@ def _training_setup(cfg: dict):
     return task, p, ds, task.mask, widths
 
 
-_TRAINING_CASTS = {"steps": _count, "batch": _count, "lr": float,
-                   "beta1": float, "beta2": float, "eps": float,
-                   "seed": _count, "lr_decay": float,
-                   "lr_decay_every": _count, "ema_decay": float}
+_TRAINING_CASTS = {"steps": _count, "batch": _count, "lr": _finite,
+                   "beta1": _finite, "beta2": _finite, "eps": _finite,
+                   "seed": _count, "lr_decay": _finite,
+                   "lr_decay_every": _count, "ema_decay": _finite}
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -160,6 +160,7 @@ def cmd_sample(args) -> int:
     rows = cfg.get("points")
     if not rows:
         raise ConfigError("sample needs a non-empty 'points' list in the config")
+    final_denoise = _config_bool(cfg, "sampling.final_denoise")
     pts = [Field(np.asarray(r, dtype=np.float64)) for r in rows]
     basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
     p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
@@ -183,7 +184,7 @@ def cmd_sample(args) -> int:
                 x_top[k] = p.forward_sample(y, p.schedule.T, rng).flat()
             states = euler_trajectory(p, den, x_top, grid)
             finals = states[-1]
-            if cfg["sampling"]["final_denoise"]:
+            if final_denoise:
                 finals = den.denoise(finals, float(grid[-1]))
             for k, i in enumerate(block):
                 write_trajectory_csv(grid, states[:, k],
@@ -251,9 +252,13 @@ def cmd_verify(args) -> int:
 
 def cmd_demo_case3(args) -> int:
     cfg = _load(args)
-    cc = cfg["case3"]
-    sampler = centered_poisson_sampler(float(cc["poisson_lambda"]))
-    table = case3_discrete_demo(sampler, [float(e) for e in cc["eta_grid"]],
+    sampler = centered_poisson_sampler(
+        _config_float(cfg, "case3.poisson_lambda"))
+    grid = cfg["case3"]["eta_grid"]
+    if not isinstance(grid, list):
+        raise ConfigError(f"case3.eta_grid = {grid!r} must be a list")
+    etas = [_config_float(cfg, f"case3.eta_grid.{i}") for i in range(len(grid))]
+    table = case3_discrete_demo(sampler, etas,
                                 _config_count(cfg, "case3.n_draws"),
                                 Rng(cfg["seed"], 5))
     out = _out_dir(args)

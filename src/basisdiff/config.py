@@ -151,10 +151,19 @@ def _count(value) -> int:
     return n
 
 
+def _finite(value) -> float:
+    """float(value) for a finite number; float() alone would pass NaN."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("expected a finite number")
+    return x
+
+
 def _lookup(cfg: dict, path: str):
+    """The value at a dotted path; a numeric part indexes a list."""
     node = cfg
     for key in path.split("."):
-        node = node[key]
+        node = node[int(key)] if isinstance(node, list) else node[key]
     return node
 
 
@@ -176,13 +185,22 @@ def _config_float(cfg: dict, path: str, positive: bool = False) -> float:
     bad value is a ConfigError that names the path."""
     node = _lookup(cfg, path)
     try:
-        x = float(node)
+        x = _finite(node)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} = {node!r}: {exc}") from exc
-    if not math.isfinite(x) or x < 0 or (positive and x == 0):
+    if x < 0 or (positive and x == 0):
         need = "positive" if positive else "non-negative"
-        raise ConfigError(f"{path} = {x!r} must be finite and {need}")
+        raise ConfigError(f"{path} = {x!r} must be {need}")
     return x
+
+
+def _config_bool(cfg: dict, path: str) -> bool:
+    """The true/false value at a dotted config path; anything else (a
+    string such as "no", a number) is a ConfigError that names the path."""
+    node = _lookup(cfg, path)
+    if not isinstance(node, bool):
+        raise ConfigError(f"{path} = {node!r} must be true or false")
+    return node
 
 
 _SCHEDULES = {"vp-continuous": make_vp_schedule,

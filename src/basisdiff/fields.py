@@ -38,14 +38,6 @@ class Field:
         arr.setflags(write=False)
         self._values = arr
 
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(tuple(int(n) for n in shape)))
-
-    @classmethod
-    def full(cls, shape, value):
-        return cls(np.full(tuple(int(n) for n in shape), float(value)))
-
     @property
     def values(self) -> np.ndarray:
         return self._values
@@ -65,44 +57,6 @@ class Field:
     def flat(self) -> np.ndarray:
         """Row-major flat view of the data."""
         return self._values.reshape(-1)
-
-    def reshape(self, shape) -> "Field":
-        return Field(self._values, shape=shape)
-
-    def allclose(self, other: "Field", rtol=1e-12, atol=1e-12) -> bool:
-        return self.shape == other.shape and np.allclose(
-            self._values, other._values, rtol=rtol, atol=atol
-        )
-
-    def _binary(self, other, op):
-        if not isinstance(other, Field):
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Field(op(self._values, other._values))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        # scalar scale or elementwise (Hadamard) product
-        if isinstance(other, (int, float)):
-            return Field(self._values * float(other))
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Field(self._values / float(other))
-        return self._binary(other, np.divide)
-
-    def __neg__(self):
-        return Field(-self._values)
 
     def __repr__(self):
         return f"Field(shape={self.shape})"

@@ -81,9 +81,6 @@ class DiffusionProcess:
 
     # -- forward direction ---------------------------------------------------
 
-    def _elements(self, conditioning):
-        return self.basis.elements(conditioning)
-
     def _cov_op(self, conditioning=None) -> CovarianceOp:
         """Sigma's operator: one per process for a fixed basis, so its
         factorization is made once; one per conditioning pair otherwise."""
@@ -110,8 +107,9 @@ class DiffusionProcess:
         if sets is None:
             op = self._cov_op()
             pts = ds.stacked()
+            bsum = self.basis.elements(None).sum(axis=0)
             sets = self._whitened_sets[ds] = (
-                pts, op.whiten(pts), op.whiten(self._elements(None).sum(axis=0)))
+                pts, op.whiten(pts), op.whiten(bsum))
         return sets
 
     def sample_noise(self, rng: Rng, conditioning=None) -> Field:
@@ -130,7 +128,7 @@ class DiffusionProcess:
         apart from mixing them lets a caller take draws one at a time from a
         stream and mix a whole batch in one product.
         """
-        rows = self._elements(conditioning)
+        rows = self.basis.elements(conditioning)
         return ((self.eta + eps) / (self.eta + 1.0)) @ rows
 
     def forward_sample(self, x0: Field, t: float, rng: Rng,
@@ -151,7 +149,7 @@ class DiffusionProcess:
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
         s, _, shift_gain, cov_scale = self._kernel_scales(t)
-        shift = shift_gain * self._elements(conditioning).sum(axis=0)
+        shift = shift_gain * self.basis.elements(conditioning).sum(axis=0)
         mean = Field((s * x0.flat() + shift).reshape(self.shape))
         return ConditionalMoments(mean=mean, cov_scale=cov_scale,
                                   cov_op=self._cov_op(conditioning))
@@ -168,37 +166,45 @@ class DiffusionProcess:
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         sched = self.schedule
-        rows = self._elements(conditioning)
-        bsum = Field(rows.sum(axis=0).reshape(self.shape))
+        rows = self.basis.elements(conditioning)
+        bsum = rows.sum(axis=0)
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
         x = self._forward_batch(x0, times[0], n_paths, rng, conditioning)
         for i in range(n_steps):
             t, dt = times[i], times[i + 1] - times[i]
             c = sde_coefficients(sched, self.eta, bsum, t)
             xi = rng.standard_normal((n_paths, rows.shape[0]))
-            x = x + (c.f * x + c.phi.flat()[None, :]) * dt \
+            x = x + (c.f * x + c.phi) * dt \
                 + (c.g * math.sqrt(dt)) * (xi @ rows)
         return x
 
     # -- scores and probability-flow ODE --------------------------------------
 
-    def conditional_score(self, x0: Field, t: float, x: Field,
-                          conditioning=None) -> Field:
-        """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x)."""
-        mom = self.conditional_moments(x0, t, conditioning)
-        return Field(self._moment_score(mom, t, x).reshape(self.shape))
+    def _score(self, t: float, post_mean: np.ndarray, x: np.ndarray,
+               cov_op: CovarianceOp, conditioning=None) -> np.ndarray:
+        """((eta+1)/(s sigma))^2 Sigma^{-1} (s D + shift - x) for (n, d) states.
 
-    def _moment_score(self, mom: ConditionalMoments, t: float,
-                      x: Field) -> np.ndarray:
-        """Flat conditional score at x for the kernel moments at time t."""
-        s, _, sig, _ = self.schedule.evaluate(t)
+        D = post_mean is the posterior mean of x_0: one (d,) point (x_0
+        itself for the conditional score) or one row per state.  The solve
+        takes the residuals as (d, n) columns.
+        """
+        s, sig, shift_gain, _ = self._kernel_scales(t)
         if sig == 0.0:
             raise EndpointError("score undefined at sigma = 0")
-        if x.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
+        if x.ndim != 2 or x.shape[1] != self._d:
+            raise ValueError(f"states must be (n, {self._d}) rows, got {x.shape}")
+        shift = shift_gain * self.basis.elements(conditioning).sum(axis=0)
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
-        resid = mom.mean.flat() - x.flat()
-        return gain * mom.cov_op.solve_flat(resid)
+        resid = s * post_mean + shift - x
+        return gain * cov_op.solve_flat(resid.T).T
+
+    def conditional_score(self, x0: Field, t: float, x: np.ndarray,
+                          conditioning=None) -> np.ndarray:
+        """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x) for (n, d) states x."""
+        if x0.shape != self.shape:
+            raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
+        return self._score(t, x0.flat(), x, self._cov_op(conditioning),
+                           conditioning)
 
     def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
         """Posterior weights of the mixture components, and the stacked points.
@@ -232,42 +238,32 @@ class DiffusionProcess:
         return w, pts
 
     def marginal_score_dirac(self, ds: DiracDataset, t: float,
-                             x: Field) -> Field:
-        """Score of the Dirac-mixture marginal (fixed-mode basis only)."""
+                             x: np.ndarray) -> np.ndarray:
+        """Dirac-mixture marginal score for (n, d) states (fixed-mode basis only)."""
         if self.basis.mode != "fixed":
             raise ValueError("marginal score requires a fixed-mode basis")
-        if x.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
-        s, sig, shift_gain, _ = self._kernel_scales(t)
-        if sig == 0.0:
-            raise EndpointError("score undefined at sigma = 0")
-        w, pts = self.dirac_weights(ds, t, x.flat())
-        shift = shift_gain * self._elements(None).sum(axis=0)
-        gain = ((self.eta + 1.0) / (s * sig)) ** 2
-        resid = s * (w[0] @ pts) + shift - x.flat()
-        return Field((gain * self._cov_op().solve_flat(resid)).reshape(self.shape))
+        w, pts = self.dirac_weights(ds, t, x)
+        return self._score(t, w @ pts, x, self._cov_op())
 
-    def _score_flow(self, t: float, x: Field, score: np.ndarray,
-                    cov_op: CovarianceOp, conditioning=None) -> Field:
-        """Raw PFODE right-hand side f x + phi - (1/2) g^2 Sigma score."""
-        bsum = Field(self._elements(conditioning).sum(axis=0).reshape(self.shape))
-        c = sde_coefficients(self.schedule, self.eta, bsum, t)
-        out = c.f * x.flat() + c.phi.flat() \
-            - 0.5 * c.g * c.g * cov_op.apply_flat(score)
-        return Field(out.reshape(self.shape))
+    def _score_flow(self, t: float, x: np.ndarray, score: np.ndarray,
+                    cov_op: CovarianceOp, conditioning=None) -> np.ndarray:
+        """Raw PFODE right-hand side f x + phi - (1/2) g^2 Sigma score, per row."""
+        c = sde_coefficients(self.schedule, self.eta,
+                             self.basis.elements(conditioning).sum(axis=0), t)
+        return c.f * x + c.phi - 0.5 * c.g * c.g * cov_op.apply_flat(score.T).T
 
-    def pfode_rhs_conditional(self, x0: Field, t: float, x: Field,
-                              conditioning=None) -> Field:
-        """Raw PFODE right-hand side with the conditional score."""
-        mom = self.conditional_moments(x0, t, conditioning)
-        score = self._moment_score(mom, t, x)
-        return self._score_flow(t, x, score, mom.cov_op, conditioning)
+    def pfode_rhs_conditional(self, x0: Field, t: float, x: np.ndarray,
+                              conditioning=None) -> np.ndarray:
+        """Raw PFODE right-hand side with the conditional score, (n, d) states."""
+        cov_op = self._cov_op(conditioning)
+        score = self._score(t, x0.flat(), x, cov_op, conditioning)
+        return self._score_flow(t, x, score, cov_op, conditioning)
 
     def pfode_rhs_marginal(self, ds: DiracDataset, t: float,
-                           x: Field) -> Field:
-        """Marginal PFODE right-hand side with the Dirac-mixture score."""
+                           x: np.ndarray) -> np.ndarray:
+        """Raw PFODE right-hand side with the Dirac-mixture score, (n, d) states."""
         score = self.marginal_score_dirac(ds, t, x)
-        return self._score_flow(t, x, score.flat(), self._cov_op())
+        return self._score_flow(t, x, score, self._cov_op())
 
     def pfode_rhs(self, den, t: float, x: np.ndarray) -> np.ndarray:
         """Simplified PFODE right-hand side (s'/s + sigma'/sigma) x - (sigma' s/sigma) D.

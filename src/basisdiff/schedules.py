@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
-
 
 class EndpointError(ValueError):
     """A schedule quantity was requested at an endpoint where it is undefined."""
@@ -105,11 +103,14 @@ class Schedule:
 
 @dataclass(frozen=True)
 class SdeCoefficients:
-    """Drift gain f (1/time), diffusion gain g (per sqrt-time), drift offset phi."""
+    """Drift gain f (1/time), diffusion gain g (per sqrt-time), drift offset phi.
+
+    phi is a flat (d,) array.
+    """
 
     f: float
     g: float
-    phi: Field
+    phi: np.ndarray
 
 
 def _vp_parts(beta_min: float, beta_max: float, T: float):
@@ -186,12 +187,13 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
                     alpha_bar_table=table)
 
 
-def sde_coefficients(sched: Schedule, eta: float, basis_sum: Field,
+def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
                      t: float) -> SdeCoefficients:
     """Forward-SDE coefficients at time t.
 
     f = s'/s, g = (s/(eta+1)) * sqrt(d sigma^2/dt), and the drift offset
-    phi = (eta * s * sigma' / (eta+1)) * sum_m h_m.
+    phi = (eta * s * sigma' / (eta+1)) * sum_m h_m for the flat (d,) sum
+    basis_sum = sum_m h_m.
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")

@@ -25,7 +25,8 @@ from .fields import Field, Rng
 from .process import DiffusionProcess, DiracDataset
 from .samplers import (euler_trajectory, make_time_grid, rk4_step, sample_euler,
                        sample_reference)
-from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
+from .schedules import (Schedule, make_ddpm_schedule, make_vp_schedule,
+                        sde_coefficients)
 
 SUITE_NAMES = (
     "coefficients",
@@ -267,11 +268,9 @@ def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
     Their gap to the continuous-time kernel is the O(dt) bias the moment
     check must allow for.
     """
-    from .schedules import sde_coefficients
-
     sched = p.schedule
     rows = p.basis.elements(None)
-    bsum = Field(rows.sum(axis=0).reshape(p.shape))
+    bsum = rows.sum(axis=0)
     sigma_mat = rows.T @ rows
     times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
     mom0 = p.conditional_moments(x0, times[0])
@@ -281,7 +280,7 @@ def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
         t, dt = times[i], times[i + 1] - times[i]
         c = sde_coefficients(sched, p.eta, bsum, t)
         a = 1.0 + c.f * dt
-        mean = a * mean + c.phi.flat() * dt
+        mean = a * mean + c.phi * dt
         cov = a * a * cov + (c.g * c.g * dt) * sigma_mat
     return mean, cov
 
@@ -363,7 +362,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
                 return -0.5 * float(r @ np.linalg.solve(cov, r))
 
             fd = _fd_gradient(logpdf, x.flat())
-            sc = p.conditional_score(x0, t, x).flat()
+            sc = p.conditional_score(x0, t, x.flat()[None, :])[0]
             cond_err = max(cond_err, np.linalg.norm(sc - fd) / np.linalg.norm(fd))
     checks.append(_upper("score/conditional-vs-fd", cond_err, 1.0e-5, seed))
 
@@ -388,15 +387,16 @@ def _checks_score(seed: int, probes_per_case: int = 13):
                 return mx + math.log(sum(math.exp(l - mx) for l in logs))
 
             fd = _fd_gradient(logpdf, x.flat())
-            sc = p.marginal_score_dirac(ds, t, x).flat()
+            sc = p.marginal_score_dirac(ds, t, x.flat()[None, :])[0]
             marg_err = max(marg_err, np.linalg.norm(sc - fd) / np.linalg.norm(fd))
     checks.append(_upper("score/marginal-vs-fd", marg_err, 1.0e-5, seed))
 
     # at the kernel mean the conditional score vanishes identically
     p0 = DiffusionProcess(sched, basis, eta=10.0)
     y = Field(rng.standard_normal((3,)))
-    peak = p0.conditional_score(y, sched.T / 2.0, p0.conditional_moments(y, sched.T / 2.0).mean)
-    checks.append(_upper("score/zero-at-mean", float(np.abs(peak.flat()).max()), 1.0e-12, seed))
+    mean = p0.conditional_moments(y, sched.T / 2.0).mean.flat()
+    peak = p0.conditional_score(y, sched.T / 2.0, mean[None, :])
+    checks.append(_upper("score/zero-at-mean", float(np.abs(peak).max()), 1.0e-12, seed))
     return checks
 
 
@@ -419,11 +419,11 @@ def _checks_cancellation(seed: int, draws_per_case: int = 17):
             den = ConstantDenoiser(x0)
             for _ in range(draws_per_case):
                 t = float(sched.T * (0.005 + 0.995 * rng.uniform()))
-                x = Field(2.0 * rng.standard_normal((d,)))
+                x = 2.0 * rng.standard_normal((1, d))
                 raw = p.pfode_rhs_conditional(x0, t, x)
-                simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
-                scale = max(1.0, float(np.abs(raw.flat()).max()))
-                worst = max(worst, float(np.abs(raw.flat() - simp).max()) / scale)
+                simp = p.pfode_rhs(den, t, x)
+                scale = max(1.0, float(np.abs(raw).max()))
+                worst = max(worst, float(np.abs(raw - simp).max()) / scale)
         checks.append(_upper(f"cancellation/d{d}/max-abs-diff", worst, 1.0e-10, seed))
     return checks
 
@@ -448,11 +448,11 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
             den = DiracMixtureDenoiser(ds, p)
             for _ in range(draws_per_case):
                 t = float(sched.T * (0.01 + 0.99 * rng.uniform()))
-                x = Field(2.0 * rng.standard_normal((d,)))
+                x = 2.0 * rng.standard_normal((1, d))
                 raw = p.pfode_rhs_marginal(ds, t, x)
-                simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
-                scale = max(1.0, float(np.abs(raw.flat()).max()))
-                worst = max(worst, float(np.abs(raw.flat() - simp).max()) / scale)
+                simp = p.pfode_rhs(den, t, x)
+                scale = max(1.0, float(np.abs(raw).max()))
+                worst = max(worst, float(np.abs(raw - simp).max()) / scale)
         checks.append(_upper(f"marginal/d{d}/max-abs-diff", worst, 1.0e-10, seed))
     return checks
 

@@ -13,8 +13,8 @@ import numpy as np
 from basisdiff import bases, samplers, schedules
 from basisdiff.bases import CovarianceOp, pixel_basis
 from basisdiff.denoisers import ConstantDenoiser
-from basisdiff.fields import Field
-from basisdiff.process import DiffusionProcess
+from basisdiff.fields import Field, Rng
+from basisdiff.process import DiffusionProcess, DiracDataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +67,25 @@ def test_tracer_counts_stacked_walks_and_array_schedule_calls():
     ref = tracer.stats["samplers.sample_reference"]
     assert ref.calls == 1 and ref.counters == {"steps": 6}
     assert array_calls == 1
+
+
+def test_tracer_reads_the_raw_score_and_sde_call_layouts():
+    # the solve wrap reads d from the rhs's first axis and counts its
+    # columns; the coefficient wrap counts one call per Euler-Maruyama step
+    layers, Tracer = _harness()
+    rows = np.array([[1.0, 0.2], [0.3, 1.1], [0.5, -0.4]])
+    p = DiffusionProcess(schedules.make_vp_schedule(),
+                         bases.BasisSet((2,), elements=rows), 10.0)
+    ds = DiracDataset([Field([0.5, -0.2]), Field([-1.0, 0.7])])
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        score = p.marginal_score_dirac(ds, 40.0, np.ones((3, 2)))
+        paths = p.simulate_sde(Field([0.1, 0.2]), 4, 5, Rng(3))
+    finally:
+        tracer.uninstall()
+    assert score.shape == (3, 2) and paths.shape == (5, 2)
+    solve = tracer.stats["bases.CovarianceOp.solve_flat"]
+    assert solve.calls == 1 and solve.counters["columns"] == 3
+    assert solve.counters["flops_computed"] == 2 * 2 * 2 * 3
+    assert tracer.stats["schedules.sde_coefficients"].calls == 4

@@ -54,7 +54,10 @@ def test_unknown_config_key_exits_2_before_training(tmp_path, capsys):
 @pytest.mark.parametrize("override,key", [("training.steps=abc", "steps"),
                                           ("training.batch=0", "batch"),
                                           ("training.steps=2.9", "steps"),
-                                          ("training.batch=1e400", "batch")])
+                                          ("training.batch=1e400", "batch"),
+                                          ("training.lr=NaN", "training.lr"),
+                                          ("training.beta1=inf",
+                                           "training.beta1")])
 def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
                  "--set", "task.size=8", "--set", override,
@@ -227,7 +230,9 @@ def test_sample_rejects_negative_count(tmp_path):
     ("sampling.steps=3.7", "sampling.steps"),
     ("sampling.steps=0", "sampling.steps"),
     ("seed=1.5", "seed"),
-    ("seed=-1", "seed")])
+    ("seed=-1", "seed"),
+    ("sampling.final_denoise=no", "sampling.final_denoise"),
+    ("sampling.final_denoise=1", "sampling.final_denoise")])
 def test_sample_rejects_bad_counts(tmp_path, capsys, override, key):
     code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
                  "--set", override, "--out", str(tmp_path)])
@@ -361,6 +366,20 @@ def test_demo_case3_table(tmp_path):
     d0 = float(lines[1].split(",")[1])
     dinf = float(lines[2].split(",")[1])
     assert dinf < d0
+
+
+@pytest.mark.parametrize("override,key", [
+    ("case3.poisson_lambda=abc", "case3.poisson_lambda"),
+    ("case3.poisson_lambda=-2", "case3.poisson_lambda"),
+    ("case3.eta_grid=[-1]", "case3.eta_grid.0"),
+    ("case3.eta_grid=[0,NaN]", "case3.eta_grid.1"),
+    ("case3.eta_grid=5", "case3.eta_grid")])
+def test_demo_case3_rejects_bad_values(tmp_path, capsys, override, key):
+    code = main(["demo-case3", "--config", str(CONFIGS / "case3.json"),
+                 "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):

@@ -298,17 +298,17 @@ def test_marginal_score_and_denoiser_share_weights(monkeypatch):
 
     monkeypatch.setattr(process.DiffusionProcess, "dirac_weights", record)
     for t in (0.5, 20.0, 80.0):
-        x = Field(rng.standard_normal(3))
-        score = p.marginal_score_dirac(ds, t, x)
-        mean = den.denoise(x.flat()[None, :], t)[0]
+        x = rng.standard_normal((1, 3))
+        score = p.marginal_score_dirac(ds, t, x)[0]
+        mean = den.denoise(x, t)[0]
         assert len(seen) == 2
         np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12, atol=0.0)
         # the score is gain * Sigma^{-1} (s D + shift - x) with the same D
         s, sig = p.schedule.s(t), p.schedule.sigma(t)
         shift = (p.eta * s * sig / (p.eta + 1.0)) * SKEW_ROWS.sum(axis=0)
         gain = ((p.eta + 1.0) / (s * sig)) ** 2
-        implied = (SKEW_ROWS.T @ SKEW_ROWS @ score.values / gain
-                   - shift + x.values) / s
+        implied = (SKEW_ROWS.T @ SKEW_ROWS @ score / gain
+                   - shift + x[0]) / s
         np.testing.assert_allclose(implied, mean, rtol=1e-9, atol=1e-9)
         seen.clear()
 
@@ -329,8 +329,8 @@ def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
     for k in range(100):
         den.denoise(rng.standard_normal((1, 3)), 1.0 + k)
     den.denoise(rng.standard_normal((7, 3)), 30.0)
-    p.pfode_rhs_marginal(ds, 30.0, Field(rng.standard_normal(3)))
-    p.pfode_rhs_conditional(ds.points[0], 30.0, Field(rng.standard_normal(3)))
+    p.pfode_rhs_marginal(ds, 30.0, rng.standard_normal((1, 3)))
+    p.pfode_rhs_conditional(ds.points[0], 30.0, rng.standard_normal((1, 3)))
     assert len(builds) == 1
     assert p._whitened(ds) is p._whitened(ds)  # whitened once per dataset
 

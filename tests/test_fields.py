@@ -32,34 +32,14 @@ def test_field_shape_size_flat_reshape():
     f = Field(np.arange(6.0), shape=(2, 3))
     assert f.shape == (2, 3) and f.size == 6 and f.ndim == 2
     assert np.array_equal(f.flat(), np.arange(6.0))
-    assert f.reshape((3, 2)).shape == (3, 2)
+    assert Field(f.values, shape=(3, 2)).shape == (3, 2)
 
 
 def test_field_constructors():
-    assert np.all(Field.zeros((2, 2)).values == 0.0)
-    assert np.all(Field.full((3,), 1.5).values == 1.5)
-
-
-def test_field_arithmetic_and_shape_mismatch():
-    a = Field([1.0, 2.0])
-    b = Field([3.0, 5.0])
-    assert np.array_equal((a + b).values, [4.0, 7.0])
-    assert np.array_equal((b - a).values, [2.0, 3.0])
-    assert np.array_equal((a * b).values, [3.0, 10.0])
-    assert np.array_equal((2.0 * a).values, [2.0, 4.0])
-    assert np.array_equal((b / 2.0).values, [1.5, 2.5])
-    assert np.array_equal((-a).values, [-1.0, -2.0])
-    with pytest.raises(ValueError):
-        a + Field([1.0, 2.0, 3.0])
-
-
-@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16),
-       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16))
-def test_add_then_subtract_round_trips(xs, ys):
-    n = min(len(xs), len(ys))
-    a = Field(xs[:n])
-    b = Field(ys[:n])
-    assert ((a + b) - b).allclose(a, rtol=1e-12, atol=1e-12)
+    z = Field(np.zeros((2, 2)))
+    assert z.shape == (2, 2) and np.all(z.values == 0.0)
+    f = Field([1, 1, 1], shape=(3,))
+    assert f.values.dtype == np.float64 and np.all(f.values == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +92,8 @@ def test_psnr_exact_match_sentinel():
 
 
 def test_psnr_hand_value():
-    a = Field.zeros((4,))
-    b = Field.full((4,), 0.1)
+    a = Field(np.zeros(4))
+    b = Field(np.full(4, 0.1))
     assert psnr(a, b, 1.0) == pytest.approx(20.0, abs=1e-12)
 
 
@@ -144,8 +124,9 @@ def test_rmse_hand_values():
        st.floats(0.0, 4.0))
 def test_rmse_scales_linearly(xs, c):
     a = Field(xs)
-    b = Field.zeros(a.shape)
-    assert rmse(c * a, b) == pytest.approx(c * rmse(a, b), abs=1e-12)
+    b = Field(np.zeros(a.shape))
+    assert rmse(Field(c * a.values), b) == pytest.approx(c * rmse(a, b),
+                                                         abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +150,8 @@ def test_field_bytes_rejects_truncation():
 def test_field_file_round_trip(tmp_path):
     f = Field([[0.5, -1.0], [2.0, 0.25]])
     write_field(f, tmp_path / "f.bin")
-    assert read_field(tmp_path / "f.bin").allclose(f)
+    g = read_field(tmp_path / "f.bin")
+    assert g.shape == f.shape and np.array_equal(g.values, f.values)
 
 
 def test_write_pgm(tmp_path):
@@ -177,7 +159,7 @@ def test_write_pgm(tmp_path):
     buf = (tmp_path / "a.pgm").read_bytes()
     assert buf.startswith(b"P5\n2 2\n255\n") and len(buf) == 11 + 4
     assert buf[11] == 0 and buf[12] == 255
-    write_pgm(Field.full((2, 2), 0.7), tmp_path / "c.pgm")
+    write_pgm(Field(np.full((2, 2), 0.7)), tmp_path / "c.pgm")
     assert (tmp_path / "c.pgm").read_bytes()[-4:] == bytes([127] * 4)
     with pytest.raises(ValueError):
         write_pgm(Field([1.0]), tmp_path / "d.pgm")

@@ -129,36 +129,47 @@ def test_conditional_score_pixel_closed_form():
     rng = Rng(5)
     for t in (10.0, 90.0):
         mom = p.conditional_moments(x0, t)
-        x = Field(rng.standard_normal(3))
+        x = rng.standard_normal((1, 3))
         score = p.conditional_score(x0, t, x)
-        expect = (mom.mean.values - x.values) / mom.cov_scale  # Sigma = I
-        assert np.allclose(score.values, expect, rtol=1e-11)
-    at_mean = p.conditional_score(x0, 30.0, p.conditional_moments(x0, 30.0).mean)
-    assert np.allclose(at_mean.values, 0.0, atol=1e-12)
+        expect = (mom.mean.values - x) / mom.cov_scale  # Sigma = I
+        assert np.allclose(score, expect, rtol=1e-11)
+    mean = p.conditional_moments(x0, 30.0).mean.flat()
+    at_mean = p.conditional_score(x0, 30.0, mean[None, :])
+    assert np.allclose(at_mean, 0.0, atol=1e-12)
 
 
 def test_conditional_score_failure_modes():
     p, _ = _toy_process()
     x0 = Field([0.0, 0.0, 0.0])
     with pytest.raises(EndpointError):
-        p.conditional_score(x0, 0.0, x0)
+        p.conditional_score(x0, 0.0, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="rows"):
+        p.conditional_score(x0, 5.0, np.zeros(3))
     thin = DiffusionProcess(make_vp_schedule(),
                             BasisSet((2,), elements=[[1.0, 2.0]]), 0.0)
     with pytest.raises(SingularCovarianceError):
-        thin.conditional_score(Field([0.0, 0.0]), 5.0, Field([1.0, 1.0]))
+        thin.conditional_score(Field([0.0, 0.0]), 5.0, np.ones((1, 2)))
 
 
 def test_marginal_score_single_point_equals_conditional():
+    # three stacked states: each row is its own one-row call
     for eta in (0.0, 10.0):
         p, _ = _toy_process(eta=eta, seed=11)
         y = Field([0.7, -0.3, 0.1])
         ds = DiracDataset([y])
         rng = Rng(6)
         for t in (5.0, 55.0, 100.0):
-            x = Field(rng.standard_normal(3))
+            x = rng.standard_normal((3, 3))
             a = p.marginal_score_dirac(ds, t, x)
             b = p.conditional_score(y, t, x)
-            assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
+            assert a.shape == b.shape == (3, 3)
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+            for i in range(3):
+                row = x[i:i + 1]
+                np.testing.assert_allclose(
+                    a[i], p.marginal_score_dirac(ds, t, row)[0], rtol=1e-12)
+                np.testing.assert_allclose(
+                    b[i], p.conditional_score(y, t, row)[0], rtol=1e-12)
 
 
 def test_marginal_score_vanishes_by_symmetry():
@@ -166,15 +177,15 @@ def test_marginal_score_vanishes_by_symmetry():
     p = DiffusionProcess(make_vp_schedule(), basis, 0.0)
     y = Field([1.0, -0.5])
     ds = DiracDataset([y, Field(-y.values)])
-    score = p.marginal_score_dirac(ds, 40.0, Field([0.0, 0.0]))
-    assert np.allclose(score.values, 0.0, atol=1e-14)
+    score = p.marginal_score_dirac(ds, 40.0, np.zeros((1, 2)))
+    assert np.allclose(score, 0.0, atol=1e-14)
 
 
 def test_marginal_score_requires_fixed_basis():
     clean, degraded = Field([0.0, 0.0]), Field([1.0, 2.0])
     p = DiffusionProcess(make_vp_schedule(), residual_basis(clean, degraded), 0.0)
     with pytest.raises(ValueError):
-        p.marginal_score_dirac(DiracDataset([clean]), 5.0, clean)
+        p.marginal_score_dirac(DiracDataset([clean]), 5.0, np.zeros((1, 2)))
 
 
 def test_pfode_assemblies_agree():
@@ -187,12 +198,20 @@ def test_pfode_assemblies_agree():
         ds = DiracDataset([y])
         rng = Rng(7)
         for t in (2.0, 48.0, 100.0):
-            x = Field(rng.standard_normal(3))
+            # three stacked states: each row is its own one-row call
+            x = rng.standard_normal((3, 3))
             raw_c = p.pfode_rhs_conditional(y, t, x)
             raw_m = p.pfode_rhs_marginal(ds, t, x)
-            simp = p.pfode_rhs(den, t, x.flat()[None, :])[0]
-            assert np.allclose(raw_c.values, simp, atol=1e-10)
-            assert np.allclose(raw_m.values, simp, atol=1e-10)
+            simp = p.pfode_rhs(den, t, x)
+            assert raw_c.shape == raw_m.shape == (3, 3)
+            assert np.allclose(raw_c, simp, atol=1e-10)
+            assert np.allclose(raw_m, simp, atol=1e-10)
+            for i in range(3):
+                row = x[i:i + 1]
+                np.testing.assert_allclose(
+                    raw_c[i], p.pfode_rhs_conditional(y, t, row)[0], rtol=1e-12)
+                np.testing.assert_allclose(
+                    raw_m[i], p.pfode_rhs_marginal(ds, t, row)[0], rtol=1e-12)
 
 
 def test_pfode_constant_denoiser_closed_form():
