@@ -27,7 +27,8 @@ from .denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
 from .fields import Field, Rng, write_field, write_pgm
 from .process import DiffusionProcess, DiracDataset
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
-from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
+from .tasks import (CASE3_MIN_DRAWS, POISSON_LAM_MAX, _transform,
+                    case3_discrete_demo, centered_poisson_sampler,
                     run_restoration)
 from .training import TrainConfig, train, write_loss_trace
 from .verify import SUITE_NAMES, run_suite
@@ -253,13 +254,14 @@ def cmd_verify(args) -> int:
 def cmd_demo_case3(args) -> int:
     cfg = _load(args)
     sampler = centered_poisson_sampler(
-        _config_float(cfg, "case3.poisson_lambda"))
+        _config_float(cfg, "case3.poisson_lambda", maximum=POISSON_LAM_MAX))
     grid = cfg["case3"]["eta_grid"]
     if not isinstance(grid, list):
         raise ConfigError(f"case3.eta_grid = {grid!r} must be a list")
     etas = [_config_float(cfg, f"case3.eta_grid.{i}") for i in range(len(grid))]
     table = case3_discrete_demo(sampler, etas,
-                                _config_count(cfg, "case3.n_draws"),
+                                _config_count(cfg, "case3.n_draws",
+                                              minimum=CASE3_MIN_DRAWS),
                                 Rng(cfg["seed"], 5))
     out = _out_dir(args)
     lines = ["eta,tv_distance"]

@@ -180,9 +180,10 @@ def _config_count(cfg: dict, path: str, minimum: int = 0) -> int:
     return n
 
 
-def _config_float(cfg: dict, path: str, positive: bool = False) -> float:
-    """The finite number >= 0 (> 0 if positive) at a dotted config path; a
-    bad value is a ConfigError that names the path."""
+def _config_float(cfg: dict, path: str, positive: bool = False,
+                  maximum: float = math.inf) -> float:
+    """The finite number >= 0 (> 0 if positive) and <= maximum at a dotted
+    config path; a bad value is a ConfigError that names the path."""
     node = _lookup(cfg, path)
     try:
         x = _finite(node)
@@ -191,6 +192,8 @@ def _config_float(cfg: dict, path: str, positive: bool = False) -> float:
     if x < 0 or (positive and x == 0):
         need = "positive" if positive else "non-negative"
         raise ConfigError(f"{path} = {x!r} must be {need}")
+    if x > maximum:
+        raise ConfigError(f"{path} = {x!r} must be at most {maximum!r}")
     return x
 
 

@@ -234,6 +234,15 @@ def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
     )
 
 
+# The largest rate numpy's Generator.poisson accepts
+# (numpy.random._common.POISSON_LAM_MAX): the int64 maximum less ten of its
+# square roots, so a draw stays inside the int64 result.  Above it numpy
+# raises "lam value too large".
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max
+                        - np.sqrt(np.iinfo(np.int64).max) * 10)
+CASE3_MIN_DRAWS = 1000  # draws per arm case3_discrete_demo needs
+
+
 def centered_poisson_sampler(lam: float = 4.0):
     """Example non-Gaussian target for the discrete-noise demo."""
 
@@ -264,8 +273,8 @@ def case3_discrete_demo(noise_sampler, eta_grid, n: int, rng: Rng):
     suppresses the Gaussian smearing, so the distance should fall toward the
     two-sample noise floor; the table reports, it does not assert.
     """
-    if n < 1000:
-        raise ValueError("need at least 1e3 draws per arm")
+    if n < CASE3_MIN_DRAWS:
+        raise ValueError(f"need at least {CASE3_MIN_DRAWS} draws per arm")
     table = []
     for eta in eta_grid:
         if eta < 0:

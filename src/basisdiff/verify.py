@@ -112,6 +112,9 @@ def _random_full_rank_rows(d: int, rng: Rng, cond_cap: float = 1.0e4) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+_RK4_BLOCK = 1024  # steps per vectorised rk4_step in _rk4_walk
+
+
 def _rk4_grid(knots, n_steps: int):
     """Classical RK4 steps over consecutive knot intervals, about n_steps in all.
 
@@ -131,17 +134,32 @@ def _rk4_grid(knots, n_steps: int):
     return h, np.stack([t, t + 0.5 * h, t + h]), last
 
 
-def _rk4_walk(rhs, x, h, last):
+def _rk4_walk(rhs, lin, x, h, last):
     """rk4_step over the steps of _rk4_grid; the state after each step in last.
 
     rhs((k, i), x) is the right-hand side at time k (0 start, 1 midpoint,
-    2 end) of step i.
+    2 end) of step i, and lin((k, i), x) its part linear in x.  Both ODEs
+    here are elementwise affine in the state with state-free coefficients,
+    so one RK4 step is exactly x <- R_i * x + S_i, where S_i is the step of
+    rhs from 0 and R_i the step of lin from 1.  R_i comes from lin alone, not
+    as step(1) - step(0) of rhs: that difference cancels the constant part
+    and loses digits.  The steps are formed _RK4_BLOCK at a time, one
+    vectorised rk4_step each for R and S with index keys (k, block slice),
+    then scanned in order; a block bounds the (block, *x.shape) temporaries
+    that all steps at once would multiply.
     """
+    last = set(last)
     out = []
-    for i in range(h.size):
-        x = rk4_step(rhs, x, h[i], ((0, i), (1, i), (2, i)))
-        if i in last:
-            out.append(x)
+    for a in range(0, h.size, _RK4_BLOCK):
+        b = min(a + _RK4_BLOCK, h.size)
+        hb = h[a:b].reshape((-1,) + (1,) * x.ndim)
+        stages = ((0, slice(a, b)), (1, slice(a, b)), (2, slice(a, b)))
+        gain = rk4_step(lin, 1.0, hb, stages)
+        shift = rk4_step(rhs, 0.0, hb, stages)
+        for i in range(b - a):
+            x = gain[i] * x + shift[i]
+            if a + i in last:
+                out.append(x)
     return out
 
 
@@ -180,12 +198,15 @@ def _integrate_mean_odes(cases, bsums, x0s, t_targets, n_steps: int):
             c[..., j] = eta * s * sig_p / (eta + 1.0)
             c[at_zero, j] = (eta * sched.s(0.0) / (eta + 1.0)) \
                 * math.sqrt(sched.dsigma2_dt(0.0))
-    f, c = f[..., None], c[..., None]
+    twou, f, c = twou[..., None, None], f[..., None], c[..., None]
 
     def rhs(ki, mu):
         return twou[ki] * (f[ki] * mu + c[ki] * bsums)
 
-    return _rk4_walk(rhs, x0s, h, last)
+    def lin(ki, mu):
+        return twou[ki] * (f[ki] * mu)
+
+    return _rk4_walk(rhs, lin, x0s, h, last)
 
 
 def _integrate_variance_odes(cases, sigma_mats, t_targets, n_steps: int):
@@ -209,7 +230,10 @@ def _integrate_variance_odes(cases, sigma_mats, t_targets, n_steps: int):
     def rhs(ki, v):
         return f2[ki] * v + g2[ki] * sigma_mats
 
-    return _rk4_walk(rhs, np.zeros_like(sigma_mats), h, last)
+    def lin(ki, v):
+        return f2[ki] * v
+
+    return _rk4_walk(rhs, lin, np.zeros_like(sigma_mats), h, last)
 
 
 def _checks_coefficients(seed: int, n_steps: int = 10_000):

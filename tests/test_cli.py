@@ -371,6 +371,8 @@ def test_demo_case3_table(tmp_path):
 @pytest.mark.parametrize("override,key", [
     ("case3.poisson_lambda=abc", "case3.poisson_lambda"),
     ("case3.poisson_lambda=-2", "case3.poisson_lambda"),
+    ("case3.poisson_lambda=1e30", "case3.poisson_lambda"),
+    ("case3.n_draws=999", "case3.n_draws"),
     ("case3.eta_grid=[-1]", "case3.eta_grid.0"),
     ("case3.eta_grid=[0,NaN]", "case3.eta_grid.1"),
     ("case3.eta_grid=5", "case3.eta_grid")])

@@ -185,6 +185,16 @@ def test_centered_poisson_sampler_moments():
     assert abs(draws.var() - 4.0) < 0.2
 
 
+def test_poisson_lam_max_is_numpys_limit():
+    # the config refuses a case3.poisson_lambda above POISSON_LAM_MAX, so it
+    # must be the largest rate the draw itself accepts
+    draws = centered_poisson_sampler(tasks_mod.POISSON_LAM_MAX)(2, Rng(13))
+    assert np.all(np.isfinite(draws))
+    above = np.nextafter(tasks_mod.POISSON_LAM_MAX, np.inf)
+    with pytest.raises(ValueError, match="lam value too large"):
+        centered_poisson_sampler(above)(2, Rng(13))
+
+
 def test_discrete_demo_distance_falls_with_eta():
     table = case3_discrete_demo(centered_poisson_sampler(4.0),
                                 [0.0, 1e9], 20_000, Rng(11))

@@ -1,6 +1,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from basisdiff import verify
@@ -60,6 +61,80 @@ def test_aggregate_report_covers_every_suite():
 def test_coefficient_suite_keeps_ten_thousand_rk4_steps():
     params = inspect.signature(verify._checks_coefficients).parameters
     assert params["n_steps"].default == 10_000
+
+
+def _affine_walk_case(seed, zero_linear):
+    # a random diagonal-affine ODE dx/dt = a x + b on (3, 2) states, tabulated
+    # like the coefficient suite's at (stage, step); the step count is no
+    # multiple of the block, and two outputs fall on a block's final step
+    block = verify._RK4_BLOCK
+    n = 2 * block + 37
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.5e-3, 1.5e-3, n)
+    a = np.zeros((3, n, 3, 1)) if zero_linear else rng.normal(size=(3, n, 3, 1))
+    b = rng.normal(size=(3, n, 3, 2))
+
+    def rhs(ki, x):
+        return a[ki] * x + b[ki]
+
+    def lin(ki, x):
+        return a[ki] * x
+
+    last = [17, block - 1, 2 * block - 1, n - 1]
+    return rhs, lin, rng.normal(size=(3, 2)), h, last
+
+
+def _per_step_walk(rhs, x, h, last):
+    out = []
+    for i in range(h.size):
+        x = verify.rk4_step(rhs, x, h[i], ((0, i), (1, i), (2, i)))
+        if i in last:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("zero_linear", [False, True])
+def test_blocked_walk_matches_per_step_walk(zero_linear):
+    # with no linear part every gain is exactly 1, so the walks agree bitwise
+    rhs, lin, x, h, last = _affine_walk_case(5, zero_linear)
+    blocked = verify._rk4_walk(rhs, lin, x, h, last)
+    stepped = _per_step_walk(rhs, x, h, last)
+    assert len(blocked) == len(stepped) == len(last)
+    for got, want in zip(blocked, stepped):
+        if zero_linear:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_coefficient_suite_keeps_every_step(monkeypatch):
+    # each ODE's rk4_step calls, linear part and full right-hand side alike,
+    # cover every step of its grid; a speedup must not come from a shorter walk
+    grids, sizes = [], {}
+    grid, step = verify._rk4_grid, verify.rk4_step
+
+    def record_grid(knots, n_steps):
+        out = grid(knots, n_steps)
+        grids.append((n_steps, out[0].size))
+        return out
+
+    def record_step(rhs, x, h, stages):
+        key = rhs.__qualname__
+        sizes[key] = sizes.get(key, 0) + np.shape(h)[0]
+        return step(rhs, x, h, stages)
+
+    monkeypatch.setattr(verify, "_rk4_grid", record_grid)
+    monkeypatch.setattr(verify, "rk4_step", record_step)
+    assert run_suite("coefficients", seed=7).passed
+    assert [n for n, _ in grids] == [10_000, 10_000]
+    (_, mean_steps), (_, var_steps) = grids
+    assert sizes == {
+        "_integrate_mean_odes.<locals>.rhs": mean_steps,
+        "_integrate_mean_odes.<locals>.lin": mean_steps,
+        "_integrate_variance_odes.<locals>.rhs": var_steps,
+        "_integrate_variance_odes.<locals>.lin": var_steps,
+    }
+    assert min(mean_steps, var_steps) >= 10_000
 
 
 def test_sampler_suite_keeps_its_walks(monkeypatch):
