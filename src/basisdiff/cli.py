@@ -89,8 +89,9 @@ def _train_config(cfg: dict) -> TrainConfig:
         return TrainConfig(**values, optimizer=tr["optimizer"],
                            objective=resolved_objective(cfg),
                            time_dist=tr["time_dist"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"training: {exc}") from exc
+    except ValueError as exc:
+        # TrainConfig names the key first in each of its refusals
+        raise ConfigError(f"training.{exc}") from exc
 
 
 def _train_network(cfg: dict):

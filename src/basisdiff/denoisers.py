@@ -161,45 +161,44 @@ class PreconditionedDenoiser(Denoiser):
         self.process = process
         self.objective = objective
 
-    def _net_input(self, x: np.ndarray, t) -> np.ndarray:
+    def _net_input(self, x: np.ndarray, t, coef: np.ndarray) -> np.ndarray:
         """Network input [c_in x, t/T] for flat states at one time t or at
-        one time per row."""
-        sched = self.process.schedule
-        sig = _per_row(sched.sigma, t)
+        one time per row.
+
+        coef holds Schedule.evaluate's (s, s', sigma, sigma') at t on its
+        last axis: (4,) for one time, (n, 4) for one time per row, so each
+        column scales whole rows.
+        """
+        sig = coef[..., 2:3]
         z = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         np.multiply(1.0 / np.sqrt(1.0 + sig * sig), x, out=z[..., :-1])
-        z[..., -1] = np.asarray(t, dtype=np.float64) / sched.T
+        z[..., -1] = np.asarray(t, dtype=np.float64) / self.process.schedule.T
         return z
 
-    def net_forward(self, x: np.ndarray, t):
+    def net_forward(self, x: np.ndarray, t, coef: np.ndarray):
         """(F output, activation cache) for flat states, as in _net_input."""
-        return self.net.forward_cached(self._net_input(x, t))
+        return self.net.forward_cached(self._net_input(x, t, coef))
 
-    def assemble(self, x: np.ndarray, f_out: np.ndarray, t) -> np.ndarray:
+    def assemble(self, x: np.ndarray, f_out: np.ndarray,
+                 coef: np.ndarray) -> np.ndarray:
         """D from the network output: x/s - sigma F for predict-noise, F for
-        predict-x0; t is one time or one time per row, as in _net_input."""
+        predict-x0; coef is the schedule table of _net_input."""
         if self.objective == "predict-x0":
             return f_out
-        # columns s, s', sigma, sigma' of Schedule.evaluate
-        coef = _per_row(self.process.schedule.evaluate, t)
         return x / coef[..., :1] - coef[..., 2:3] * f_out
 
-    def out_gain(self, t: float) -> float:
-        """dD/dF, the c_out coefficient of the wrapper."""
+    def out_gain(self, coef: np.ndarray):
+        """dD/dF, the c_out coefficient of the wrapper, from the schedule
+        table coef of _net_input: -sigma for predict-noise, one value per
+        row on a last axis of length 1, and 1 for predict-x0."""
         if self.objective == "predict-noise":
-            return -self.process.schedule.sigma(t)
+            return -coef[..., 2:3]
         return 1.0
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        f_out, _ = self.net_forward(x, t)
-        return self.assemble(x, f_out, t)
-
-
-def _per_row(fn, t) -> np.ndarray:
-    """fn at each time of t, with its values on a last axis that scales whole
-    rows: (k,) for one time, (n, k) for one time per row."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.array([fn(v) for v in t.reshape(-1)]).reshape(t.shape + (-1,))
+        coef = np.array(self.process.schedule.evaluate(t))
+        f_out, _ = self.net_forward(x, t, coef)
+        return self.assemble(x, f_out, coef)
 
 
 def save_network(net: TinyNetwork, path) -> None:

@@ -16,6 +16,7 @@ rules inline so every arithmetic step is visible to the gradient tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,28 @@ class TrainConfig:
     ema_decay: float = 0.0
 
     def __post_init__(self):
+        """Each refusal is a ValueError whose message starts with the key."""
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.batch < 1:
             raise ValueError(f"batch must be at least 1, got {self.batch}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        for key in ("lr", "seed", "lr_decay_every"):
+            value = getattr(self, key)
+            if not value >= 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
+        # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
+        # an EMA decay of 1 would never move off the initial weights
+        for key in ("beta1", "beta2", "ema_decay"):
+            value = getattr(self, key)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {value}")
+        for key in ("eps", "lr_decay"):
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise ValueError(f"{key} must be positive, got {value}")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+            raise ValueError(f"objective {self.objective!r} is not one of "
+                             f"{', '.join(OBJECTIVES)}")
         if self.time_dist not in ("continuous", "discrete"):
             raise ValueError("time_dist must be 'continuous' or 'discrete'")
         if self.optimizer not in ("adam", "sgd"):
@@ -69,8 +84,14 @@ class Sgd:
 class Adam:
     """Adam with bias correction; updates params and its moments in place.
 
-    One scratch buffer of the parameter size is reused across steps, so a
-    step allocates no parameter-sized temporaries.
+    m and v are the textbook moments.  The bias corrections c1 = 1 - beta1^k
+    and c2 = 1 - beta2^k are folded into two scalars,
+
+        lr m_hat / (sqrt(v_hat) + eps) = (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)),
+
+    so no parameter-sized pass divides by them.  One scratch buffer of the
+    parameter size is reused across steps, so a step allocates no
+    parameter-sized temporaries.
     """
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -98,12 +119,12 @@ class Adam:
         np.multiply(grad, 1.0 - self.beta2, out=buf)
         buf *= grad
         v += buf
-        # params -= lr m_hat / (sqrt(v_hat) + eps), m_hat = m / (1 - beta1^k)
-        np.divide(v, 1.0 - self.beta2 ** self._k, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += self.eps
+        # params -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2))
+        root_c2 = math.sqrt(1.0 - self.beta2 ** self._k)
+        np.sqrt(v, out=buf)
+        buf += self.eps * root_c2
         np.divide(m, buf, out=buf)
-        buf *= self.lr / (1.0 - self.beta1 ** self._k)
+        buf *= self.lr * root_c2 / (1.0 - self.beta1 ** self._k)
         params -= buf
 
 
@@ -154,12 +175,16 @@ def _check_objective(objective: str, den: Denoiser, mask: Field, shape):
 
 def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
                 x0: np.ndarray, t: np.ndarray, noise: np.ndarray, m=None):
-    """Per-row losses and the summed parameter gradient of one batch.
+    """Per-row losses and the batch-mean parameter gradient of one batch.
 
     x0 and noise hold one flat sample per row, t one time per row, and m is
-    the validated flat mask of weighted-noise-pred.  The network runs one
-    forward and one backward pass over all rows.  The gradient is
-    zero-length for denoisers without trainable parameters.
+    the validated flat mask of weighted-noise-pred.  The 1/B of the mean
+    rides on the backward seed, so no pass over the parameters applies it;
+    for one row the gradient is that row's own.  The schedule is evaluated
+    once per row, and that table serves the network input, the wrapper and
+    its output gain.  The network runs one forward and one backward pass
+    over all rows.  The gradient is zero-length for denoisers without
+    trainable parameters.
     """
     coef = np.array([p.schedule.evaluate(v) for v in t])
     s, sig = coef[:, :1], coef[:, 2:3]
@@ -171,16 +196,16 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
                                 for k, v in enumerate(t)]) - x0
         return np.einsum("ij,ij->i", resid, resid), np.zeros(0)
 
-    f_out, acts = den.net_forward(x_t, t)
+    seed = 2.0 / len(t)
+    f_out, acts = den.net_forward(x_t, t, coef)
     if objective == "mse-x0":
-        resid = den.assemble(x_t, f_out, t) - x0
-        gain = np.array([[den.out_gain(v)] for v in t])
+        resid = den.assemble(x_t, f_out, coef) - x0
         return (np.einsum("ij,ij->i", resid, resid),
-                den.net.backward(acts, 2.0 * gain * resid))
+                den.net.backward(acts, seed * den.out_gain(coef) * resid))
     resid = f_out - (x0 if objective == "x0-pred" else noise)
     w = _row_weights(m, noise) if objective == "weighted-noise-pred" else 1.0
     return (np.einsum("ij,ij->i", resid, w * resid),
-            den.net.backward(acts, 2.0 * w * resid))
+            den.net.backward(acts, seed * w * resid))
 
 
 def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
@@ -260,7 +285,6 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     rng = Rng(cfg.seed, 1)
     points = ds.stacked()
     ema = net.params.copy() if cfg.ema_decay > 0.0 else None
-    ema_buf = np.empty_like(net.params) if ema is not None else None
 
     trace = []
     lr = cfg.lr
@@ -273,12 +297,12 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
         if cfg.lr_decay_every > 0 and step > 0 and step % cfg.lr_decay_every == 0:
             lr *= cfg.lr_decay
             opt.lr = lr
-        grad /= cfg.batch
         opt.step(net.params, grad)
         if ema is not None:
+            # ema = p + decay (ema - p), in place
+            ema -= net.params
             ema *= cfg.ema_decay
-            np.multiply(net.params, 1.0 - cfg.ema_decay, out=ema_buf)
-            ema += ema_buf
+            ema += net.params
         trace.append(mean_loss)
     if ema is not None:
         net.params[:] = ema

@@ -57,7 +57,22 @@ def test_unknown_config_key_exits_2_before_training(tmp_path, capsys):
                                           ("training.batch=1e400", "batch"),
                                           ("training.lr=NaN", "training.lr"),
                                           ("training.beta1=inf",
-                                           "training.beta1")])
+                                           "training.beta1"),
+                                          ("training.beta1=1.0",
+                                           "training.beta1"),
+                                          ("training.beta2=-1",
+                                           "training.beta2"),
+                                          ("training.eps=-1", "training.eps"),
+                                          ("training.ema_decay=1.5",
+                                           "training.ema_decay"),
+                                          ("training.ema_decay=1.0",
+                                           "training.ema_decay"),
+                                          ("training.lr_decay=-1",
+                                           "training.lr_decay"),
+                                          ("training.lr_decay_every=-3",
+                                           "training.lr_decay_every"),
+                                          ("training.seed=-1",
+                                           "training.seed")])
 def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),
                  "--set", "task.size=8", "--set", override,

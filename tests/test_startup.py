@@ -1,6 +1,7 @@
 """Start-up cost: importing basisdiff loads no scipy module.
 
-scipy.linalg loads at the first covariance factorization.  Each check runs
+scipy.linalg loads at the first covariance factorization, and scipy.stats
+never loads.  Each check runs
 in a fresh interpreter, because the test process has long since loaded
 scipy through other tests.
 """
@@ -36,6 +37,18 @@ def test_import_loads_no_scipy():
                                 if m == "scipy" or m.startswith("scipy."))))
     """)
     assert loaded == []
+
+
+def test_score_suite_loads_no_scipy_stats():
+    state = _fresh("""
+        import json, sys
+        from basisdiff.verify import run_suite
+        report = run_suite("score", 7)
+        print(json.dumps({"passed": report.passed,
+                          "stats": sorted(m for m in sys.modules
+                                          if m.startswith("scipy.stats"))}))
+    """)
+    assert state == {"passed": True, "stats": []}
 
 
 def test_first_whitening_loads_scipy_linalg():

@@ -5,7 +5,7 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
                                  PreconditionedDenoiser, TinyNetwork)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
-from basisdiff.schedules import make_vp_schedule
+from basisdiff.schedules import Schedule, make_vp_schedule
 from basisdiff.bases import pixel_basis, residual_basis
 from basisdiff.training import (Adam, Sgd, TrainConfig, _batch_loss,
                                 _check_objective, _draw_batch, _draw_time,
@@ -48,6 +48,17 @@ def test_config_validation():
         TrainConfig(steps=1, time_dist="sometimes")
     with pytest.raises(ValueError):
         TrainConfig(steps=1, optimizer="lbfgs")
+    # zero moments, zero decay and a decay rate above one are legal
+    TrainConfig(steps=1, beta1=0.0, beta2=0.0, ema_decay=0.0, lr_decay=2.0)
+    for key, value in [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+                       ("beta2", -1.0), ("eps", 0.0), ("eps", -1.0),
+                       ("ema_decay", 1.0), ("ema_decay", 1.5),
+                       ("ema_decay", -0.5), ("lr_decay", 0.0),
+                       ("lr_decay", -1.0), ("beta2", float("nan")),
+                       ("eps", float("nan")), ("lr", float("nan")),
+                       ("seed", -1), ("lr_decay_every", -3)]:
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainConfig(steps=1, **{key: value})
 
 
 def test_sgd_and_adam_single_step():
@@ -89,6 +100,27 @@ def test_adam_matches_textbook_update_in_place():
     Adam(lr).step(big[2:7], np.full(5, 0.5))
     assert np.array_equal(big[[0, 1, 7, 8]], np.ones(4))
     assert np.all(big[2:7] < 1.0)
+
+
+def test_adam_matches_textbook_update_over_3000_steps():
+    rng = Rng(37)
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-6
+    params = rng.standard_normal(40)
+    ref = params.copy()
+    m = np.zeros(40)
+    v = np.zeros(40)
+    opt = Adam(lr, b1, b2, eps)
+    # gradients of mixed scale, a few of them tiny so eps matters
+    scale = 10.0 ** rng.uniform(-7.0, 1.0, shape=(40,))
+    for k in range(1, 3001):
+        grad = rng.standard_normal(40) * scale
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad ** 2
+        m_hat = m / (1.0 - b1 ** k)
+        v_hat = v / (1.0 - b2 ** k)
+        ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step(params, grad)
+    np.testing.assert_allclose(params, ref, rtol=1e-10, atol=0.0)
 
 
 def test_adam_zero_rate_leaves_params_bit_identical():
@@ -144,10 +176,87 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
         seq_grad += g
 
     np.testing.assert_allclose(losses, seq_losses, rtol=1e-12, atol=0.0)
+    seq_grad /= cfg.batch
     np.testing.assert_allclose(grad, seq_grad, rtol=1e-12,
                                atol=1e-15 * np.abs(seq_grad).max())
     # both paths leave the training stream at the same state
     assert batch_rng.standard_normal() == seq_rng.standard_normal()
+
+
+def _reference_train(net, p, ds, cfg):
+    """train() written out: summed batch gradient / B, textbook Adam with
+    its lr decay, and the textbook EMA d ema + (1 - d) params."""
+    wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
+    den = PreconditionedDenoiser(net, p, wrap)
+    m_obj = _check_objective(cfg.objective, den, None, p.shape)
+    rng = Rng(cfg.seed, 1)
+    m = np.zeros(net.n_params)
+    v = np.zeros(net.n_params)
+    ema = net.params.copy()
+    lr = cfg.lr
+    trace = []
+    for k in range(1, cfg.steps + 1):
+        x0, t, noise = _draw_batch(rng, cfg, p, ds, ds.stacked())
+        # one row per call: each row's own loss and gradient
+        rows = [_batch_loss(cfg.objective, den, p, x0[j:j + 1], t[j:j + 1],
+                            noise[j:j + 1], m_obj) for j in range(cfg.batch)]
+        trace.append(sum(float(loss[0]) for loss, _ in rows) / cfg.batch)
+        grad = sum(g for _, g in rows) / cfg.batch
+        if cfg.lr_decay_every and k > 1 and (k - 1) % cfg.lr_decay_every == 0:
+            lr *= cfg.lr_decay
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad ** 2
+        m_hat = m / (1.0 - cfg.beta1 ** k)
+        v_hat = v / (1.0 - cfg.beta2 ** k)
+        net.params[:] = net.params - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        ema = cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * net.params
+    return ema, trace
+
+
+@pytest.mark.parametrize("batch", [3, 8])
+@pytest.mark.parametrize("objective", ["mse-x0", "x0-pred"])
+def test_train_matches_a_reference_loop(batch, objective):
+    p, ds, _, _ = _equivalence_case("pixel", objective)
+    cfg = TrainConfig(steps=20, batch=batch, lr=3e-2, objective=objective,
+                      seed=39, lr_decay=0.5, lr_decay_every=7, ema_decay=0.8)
+
+    def fresh():
+        return TinyNetwork([4, 6, 3], Rng(40))
+
+    net, trace = train(fresh(), p, ds, cfg)
+    ref_params, ref_trace = _reference_train(fresh(), p, ds, cfg)
+    np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
+
+
+def _count_schedule_calls(monkeypatch):
+    """Patch every Schedule method to count its calls by name."""
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("s", "s_prime", "sigma", "sigma_prime", "dsigma2_dt",
+                 "alpha_bar", "evaluate"):
+        monkeypatch.setattr(Schedule, name,
+                            counting(name, Schedule.__dict__[name]))
+    return counts
+
+
+@pytest.mark.parametrize("objective", ["mse-x0", "noise-pred", "x0-pred"])
+def test_one_schedule_evaluation_per_batch_row(monkeypatch, objective):
+    p, ds, den, _ = _equivalence_case("pixel", objective)
+    counts = _count_schedule_calls(monkeypatch)
+    train(TinyNetwork([4, 6, 3], Rng(41)), p, ds,
+          TrainConfig(steps=5, batch=4, objective=objective, seed=42))
+    assert counts == {"evaluate": 20}
+    counts.clear()
+    den.denoise(np.zeros((3, 3)), 40.0)
+    den.denoise(np.zeros((1, 3)), 60.0)
+    assert counts == {"evaluate": 2}
 
 
 def test_training_conditions_each_element_on_its_own_pair():

@@ -11,8 +11,16 @@ A pair is one (workload, seed) run on both sides.  For every workload and
 end-to-end metric of ``BENCHMARK.json`` the summary holds, per side, the
 median, the quartiles and the IQR, and over the pairs the pair count, the
 wins (pairs where the change is better in the metric's direction) and the
-median change in percent.  The machine block of the first paired run of
-the change is copied once.  Uses the standard library only.
+median change in percent, and a verdict:
+
+* ``gain``: the change wins at least 90 % of the pairs, and its median is
+  better than the parent's by more than the parent's IQR;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's bound, a fraction of the parent's median;
+* ``no change``: anything else.
+
+The machine block of the first paired run of the change is copied once.
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -47,6 +55,23 @@ def spread(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+GAIN_SHARE = 0.9
+
+
+def verdict(parent: dict, change: dict, wins: int, pairs: int,
+            better: str, bound=None) -> str:
+    """'gain', 'worse' or 'no change' from the two spreads and the wins."""
+    # positive when the change's median is better in the metric's direction
+    moved = parent["median"] - change["median"]
+    if better != "lower":
+        moved = -moved
+    if bound is not None and -moved > bound * abs(parent["median"]):
+        return "worse"
+    if wins >= GAIN_SHARE * pairs and moved > parent["iqr"]:
+        return "gain"
+    return "no change"
+
+
 def summarize(parent: dict, change: dict, metrics: list) -> dict:
     """Per workload: the seeds, run health and per-metric comparison."""
     out = {}
@@ -72,16 +97,20 @@ def summarize(parent: dict, change: dict, metrics: list) -> dict:
                 continue
             lower = metric["better"] == "lower"
             wins = sum(1 for a, b in values if (b < a if lower else b > a))
+            sides = {"parent": spread([a for a, _ in values]),
+                     "change": spread([b for _, b in values])}
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric.get("bound"),
-                "parent": spread([a for a, _ in values]),
-                "change": spread([b for _, b in values]),
+                **sides,
                 "pairs": len(values),
                 "wins": wins,
                 "median_change_pct": 100.0 * statistics.median(
                     (b - a) / a for a, b in values if a),
+                "verdict": verdict(sides["parent"], sides["change"], wins,
+                                   len(values), metric["better"],
+                                   metric.get("bound")),
             }
         out[workload] = entry
     return out
@@ -114,7 +143,8 @@ def main(argv=None) -> int:
             print(f"{workload:15s} {name:14s} {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']} "
                   f"({m['median_change_pct']:+.1f} %, {m['wins']}/{m['pairs']} "
-                  f"better)")
+                  f"better, parent IQR {m['parent']['iqr']:.3g}): "
+                  f"{m['verdict']}")
     return 0
 
 
