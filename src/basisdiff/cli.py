@@ -17,18 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, _config_bool, _config_count, _config_float,
-                     _count, _finite, apply_overrides, build_fixed_basis,
-                     build_process, build_schedule, build_task, load_config,
-                     resolved_eta, resolved_objective, resolved_scheme)
-from .denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                        PreconditionedDenoiser, TinyNetwork, load_network,
-                        save_network)
+from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
+                     build_process, build_schedule, build_task, check,
+                     load_config, resolved_eta, resolved_objective, value)
+from .denoisers import (CheckpointMismatch, ConstantDenoiser,
+                        DiracMixtureDenoiser, PreconditionedDenoiser,
+                        TinyNetwork, load_network, save_network)
 from .fields import Field, Rng, write_field, write_pgm
 from .process import DiffusionProcess, DiracDataset
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
-from .tasks import (CASE3_MIN_DRAWS, POISSON_LAM_MAX, _transform,
-                    case3_discrete_demo, centered_poisson_sampler,
+from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
                     run_restoration)
 from .training import TrainConfig, train, write_loss_trace
 from .verify import SUITE_NAMES, run_suite
@@ -39,9 +37,13 @@ _SAMPLE_BLOCK = 16
 
 
 def _load(args) -> dict:
+    """The checked config: the file, then --set, then restore's flags."""
     cfg = apply_overrides(load_config(args.config), args.set)
-    cfg["seed"] = _config_count(cfg, "seed")
-    return cfg
+    if getattr(args, "steps", None) is not None:
+        cfg["sampling"]["steps"] = args.steps
+    if getattr(args, "checkpoint", None) is not None:
+        cfg["restore"]["checkpoint"] = args.checkpoint
+    return check(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -62,33 +64,25 @@ def _training_setup(cfg: dict):
     deg = _transform(task, task.degraded)
     ds = DiracDataset([x0], degraded=[deg])
     d = task.clean.size
-    hidden = cfg["network"]["hidden"]
-    try:
-        widths = [d + 1] + [_count(w) for w in hidden] + [d]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"network.hidden = {hidden!r}: {exc}") from exc
+    widths = [d + 1] + cfg["network"]["hidden"] + [d]
     return task, p, ds, task.mask, widths
 
 
-_TRAINING_CASTS = {"steps": _count, "batch": _count, "lr": _finite,
-                   "beta1": _finite, "beta2": _finite, "eps": _finite,
-                   "seed": _count, "lr_decay": _finite,
-                   "lr_decay_every": _count, "ema_decay": _finite}
+def _fingerprint(cfg: dict, widths) -> dict:
+    """The run a checkpoint belongs to: restore refuses it under any other."""
+    head = {path: value(cfg, path) for path in SCHEMA
+            if path.startswith(("schedule.", "task.", "basis."))}
+    return {**head, "widths": list(widths),
+            "basis.kind": value(cfg, "basis.kind") or "legendre-trig",
+            "training.objective": resolved_objective(cfg),
+            "process.eta": resolved_eta(cfg)}
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    """TrainConfig from the training section; a bad value is a ConfigError."""
-    tr = cfg["training"]
-    values = {}
-    for key, cast in _TRAINING_CASTS.items():
-        try:
-            values[key] = cast(tr[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"training.{key} = {tr[key]!r}: {exc}") from exc
+    """TrainConfig from the checked training section, which it range-checks."""
     try:
-        return TrainConfig(**values, optimizer=tr["optimizer"],
-                           objective=resolved_objective(cfg),
-                           time_dist=tr["time_dist"])
+        return TrainConfig(**{**cfg["training"],
+                              "objective": resolved_objective(cfg)})
     except ValueError as exc:
         # TrainConfig names the key first in each of its refusals
         raise ConfigError(f"training.{exc}") from exc
@@ -106,7 +100,7 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     task, p, net, trace = _train_network(cfg)
     out = _out_dir(args)
-    save_network(net, out / "checkpoint.bin")
+    save_network(net, out / "checkpoint.bin", _fingerprint(cfg, net.widths))
     write_loss_trace(trace, out / "loss.csv")
     print(f"trained {len(trace)} steps on task {task.name}; "
           f"final loss {trace[-1]!r}")
@@ -116,35 +110,29 @@ def cmd_train(args) -> int:
 def _build_restore_denoiser(cfg: dict, kind: str):
     if kind == "train":
         task, p, net, _ = _train_network(cfg)
-        return task, p, PreconditionedDenoiser(
-            net, p, _wrap_variant(resolved_objective(cfg)))
-    task, p, _, _, _ = _training_setup(cfg)
-    if kind == "checkpoint":
-        path = cfg["restore"].get("checkpoint")
-        if not path:
-            raise ConfigError("restore.denoiser = 'checkpoint' needs "
-                              "restore.checkpoint (or --checkpoint)")
-        net = load_network(path)
-        return task, p, PreconditionedDenoiser(
-            net, p, _wrap_variant(resolved_objective(cfg)))
+    else:
+        task, p, _, _, widths = _training_setup(cfg)
     if kind == "oracle-clean":
         return task, p, ConstantDenoiser(_transform(task, task.clean))
     if kind == "analytic":
         ds = DiracDataset([_transform(task, task.clean)])
         return task, p, DiracMixtureDenoiser(ds, p)
-    raise ConfigError(f"unknown restore denoiser {kind!r}")
+    if kind == "checkpoint":
+        path = cfg["restore"]["checkpoint"]
+        if not path:
+            raise ConfigError("restore.denoiser = 'checkpoint' needs "
+                              "restore.checkpoint (or --checkpoint)")
+        net = load_network(path, expect=_fingerprint(cfg, widths))
+    return task, p, PreconditionedDenoiser(
+        net, p, _wrap_variant(resolved_objective(cfg)))
 
 
 def cmd_restore(args) -> int:
     cfg = _load(args)
-    if args.steps is not None:
-        cfg["sampling"]["steps"] = args.steps
-    if args.checkpoint is not None:
-        cfg["restore"]["checkpoint"] = args.checkpoint
-    steps = _config_count(cfg, "sampling.steps")
-    scheme = resolved_scheme(cfg)
+    steps = cfg["sampling"]["steps"]
     task, p, den = _build_restore_denoiser(cfg, cfg["restore"]["denoiser"])
-    result = run_restoration(task, p, den, steps, scheme=scheme)
+    result = run_restoration(task, p, den, steps,
+                             scheme=cfg["sampling"]["scheme"])
     out = _out_dir(args)
     with open(out / "metrics.json", "w") as fh:
         fh.write(json.dumps(result.metrics_dict(), indent=2) + "\n")
@@ -159,17 +147,18 @@ def cmd_restore(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    rows = cfg.get("points")
+    rows, sampling = cfg["points"], cfg["sampling"]
     if not rows:
         raise ConfigError("sample needs a non-empty 'points' list in the config")
-    final_denoise = _config_bool(cfg, "sampling.final_denoise")
+    if sampling["steps"] < 1:
+        raise ConfigError(f"sample needs sampling.steps >= 1, "
+                          f"got {sampling['steps']}")
     pts = [Field(np.asarray(r, dtype=np.float64)) for r in rows]
     basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
     p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
-    grid = make_time_grid(p.schedule.T, _config_count(cfg, "sampling.steps", 1),
-                          resolved_scheme(cfg))
-    n = _config_count(cfg, "sampling.n_samples")
+    grid = make_time_grid(p.schedule.T, sampling["steps"], sampling["scheme"])
+    n = sampling["n_samples"]
     out = _out_dir(args)
     with open(out / "samples.csv", "w") as samples:
         samples.write("sample," + ",".join(f"x{i}" for i in range(pts[0].size))
@@ -186,14 +175,11 @@ def cmd_sample(args) -> int:
                 x_top[k] = p.forward_sample(y, p.schedule.T, rng).flat()
             states = euler_trajectory(p, den, x_top, grid)
             finals = states[-1]
-            if final_denoise:
+            if sampling["final_denoise"]:
                 finals = den.denoise(finals, float(grid[-1]))
             for k, i in enumerate(block):
                 write_trajectory_csv(grid, states[:, k],
                                      out / f"trajectory_{i:03d}.csv")
-                if pts[0].ndim == 2:
-                    write_pgm(Field(finals[k], shape=pts[0].shape),
-                              out / f"sample_{i:03d}.pgm")
                 samples.write(f"{i}," + ",".join(map(repr, finals[k].tolist()))
                               + "\n")
     print(f"wrote {n} samples over a {grid.size - 1}-step grid")
@@ -202,7 +188,7 @@ def cmd_sample(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    rows = cfg.get("points")
+    rows = cfg["points"]
     if rows:
         pts = [Field(np.asarray(r, dtype=np.float64)) for r in rows]
         x0 = pts[0]
@@ -216,8 +202,7 @@ def cmd_simulate(args) -> int:
         conditioning = None
         if basis.mode == "sample-dependent":
             conditioning = (x0, _transform(task, task.degraded))
-    n_paths = _config_count(cfg, "simulate.n_paths", 1)
-    n_steps = _config_count(cfg, "simulate.n_steps", 1)
+    n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
     paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3),
                            conditioning)
     mom = p.conditional_moments(x0, p.schedule.T, conditioning)
@@ -254,15 +239,9 @@ def cmd_verify(args) -> int:
 
 def cmd_demo_case3(args) -> int:
     cfg = _load(args)
-    sampler = centered_poisson_sampler(
-        _config_float(cfg, "case3.poisson_lambda", maximum=POISSON_LAM_MAX))
-    grid = cfg["case3"]["eta_grid"]
-    if not isinstance(grid, list):
-        raise ConfigError(f"case3.eta_grid = {grid!r} must be a list")
-    etas = [_config_float(cfg, f"case3.eta_grid.{i}") for i in range(len(grid))]
-    table = case3_discrete_demo(sampler, etas,
-                                _config_count(cfg, "case3.n_draws",
-                                              minimum=CASE3_MIN_DRAWS),
+    case3 = cfg["case3"]
+    sampler = centered_poisson_sampler(case3["poisson_lambda"])
+    table = case3_discrete_demo(sampler, case3["eta_grid"], case3["n_draws"],
                                 Rng(cfg["seed"], 5))
     out = _out_dir(args)
     lines = ["eta,tv_distance"]
@@ -333,7 +312,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures map to exit 1

@@ -1,11 +1,17 @@
-"""Run configuration: one JSON file, deep-merged over defaults.
+"""Run configuration: one JSON file over defaults, checked against one table.
 
-Every command reads the sections it needs from a single config dict.  Every
-key, in a file or an override, must name a key of ``DEFAULTS``: an unknown
-one (a typo such as ``training.stpes``) is refused with the nearest known
-key, since it would otherwise be ignored and the run would quietly use the
-default.  ``--set a.b.c=value`` overrides follow JSON value syntax with a
-bare-string fallback, so ``--set training.steps=200`` and
+``SCHEMA`` has one row per dotted key, ``(default, kind, least, most)``, and
+``DEFAULTS`` is built from it, so no key exists without a rule.  A kind is
+int, float, bool or str, a tuple of allowed names, or ``[kind]`` for a list
+(a list of lists needs rows of one length, at least 1); least and most bound
+each number, and a None default also allows null.  The training rows hold
+the cast only: their ranges live in ``TrainConfig``.  ``value`` checks one
+key and ``check`` every key; a refusal names the key (and a list index).
+
+An unknown key, in a file or an override (a typo such as
+``training.stpes``), is refused with the nearest known key, since it would
+otherwise be ignored.  ``--set a.b.c=value`` overrides follow JSON value
+syntax with a bare-string fallback, so ``--set training.steps=200`` and
 ``--set task.kind=streaks`` both do the obvious thing.
 
 Per-task defaults: the mediator eta and the training objective follow the
@@ -27,79 +33,93 @@ from .fields import Rng
 from .process import DiffusionProcess
 from .samplers import GRID_SCHEMES
 from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
-from .tasks import gen_residual_task, gen_smooth_field_task, task_residual_basis
+from .tasks import (CASE3_MIN_DRAWS, POISSON_LAM_MAX, gen_residual_task,
+                    gen_smooth_field_task, task_residual_basis)
 
 
 class ConfigError(ValueError):
     """Bad config file, bad override, or a value the builders cannot use."""
 
 
-DEFAULTS = {
-    "seed": 0,
-    "schedule": {"kind": "vp-continuous", "beta_min": 1.0e-4,
-                 "beta_max": 0.02, "T": 100.0},
-    "process": {"eta": None},
-    "basis": {"kind": None, "n1": 3, "n2": 5},
-    "task": {"kind": "smooth-field", "size": 16},
-    "points": None,
-    "network": {"hidden": [64, 64]},
-    "training": {"steps": 2000, "batch": 4, "lr": 1.0e-3, "optimizer": "adam",
-                 "beta1": 0.9, "beta2": 0.999, "eps": 1.0e-8,
-                 "objective": None, "time_dist": "continuous", "seed": 1,
-                 "lr_decay": 1.0, "lr_decay_every": 0, "ema_decay": 0.0},
-    "sampling": {"steps": 5, "scheme": "uniform", "n_samples": 4,
-                 "final_denoise": False},
-    "simulate": {"n_paths": 1000, "n_steps": 256},
-    "restore": {"denoiser": "train", "checkpoint": None},
-    "case3": {"eta_grid": [0.0, 1.0, 10.0, 100.0, 1.0e9],
-              "n_draws": 100000, "poisson_lambda": 4.0},
-}
-
+_SCHEDULES = {"vp-continuous": make_vp_schedule,
+              "vp-ddpm": make_ddpm_schedule}
 _TASK_ETA = {"smooth-field": 0.0, "streaks": 10.0, "shadow-box": 10.0}
 _TASK_OBJECTIVE = {"smooth-field": "noise-pred",
                    "streaks": "weighted-noise-pred",
                    "shadow-box": "x0-pred"}
+_POSITIVE = math.ulp(0.0)  # as a least: every float above zero
+
+SCHEMA = {
+    "seed": (0, int, 0, 2 ** 64 - 1),  # half of the Philox key
+    "schedule.kind": ("vp-continuous", tuple(_SCHEDULES), None, None),
+    "schedule.beta_min": (1.0e-4, float, _POSITIVE, None),
+    "schedule.beta_max": (0.02, float, _POSITIVE, None),
+    "schedule.T": (100.0, float, _POSITIVE, None),
+    "process.eta": (None, float, 0, None),
+    "basis.kind": (None, ("legendre-trig", "pixel"), None, None),
+    "basis.n1": (3, int, 0, None),
+    "basis.n2": (5, int, 2, None),
+    "task.kind": ("smooth-field", tuple(_TASK_ETA), None, None),
+    "task.size": (16, int, 1, None),
+    "points": (None, [[float]], None, None),
+    "network.hidden": ([64, 64], [int], 1, None),
+    "training.steps": (2000, int, None, None),
+    "training.batch": (4, int, None, None),
+    "training.lr": (1.0e-3, float, None, None),
+    "training.optimizer": ("adam", str, None, None),
+    "training.beta1": (0.9, float, None, None),
+    "training.beta2": (0.999, float, None, None),
+    "training.eps": (1.0e-8, float, None, None),
+    "training.objective": (None, str, None, None),
+    "training.time_dist": ("continuous", str, None, None),
+    "training.seed": (1, int, None, None),
+    "training.lr_decay": (1.0, float, None, None),
+    "training.lr_decay_every": (0, int, None, None),
+    "training.ema_decay": (0.0, float, None, None),
+    "sampling.steps": (5, int, 0, None),
+    "sampling.scheme": ("uniform", GRID_SCHEMES, None, None),
+    "sampling.n_samples": (4, int, 0, None),
+    "sampling.final_denoise": (False, bool, None, None),
+    "simulate.n_paths": (1000, int, 1, None),
+    "simulate.n_steps": (256, int, 1, None),
+    "restore.denoiser": ("train", ("train", "checkpoint", "oracle-clean",
+                                   "analytic"), None, None),
+    "restore.checkpoint": (None, str, None, None),
+    "case3.eta_grid": ([0.0, 1.0, 10.0, 100.0, 1.0e9], [float], 0, None),
+    "case3.n_draws": (100000, int, CASE3_MIN_DRAWS, None),
+    "case3.poisson_lambda": (4.0, float, 0, POISSON_LAM_MAX),
+}
 
 
-def _deep_merge(base: dict, update: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in update.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
+def _nest(flat: dict) -> dict:
+    """The nested dict of a {dotted key: value} one."""
+    out = {}
+    for path, val in flat.items():
+        head, _, key = path.rpartition(".")
+        (out.setdefault(head, {}) if head else out)[key] = val
     return out
 
 
-def _dotted_keys(node: dict, prefix: str = "") -> list:
-    """Every dotted key path of a nested dict, sections included."""
-    out = []
-    for key, val in node.items():
-        out.append(prefix + key)
-        if isinstance(val, dict):
-            out += _dotted_keys(val, prefix + key + ".")
-    return out
+DEFAULTS = _nest({path: row[0] for path, row in SCHEMA.items()})
 
 
-_KNOWN_KEYS = _dotted_keys(DEFAULTS)
-
-
-def _check_keys(user: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None:
-    """ConfigError naming the first key of user that DEFAULTS does not have."""
+def _merge(cfg: dict, user: dict, prefix: str = "") -> None:
+    """Set each leaf of user into cfg, refusing a key that has no row."""
     for key, val in user.items():
         path = prefix + str(key)
-        if key not in defaults:
-            near = difflib.get_close_matches(path, _KNOWN_KEYS, n=1)
+        if isinstance(DEFAULTS.get(path), dict):  # a section
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {path!r} must be an object, "
+                                  f"got {val!r}")
+            _merge(cfg.setdefault(key, {}), val, path + ".")
+        elif path in SCHEMA:
+            if isinstance(val, dict):  # a plain value has no keys below it
+                _merge({}, val, path + ".")
+            cfg[key] = val
+        else:
+            near = difflib.get_close_matches(path, [*SCHEMA, *DEFAULTS], n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {path!r}{hint}")
-        known = defaults[key]
-        if isinstance(val, dict):
-            # a plain value has no keys below it
-            _check_keys(val, known if isinstance(known, dict) else {},
-                        path + ".")
-        elif isinstance(known, dict):
-            raise ConfigError(f"config key {path!r} must be an object, "
-                              f"got {val!r}")
 
 
 def load_config(path) -> dict:
@@ -114,8 +134,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
-    _check_keys(user)
-    return _deep_merge(DEFAULTS, user)
+    cfg = copy.deepcopy(DEFAULTS)
+    _merge(cfg, user)
+    return cfg
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
@@ -125,147 +146,126 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         if not sep or not key:
             raise ConfigError(f"--set expects dotted.key=value, got {item!r}")
         try:
-            value = json.loads(raw)
+            nested = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        parts = key.split(".")
-        nested = value
-        for part in reversed(parts):
+            nested = raw
+        for part in reversed(key.split(".")):
             nested = {part: nested}
-        _check_keys(nested)
-        node = cfg
-        for part in parts[:-1]:
-            nxt = node.setdefault(part, {})
-            if not isinstance(nxt, dict):
-                raise ConfigError(f"--set path {key!r} crosses the scalar {part!r}")
-            node = nxt
-        node[parts[-1]] = value
+        _merge(cfg, nested)
     return cfg
 
 
-def _count(value) -> int:
-    """int(value) for an integral number; int() alone would truncate 2.9."""
-    n = int(value)
-    if n != value:
-        raise ValueError("expected an integer")
-    return n
-
-
-def _finite(value) -> float:
-    """float(value) for a finite number; float() alone would pass NaN."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError("expected a finite number")
-    return x
-
-
-def _lookup(cfg: dict, path: str):
-    """The value at a dotted path; a numeric part indexes a list."""
-    node = cfg
-    for key in path.split("."):
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    return node
-
-
-def _config_count(cfg: dict, path: str, minimum: int = 0) -> int:
-    """The count at a dotted config path; a bad value is a ConfigError
-    that names the path."""
-    node = _lookup(cfg, path)
-    try:
-        n = _count(node)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
-    if n < minimum:
-        raise ConfigError(f"{path} = {n} must be at least {minimum}")
-    return n
-
-
-def _config_float(cfg: dict, path: str, positive: bool = False,
-                  maximum: float = math.inf) -> float:
-    """The finite number >= 0 (> 0 if positive) and <= maximum at a dotted
-    config path; a bad value is a ConfigError that names the path."""
-    node = _lookup(cfg, path)
-    try:
-        x = _finite(node)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} = {node!r}: {exc}") from exc
-    if x < 0 or (positive and x == 0):
-        need = "positive" if positive else "non-negative"
+def _cast(x, kind, least, most, path: str):
+    """x as a value of kind within [least, most]; else a ConfigError."""
+    if isinstance(kind, list):
+        if not isinstance(x, list):
+            raise ConfigError(f"{path} = {x!r} must be a list")
+        if (kind[0] is float and least is None and most is None
+                and set(map(type, x)) <= {float}
+                and all(map(math.isfinite, x))):
+            return x  # a row of finite floats, as points has, is cast already
+        try:
+            out = [_cast(v, kind[0], least, most, path) for v in x]
+        except ConfigError:
+            for i, v in enumerate(x):  # again, to name the entry
+                _cast(v, kind[0], least, most, f"{path}.{i}")
+        rows = {len(row) for row in out} if isinstance(kind[0], list) else {1}
+        if len(rows) > 1 or 0 in rows:
+            raise ConfigError(f"{path} rows must share one length >= 1")
+        return out
+    if isinstance(kind, tuple):
+        ok, need = x in kind, "one of " + ", ".join(kind)
+    elif kind in (bool, str):
+        ok, need = isinstance(x, kind), ("true or false" if kind is bool
+                                         else "a string")
+    else:  # JSON true is no number, and an int key takes 3.0 but not 2.9
+        need = "an integer" if kind is int else "a finite number"
+        ok = type(x) is int or type(x) is float and (
+            x.is_integer() if kind is int else math.isfinite(x))
+    if not ok:
         raise ConfigError(f"{path} = {x!r} must be {need}")
-    if x > maximum:
-        raise ConfigError(f"{path} = {x!r} must be at most {maximum!r}")
-    return x
+    if kind not in (int, float):
+        return x
+    try:
+        y = kind(x)
+    except OverflowError:  # an int too large for a float
+        raise ConfigError(f"{path} = {x!r} must be {need}") from None
+    if least is not None and y < least:
+        need = "positive" if least == _POSITIVE else f"at least {least!r}"
+        raise ConfigError(f"{path} = {x!r} must be {need}")
+    if most is not None and y > most:
+        raise ConfigError(f"{path} = {x!r} must be at most {most!r}")
+    return y
 
 
-def _config_bool(cfg: dict, path: str) -> bool:
-    """The true/false value at a dotted config path; anything else (a
-    string such as "no", a number) is a ConfigError that names the path."""
-    node = _lookup(cfg, path)
-    if not isinstance(node, bool):
-        raise ConfigError(f"{path} = {node!r} must be true or false")
-    return node
+def value(cfg: dict, path: str):
+    """One table key of cfg, cast to its kind and checked against its row."""
+    default, kind, least, most = SCHEMA[path]
+    head, _, key = path.rpartition(".")  # keys are one or two levels deep
+    node = (cfg[head] if head else cfg)[key]
+    if node is None and default is None:
+        return None
+    return _cast(node, kind, least, most, path)
 
 
-_SCHEDULES = {"vp-continuous": make_vp_schedule,
-              "vp-ddpm": make_ddpm_schedule}
+def check(cfg: dict) -> dict:
+    """cfg with every table key cast and checked in place, so the commands
+    read plain values; the first bad value is a ConfigError naming its key."""
+    for path in SCHEMA:
+        head, _, key = path.rpartition(".")
+        (cfg[head] if head else cfg)[key] = value(cfg, path)
+    T = cfg["schedule"]["T"]
+    if (cfg["training"]["time_dist"] == "discrete"
+            and not 1 <= round(T) <= 2 ** 63 - 1):
+        raise ConfigError(f"training.time_dist = 'discrete' needs 1 <= "
+                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
+    return cfg
 
 
 def build_schedule(cfg: dict) -> Schedule:
-    kind = cfg["schedule"].get("kind", "vp-continuous")
-    if kind not in _SCHEDULES:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    beta_min = _config_float(cfg, "schedule.beta_min", positive=True)
-    beta_max = _config_float(cfg, "schedule.beta_max", positive=True)
+    beta_min = value(cfg, "schedule.beta_min")
+    beta_max = value(cfg, "schedule.beta_max")
     if beta_max < beta_min:
         raise ConfigError(f"schedule.beta_max = {beta_max!r} must be at least "
                           f"schedule.beta_min = {beta_min!r}")
-    T = _config_float(cfg, "schedule.T", positive=True)
-    return _SCHEDULES[kind](beta_min, beta_max, T)
+    return _SCHEDULES[value(cfg, "schedule.kind")](
+        beta_min, beta_max, value(cfg, "schedule.T"))
 
 
 def build_fixed_basis(cfg: dict, shape, default_kind="legendre-trig") -> BasisSet:
-    kind = cfg["basis"].get("kind") or default_kind
-    if kind == "legendre-trig":
-        return legendre_trig_basis(_config_count(cfg, "basis.n1"),
-                                   _config_count(cfg, "basis.n2", 2), shape)
+    kind = value(cfg, "basis.kind") or default_kind
     if kind == "pixel":
         return pixel_basis(shape)
-    raise ConfigError(f"unknown basis kind {kind!r}")
+    if len(shape) != 2:
+        raise ConfigError(f"basis.kind = 'legendre-trig' needs 2-D fields; "
+                          f"the points are {len(shape)}-D")
+    return legendre_trig_basis(value(cfg, "basis.n1"), value(cfg, "basis.n2"),
+                               shape)
 
 
 def build_task(cfg: dict):
     """(task, basis) from the task section; deterministic in cfg['seed']."""
-    kind = cfg["task"].get("kind")
-    size = _config_count(cfg, "task.size", 1)
-    rng = Rng(int(cfg["seed"]), 0)
+    kind = value(cfg, "task.kind")
+    size = value(cfg, "task.size")
+    rng = Rng(value(cfg, "seed"), 0)
     if kind == "smooth-field":
         basis = build_fixed_basis(cfg, (size, size))
         return gen_smooth_field_task((size, size), basis, rng), basis
-    if kind in ("streaks", "shadow-box"):
-        task = gen_residual_task((size, size), kind, rng)
-        return task, task_residual_basis(task)
-    raise ConfigError(f"unknown task kind {kind!r}")
+    task = gen_residual_task((size, size), kind, rng)
+    return task, task_residual_basis(task)
 
 
 def resolved_eta(cfg: dict) -> float:
-    if cfg["process"].get("eta") is None:
-        return float(_TASK_ETA.get(cfg["task"].get("kind"), 0.0))
-    return _config_float(cfg, "process.eta")
-
-
-def resolved_scheme(cfg: dict) -> str:
-    """sampling.scheme, checked before any work is done."""
-    scheme = cfg["sampling"]["scheme"]
-    if scheme not in GRID_SCHEMES:
-        raise ConfigError(f"sampling.scheme = {scheme!r} must be one of "
-                          f"{', '.join(GRID_SCHEMES)}")
-    return scheme
+    eta = value(cfg, "process.eta")
+    if eta is None:
+        return _TASK_ETA[value(cfg, "task.kind")]
+    return eta
 
 
 def resolved_objective(cfg: dict) -> str:
-    obj = cfg["training"].get("objective")
+    obj = value(cfg, "training.objective")
     if obj is None:
-        obj = _TASK_OBJECTIVE.get(cfg["task"].get("kind"), "noise-pred")
+        obj = _TASK_OBJECTIVE[value(cfg, "task.kind")]
     return obj
 
 

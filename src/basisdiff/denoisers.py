@@ -16,6 +16,7 @@ The network is plain numpy with explicit backpropagation; no autodiff.
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -201,30 +202,69 @@ class PreconditionedDenoiser(Denoiser):
         return self.assemble(x, f_out, coef)
 
 
-def save_network(net: TinyNetwork, path) -> None:
-    """Architecture header (widths) + flat parameters in field format."""
-    head = struct.pack("<Q", len(net.widths))
-    head += struct.pack(f"<{len(net.widths)}Q", *net.widths)
+class CheckpointMismatch(ValueError):
+    """A well-formed checkpoint whose header disagrees with the run."""
+
+
+_MAGIC = b"BDNET"
+_VERSION = 2
+_FIXED = len(_MAGIC) + 12  # magic, u32 version, u64 header length
+_DIGEST = 32  # SHA-256
+
+
+def save_network(net: TinyNetwork, path, header: dict = None) -> None:
+    """Checkpoint format 2: magic, version, header length, the sorted-JSON
+    header (the widths and the caller's fields), the flat parameters in
+    field format, then the SHA-256 of every byte before it."""
+    import hashlib  # loaded by the runs that read or write a checkpoint
+    head = json.dumps({**(header or {}), "widths": net.widths},
+                      sort_keys=True).encode()
+    body = (_MAGIC + struct.pack("<IQ", _VERSION, len(head)) + head
+            + field_to_bytes(Field(net.params)))
     with open(path, "wb") as fh:
-        fh.write(head + field_to_bytes(Field(net.params)))
+        fh.write(body + hashlib.sha256(body).digest())
 
 
-def load_network(path) -> TinyNetwork:
-    """Inverse of save_network; a malformed file raises ValueError."""
+def load_network(path, expect: dict = None) -> TinyNetwork:
+    """Inverse of save_network.  A malformed file, or one of an older
+    format, raises ValueError; a well-formed one whose header differs from
+    expect at some key raises CheckpointMismatch naming the first such key."""
+    import hashlib
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < 8:
-        raise ValueError(f"checkpoint of {len(buf)} bytes has no width count")
-    (n,) = struct.unpack_from("<Q", buf, 0)
-    if len(buf) < 8 + 8 * n:
-        raise ValueError(f"checkpoint header declares {n} widths but the "
-                         f"file has only {len(buf)} bytes")
-    widths = struct.unpack_from(f"<{n}Q", buf, 8)
-    params = field_from_bytes(buf[8 + 8 * n:])
+    if not buf.startswith(_MAGIC):
+        raise ValueError(f"{path} is not a format-{_VERSION} checkpoint; an "
+                         f"older one holds no run header: re-train it with "
+                         f"`basisdiff train`")
+    if (len(buf) < _FIXED + _DIGEST
+            or hashlib.sha256(buf[:-_DIGEST]).digest() != buf[-_DIGEST:]):
+        raise ValueError(f"checkpoint {path} is cut short or damaged "
+                         f"(its SHA-256 does not match)")
+    version, n_head = struct.unpack_from("<IQ", buf, len(_MAGIC))
+    if version != _VERSION:
+        raise ValueError(f"checkpoint format {version} is not {_VERSION}")
+    if n_head > len(buf) - _FIXED - _DIGEST:
+        raise ValueError(f"checkpoint header of {n_head} bytes overruns the "
+                         f"file")
+    try:
+        header = json.loads(buf[_FIXED:_FIXED + n_head])
+    except RecursionError:
+        raise ValueError("checkpoint header nests too deeply") from None
+    widths = header.get("widths") if isinstance(header, dict) else None
+    if not (isinstance(widths, list) and len(widths) >= 2
+            and all(type(w) is int and w >= 1 for w in widths)):
+        raise ValueError(f"checkpoint header has no valid widths: {widths!r}")
+    params = field_from_bytes(buf[_FIXED + n_head:-_DIGEST])
     # checked before TinyNetwork allocates anything from the header widths
     n_params = sum(o * i + o for i, o in zip(widths[:-1], widths[1:]))
     if params.size != n_params:
         raise ValueError("parameter payload does not match the architecture")
+    for key in sorted(expect or {}):
+        if header.get(key) != expect[key]:
+            raise CheckpointMismatch(
+                f"checkpoint {path} was trained with {key} = "
+                f"{header.get(key)!r}, but this run has {expect[key]!r}; "
+                f"restore it under its own config or re-train")
     net = TinyNetwork(widths, Rng(0))
     net.params[:] = params.flat()
     return net

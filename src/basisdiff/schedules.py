@@ -4,8 +4,7 @@ A schedule is the pair (s(t), sigma(t)) on a horizon [0, T] together with
 analytic derivatives.  The variance-preserving family uses a linear beta ramp
 ``beta(t) = beta_min + (beta_max - beta_min) * t / T`` and the exact integral
 ``abar(t) = exp(-int_0^t beta)``, so derivatives never come from finite
-differences.  A discrete abar table with the same ramp is kept for the
-step-indexed equivalence tests.
+differences.
 """
 
 from __future__ import annotations
@@ -34,18 +33,13 @@ class Schedule:
     sigma ~ sqrt(t) near zero).
     """
 
-    def __init__(self, T, parts, kind="custom", alpha_bar=None,
-                 alpha_bar_table=None):
+    def __init__(self, T, parts, kind="custom", alpha_bar=None):
         if T <= 0:
             raise ValueError("horizon T must be positive")
         self.T = float(T)
         self.kind = kind
         self._parts = parts
         self._alpha_bar = alpha_bar
-        if alpha_bar_table is not None:
-            alpha_bar_table = np.asarray(alpha_bar_table, dtype=np.float64)
-            alpha_bar_table.setflags(write=False)
-        self.alpha_bar_table = alpha_bar_table
 
     def _check(self, t):
         """t as a float in [0, T], or as a float64 array with every entry there."""
@@ -114,7 +108,7 @@ class SdeCoefficients:
 
 
 def _vp_parts(beta_min: float, beta_max: float, T: float):
-    """(beta, B, abar, discrete abar table) for the linear beta ramp.
+    """(beta, B, abar) for the linear beta ramp.
 
     B(t) = int_0^t beta is the one integral both VP families build on, and
     abar = exp(-B).
@@ -134,18 +128,13 @@ def _vp_parts(beta_min: float, beta_max: float, T: float):
     def alpha_bar(t, xp=math):
         return xp.exp(-b_int(t))
 
-    t_int = int(round(T))
-    table = None
-    if t_int >= 1:
-        betas = np.linspace(beta_min, beta_max, t_int)
-        table = np.cumprod(1.0 - betas)
-    return beta, b_int, alpha_bar, table
+    return beta, b_int, alpha_bar
 
 
 def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
                      T: float = 100.0) -> Schedule:
     """Variance-preserving schedule: s = 1, sigma = sqrt(1 - abar(t))."""
-    beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
+    beta, b_int, alpha_bar = _vp_parts(beta_min, beta_max, T)
 
     def parts(t, xp=math):
         b = b_int(t)
@@ -158,8 +147,7 @@ def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
             sig_p = math.inf
         return 1.0, 0.0, sig, sig_p, dsigma2
 
-    return Schedule(T, parts, kind="vp-continuous", alpha_bar=alpha_bar,
-                    alpha_bar_table=table)
+    return Schedule(T, parts, kind="vp-continuous", alpha_bar=alpha_bar)
 
 
 def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
@@ -168,7 +156,7 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
 
     Satisfies s^2 * (1 + sigma^2) = 1 at every t (variance preservation).
     """
-    beta, b_int, alpha_bar, table = _vp_parts(beta_min, beta_max, T)
+    beta, b_int, alpha_bar = _vp_parts(beta_min, beta_max, T)
 
     def parts(t, xp=math):
         b = b_int(t)
@@ -183,8 +171,7 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
             sig_p = math.inf
         return s, -0.5 * beta_t * s, sig, sig_p, dsigma2
 
-    return Schedule(T, parts, kind="vp-ddpm", alpha_bar=alpha_bar,
-                    alpha_bar_table=table)
+    return Schedule(T, parts, kind="vp-ddpm", alpha_bar=alpha_bar)
 
 
 def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,

@@ -54,6 +54,8 @@ class TrainConfig:
             value = getattr(self, key)
             if not value >= 0:
                 raise ValueError(f"{key} must be non-negative, got {value}")
+        if self.seed >= 2 ** 64:  # half of the Philox key
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
         # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
         # an EMA decay of 1 would never move off the initial weights
         for key in ("beta1", "beta2", "ema_decay"):

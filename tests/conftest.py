@@ -1,6 +1,15 @@
-"""Shared test plumbing: the acceptance-criteria summary printed after a run."""
+"""Shared test plumbing: the acceptance-criteria summary printed after a run,
+and a hypothesis strategy for JSON-like values."""
+
+from hypothesis import strategies as st
 
 _CRITERIA_LINES = {}
+
+# null, bools, ints, floats (NaN and inf included), strings, lists and objects
+json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=8)
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

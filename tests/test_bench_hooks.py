@@ -12,11 +12,13 @@ import numpy as np
 
 from basisdiff import bases, samplers, schedules
 from basisdiff.bases import CovarianceOp, pixel_basis
+from basisdiff.config import apply_overrides, check, load_config
 from basisdiff.denoisers import ConstantDenoiser
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CONFIGS = PERFBENCH.parent / "configs"
 
 
 def _harness():
@@ -89,3 +91,22 @@ def test_tracer_reads_the_raw_score_and_sde_call_layouts():
     assert solve.calls == 1 and solve.counters["columns"] == 3
     assert solve.counters["flops_computed"] == 2 * 2 * 2 * 3
     assert tracer.stats["schedules.sde_coefficients"].calls == 4
+
+
+def test_benchmark_inputs_pass_the_config_check():
+    # a new config rule must never turn a benchmark run into exit 2
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import SampleMixture, TrainRestore
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for seed in (1, 2, 90210):
+        check(apply_overrides(load_config(CONFIGS / "smooth_field.json"),
+                              TrainRestore.inputs(seed)))
+        gen = SampleMixture.inputs(seed)
+        cfg = load_config(CONFIGS / "toy_sample.json")
+        cfg.update(seed=gen["seed"], points=gen["points"])
+        cfg["sampling"].update(gen["sampling"])
+        check(cfg)
+    for path in sorted(CONFIGS.glob("*.json")):
+        check(load_config(path))

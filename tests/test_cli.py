@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from basisdiff.cli import main
 from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
                               resolved_eta)
 from basisdiff.denoisers import DiracMixtureDenoiser, load_network
-from basisdiff.fields import Field, Rng
+from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.samplers import make_time_grid, sample_euler
 
@@ -404,3 +405,73 @@ def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):
                  "--set", "case3.n_draws=2000.5", "--out", str(tmp_path)])
     assert code == 2
     assert "case3.n_draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,overrides,keys", [
+    # JSON true is no number
+    ("sample", "toy_sample.json", ["sampling.steps=true"], ["sampling.steps"]),
+    ("sample", "toy_sample.json", ["process.eta=true"], ["process.eta"]),
+    ("sample", "toy_sample.json", ["seed=true"], ["seed"]),
+    ("train", "smooth_field.json", ["training.batch=true"], ["training.batch"]),
+    ("simulate", "toy_sample.json", ["simulate.n_paths=true"],
+     ["simulate.n_paths"]),
+    ("demo-case3", "case3.json", ["case3.eta_grid=[true]"],
+     ["case3.eta_grid.0"]),
+    # a number is no file name
+    ("restore", "smooth_field.json",
+     ["restore.denoiser=checkpoint", "restore.checkpoint=5"],
+     ["restore.checkpoint"]),
+    # points must be a rectangular list of finite numbers
+    ("sample", "toy_sample.json", ['points=[[1,"a"]]'], ["points.0.1"]),
+    ("sample", "toy_sample.json", ["points=[[1,2],[3]]"], ["points"]),
+    ("sample", "toy_sample.json", ["points=[[1,NaN]]"], ["points.0.1"]),
+    ("sample", "toy_sample.json", ["points=5"], ["points"]),
+    ("sample", "toy_sample.json", ["points=[[]]"], ["points"]),
+    ("simulate", "toy_sample.json", ["points=[[]]"], ["points"]),
+    ("sample", "toy_sample.json", ["schedule.kind=[1]"], ["schedule.kind"]),
+    ("train", "smooth_field.json", ["network.hidden=[0]"],
+     ["network.hidden.0"]),
+    # a seed is half of a 128-bit Philox key
+    ("train", "smooth_field.json", ["training.seed=1e30"], ["training.seed"]),
+    ("sample", "toy_sample.json", ["seed=1e30"], ["seed"]),
+    # cross-key refusals name both keys
+    ("train", "smooth_field.json",
+     ["training.time_dist=discrete", "schedule.T=0.4"],
+     ["training.time_dist", "schedule.T"]),
+    ("train", "smooth_field.json",
+     ["training.time_dist=discrete", "schedule.T=1e19"],
+     ["training.time_dist", "schedule.T"]),
+    ("sample", "toy_sample.json", ["basis.kind=legendre-trig"],
+     ["basis.kind", "points"])])
+def test_bad_values_exit_2_naming_their_key(tmp_path, capsys, command, config,
+                                            overrides, keys):
+    args = [command, "--config", str(CONFIGS / config), *SMALL_TRAIN]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+    assert not any(tmp_path.iterdir())
+
+
+def test_checkpoint_restore_refuses_another_run(tmp_path, capsys):
+    # trained under noise-pred; smooth_field.json restores under x0-pred
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--set", "training.objective=noise-pred",
+                 "--out", str(train_out)]) == 0
+    restore = ["restore", "--config", str(CONFIGS / "smooth_field.json"),
+               *SMALL_TRAIN, "--set", "restore.denoiser=checkpoint",
+               "--out", str(tmp_path / "restore")]
+    capsys.readouterr()
+    code = main(restore + ["--checkpoint", str(train_out / "checkpoint.bin")])
+    assert code == 2
+    assert "training.objective" in capsys.readouterr().err
+    # a file written before format 2 holds no header: re-train it
+    net = load_network(train_out / "checkpoint.bin")
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(struct.pack("<Q", 3) + struct.pack("<3Q", *net.widths)
+                   + field_to_bytes(Field(net.params)))
+    assert main(restore + ["--checkpoint", str(v1)]) == 1
+    assert "re-train" in capsys.readouterr().err
+    assert not (tmp_path / "restore").exists()

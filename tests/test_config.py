@@ -1,14 +1,18 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import json_like
 
-from basisdiff.config import (ConfigError, DEFAULTS, apply_overrides,
+from basisdiff.config import (DEFAULTS, SCHEMA, ConfigError, apply_overrides,
                               build_fixed_basis, build_process,
-                              build_schedule, build_task,
-                              load_config, resolved_eta, resolved_objective)
+                              build_schedule, build_task, check, load_config,
+                              resolved_eta, resolved_objective, value)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -151,3 +155,30 @@ def test_objective_resolution():
     assert resolved_objective(cfg) == "x0-pred"
     cfg["task"]["kind"] = "smooth-field"
     assert resolved_objective(cfg) == "noise-pred"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(SCHEMA)), json_like)
+def test_any_value_of_any_key_passes_or_names_the_key(key, val):
+    cfg = load_config(CONFIGS / "smooth_field.json")
+    try:
+        check(apply_overrides(cfg, [f"{key}={json.dumps(val)}"]))
+    except ConfigError as exc:
+        assert key in str(exc)
+
+
+def test_check_casts_in_place():
+    cfg = apply_overrides(load_config(CONFIGS / "toy_sample.json"),
+                          ["sampling.steps=3.0", "points=[[1, 2.5]]"])
+    assert check(cfg) is cfg
+    steps, points = cfg["sampling"]["steps"], cfg["points"]
+    assert steps == 3 and type(steps) is int
+    assert points == [[1.0, 2.5]] and type(points[0][0]) is float
+    assert cfg["process"]["eta"] == 0.0
+    assert cfg["training"]["objective"] is None
+
+
+def test_defaults_come_from_the_table():
+    assert check(copy.deepcopy(DEFAULTS)) == DEFAULTS
+    for path, row in SCHEMA.items():
+        assert value(DEFAULTS, path) == row[0]

@@ -1,17 +1,20 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import json_like
 
 from basisdiff import bases, process
 from basisdiff.bases import (BasisSet, SingularCovarianceError, pixel_basis,
                              residual_basis)
-from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                                 PreconditionedDenoiser, TinyNetwork,
-                                 load_network, save_network)
-from basisdiff.fields import Field, Rng
+from basisdiff.denoisers import (CheckpointMismatch, ConstantDenoiser,
+                                 DiracMixtureDenoiser, PreconditionedDenoiser,
+                                 TinyNetwork, load_network, save_network)
+from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import make_vp_schedule
 
@@ -390,28 +393,74 @@ def _checkpoint(tmp_path, blob):
     return path
 
 
+def _frame(head: bytes, payload: bytes, version=2, n_head=None) -> bytes:
+    """A format-2 checkpoint around head and payload, with a valid digest."""
+    body = (b"BDNET" + struct.pack("<IQ", version, len(head) if n_head is None
+                                   else n_head) + head + payload)
+    return body + hashlib.sha256(body).digest()
+
+
 def test_load_rejects_malformed_headers(tmp_path):
     net = TinyNetwork([4, 7, 3], Rng(22))
     save_network(net, tmp_path / "good.bin")
     good = (tmp_path / "good.bin").read_bytes()
-    bad = [b"\x01",                                  # no width count
-           struct.pack("<Q", 2 ** 64 - 1) + good[8:],  # absurd width count
-           good[:8 + 8 * 2],                          # header cut short
-           struct.pack("<Q", 2) + struct.pack("<2Q", 2 ** 40, 2 ** 40)
-           + good[8 + 8 * 3:]]                        # huge widths
+    payload = field_to_bytes(Field(net.params))
+    head = json.dumps({"widths": [4, 7, 3]}).encode()
+    bad = [b"\x01",                                   # no magic
+           good[:-1] + bytes([good[-1] ^ 1]),          # digest does not match
+           good[:40],                                  # cut short
+           _frame(head, payload, version=3),           # unknown version
+           _frame(head, payload, n_head=2 ** 63),      # header overruns
+           _frame(b"{not json", payload),
+           _frame(b"[" * 100_000, payload),            # nests too deeply
+           _frame(b"[4, 7, 3]", payload),              # header not an object
+           _frame(b'{"widths": [4, true, 3]}', payload),
+           _frame(b'{"widths": [4]}', payload),
+           _frame(json.dumps({"widths": [2 ** 40] * 3}).encode(), payload)]
     for blob in bad:
         with pytest.raises(ValueError):
             load_network(_checkpoint(tmp_path, blob))
 
 
+def test_v1_checkpoint_is_refused_with_a_retrain_message(tmp_path):
+    net = TinyNetwork([4, 7, 3], Rng(23))
+    v1 = (struct.pack("<Q", 3) + struct.pack("<3Q", 4, 7, 3)
+          + field_to_bytes(Field(net.params)))
+    with pytest.raises(ValueError, match="re-train"):
+        load_network(_checkpoint(tmp_path, v1))
+
+
+def test_checkpoint_header_round_trips_and_names_a_mismatch(tmp_path):
+    net = TinyNetwork([4, 7, 3], Rng(24))
+    header = {"training.objective": "noise-pred", "schedule.T": 100.0}
+    path = tmp_path / "net.bin"
+    save_network(net, path, header)
+    blob = path.read_bytes()
+    assert blob.startswith(b"BDNET")
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+    back = load_network(path, expect={**header, "widths": [4, 7, 3]})
+    assert np.array_equal(back.params, net.params)
+    with pytest.raises(CheckpointMismatch, match="training.objective"):
+        load_network(path, expect={**header, "training.objective": "x0-pred"})
+    with pytest.raises(CheckpointMismatch, match="process.eta"):
+        load_network(path, expect={"process.eta": 0.0})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.binary(max_size=96),
-    # a plausible header in front of arbitrary bytes
-    st.builds(lambda n, widths, rest: struct.pack("<Q", n)
-              + struct.pack(f"<{len(widths)}Q", *widths) + rest,
-              st.integers(0, 4), st.lists(st.integers(0, 8), max_size=4),
-              st.binary(max_size=96))))
+    # a format-2 frame with a valid digest around an arbitrary header
+    st.builds(lambda head, payload: _frame(head, payload),
+              st.binary(max_size=64), st.binary(max_size=96)),
+    # ... around a JSON header with arbitrary widths
+    st.builds(lambda widths, extra, payload: _frame(json.dumps(
+        {"widths": widths, "extra": extra}).encode(), payload),
+        json_like, json_like, st.binary(max_size=96)),
+    # ... or around a plausible architecture and a field payload
+    st.builds(lambda widths, values: _frame(json.dumps(
+        {"widths": widths}).encode(), field_to_bytes(Field(values))),
+        st.lists(st.integers(-1, 4), max_size=4),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))))
 def test_load_network_fuzz(tmp_path_factory, blob):
     path = _checkpoint(tmp_path_factory.mktemp("fuzz"), blob)
     try:

@@ -15,7 +15,6 @@ SIGMA_T = 0.7962131405572158
 SIGMA_50 = 0.4734070666568290
 S_DDPM_T = 0.6050162268931432
 SIGMA_DDPM_T = 1.3160194804127814
-ABAR_DISCRETE_T = 0.3635632480554919
 
 
 def test_vp_endpoints_and_closed_forms():
@@ -77,16 +76,6 @@ def test_sigma_strictly_increasing(t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
     if hi - lo > 1e-9:
         assert sched.sigma(lo) < sched.sigma(hi)
-
-
-def test_discrete_table_matches_product_form():
-    table = make_vp_schedule().alpha_bar_table
-    assert table.shape == (100,)
-    assert table[0] == pytest.approx(0.9999, rel=1e-15)
-    assert table[-1] == pytest.approx(ABAR_DISCRETE_T, rel=1e-13)
-    assert np.all(np.diff(table) < 0)
-    betas = np.linspace(1e-4, 0.02, 100)
-    assert np.allclose(table, np.cumprod(1.0 - betas), rtol=1e-15)
 
 
 def test_ddpm_schedule_closed_forms():
