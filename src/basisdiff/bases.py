@@ -4,12 +4,9 @@ A basis set is an ordered list [h_1 .. h_M] of fields over one data shape.
 Fixed-mode sets (Legendre + rotated trigonometric family, pixel indicators)
 are constants of the model; sample-dependent sets produce their elements from
 a conditioning pair (clean, degraded), e.g. the single-element residual
-basis h_1 = degraded - clean.  The induced covariance Sigma = H H^T is only
-materialized at toy dimensions; the operator form H(H^T v) covers the rest.
-
-scipy is not imported with this module: ``scipy.linalg`` loads at the first
-covariance factorization, so a run that never factors Sigma (training, a
-network restore) never pays its import.
+basis h_1 = degraded - clean.  The induced covariance Sigma = H^T H of the
+(M, d) element rows H is never formed: products go through H^T (H v), and
+solves through one thin SVD of H.
 """
 
 from __future__ import annotations
@@ -21,14 +18,13 @@ from numpy.polynomial import legendre as npleg
 
 from .fields import Field
 
-# Largest dimension at which dense Sigma (d x d) may be materialized.
-DENSE_COV_LIMIT = 4096
-# Condition-number ceiling beyond which Sigma counts as numerically singular.
+# Condition-number ceiling: directions of Sigma beyond it count as singular.
 COND_LIMIT = 1e12
 
 
 def __getattr__(name):
-    # `bases.sla` is kept for the benchmark tracer and the tests that patch it
+    # benchmark tracer only, retired by ROADMAP direction 1, which counts
+    # CovarianceOp._factor instead
     if name == "sla":
         from scipy import linalg
         return linalg
@@ -171,84 +167,62 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
 class CovarianceOp:
     """Sigma = sum_m h_m h_m^T for one resolved element matrix.
 
-    apply_flat() works at any size in O(M d).  The dense matrix, the condition
-    estimate and the whitener W = L^{-1} (Sigma = L L^T) exist only up to
-    DENSE_COV_LIMIT; W is made once per operator and is then its only
-    d x d array, so every whitening or solve is a matrix product.
+    apply_flat() works at any size in O(M d).  Whitening and solves use one
+    thin SVD of the (M, d) rows, H = U S V^T, made once per operator
+    (_factor); Sigma = V S^2 V^T itself is never formed.
     """
 
     def __init__(self, basis: BasisSet, conditioning=None):
         self.basis = basis
         self._rows = basis.elements(conditioning)
         self._d = self._rows.shape[1]
-        self._dense = None
-        self._cond = None
-        self._white = None
+        self._factors = None
 
     def apply_flat(self, v: np.ndarray) -> np.ndarray:
         # H^T (H v) for a (d,) vector or (d, k) columns: one (M,) contraction
         # then one (d,) accumulation per column
         return self._rows.T @ (self._rows @ v)
 
-    def dense(self) -> np.ndarray:
-        if self._d > DENSE_COV_LIMIT:
-            raise ValueError(
-                f"dense covariance capped at d <= {DENSE_COV_LIMIT}; d = {self._d}")
-        if self._dense is None:
-            m = self._rows.T @ self._rows
-            m.setflags(write=False)
-            self._dense = m
-        return self._dense
+    def _factor(self):
+        """Make and cache (S_r^2, W) once per operator, W = S_r^{-1} V_r^T.
 
-    def condition(self) -> float:
-        if self._cond is None:
-            self._cond = float(np.linalg.cond(self.dense()))
-        return self._cond
-
-    def _whitener(self) -> np.ndarray:
-        """Cached lower-triangular W = L^{-1} for Sigma = L L^T.
-
-        One Cholesky factorization, then LAPACK trtri inverts the factor in
-        place, so no second d x d array is made; the strict upper triangle
-        (left over from the factorization) is zeroed.  Dense Sigma is
-        dropped once W exists.  Raises SingularCovarianceError when
-        rank < d or the condition estimate exceeds COND_LIMIT; no
-        pseudo-inverse fallback.  scipy.linalg is imported here, at the first
-        factorization; cho_factor and dtrtri are read from the module at
-        call time, so a patched attribute is seen.
+        r counts the singular values above s_max COND_LIMIT^{-1/2}, so Sigma
+        on the kept range has a condition number under COND_LIMIT, and the
+        (r, d) whitener gives W Sigma W^T = I_r.  Non-finite rows or a failed
+        SVD raise SingularCovarianceError.
         """
-        if self._white is None:
-            from scipy import linalg as sla
-
-            if self._rows.shape[0] < self._d:
-                raise SingularCovarianceError(
-                    f"rank <= {self._rows.shape[0]} < d = {self._d}")
-            cond = self.condition()
-            if not math.isfinite(cond) or cond > COND_LIMIT:
-                raise SingularCovarianceError(f"condition estimate {cond:.3e}")
-            try:
-                factor, _ = sla.cho_factor(self.dense(), lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularCovarianceError(str(exc)) from exc
-            white, info = sla.lapack.dtrtri(factor, lower=1, overwrite_c=1)
-            if info != 0:
-                raise SingularCovarianceError(
-                    f"triangular inverse failed (info = {info})")
-            for j in range(1, self._d):
-                white[:j, j] = 0.0
-            self._white = white
-            self._dense = None
-        return self._white
+        if not np.all(np.isfinite(self._rows)):
+            raise SingularCovarianceError("basis elements are not finite")
+        try:
+            _, sv, vt = np.linalg.svd(self._rows, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError(str(exc)) from exc
+        r = int(np.count_nonzero(sv > sv[0] * COND_LIMIT ** -0.5))
+        # Fortran order makes W^T C-contiguous: at n = 8 states v @ W^T then
+        # takes half the time it takes on a C-order W (d = 256)
+        white = np.divide(vt[:r], sv[:r, None], order="F")
+        self._factors = (sv[:r] ** 2, white)
+        return self._factors
 
     def solve_flat(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs = W^T (W rhs) for a (d,) vector or (d, k) columns."""
-        white = self._whitener()
+        """Sigma^{-1} rhs = W^T (W rhs) for a (d,) vector or (d, k) columns;
+        SingularCovarianceError when r < d, where the score is undefined."""
+        white = (self._factors or self._factor())[1]
+        if white.shape[0] < self._d:
+            raise SingularCovarianceError(
+                f"rank {white.shape[0]} < d = {self._d}")
         return white.T @ (white @ rhs)
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        """W v = L^{-1} v for Sigma = L L^T: one (d,) vector or each row of (n, d).
+        """W v for one (d,) vector, or each row of (n, d) as (n, r) rows.
 
-        Whitened vectors turn Sigma^{-1} quadratic forms into squared norms,
-        r^T Sigma^{-1} r = |W r|^2.
+        Whitened vectors turn Sigma^{-1} quadratic forms on the range of
+        Sigma into squared norms, r^T Sigma^+ r = |W r|^2.
         """
-        return v @ self._whitener().T
+        return v @ (self._factors or self._factor())[1].T
+
+    def out_of_range(self, v: np.ndarray) -> np.ndarray:
+        """(I - V_r V_r^T) v per row, the part of v outside Sigma's range;
+        V_r V_r^T = W^T S_r^2 W."""
+        sv2, white = self._factors or self._factor()
+        return v - ((v @ white.T) * sv2) @ white

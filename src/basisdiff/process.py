@@ -19,9 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, CovarianceOp
+from .bases import COND_LIMIT, BasisSet, CovarianceOp
 from .fields import Field, Rng
 from .schedules import EndpointError, Schedule, sde_coefficients
+
+# Out-of-range squared distances closer than this share of (|x| + s max|y_i|)^2
+# are equal (dirac_weights): the share below which the rank cutoff of
+# CovarianceOp._factor drops a direction, ~1e5 times the projection round-off.
+OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,9 @@ class DiffusionProcess:
                 (s * sig / (self.eta + 1.0)) ** 2)
 
     def _whitened(self, ds: DiracDataset):
-        """(Y, L^{-1} Y, L^{-1} sum_m h_m) for a dataset, made on first use.
+        """(Y, W Y, W sum_m h_m, Y out of range or None at full rank) for a
+        dataset, made on first use; Y stacks the points as rows.
 
-        Y stacks the points as rows and Sigma = L L^T for the fixed basis.
         The cache holds arrays only, never the process, so a process and its
         factor are freed as soon as the last caller drops them.
         """
@@ -108,8 +113,10 @@ class DiffusionProcess:
             op = self._cov_op()
             pts = ds.stacked()
             bsum = self.basis.elements(None).sum(axis=0)
+            white_pts = op.whiten(pts)
+            perp = op.out_of_range(pts) if white_pts.shape[1] < self._d else None
             sets = self._whitened_sets[ds] = (
-                pts, op.whiten(pts), op.whiten(bsum))
+                pts, white_pts, op.whiten(bsum), perp)
         return sets
 
     def sample_noise(self, rng: Rng, conditioning=None) -> Field:
@@ -211,20 +218,27 @@ class DiffusionProcess:
 
         Returns (n, Y) weights for (n, d) states (a (d,) state is one row),
         each row summing to one, and the (Y, d) points.  w_i is proportional
-        to N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With Sigma = L L^T the
-        exponent is |z - s L^{-1} y_i - c L^{-1} sum_m h_m|^2 / cov_scale for
-        z = L^{-1} x, so with the dataset whitened once (_whitened) a call
-        makes one product of the states with the operator's whitener.  The
-        residual is formed before squaring: expanding the square as
-        |z|^2 - 2 z.y + |y|^2 cancels catastrophically at small sigma.  Log
-        densities with max subtraction keep exp from underflowing.
+        to N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With the whitener W
+        of Sigma the exponent is |z - s W y_i - c W sum_m h_m|^2 / cov_scale
+        for z = W x, so with the dataset whitened once (_whitened) a call
+        makes one product of the states with W.  The residual is formed
+        before squaring: expanding the square as |z|^2 - 2 z.y + |y|^2
+        cancels catastrophically at small sigma.  Log densities with max
+        subtraction keep exp from underflowing.
+
+        At rank r < d the weights are the delta -> 0 limit for Sigma + delta I:
+        a component whose out-of-range distance |(I - V_r V_r^T)(x - s y_i)|^2
+        (the shift is in range) exceeds the least by more than round-off
+        (OUT_OF_RANGE_RTOL) gets weight 0; the rest are weighed as above.
+        This is exact for a one-point dataset.
         """
         s, _, shift_gain, cov_scale = self._kernel_scales(t)
         if cov_scale == 0.0:
             raise EndpointError("mixture weights undefined at sigma = 0")
-        pts, white_pts, white_shift = self._whitened(ds)
-        resid = (self._cov_op().whiten(np.atleast_2d(states))[:, None, :]
-                 - s * white_pts)
+        pts, white_pts, white_shift, perp_pts = self._whitened(ds)
+        op = self._cov_op()
+        states = np.atleast_2d(states)
+        resid = op.whiten(states)[:, None, :] - s * white_pts
         resid -= shift_gain * white_shift
         np.square(resid, out=resid)
         # in place from here: n can be 1e5 states, where every (n, Y)
@@ -232,6 +246,14 @@ class DiffusionProcess:
         w = resid.sum(axis=-1)
         w /= cov_scale
         w *= -0.5
+        if perp_pts is not None:
+            far = op.out_of_range(states)[:, None, :] - s * perp_pts
+            np.square(far, out=far)
+            dist = far.sum(axis=-1)
+            dist -= dist.min(axis=1, keepdims=True)
+            scale = (np.linalg.norm(states, axis=1)
+                     + s * np.linalg.norm(pts, axis=1).max()) ** 2
+            w[dist > OUT_OF_RANGE_RTOL * scale[:, None]] = -np.inf
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)

@@ -81,7 +81,8 @@ def test_pixel_basis_identity_covariance():
     b = pixel_basis((2, 2))
     assert b.M == 4
     op = CovarianceOp(b)
-    assert np.array_equal(op.dense(), np.eye(4))
+    rows = b.elements()
+    assert np.array_equal(rows.T @ rows, np.eye(4))
     v = np.array([1.0, -2.0, 0.5, 3.0])
     assert np.array_equal(op.apply_flat(v), v)
     assert pixel_basis((1, 1)).M == 1
@@ -98,9 +99,9 @@ def test_residual_basis_tracks_conditioning():
     assert np.array_equal(b.elements(pair), [[1.0, 2.0]])
     assert np.array_equal(b.elements(pair).sum(axis=0), [1.0, 2.0])
     op = CovarianceOp(b, pair)
-    assert np.array_equal(op.dense(), [[1.0, 2.0], [2.0, 4.0]])
+    assert np.array_equal(op.apply_flat(np.eye(2)), [[1.0, 2.0], [2.0, 4.0]])
     # same-image pair: residual direction collapses to zero
-    z = CovarianceOp(b, (clean, clean)).dense()
+    z = CovarianceOp(b, (clean, clean)).apply_flat(np.eye(2))
     assert np.all(z == 0.0)
 
 
@@ -146,8 +147,7 @@ def test_operator_matches_dense_product():
     rows = rng.standard_normal((5, 3)) + 0.3
     b = BasisSet((3,), elements=rows)
     op = CovarianceOp(b)
-    dense = op.dense()
-    assert np.allclose(dense, rows.T @ rows, rtol=1e-14)
+    dense = rows.T @ rows
     for _ in range(10):
         v = rng.standard_normal(3)
         assert np.allclose(op.apply_flat(v), dense @ v, rtol=1e-12, atol=1e-14)
@@ -162,16 +162,18 @@ def test_solve_inverts_apply():
     assert np.allclose(back, v, rtol=1e-9, atol=1e-12)
 
 
-def test_whiten_is_the_inverse_cholesky_factor():
+def test_whitener_inverts_sigma():
     rng = Rng(5)
     rows = rng.standard_normal((5, 3)) + 0.3
     op = CovarianceOp(BasisSet((3,), elements=rows))
     sigma = rows.T @ rows
-    lower = np.linalg.cholesky(sigma)
+    # W Sigma W^T = I, with W read off the whitened unit vectors
+    w_mat = op.whiten(np.eye(3)).T
+    np.testing.assert_allclose(w_mat @ sigma @ w_mat.T, np.eye(3),
+                               rtol=1e-12, atol=1e-14)
     vs = rng.standard_normal((6, 3))
     white = op.whiten(vs)
     assert white.shape == (6, 3)
-    np.testing.assert_allclose(lower @ white.T, vs.T, rtol=1e-12, atol=1e-14)
     assert op.whiten(vs[:1]).shape == (1, 3)
     for v, w in zip(vs, white):
         assert op.whiten(v).shape == (3,)
@@ -198,33 +200,39 @@ def test_whitened_forms_and_solve_match_dense_oracle():
     # (d, k) right-hand sides solve column by column
     np.testing.assert_allclose(op.solve_flat(rs.T), np.linalg.solve(sigma, rs.T),
                                rtol=1e-12)
-    # dense Sigma is dropped once the whitener exists, and re-formed on demand
-    assert op._dense is None
-    np.testing.assert_array_equal(op.dense(), sigma)
 
 
 def test_whitener_is_made_once_per_operator(monkeypatch):
     calls = []
-    dtrtri = bases.sla.lapack.dtrtri
+    factor = CovarianceOp._factor
 
-    def counting(*args, **kwargs):
+    def counting(op):
         calls.append(1)
-        return dtrtri(*args, **kwargs)
+        return factor(op)
 
-    monkeypatch.setattr(bases.sla.lapack, "dtrtri", counting)
+    monkeypatch.setattr(CovarianceOp, "_factor", counting)
     op, _, rng = _skewed_op()
     for _ in range(50):
         v = rng.standard_normal(4)
         op.whiten(v)
         op.solve_flat(v)
+        op.out_of_range(v)
     assert len(calls) == 1
 
 
-def test_failed_triangular_inverse_is_singular(monkeypatch):
-    monkeypatch.setattr(bases.sla.lapack, "dtrtri",
-                        lambda c, lower, overwrite_c: (c, 2))
+def test_failed_svd_or_nonfinite_rows_are_singular(monkeypatch):
+    nan_rows = BasisSet((2,), size=1,
+                        provider=lambda c, d: np.array([[np.nan, 1.0]]))
+    pair = (Field([0.0, 0.0]), Field([1.0, 1.0]))
+    with pytest.raises(SingularCovarianceError, match="finite"):
+        CovarianceOp(nan_rows, pair).whiten(np.ones(2))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(bases.np.linalg, "svd", failing)
     op, _, _ = _skewed_op()
-    with pytest.raises(SingularCovarianceError):
+    with pytest.raises(SingularCovarianceError, match="converge"):
         op.whiten(np.ones(4))
 
 
@@ -240,8 +248,11 @@ def test_solve_rejects_rank_deficiency():
     op = CovarianceOp(BasisSet((2,), elements=[[1.0, 2.0]]))
     with pytest.raises(SingularCovarianceError):
         op.solve_flat(np.array([1.0, 0.0]))
-    with pytest.raises(SingularCovarianceError):
-        op.whiten(np.array([1.0, 0.0]))
+    # whitening keeps the rank-1 range: W = h^T / |h|^2, and the rest of a
+    # vector is its out-of-range part
+    v = np.array([1.0, 0.0])
+    np.testing.assert_allclose(np.abs(op.whiten(v)), [0.2], rtol=1e-14)
+    np.testing.assert_allclose(op.out_of_range(v), [0.8, -0.4], rtol=1e-14)
 
 
 def test_solve_rejects_ill_conditioning():
@@ -251,15 +262,19 @@ def test_solve_rejects_ill_conditioning():
         op.solve_flat(np.array([1.0, 0.0]))
 
 
-def test_dense_capped_at_large_dimension():
-    d = 65 * 65  # 4225 > cap
+def test_thin_factor_works_at_large_dimension():
+    d = 65 * 65
     b = BasisSet((65, 65), elements=np.ones((1, d)))
     op = CovarianceOp(b)
-    with pytest.raises(ValueError):
-        op.dense()
-    # the operator form still works at this size
     out = op.apply_flat(np.ones(d))
     assert out.shape == (d,) and out[0] == d
+    # one (1, d) factor: W = h^T / d, so W 1 = 1 and 1 lies in the range
+    white = op.whiten(np.ones((2, d)))
+    assert white.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(white), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(op.out_of_range(np.ones(d)), 0.0, atol=1e-12)
+    with pytest.raises(SingularCovarianceError):
+        op.solve_flat(np.ones(d))
 
 
 def test_shape_mismatch_errors():

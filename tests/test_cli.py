@@ -328,13 +328,13 @@ def test_simulate_rejects_bad_counts(tmp_path, capsys, override, key):
 
 def test_sample_factors_sigma_once(tmp_path, monkeypatch):
     calls = []
-    cho_factor = bases.sla.cho_factor
+    factor = bases.CovarianceOp._factor
 
-    def counting(*args, **kwargs):
+    def counting(op):
         calls.append(1)
-        return cho_factor(*args, **kwargs)
+        return factor(op)
 
-    monkeypatch.setattr(bases.sla, "cho_factor", counting)
+    monkeypatch.setattr(bases.CovarianceOp, "_factor", counting)
     code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
                  "--set", "sampling.n_samples=3",
                  "--set", "sampling.steps=20", "--out", str(tmp_path)])

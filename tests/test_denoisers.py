@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import json_like
 
 from basisdiff import bases, process
-from basisdiff.bases import (BasisSet, SingularCovarianceError, pixel_basis,
-                             residual_basis)
+from basisdiff.bases import BasisSet, pixel_basis, residual_basis
 from basisdiff.denoisers import (CheckpointMismatch, ConstantDenoiser,
                                  DiracMixtureDenoiser, PreconditionedDenoiser,
                                  TinyNetwork, load_network, save_network)
@@ -339,14 +338,54 @@ def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
     assert p._whitened(ds) is p._whitened(ds)  # whitened once per dataset
 
 
-def test_rank_deficient_basis_fails_at_first_use():
-    # M = 2 < d = 3: Sigma is singular and the mixture weights have no
-    # whitening; the denoiser builds, its first call refuses
-    p = DiffusionProcess(make_vp_schedule(),
-                         BasisSet((3,), elements=SKEW_ROWS[:2]), 0.0)
-    den = DiracMixtureDenoiser(DiracDataset([Field([0.0, 1.0, 2.0])]), p)
-    with pytest.raises(SingularCovarianceError):
-        den.denoise(np.ones((2, 3)), 10.0)
+def test_rank_deficient_weights_match_dense_limit():
+    # M = 2 < d = 3: Sigma is singular, and the weights are the delta -> 0
+    # limit of those for Sigma + delta I, here solved densely
+    rows = SKEW_ROWS[:2]
+    p = DiffusionProcess(make_vp_schedule(), BasisSet((3,), elements=rows), 2.0)
+    t = 50.0
+    s, sig = p.schedule.s(t), p.schedule.sigma(t)
+    width = sig / (p.eta + 1.0)
+    shift = (p.eta * s * sig / (p.eta + 1.0)) * rows.sum(axis=0)
+    normal = np.cross(rows[0], rows[1])
+    normal /= np.linalg.norm(normal)
+
+    def oracle(pts, states, delta):
+        sigma = rows.T @ rows + delta * np.eye(3)
+        out = []
+        for x in states:
+            r = x - s * pts - shift
+            quad = np.einsum("ij,ij->i", r, np.linalg.solve(sigma, r.T).T)
+            logw = -0.5 * quad / (s * width) ** 2
+            w = np.exp(logw - logw.max())
+            out.append(w / w.sum())
+        return np.array(out)
+
+    def check(pts, states):
+        ds = DiracDataset([Field(y) for y in pts])
+        got, _ = p.dirac_weights(ds, t, states)
+        errs = [np.abs(oracle(pts, states, delta) - got).max()
+                for delta in (1e-2, 1e-4, 1e-6)]
+        assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-6
+        return got, DiracMixtureDenoiser(ds, p).denoise(states, t)
+
+    rng = Rng(31)
+    base = rng.standard_normal(3)
+    # the points differ out of range: the state is nearer the second point in
+    # range but nearer the first out of range, and the first takes it all
+    pts = np.array([base, base + 0.3 * normal + width * rows[0]])
+    states = s * (base + 0.1 * normal + width * rows[0]) + shift
+    got, _ = check(pts, np.array([states, states + 0.01 * s * rows[1]]))
+    np.testing.assert_array_equal(got, [[1.0, 0.0], [1.0, 0.0]])
+    # the points differ only in range: the in-range residuals weigh them
+    pts = np.array([base, base + width * (0.5 * rows[0] - 0.3 * rows[1])])
+    states = s * pts[[0, 1, 0]] + shift \
+        + 0.5 * s * width * rng.standard_normal((3, 3))
+    got, _ = check(pts, states)
+    assert np.all(got > 0.3)  # regime check: far from one-hot
+    # one point: weight 1, so the posterior mean is the point itself
+    got, mean = check(pts[:1], states)
+    np.testing.assert_array_equal(mean, pts[[0, 0, 0]])
 
 
 def test_analytic_validation():

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +148,43 @@ def test_field_bytes_rejects_truncation():
         field_from_bytes(buf[:-4])
     with pytest.raises(ValueError):
         field_from_bytes(b"\x01")
+
+
+def _parse_or_value_error(buf: bytes) -> None:
+    """A buffer parses to a field that writes back the same bytes, or it
+    raises ValueError; nothing else may escape."""
+    try:
+        f = field_from_bytes(buf)
+    except ValueError:
+        return
+    assert field_to_bytes(f) == buf
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.binary(max_size=200))
+def test_field_from_random_bytes(buf):
+    _parse_or_value_error(buf)
+
+
+_EXTENT = st.one_of(st.integers(0, 3), st.sampled_from([2 ** 32, 2 ** 63]),
+                    st.integers(0, 2 ** 64 - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_EXTENT, max_size=70),
+       st.one_of(st.none(), st.integers(0, 2 ** 64 - 1)),
+       st.one_of(st.none(), st.integers(0, 96)),
+       st.binary(min_size=8, max_size=8))
+def test_field_from_bytes_with_hostile_headers(shape, ndim, n_values, value):
+    # extents that are huge, zero or more than numpy's 64 axes, a declared
+    # rank that may disagree with them, and a payload of the declared size
+    # (n_values None) or of any other length
+    if n_values is None:
+        count = math.prod(shape)
+        n_values = count if count <= 96 else 1
+    buf = (struct.pack("<Q", len(shape) if ndim is None else ndim)
+           + struct.pack(f"<{len(shape)}Q", *shape) + value * n_values)
+    _parse_or_value_error(buf)
 
 
 def test_field_file_round_trip(tmp_path):

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import basisdiff.tasks as tasks_mod
+from basisdiff import bases
 from basisdiff.bases import legendre_trig_basis, pixel_basis
-from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.config import build_process, build_task, load_config
+from basisdiff.denoisers import (ConstantDenoiser, PreconditionedDenoiser,
+                                 TinyNetwork)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import make_vp_schedule
@@ -205,3 +210,39 @@ def test_discrete_demo_distance_falls_with_eta():
         case3_discrete_demo(centered_poisson_sampler(), [0.0], 100, Rng(12))
     with pytest.raises(ValueError):
         case3_discrete_demo(centered_poisson_sampler(), [-1.0], 2000, Rng(12))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["smooth_field", "shadow_box", "streaks"])
+@pytest.mark.parametrize("kind", ["oracle-clean", "network"])
+def test_restoration_touches_no_basis(name, kind, monkeypatch):
+    # the paper's claim that richer noise patterns cost nothing at
+    # restoration time, as a count: the reverse walk builds no covariance
+    # operator and reads no basis element
+    cfg = load_config(CONFIGS / f"{name}.json")
+    task, basis = build_task(cfg)
+    p = build_process(cfg, basis)
+    d = task.clean.size
+    if kind == "oracle-clean":
+        den = ConstantDenoiser(_transform(task, task.clean))
+    else:
+        net = TinyNetwork([d + 1] + cfg["network"]["hidden"] + [d], Rng(0))
+        den = PreconditionedDenoiser(net, p, "predict-x0")
+    calls = []
+
+    def counted(cls, attr):
+        fn = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(bases.CovarianceOp, "__init__")
+    counted(bases.BasisSet, "elements")
+    result = run_restoration(task, p, den, cfg["sampling"]["steps"],
+                             scheme=cfg["sampling"]["scheme"])
+    assert result.steps > 0 and np.isfinite(result.psnr_out)
+    assert calls == []
