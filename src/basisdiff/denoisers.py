@@ -39,11 +39,15 @@ class ConstantDenoiser(Denoiser):
 
     def __init__(self, y: Field):
         self.y = y
+        self._out = None  # read-only broadcast of y, kept while x's shape holds
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        if np.shape(x)[-1] != self.y.size:
-            raise ValueError(f"state width {np.shape(x)[-1]} != {self.y.size}")
-        return np.broadcast_to(self.y.flat(), np.shape(x))
+        out = self._out
+        if out is None or out.shape != np.shape(x):
+            if np.shape(x)[-1] != self.y.size:
+                raise ValueError(f"state width {np.shape(x)[-1]} != {self.y.size}")
+            out = self._out = np.broadcast_to(self.y.flat(), np.shape(x))
+        return out
 
 
 class DiracMixtureDenoiser(Denoiser):

@@ -13,7 +13,6 @@ their raw (score) and simplified (denoiser) assemblies.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -167,23 +166,43 @@ class DiffusionProcess:
                      conditioning=None) -> np.ndarray:
         """(n_paths, d) Euler-Maruyama endpoints over a uniform grid on (T/1000, T].
 
-        Each path starts from an exact forward_sample at the grid start,
-        which sidesteps the coefficient endpoint at t = 0.
+        Each path starts from an exact forward sample at the grid start t_0,
+        which sidesteps the coefficient endpoint at t = 0.  Step i is
+        x <- a_i x + phi_i dt_i + k_i xi_i H with a_i = 1 + f_i dt_i, kick
+        k_i = g_i sqrt(dt_i), (M,) standard normal weights xi_i and the
+        (M, d) element rows H.  It is affine in x with coefficients free of
+        the state, so with tail products P_i = a_i ... a_{n-1} (P_n = 1)
+        the endpoint is
+
+            x_n = P_0 s x0 + sum_i P_{i+1} phi_i dt_i
+                  + (P_0 s sigma (eta + eps)/(eta + 1) + sum_i P_{i+1} k_i xi_i) H
+
+        where eps are the start's noise weights.  All coefficients come from
+        one array sde_coefficients call; the walk only sums the weighted
+        (n_paths, M) normals and mixes them with H once at the end.  It
+        draws the same normals in the same order as a step-by-step walk:
+        eps, then one (n_paths, M) draw per step.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
+        if n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
         sched = self.schedule
         rows = self.basis.elements(conditioning)
-        bsum = rows.sum(axis=0)
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
-        x = self._forward_batch(x0, times[0], n_paths, rng, conditioning)
-        for i in range(n_steps):
-            t, dt = times[i], times[i + 1] - times[i]
-            c = sde_coefficients(sched, self.eta, bsum, t)
-            xi = rng.standard_normal((n_paths, rows.shape[0]))
-            x = x + (c.f * x + c.phi) * dt \
-                + (c.g * math.sqrt(dt)) * (xi @ rows)
-        return x
+        dt = np.diff(times)
+        c = sde_coefficients(sched, self.eta, rows.sum(axis=0), times[:-1])
+        tail = np.append(np.cumprod((1.0 + c.f * dt)[::-1])[::-1], 1.0)
+        kick = tail[1:] * c.g * np.sqrt(dt)
+        s, _, sig, _ = sched.evaluate(times[0])
+        acc = self.eta + rng.standard_normal((n_paths, rows.shape[0]))
+        acc *= tail[0] * s * sig / (self.eta + 1.0)
+        for k in kick.tolist():
+            xi = rng.standard_normal(acc.shape)
+            xi *= k
+            acc += xi
+        drift = (tail[0] * s) * x0.flat() + (tail[1:] * dt) @ c.phi
+        return drift + acc @ rows
 
     # -- scores and probability-flow ODE --------------------------------------
 
@@ -237,15 +256,18 @@ class DiffusionProcess:
             raise EndpointError("mixture weights undefined at sigma = 0")
         pts, white_pts, white_shift, perp_pts = self._whitened(ds)
         op = self._cov_op()
-        states = np.atleast_2d(states)
-        resid = op.whiten(states)[:, None, :] - s * white_pts
-        resid -= shift_gain * white_shift
+        if states.ndim == 1:
+            states = states[None, :]
+        # the (Y, r) component centres s W y_i + c W sum_m h_m, made first
+        # so the (n, Y, r) residual is one subtraction
+        centre = s * white_pts + shift_gain * white_shift
+        resid = op.whiten(states)[:, None, :] - centre
         np.square(resid, out=resid)
         # in place from here: n can be 1e5 states, where every (n, Y)
-        # temporary adds to the peak memory
-        w = resid.sum(axis=-1)
-        w /= cov_scale
-        w *= -0.5
+        # temporary adds to the peak memory; dividing by -2 cov_scale
+        # rounds as dividing by cov_scale and halving does
+        w = np.add.reduce(resid, axis=-1)
+        w /= -2.0 * cov_scale
         if perp_pts is not None:
             far = op.out_of_range(states)[:, None, :] - s * perp_pts
             np.square(far, out=far)
@@ -254,9 +276,9 @@ class DiffusionProcess:
             scale = (np.linalg.norm(states, axis=1)
                      + s * np.linalg.norm(pts, axis=1).max()) ** 2
             w[dist > OUT_OF_RANGE_RTOL * scale[:, None]] = -np.inf
-        w -= w.max(axis=1, keepdims=True)
+        w -= np.maximum.reduce(w, axis=1, keepdims=True)
         np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
         return w, pts
 
     def marginal_score_dirac(self, ds: DiracDataset, t: float,

@@ -99,11 +99,12 @@ class Schedule:
 class SdeCoefficients:
     """Drift gain f (1/time), diffusion gain g (per sqrt-time), drift offset phi.
 
-    phi is a flat (d,) array.
+    At one time f and g are floats and phi is a flat (d,) array; at n times
+    f and g are (n,) arrays and phi is (n, d), one row per time.
     """
 
-    f: float
-    g: float
+    f: float | np.ndarray
+    g: float | np.ndarray
     phi: np.ndarray
 
 
@@ -175,20 +176,21 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
 
 
 def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
-                     t: float) -> SdeCoefficients:
-    """Forward-SDE coefficients at time t.
+                     t) -> SdeCoefficients:
+    """Forward-SDE coefficients at time t, a float or an (n,) array of times.
 
     f = s'/s, g = (s/(eta+1)) * sqrt(d sigma^2/dt), and the drift offset
     phi = (eta * s * sigma' / (eta+1)) * sum_m h_m for the flat (d,) sum
-    basis_sum = sum_m h_m.
+    basis_sum = sum_m h_m.  A float t gives floats f, g and a (d,) phi; an
+    (n,) array gives (n,) arrays f, g and an (n, d) phi, each entry within
+    a few ulp of the float path's.
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    if t <= 0:
+    if np.any(np.less_equal(t, 0.0)):
         raise EndpointError("SDE coefficients are undefined at t <= 0 "
                             "(sigma' diverges at the left endpoint)")
     s, s_p, _, sig_p = sched.evaluate(t)
-    f = s_p / s
-    g = (s / (eta + 1.0)) * math.sqrt(sched.dsigma2_dt(t))
-    phi = (eta * s * sig_p / (eta + 1.0)) * basis_sum
-    return SdeCoefficients(f=f, g=g, phi=phi)
+    g = (s / (eta + 1.0)) * np.sqrt(sched.dsigma2_dt(t))
+    phi = np.multiply.outer(eta * s * sig_p / (eta + 1.0), basis_sum)
+    return SdeCoefficients(f=s_p / s, g=g, phi=phi)

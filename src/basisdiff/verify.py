@@ -290,22 +290,22 @@ def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
     Gaussian increments, so the chain moments follow closed recursions:
     mean <- (1 + f dt) mean + phi dt and C <- (1 + f dt)^2 C + g^2 dt Sigma.
     Their gap to the continuous-time kernel is the O(dt) bias the moment
-    check must allow for.
+    check must allow for.  The recursion walks step by step, so it shares
+    no arithmetic with the tail-product scan of DiffusionProcess.simulate_sde.
     """
     sched = p.schedule
     rows = p.basis.elements(None)
-    bsum = rows.sum(axis=0)
     sigma_mat = rows.T @ rows
     times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
+    dts = np.diff(times).tolist()
+    c = sde_coefficients(sched, p.eta, rows.sum(axis=0), times[:-1])
     mom0 = p.conditional_moments(x0, times[0])
     mean = mom0.mean.flat().copy()
     cov = mom0.cov_scale * sigma_mat
-    for i in range(n_steps):
-        t, dt = times[i], times[i + 1] - times[i]
-        c = sde_coefficients(sched, p.eta, bsum, t)
-        a = 1.0 + c.f * dt
-        mean = a * mean + c.phi * dt
-        cov = a * a * cov + (c.g * c.g * dt) * sigma_mat
+    for f, g, phi, dt in zip(c.f.tolist(), c.g.tolist(), c.phi, dts):
+        a = 1.0 + f * dt
+        mean = a * mean + phi * dt
+        cov = a * a * cov + (g * g * dt) * sigma_mat
     return mean, cov
 
 

@@ -73,7 +73,7 @@ def test_tracer_counts_stacked_walks_and_array_schedule_calls():
 
 def test_tracer_reads_the_raw_score_and_sde_call_layouts():
     # the solve wrap reads d from the rhs's first axis and counts its
-    # columns; the coefficient wrap counts one call per Euler-Maruyama step
+    # columns; the coefficient wrap counts one array call per SDE walk
     layers, Tracer = _harness()
     rows = np.array([[1.0, 0.2], [0.3, 1.1], [0.5, -0.4]])
     p = DiffusionProcess(schedules.make_vp_schedule(),
@@ -90,7 +90,7 @@ def test_tracer_reads_the_raw_score_and_sde_call_layouts():
     solve = tracer.stats["bases.CovarianceOp.solve_flat"]
     assert solve.calls == 1 and solve.counters["columns"] == 3
     assert solve.counters["flops_computed"] == 2 * 2 * 2 * 3
-    assert tracer.stats["schedules.sde_coefficients"].calls == 4
+    assert tracer.stats["schedules.sde_coefficients"].calls == 1
 
 
 def test_benchmark_inputs_pass_the_config_check():

@@ -45,6 +45,12 @@ def test_constant_denoiser():
     assert np.array_equal(out, [[1.0, 2.0]] * 3)
     with pytest.raises(ValueError):
         den.denoise(np.zeros((3, 1)), 5.0)
+    # the read-only view is reused while the state shape holds
+    assert den.denoise(np.ones((3, 2)), 1.0) is den.denoise(np.ones((3, 2)), 2.0)
+    assert not out.flags.writeable
+    assert den.denoise(np.zeros((2,)), 5.0).shape == (2,)
+    with pytest.raises(ValueError):
+        den.denoise(np.zeros((3, 1)), 5.0)
 
 
 def test_network_init_layout():
@@ -386,6 +392,44 @@ def test_rank_deficient_weights_match_dense_limit():
     # one point: weight 1, so the posterior mean is the point itself
     got, mean = check(pts[:1], states)
     np.testing.assert_array_equal(mean, pts[[0, 0, 0]])
+
+
+def _lse_weights(rows, pts, states, s, shift, cov_scale):
+    """Weights from a log-sum-exp over r^T Sigma^+ r / cov_scale."""
+    sigma_pinv = np.linalg.pinv(rows.T @ rows)
+    out = []
+    for x in np.atleast_2d(states):
+        r = x - s * pts - shift
+        logw = -0.5 * np.einsum("ij,jk,ik->i", r, sigma_pinv, r) / cov_scale
+        top = logw.max()
+        out.append(np.exp(logw - (top + np.log(np.exp(logw - top).sum()))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rows", [SKEW_ROWS, SKEW_ROWS[:2]],
+                         ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("t", [0.1, 60.0])  # the terminal knot T/1000, mid
+def test_weights_match_a_log_sum_exp_reference(rows, t):
+    p = DiffusionProcess(make_vp_schedule(), BasisSet((3,), elements=rows), 2.0)
+    s, sig = p.schedule.s(t), p.schedule.sigma(t)
+    width = sig / (p.eta + 1.0)
+    shift = (p.eta * s * sig / (p.eta + 1.0)) * rows.sum(axis=0)
+    rng = Rng(32)
+    base = rng.standard_normal(3)
+    # points and states apart in range only, so at rank 2 the out-of-range
+    # distances tie and the weights are the pseudo-inverse form's
+    pts = base + width * rng.standard_normal((4, len(rows))) @ rows
+    ds = DiracDataset([Field(y) for y in pts])
+    states = s * pts[[0, 1, 2, 3, 1]] + shift \
+        + 0.5 * s * width * rng.standard_normal((5, len(rows))) @ rows
+    expect = _lse_weights(rows, pts, states, s, shift, (s * width) ** 2)
+    assert np.all(np.sort(expect, axis=1)[:, -2] > 1e-3)  # far from one-hot
+    got, stacked = p.dirac_weights(ds, t, states)
+    np.testing.assert_array_equal(stacked, pts)
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
+    one, _ = p.dirac_weights(ds, t, states[3])
+    assert one.shape == (1, 4)
+    np.testing.assert_allclose(one[0], expect[3], rtol=1e-9, atol=0.0)
 
 
 def test_analytic_validation():

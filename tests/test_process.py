@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,12 @@ from basisdiff.bases import (BasisSet, SingularCovarianceError,
 from basisdiff.denoisers import ConstantDenoiser
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
-from basisdiff.schedules import EndpointError, make_vp_schedule
+from basisdiff.config import build_process, build_task, load_config
+from basisdiff.schedules import (EndpointError, make_ddpm_schedule,
+                                 make_vp_schedule, sde_coefficients)
+from basisdiff.tasks import _transform
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _toy_process(eta=0.0, seed=9, m=4, d=3):
@@ -121,6 +129,65 @@ def test_sde_terminal_tracks_deterministic_limit():
     assert np.allclose(out, mean.values, atol=1e-3)
     with pytest.raises(ValueError):
         p.simulate_sde(x0, 0, 3, Rng(4))
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_sde_refuses_fewer_than_one_path(n_paths):
+    p, _ = _toy_process()
+    with pytest.raises(ValueError, match="n_paths"):
+        p.simulate_sde(Field([0.1, 0.2, 0.3]), 4, n_paths, Rng(4))
+
+
+def _stepwise_sde(p, x0, n_steps, n_paths, rng, conditioning=None):
+    """Plain Euler-Maruyama: x <- x + (f x + phi) dt + g sqrt(dt) xi H, one
+    step at a time from a forward sample at T/1000, drawing as the library
+    walk does."""
+    sched = p.schedule
+    rows = p.basis.elements(conditioning)
+    times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
+    s, _, sig, _ = sched.evaluate(times[0])
+    eps = rng.standard_normal((n_paths, rows.shape[0]))
+    x = s * x0.flat() + (s * sig) * (((p.eta + eps) / (p.eta + 1.0)) @ rows)
+    for i in range(n_steps):
+        t, dt = times[i], times[i + 1] - times[i]
+        c = sde_coefficients(sched, p.eta, rows.sum(axis=0), t)
+        xi = rng.standard_normal((n_paths, rows.shape[0]))
+        x = x + (c.f * x + c.phi) * dt + (c.g * math.sqrt(dt)) * (xi @ rows)
+    return x
+
+
+def _assert_same_cloud(got, expect):
+    # relative 1e-12 of the cloud's size: an endpoint that lands near zero
+    # keeps the absolute round-off of the sums that made it
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("make_schedule", [make_vp_schedule, make_ddpm_schedule])
+@pytest.mark.parametrize("eta", [0.0, 10.0])
+@pytest.mark.parametrize("m,d", [(5, 3), (2, 4)])
+def test_sde_scan_matches_a_stepwise_walk(make_schedule, eta, m, d):
+    rng = Rng(12)
+    rows = rng.standard_normal((m, d))
+    p = DiffusionProcess(make_schedule(), BasisSet((d,), elements=rows), eta)
+    x0 = Field(rng.standard_normal(d))
+    got = p.simulate_sde(x0, 300, 40, Rng(13, 1))
+    expect = _stepwise_sde(p, x0, 300, 40, Rng(13, 1))
+    _assert_same_cloud(got, expect)
+
+
+def test_sde_scan_matches_a_stepwise_walk_on_a_task_basis():
+    # basisdiff simulate on a residual task: the basis comes from the
+    # (clean, degraded) conditioning pair
+    cfg = load_config(CONFIGS / "streaks.json")
+    task, basis = build_task(cfg)
+    p = build_process(cfg, basis)
+    assert basis.mode == "sample-dependent" and p.eta == 10.0
+    x0 = _transform(task, task.clean)
+    cond = (x0, _transform(task, task.degraded))
+    got = p.simulate_sde(x0, 64, 20, Rng(14, 3), cond)
+    expect = _stepwise_sde(p, x0, 64, 20, Rng(14, 3), cond)
+    _assert_same_cloud(got, expect)
 
 
 def test_conditional_score_pixel_closed_form():

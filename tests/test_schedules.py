@@ -274,3 +274,26 @@ def test_coefficients_endpoint_and_eta_errors():
         sde_coefficients(sched, 0.0, np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         sde_coefficients(sched, -1.0, np.array([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("make", [make_vp_schedule, make_ddpm_schedule])
+@pytest.mark.parametrize("eta", [0.0, 10.0])
+def test_coefficients_on_a_time_array_match_the_float_path(make, eta):
+    sched = make()
+    bsum = np.array([1.5, -0.5, 2.0])
+    ts = np.linspace(0.1, 100.0, 257)
+    c = sde_coefficients(sched, eta, bsum, ts)
+    assert c.f.shape == c.g.shape == (257,) and c.phi.shape == (257, 3)
+    for i, t in enumerate(ts.tolist()):
+        one = sde_coefficients(sched, eta, bsum, t)
+        np.testing.assert_array_max_ulp(c.f[i], one.f, maxulp=4)
+        np.testing.assert_array_max_ulp(c.g[i], one.g, maxulp=4)
+        np.testing.assert_array_max_ulp(c.phi[i], one.phi, maxulp=4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_coefficients_on_a_time_array_refuse_any_time_at_or_below_zero(bad):
+    ts = np.linspace(1.0, 100.0, 5)
+    ts[2] = bad
+    with pytest.raises(EndpointError):
+        sde_coefficients(make_vp_schedule(), 0.0, np.array([1.0]), ts)
