@@ -167,21 +167,24 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
 class CovarianceOp:
     """Sigma = sum_m h_m h_m^T for one resolved element matrix.
 
-    apply_flat() works at any size in O(M d).  Whitening and solves use one
-    thin SVD of the (M, d) rows, H = U S V^T, made once per operator
+    The resolved (M, d) element rows H and their sum sum_m h_m (total) are
+    kept, so a sample-dependent basis resolves its elements once per
+    operator.  apply_flat() works at any size in O(M d).  Whitening and
+    solves use one thin SVD of H = U S V^T, made once per operator
     (_factor); Sigma = V S^2 V^T itself is never formed.
     """
 
     def __init__(self, basis: BasisSet, conditioning=None):
         self.basis = basis
-        self._rows = basis.elements(conditioning)
-        self._d = self._rows.shape[1]
+        self.rows = basis.elements(conditioning)
+        self.total = self.rows.sum(axis=0)
+        self._d = self.rows.shape[1]
         self._factors = None
 
     def apply_flat(self, v: np.ndarray) -> np.ndarray:
         # H^T (H v) for a (d,) vector or (d, k) columns: one (M,) contraction
         # then one (d,) accumulation per column
-        return self._rows.T @ (self._rows @ v)
+        return self.rows.T @ (self.rows @ v)
 
     def _factor(self):
         """Make and cache (S_r^2, W) once per operator, W = S_r^{-1} V_r^T.
@@ -191,10 +194,10 @@ class CovarianceOp:
         (r, d) whitener gives W Sigma W^T = I_r.  Non-finite rows or a failed
         SVD raise SingularCovarianceError.
         """
-        if not np.all(np.isfinite(self._rows)):
+        if not np.all(np.isfinite(self.rows)):
             raise SingularCovarianceError("basis elements are not finite")
         try:
-            _, sv, vt = np.linalg.svd(self._rows, full_matrices=False)
+            _, sv, vt = np.linalg.svd(self.rows, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SingularCovarianceError(str(exc)) from exc
         r = int(np.count_nonzero(sv > sv[0] * COND_LIMIT ** -0.5))

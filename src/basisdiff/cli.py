@@ -18,17 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
-                     build_process, build_schedule, build_task, check,
+                     build_process, build_task, check,
                      load_config, resolved_eta, resolved_objective, value)
 from .denoisers import (CheckpointMismatch, ConstantDenoiser,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
 from .fields import Field, Rng, write_field, write_pgm
-from .process import DiffusionProcess, DiracDataset
+from .process import DiracDataset
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
 from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
                     run_restoration)
-from .training import TrainConfig, train, write_loss_trace
+from .training import TrainConfig, train, wrapper_for, write_loss_trace
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -50,10 +50,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _wrap_variant(objective: str) -> str:
-    return "predict-x0" if objective == "x0-pred" else "predict-noise"
 
 
 def _training_setup(cfg: dict):
@@ -124,7 +120,7 @@ def _build_restore_denoiser(cfg: dict, kind: str):
                               "restore.checkpoint (or --checkpoint)")
         net = load_network(path, expect=_fingerprint(cfg, widths))
     return task, p, PreconditionedDenoiser(
-        net, p, _wrap_variant(resolved_objective(cfg)))
+        net, p, wrapper_for(resolved_objective(cfg)))
 
 
 def cmd_restore(args) -> int:
@@ -145,17 +141,23 @@ def cmd_restore(args) -> int:
     return 0
 
 
+def _points_process(cfg: dict):
+    """(points, process) for the config's non-empty `points` list, over the
+    pixel basis unless basis.kind names another."""
+    pts = [Field(np.asarray(r, dtype=np.float64)) for r in cfg["points"]]
+    basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
+    return pts, build_process(cfg, basis)
+
+
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    rows, sampling = cfg["points"], cfg["sampling"]
-    if not rows:
+    sampling = cfg["sampling"]
+    if not cfg["points"]:
         raise ConfigError("sample needs a non-empty 'points' list in the config")
     if sampling["steps"] < 1:
         raise ConfigError(f"sample needs sampling.steps >= 1, "
                           f"got {sampling['steps']}")
-    pts = [Field(np.asarray(r, dtype=np.float64)) for r in rows]
-    basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
-    p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
+    pts, p = _points_process(cfg)
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     grid = make_time_grid(p.schedule.T, sampling["steps"], sampling["scheme"])
     n = sampling["n_samples"]
@@ -188,26 +190,21 @@ def cmd_sample(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    rows = cfg["points"]
-    if rows:
-        pts = [Field(np.asarray(r, dtype=np.float64)) for r in rows]
+    conditioning = None
+    if cfg["points"]:
+        pts, p = _points_process(cfg)
         x0 = pts[0]
-        basis = build_fixed_basis(cfg, x0.shape, default_kind="pixel")
-        p = DiffusionProcess(build_schedule(cfg), basis, resolved_eta(cfg))
-        conditioning = None
     else:
         task, basis = build_task(cfg)
         p = build_process(cfg, basis)
         x0 = _transform(task, task.clean)
-        conditioning = None
         if basis.mode == "sample-dependent":
             conditioning = (x0, _transform(task, task.degraded))
     n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
     paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3),
                            conditioning)
     mom = p.conditional_moments(x0, p.schedule.T, conditioning)
-    elements = p.basis.elements(conditioning)
-    closed_var = mom.cov_scale * (elements ** 2).sum(axis=0)
+    closed_var = mom.cov_scale * (mom.cov_op.rows ** 2).sum(axis=0)
     emp_mean = paths.mean(axis=0)
     emp_var = paths.var(axis=0)
     lines = ["index,empirical_mean,closed_mean,empirical_var,closed_var"]

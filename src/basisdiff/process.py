@@ -111,11 +111,10 @@ class DiffusionProcess:
         if sets is None:
             op = self._cov_op()
             pts = ds.stacked()
-            bsum = self.basis.elements(None).sum(axis=0)
             white_pts = op.whiten(pts)
             perp = op.out_of_range(pts) if white_pts.shape[1] < self._d else None
             sets = self._whitened_sets[ds] = (
-                pts, white_pts, op.whiten(bsum), perp)
+                pts, white_pts, op.whiten(op.total), perp)
         return sets
 
     def sample_noise(self, rng: Rng, conditioning=None) -> Field:
@@ -155,10 +154,9 @@ class DiffusionProcess:
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
         s, _, shift_gain, cov_scale = self._kernel_scales(t)
-        shift = shift_gain * self.basis.elements(conditioning).sum(axis=0)
-        mean = Field((s * x0.flat() + shift).reshape(self.shape))
-        return ConditionalMoments(mean=mean, cov_scale=cov_scale,
-                                  cov_op=self._cov_op(conditioning))
+        op = self._cov_op(conditioning)
+        mean = Field((s * x0.flat() + shift_gain * op.total).reshape(self.shape))
+        return ConditionalMoments(mean=mean, cov_scale=cov_scale, cov_op=op)
 
     # -- SDE simulation -------------------------------------------------------
 
@@ -188,26 +186,26 @@ class DiffusionProcess:
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         sched = self.schedule
-        rows = self.basis.elements(conditioning)
+        op = self._cov_op(conditioning)
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
         dt = np.diff(times)
-        c = sde_coefficients(sched, self.eta, rows.sum(axis=0), times[:-1])
+        c = sde_coefficients(sched, self.eta, op.total, times[:-1])
         tail = np.append(np.cumprod((1.0 + c.f * dt)[::-1])[::-1], 1.0)
         kick = tail[1:] * c.g * np.sqrt(dt)
         s, _, sig, _ = sched.evaluate(times[0])
-        acc = self.eta + rng.standard_normal((n_paths, rows.shape[0]))
+        acc = self.eta + rng.standard_normal((n_paths, self.basis.M))
         acc *= tail[0] * s * sig / (self.eta + 1.0)
         for k in kick.tolist():
             xi = rng.standard_normal(acc.shape)
             xi *= k
             acc += xi
         drift = (tail[0] * s) * x0.flat() + (tail[1:] * dt) @ c.phi
-        return drift + acc @ rows
+        return drift + acc @ op.rows
 
     # -- scores and probability-flow ODE --------------------------------------
 
     def _score(self, t: float, post_mean: np.ndarray, x: np.ndarray,
-               cov_op: CovarianceOp, conditioning=None) -> np.ndarray:
+               cov_op: CovarianceOp) -> np.ndarray:
         """((eta+1)/(s sigma))^2 Sigma^{-1} (s D + shift - x) for (n, d) states.
 
         D = post_mean is the posterior mean of x_0: one (d,) point (x_0
@@ -219,9 +217,8 @@ class DiffusionProcess:
             raise EndpointError("score undefined at sigma = 0")
         if x.ndim != 2 or x.shape[1] != self._d:
             raise ValueError(f"states must be (n, {self._d}) rows, got {x.shape}")
-        shift = shift_gain * self.basis.elements(conditioning).sum(axis=0)
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
-        resid = s * post_mean + shift - x
+        resid = s * post_mean + shift_gain * cov_op.total - x
         return gain * cov_op.solve_flat(resid.T).T
 
     def conditional_score(self, x0: Field, t: float, x: np.ndarray,
@@ -229,8 +226,7 @@ class DiffusionProcess:
         """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x) for (n, d) states x."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        return self._score(t, x0.flat(), x, self._cov_op(conditioning),
-                           conditioning)
+        return self._score(t, x0.flat(), x, self._cov_op(conditioning))
 
     def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
         """Posterior weights of the mixture components, and the stacked points.
@@ -290,18 +286,17 @@ class DiffusionProcess:
         return self._score(t, w @ pts, x, self._cov_op())
 
     def _score_flow(self, t: float, x: np.ndarray, score: np.ndarray,
-                    cov_op: CovarianceOp, conditioning=None) -> np.ndarray:
+                    cov_op: CovarianceOp) -> np.ndarray:
         """Raw PFODE right-hand side f x + phi - (1/2) g^2 Sigma score, per row."""
-        c = sde_coefficients(self.schedule, self.eta,
-                             self.basis.elements(conditioning).sum(axis=0), t)
+        c = sde_coefficients(self.schedule, self.eta, cov_op.total, t)
         return c.f * x + c.phi - 0.5 * c.g * c.g * cov_op.apply_flat(score.T).T
 
     def pfode_rhs_conditional(self, x0: Field, t: float, x: np.ndarray,
                               conditioning=None) -> np.ndarray:
         """Raw PFODE right-hand side with the conditional score, (n, d) states."""
         cov_op = self._cov_op(conditioning)
-        score = self._score(t, x0.flat(), x, cov_op, conditioning)
-        return self._score_flow(t, x, score, cov_op, conditioning)
+        score = self._score(t, x0.flat(), x, cov_op)
+        return self._score_flow(t, x, score, cov_op)
 
     def pfode_rhs_marginal(self, ds: DiracDataset, t: float,
                            x: np.ndarray) -> np.ndarray:

@@ -33,11 +33,10 @@ class Schedule:
     sigma ~ sqrt(t) near zero).
     """
 
-    def __init__(self, T, parts, kind="custom", alpha_bar=None):
+    def __init__(self, T, parts, alpha_bar=None):
         if T <= 0:
             raise ValueError("horizon T must be positive")
         self.T = float(T)
-        self.kind = kind
         self._parts = parts
         self._alpha_bar = alpha_bar
 
@@ -148,7 +147,7 @@ def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
             sig_p = math.inf
         return 1.0, 0.0, sig, sig_p, dsigma2
 
-    return Schedule(T, parts, kind="vp-continuous", alpha_bar=alpha_bar)
+    return Schedule(T, parts, alpha_bar=alpha_bar)
 
 
 def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
@@ -172,7 +171,7 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
             sig_p = math.inf
         return s, -0.5 * beta_t * s, sig, sig_p, dsigma2
 
-    return Schedule(T, parts, kind="vp-ddpm", alpha_bar=alpha_bar)
+    return Schedule(T, parts, alpha_bar=alpha_bar)
 
 
 def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
@@ -190,7 +189,7 @@ def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
     if np.any(np.less_equal(t, 0.0)):
         raise EndpointError("SDE coefficients are undefined at t <= 0 "
                             "(sigma' diverges at the left endpoint)")
-    s, s_p, _, sig_p = sched.evaluate(t)
-    g = (s / (eta + 1.0)) * np.sqrt(sched.dsigma2_dt(t))
+    s, s_p, _, sig_p, dsigma2 = sched._eval(t)
+    g = (s / (eta + 1.0)) * np.sqrt(dsigma2)
     phi = np.multiply.outer(eta * s * sig_p / (eta + 1.0), basis_sum)
     return SdeCoefficients(f=s_p / s, g=g, phi=phi)

@@ -157,6 +157,12 @@ def weight_from_mask(mask: Field, noise: Field) -> Field:
     return Field(_row_weights(m, noise.flat()[None, :])[0].reshape(noise.shape))
 
 
+def wrapper_for(objective: str) -> str:
+    """The preconditioning wrapper a network trains under for an objective:
+    predict-x0 for x0-pred, predict-noise otherwise."""
+    return "predict-x0" if objective == "x0-pred" else "predict-noise"
+
+
 def _check_objective(objective: str, den: Denoiser, mask: Field, shape):
     """Validate the objective/denoiser pairing; the flat mask or None."""
     if objective not in OBJECTIVES:
@@ -167,7 +173,7 @@ def _check_objective(objective: str, den: Denoiser, mask: Field, shape):
         if not isinstance(den, PreconditionedDenoiser):
             raise ValueError(
                 f"objective {objective!r} needs a preconditioned network")
-        need = "predict-x0" if objective == "x0-pred" else "predict-noise"
+        need = wrapper_for(objective)
         if den.objective != need:
             raise ValueError(f"{objective} training requires a {need} wrapper")
     if objective == "weighted-noise-pred":
@@ -268,17 +274,16 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
           cfg: TrainConfig, mask: Field = None):
     """Run the training loop; returns (net, per-step mean loss trace).
 
-    The network is wrapped per the objective (predict-x0 for x0-pred,
-    predict-noise otherwise).  All randomness comes from Rng(cfg.seed, 1),
-    so a fixed config reproduces its trace exactly.  Each step evaluates
-    its whole batch in one forward and one backward pass.
+    The network is wrapped per the objective (wrapper_for).  All
+    randomness comes from Rng(cfg.seed, 1), so a fixed config reproduces
+    its trace exactly.  Each step evaluates its whole batch in one forward
+    and one backward pass.
     """
     if len(ds) < 1:
         raise ValueError("dataset must be nonempty")
     if p.basis.mode == "sample-dependent" and ds.degraded is None:
         raise ValueError("sample-dependent basis requires a degraded partner")
-    wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
-    den = PreconditionedDenoiser(net, p, wrap)
+    den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
     if cfg.optimizer == "adam":
         opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)

@@ -163,77 +163,51 @@ def _rk4_walk(rhs, lin, x, h, last):
     return out
 
 
-def _by_schedule(cases):
-    """(schedule, indices of the cases using it), once per distinct schedule."""
-    groups = {}
-    for j, (_, sched, _, _) in enumerate(cases):
-        groups.setdefault(sched, []).append(j)
-    return groups.items()
+def _integrate_moment_odes(cases, bsums, x0s, sigma_mats, t_targets,
+                           n_steps: int):
+    """RK4 for the kernel mean and covariance ODEs of every case, one u grid.
 
-
-def _integrate_mean_odes(cases, bsums, x0s, t_targets, n_steps: int):
-    """RK4 for d(mean)/dt = f*mean + phi, reparametrised as t = u^2.
-
-    For eta > 0 the drift offset phi ~ sigma'(t) diverges like t^(-1/2) at
-    t = 0, which defeats a uniform-step integrator in t.  In u = sqrt(t) the
-    right side 2u (f mean + c sum_m h_m), c = eta s sigma'/(eta+1), has the
-    finite limit (eta s(0)/(eta+1)) * sqrt(d sigma^2/dt |_0) * sum_m h_m at
-    u = 0, tabulated there as 2u = 1, f = 0 and c = that limit.  The cases
-    walk one grid together, one row of the stacked state each.
+    d(mean)/dt = f mean + phi from mean(0) = x0 and dV/dt = 2 f V + g^2 Sigma
+    from V(0) = 0, with f, g and phi from one sde_coefficients call per case
+    on the stage times.  For eta > 0 the drift offset phi ~ sigma'(t)
+    diverges like t^(-1/2) at t = 0, which defeats a uniform-step
+    integrator in t, so both walk u = sqrt(t), where each right side gains
+    a factor 2u.  At u = 0, where sde_coefficients is undefined, 2u phi has
+    the finite limit (eta s(0)/(eta+1)) * sqrt(d sigma^2/dt |_0) * sum_m h_m
+    and every other term is 0.  The cases walk together, one row (mean) or
+    (d, d) block (covariance) of the stacked states each.  Returns the
+    stacked means and covariances at each target time.
     """
     h, us, last = _rk4_grid([0.0] + [math.sqrt(t) for t in t_targets], n_steps)
-    at_zero = us == 0.0
-    live = ~at_zero
-    twou = np.where(at_zero, 1.0, 2.0 * us)
-    f = np.empty(us.shape + (len(cases),))
-    c = np.empty_like(f)
-    for sched, cols in _by_schedule(cases):
-        s, s_p, sig_p = np.ones(us.shape), np.zeros(us.shape), np.zeros(us.shape)
-        u = us[live]
-        s[live], s_p[live], _, sig_p[live] = sched.evaluate(
-            np.minimum(u * u, sched.T))
-        for j in cols:
-            eta = cases[j][2]
-            f[..., j] = s_p / s
-            c[..., j] = eta * s * sig_p / (eta + 1.0)
-            c[at_zero, j] = (eta * sched.s(0.0) / (eta + 1.0)) \
-                * math.sqrt(sched.dsigma2_dt(0.0))
-    twou, f, c = twou[..., None, None], f[..., None], c[..., None]
+    live = us > 0.0
+    u = us[live]
+    t, twou = u * u, 2.0 * u
+    # (stage, step, case) tables of 2u f, 2u g^2 and 2u phi
+    fu = np.zeros(us.shape + (len(cases), 1))
+    g2u = np.zeros(us.shape + (len(cases), 1, 1))
+    phiu = np.empty(us.shape + x0s.shape)
+    for j, (_, sched, eta, _) in enumerate(cases):
+        c = sde_coefficients(sched, eta, bsums[j], np.minimum(t, sched.T))
+        fu[live, j, 0] = twou * c.f
+        g2u[live, j, 0, 0] = twou * (c.g * c.g)
+        phiu[live, j] = twou[:, None] * c.phi
+        phiu[~live, j] = (eta * sched.s(0.0) / (eta + 1.0)) \
+            * math.sqrt(sched.dsigma2_dt(0.0)) * bsums[j]
 
-    def rhs(ki, mu):
-        return twou[ki] * (f[ki] * mu + c[ki] * bsums)
+    def mean_rhs(ki, mu):
+        return fu[ki] * mu + phiu[ki]
 
-    def lin(ki, mu):
-        return twou[ki] * (f[ki] * mu)
+    def mean_lin(ki, mu):
+        return fu[ki] * mu
 
-    return _rk4_walk(rhs, lin, x0s, h, last)
+    def var_rhs(ki, v):
+        return (2.0 * fu[ki][..., None]) * v + g2u[ki] * sigma_mats
 
+    def var_lin(ki, v):
+        return (2.0 * fu[ki][..., None]) * v
 
-def _integrate_variance_odes(cases, sigma_mats, t_targets, n_steps: int):
-    """RK4 for dV/dt = 2 f V + g^2 Sigma from V(0) = 0 (regular at t = 0).
-
-    The cases walk one grid together, one (d, d) block of the stacked state
-    each.
-    """
-    h, ts, last = _rk4_grid([0.0] + list(t_targets), n_steps)
-    f2 = np.empty(ts.shape + (len(cases),))
-    g2 = np.empty_like(f2)
-    for sched, cols in _by_schedule(cases):
-        t = np.minimum(ts, sched.T)
-        s, s_p, _, _ = sched.evaluate(t)
-        ds2 = sched.dsigma2_dt(t)
-        for j in cols:
-            f2[..., j] = 2.0 * (s_p / s)
-            g2[..., j] = (s / (cases[j][2] + 1.0)) ** 2 * ds2
-    f2, g2 = f2[..., None, None], g2[..., None, None]
-
-    def rhs(ki, v):
-        return f2[ki] * v + g2[ki] * sigma_mats
-
-    def lin(ki, v):
-        return f2[ki] * v
-
-    return _rk4_walk(rhs, lin, np.zeros_like(sigma_mats), h, last)
+    return (_rk4_walk(mean_rhs, mean_lin, x0s, h, last),
+            _rk4_walk(var_rhs, var_lin, np.zeros_like(sigma_mats), h, last))
 
 
 def _checks_coefficients(seed: int, n_steps: int = 10_000):
@@ -255,8 +229,8 @@ def _checks_coefficients(seed: int, n_steps: int = 10_000):
     bsums = np.stack([rows.sum(axis=0) for _, _, _, rows in cases])
     sigma_mats = np.stack([rows.T @ rows for _, _, _, rows in cases])
     t_targets = (vp.T / 2.0, vp.T)  # both schedules share the horizon T
-    means = _integrate_mean_odes(cases, bsums, x0s, t_targets, n_steps)
-    variances = _integrate_variance_odes(cases, sigma_mats, t_targets, n_steps)
+    means, variances = _integrate_moment_odes(cases, bsums, x0s, sigma_mats,
+                                              t_targets, n_steps)
 
     checks = []
     for j, (tag, sched, eta, _) in enumerate(cases):
@@ -294,12 +268,12 @@ def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
     no arithmetic with the tail-product scan of DiffusionProcess.simulate_sde.
     """
     sched = p.schedule
-    rows = p.basis.elements(None)
-    sigma_mat = rows.T @ rows
     times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
     dts = np.diff(times).tolist()
-    c = sde_coefficients(sched, p.eta, rows.sum(axis=0), times[:-1])
     mom0 = p.conditional_moments(x0, times[0])
+    rows = mom0.cov_op.rows
+    sigma_mat = rows.T @ rows
+    c = sde_coefficients(sched, p.eta, mom0.cov_op.total, times[:-1])
     mean = mom0.mean.flat().copy()
     cov = mom0.cov_scale * sigma_mat
     for f, g, phi, dt in zip(c.f.tolist(), c.g.tolist(), c.phi, dts):

@@ -17,14 +17,14 @@ from conftest import record_criterion
 
 from basisdiff import verify
 from basisdiff.bases import pixel_basis
-from basisdiff.cli import _train_network, _wrap_variant, main
+from basisdiff.cli import _train_network, main
 from basisdiff.config import load_config, resolved_objective
 from basisdiff.denoisers import PreconditionedDenoiser, TinyNetwork
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import make_vp_schedule
 from basisdiff.tasks import run_restoration
-from basisdiff.training import compute_loss
+from basisdiff.training import compute_loss, wrapper_for
 from basisdiff.verify import run_suite
 
 SEED = 7
@@ -135,7 +135,7 @@ def test_criterion_09_trained_restoration_improves_the_image():
     cfg = load_config(CONFIGS / "smooth_field.json")
     task, p, net, _ = _train_network(cfg)
     degraded_before = task.degraded.values.copy()
-    den = PreconditionedDenoiser(net, p, _wrap_variant(resolved_objective(cfg)))
+    den = PreconditionedDenoiser(net, p, wrapper_for(resolved_objective(cfg)))
     result = run_restoration(task, p, den, int(cfg["sampling"]["steps"]),
                              scheme=cfg["sampling"]["scheme"])
     dt = time.perf_counter() - t0

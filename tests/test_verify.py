@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 
@@ -108,8 +109,9 @@ def test_blocked_walk_matches_per_step_walk(zero_linear):
 
 
 def test_coefficient_suite_keeps_every_step(monkeypatch):
-    # each ODE's rk4_step calls, linear part and full right-hand side alike,
-    # cover every step of its grid; a speedup must not come from a shorter walk
+    # both moment ODEs walk one grid, and each walk's rk4_step calls, linear
+    # part and full right-hand side alike, cover every step of it; a speedup
+    # must not come from a shorter walk
     grids, sizes = [], {}
     grid, step = verify._rk4_grid, verify.rk4_step
 
@@ -126,15 +128,35 @@ def test_coefficient_suite_keeps_every_step(monkeypatch):
     monkeypatch.setattr(verify, "_rk4_grid", record_grid)
     monkeypatch.setattr(verify, "rk4_step", record_step)
     assert run_suite("coefficients", seed=7).passed
-    assert [n for n, _ in grids] == [10_000, 10_000]
-    (_, mean_steps), (_, var_steps) = grids
-    assert sizes == {
-        "_integrate_mean_odes.<locals>.rhs": mean_steps,
-        "_integrate_mean_odes.<locals>.lin": mean_steps,
-        "_integrate_variance_odes.<locals>.rhs": var_steps,
-        "_integrate_variance_odes.<locals>.lin": var_steps,
-    }
-    assert min(mean_steps, var_steps) >= 10_000
+    assert [n for n, _ in grids] == [10_000]
+    steps = grids[0][1]
+    local = "_integrate_moment_odes.<locals>."
+    assert sizes == {local + name: steps for name in
+                     ("mean_rhs", "mean_lin", "var_rhs", "var_lin")}
+    assert steps >= 10_000
+
+
+@pytest.mark.parametrize("scaled", [None, "f", "g", "phi"])
+def test_coefficient_suite_integrates_the_library_coefficients(monkeypatch,
+                                                               scaled):
+    # criterion 1 takes f, g and phi from schedules.sde_coefficients, one
+    # array call per case on the walk's stage times, so the suite fails when
+    # any one of them is off by 1 %
+    real, calls = verify.sde_coefficients, []
+
+    def coefficients(sched, eta, basis_sum, t):
+        calls.append(np.size(t))
+        c = real(sched, eta, basis_sum, t)
+        if scaled is None:
+            return c
+        return dataclasses.replace(c, **{scaled: 1.01 * getattr(c, scaled)})
+
+    monkeypatch.setattr(verify, "sde_coefficients", coefficients)
+    report = run_suite("coefficients", seed=7)
+    assert len(calls) == len(report.checks) // 2 == 5
+    # three stages per step, less the one at t = 0
+    assert all(n >= 3 * 10_000 - 1 for n in calls)
+    assert report.passed == (scaled is None)
 
 
 def test_sampler_suite_keeps_its_walks(monkeypatch):
