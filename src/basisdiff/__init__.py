@@ -25,8 +25,7 @@ from .schedules import (EndpointError, Schedule, SdeCoefficients,
                         sde_coefficients)
 from .tasks import (RestorationResult, TaskInstance, case3_discrete_demo,
                     centered_poisson_sampler, gen_residual_task,
-                    gen_smooth_field_task, run_restoration,
-                    task_residual_basis, tv_distance)
+                    gen_smooth_field_task, run_restoration, tv_distance)
 from .training import (OBJECTIVES, TrainConfig, compute_loss, train,
                        weight_from_mask, write_loss_trace)
 from .verify import CheckResult, SuiteReport, run_suite
@@ -47,7 +46,7 @@ __all__ = [
     "make_vp_schedule", "sde_coefficients", "RestorationResult",
     "TaskInstance", "case3_discrete_demo", "centered_poisson_sampler",
     "gen_residual_task", "gen_smooth_field_task", "run_restoration",
-    "task_residual_basis", "tv_distance", "OBJECTIVES", "TrainConfig",
+    "tv_distance", "OBJECTIVES", "TrainConfig",
     "compute_loss", "train", "weight_from_mask", "write_loss_trace",
     "CheckResult", "SuiteReport", "run_suite",
 ]

@@ -3,10 +3,11 @@
 A basis set is an ordered list [h_1 .. h_M] of fields over one data shape.
 Fixed-mode sets (Legendre + rotated trigonometric family, pixel indicators)
 are constants of the model; sample-dependent sets produce their elements from
-a conditioning pair (clean, degraded), e.g. the single-element residual
-basis h_1 = degraded - clean.  The induced covariance Sigma = H^T H of the
-(M, d) element rows H is never formed: products go through H^T (H v), and
-solves through one thin SVD of H.
+a (clean, degraded) pair, e.g. the single-element residual basis
+h_1 = degraded - clean, and resolve() turns one such pair into a fixed set
+once, so everything downstream sees fixed rows.  The induced covariance
+Sigma = H^T H of the (M, d) element rows H is never formed: products go
+through H^T (H v), and solves through one thin SVD of H.
 """
 
 from __future__ import annotations
@@ -74,22 +75,24 @@ class BasisSet:
     def M(self) -> int:
         return self._size
 
-    def elements(self, conditioning=None) -> np.ndarray:
-        """Stacked (M, d) element matrix; read-only.
+    def elements(self) -> np.ndarray:
+        """Stacked (M, d) element matrix of a fixed set; read-only."""
+        if self._rows is None:
+            raise ValueError("sample-dependent basis: resolve it with a "
+                             "(clean, degraded) pair first")
+        return self._rows
 
-        Fixed mode ignores conditioning entirely; sample-dependent mode
-        requires a (clean, degraded) Field pair of the data shape.
-        """
+    def resolve(self, pair) -> "BasisSet":
+        """The fixed set for one (clean, degraded) Field pair: self for a
+        fixed set, else the provider's rows for the pair, made once."""
         if self.mode == "fixed":
-            return self._rows
-        if conditioning is None:
-            raise ValueError("sample-dependent basis requires a conditioning pair")
-        clean, degraded = conditioning
+            return self
+        clean, degraded = pair
         if clean.shape != self.shape or degraded.shape != self.shape:
-            raise ValueError("conditioning pair does not match the data shape")
-        rows = np.asarray(self._provider(clean, degraded),
-                          dtype=np.float64).reshape(self._size, self._d)
-        return rows
+            raise ValueError("(clean, degraded) pair does not match the "
+                             "data shape")
+        rows = np.asarray(self._provider(clean, degraded), dtype=np.float64)
+        return BasisSet(self.shape, elements=rows.reshape(self._size, self._d))
 
 
 def legendre_trig_basis(n1: int, n2: int, grid) -> BasisSet:
@@ -152,8 +155,8 @@ def pixel_basis(shape) -> BasisSet:
 def residual_basis(clean: Field, degraded: Field) -> BasisSet:
     """Single-element, sample-dependent basis h_1 = degraded - clean.
 
-    The passed pair fixes the data shape; the elements produced later follow
-    whatever conditioning pair the caller supplies.
+    The passed pair fixes the data shape; resolve() makes the element for
+    whichever pair it is given.
     """
     if clean.shape != degraded.shape:
         raise ValueError(f"shape mismatch: {clean.shape} vs {degraded.shape}")
@@ -165,18 +168,17 @@ def residual_basis(clean: Field, degraded: Field) -> BasisSet:
 
 
 class CovarianceOp:
-    """Sigma = sum_m h_m h_m^T for one resolved element matrix.
+    """Sigma = sum_m h_m h_m^T for the element matrix of a fixed basis.
 
-    The resolved (M, d) element rows H and their sum sum_m h_m (total) are
-    kept, so a sample-dependent basis resolves its elements once per
-    operator.  apply_flat() works at any size in O(M d).  Whitening and
-    solves use one thin SVD of H = U S V^T, made once per operator
-    (_factor); Sigma = V S^2 V^T itself is never formed.
+    The (M, d) element rows H and their sum sum_m h_m (total) are kept, so
+    no product re-reads the basis.  apply_flat() works at any size in
+    O(M d).  Whitening and solves use one thin SVD of H = U S V^T, made once
+    per operator (_factor); Sigma = V S^2 V^T itself is never formed.
     """
 
-    def __init__(self, basis: BasisSet, conditioning=None):
+    def __init__(self, basis: BasisSet):
         self.basis = basis
-        self.rows = basis.elements(conditioning)
+        self.rows = basis.elements()
         self.total = self.rows.sum(axis=0)
         self._d = self.rows.shape[1]
         self._factors = None
@@ -191,11 +193,9 @@ class CovarianceOp:
 
         r counts the singular values above s_max COND_LIMIT^{-1/2}, so Sigma
         on the kept range has a condition number under COND_LIMIT, and the
-        (r, d) whitener gives W Sigma W^T = I_r.  Non-finite rows or a failed
-        SVD raise SingularCovarianceError.
+        (r, d) whitener gives W Sigma W^T = I_r.  A failed SVD raises
+        SingularCovarianceError.
         """
-        if not np.all(np.isfinite(self.rows)):
-            raise SingularCovarianceError("basis elements are not finite")
         try:
             _, sv, vt = np.linalg.svd(self.rows, full_matrices=False)
         except np.linalg.LinAlgError as exc:

@@ -190,20 +190,17 @@ def cmd_sample(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    conditioning = None
     if cfg["points"]:
         pts, p = _points_process(cfg)
         x0 = pts[0]
     else:
         task, basis = build_task(cfg)
-        p = build_process(cfg, basis)
         x0 = _transform(task, task.clean)
-        if basis.mode == "sample-dependent":
-            conditioning = (x0, _transform(task, task.degraded))
+        p = build_process(cfg, basis.resolve(
+            (x0, _transform(task, task.degraded))))
     n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
-    paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3),
-                           conditioning)
-    mom = p.conditional_moments(x0, p.schedule.T, conditioning)
+    paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3))
+    mom = p.conditional_moments(x0, p.schedule.T)
     closed_var = mom.cov_scale * (mom.cov_op.rows ** 2).sum(axis=0)
     emp_mean = paths.mean(axis=0)
     emp_var = paths.var(axis=0)

@@ -28,13 +28,13 @@ import json
 import math
 from pathlib import Path
 
-from .bases import BasisSet, legendre_trig_basis, pixel_basis
+from .bases import BasisSet, legendre_trig_basis, pixel_basis, residual_basis
 from .fields import Rng
 from .process import DiffusionProcess
 from .samplers import GRID_SCHEMES
 from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
 from .tasks import (CASE3_MIN_DRAWS, POISSON_LAM_MAX, gen_residual_task,
-                    gen_smooth_field_task, task_residual_basis)
+                    gen_smooth_field_task)
 
 
 class ConfigError(ValueError):
@@ -252,7 +252,7 @@ def build_task(cfg: dict):
         basis = build_fixed_basis(cfg, (size, size))
         return gen_smooth_field_task((size, size), basis, rng), basis
     task = gen_residual_task((size, size), kind, rng)
-    return task, task_residual_basis(task)
+    return task, residual_basis(task.clean, task.degraded)
 
 
 def resolved_eta(cfg: dict) -> float:

@@ -70,7 +70,13 @@ class DiracDataset:
 
 
 class DiffusionProcess:
-    """Forward diffusion with basis-structured noise and its reverse flows."""
+    """Forward diffusion with basis-structured noise and its reverse flows.
+
+    Every method that reads the basis rows needs a fixed basis; a
+    sample-dependent one is resolved first (BasisSet.resolve).  The
+    simplified flow pfode_rhs never reads them, so restoration runs over
+    either.
+    """
 
     def __init__(self, schedule: Schedule, basis: BasisSet, eta: float):
         if eta < 0:
@@ -80,19 +86,17 @@ class DiffusionProcess:
         self.eta = float(eta)
         self.shape = basis.shape
         self._d = int(np.prod(self.shape))
-        self._fixed_op = None
+        self._op = None
         self._whitened_sets = weakref.WeakKeyDictionary()
 
     # -- forward direction ---------------------------------------------------
 
-    def _cov_op(self, conditioning=None) -> CovarianceOp:
-        """Sigma's operator: one per process for a fixed basis, so its
-        factorization is made once; one per conditioning pair otherwise."""
-        if self.basis.mode != "fixed":
-            return CovarianceOp(self.basis, conditioning)
-        if self._fixed_op is None:
-            self._fixed_op = CovarianceOp(self.basis)
-        return self._fixed_op
+    def _cov_op(self) -> CovarianceOp:
+        """Sigma's operator, built on first use, so its factorization is
+        made once per process."""
+        if self._op is None:
+            self._op = CovarianceOp(self.basis)
+        return self._op
 
     def _kernel_scales(self, t: float):
         """(s, sigma, shift gain eta s sigma/(eta+1), cov_scale) at time t."""
@@ -117,51 +121,39 @@ class DiffusionProcess:
                 pts, white_pts, op.whiten(op.total), perp)
         return sets
 
-    def sample_noise(self, rng: Rng, conditioning=None) -> Field:
+    def sample_noise(self, rng: Rng) -> Field:
         """One draw of N = sum_m ((eta + eps_m)/(eta + 1)) h_m."""
-        return Field(self._noise_batch(1, rng, conditioning)[0].reshape(self.shape))
+        eps = rng.standard_normal((1, self.basis.M))
+        return Field(self.noise_from_normals(eps)[0].reshape(self.shape))
 
-    def _noise_batch(self, n: int, rng: Rng, conditioning=None) -> np.ndarray:
-        """(n, d) matrix of independent noise draws; vectorized Monte Carlo path."""
-        return self.noise_from_normals(
-            rng.standard_normal((n, self.basis.M)), conditioning)
-
-    def noise_from_normals(self, eps: np.ndarray, conditioning=None) -> np.ndarray:
+    def noise_from_normals(self, eps: np.ndarray) -> np.ndarray:
         """(n, d) noise rows N for (n, M) standard normal weights eps.
 
         Each row of eps is one draw of (eps_1 .. eps_M); drawing the weights
         apart from mixing them lets a caller take draws one at a time from a
         stream and mix a whole batch in one product.
         """
-        rows = self.basis.elements(conditioning)
-        return ((self.eta + eps) / (self.eta + 1.0)) @ rows
+        return ((self.eta + eps) / (self.eta + 1.0)) @ self.basis.elements()
 
-    def forward_sample(self, x0: Field, t: float, rng: Rng,
-                       conditioning=None) -> Field:
+    def forward_sample(self, x0: Field, t: float, rng: Rng) -> Field:
         """x_t = s(t) x_0 + s(t) sigma(t) N with a fresh noise draw."""
-        return Field(
-            self._forward_batch(x0, t, 1, rng, conditioning)[0].reshape(self.shape))
-
-    def _forward_batch(self, x0: Field, t: float, n: int, rng: Rng,
-                       conditioning=None) -> np.ndarray:
         s, _, sig, _ = self.schedule.evaluate(t)
-        noise = self._noise_batch(n, rng, conditioning)
-        return s * x0.flat()[None, :] + (s * sig) * noise
+        noise = self.noise_from_normals(rng.standard_normal((1, self.basis.M)))
+        return Field((s * x0.flat() + (s * sig) * noise[0]).reshape(self.shape))
 
-    def conditional_moments(self, x0: Field, t: float,
-                            conditioning=None) -> ConditionalMoments:
+    def conditional_moments(self, x0: Field, t: float) -> ConditionalMoments:
         """Exact kernel parameters: mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
         s, _, shift_gain, cov_scale = self._kernel_scales(t)
-        op = self._cov_op(conditioning)
+        op = self._cov_op()
         mean = Field((s * x0.flat() + shift_gain * op.total).reshape(self.shape))
         return ConditionalMoments(mean=mean, cov_scale=cov_scale, cov_op=op)
 
     # -- SDE simulation -------------------------------------------------------
 
-    def simulate_sde(self, x0: Field, n_steps: int, n_paths: int, rng: Rng,
-                     conditioning=None) -> np.ndarray:
+    def simulate_sde(self, x0: Field, n_steps: int, n_paths: int,
+                     rng: Rng) -> np.ndarray:
         """(n_paths, d) Euler-Maruyama endpoints over a uniform grid on (T/1000, T].
 
         Each path starts from an exact forward sample at the grid start t_0,
@@ -186,7 +178,7 @@ class DiffusionProcess:
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         sched = self.schedule
-        op = self._cov_op(conditioning)
+        op = self._cov_op()
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
         dt = np.diff(times)
         c = sde_coefficients(sched, self.eta, op.total, times[:-1])
@@ -221,12 +213,12 @@ class DiffusionProcess:
         resid = s * post_mean + shift_gain * cov_op.total - x
         return gain * cov_op.solve_flat(resid.T).T
 
-    def conditional_score(self, x0: Field, t: float, x: np.ndarray,
-                          conditioning=None) -> np.ndarray:
+    def conditional_score(self, x0: Field, t: float,
+                          x: np.ndarray) -> np.ndarray:
         """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x) for (n, d) states x."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        return self._score(t, x0.flat(), x, self._cov_op(conditioning))
+        return self._score(t, x0.flat(), x, self._cov_op())
 
     def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
         """Posterior weights of the mixture components, and the stacked points.
@@ -279,9 +271,7 @@ class DiffusionProcess:
 
     def marginal_score_dirac(self, ds: DiracDataset, t: float,
                              x: np.ndarray) -> np.ndarray:
-        """Dirac-mixture marginal score for (n, d) states (fixed-mode basis only)."""
-        if self.basis.mode != "fixed":
-            raise ValueError("marginal score requires a fixed-mode basis")
+        """Dirac-mixture marginal score for (n, d) states."""
         w, pts = self.dirac_weights(ds, t, x)
         return self._score(t, w @ pts, x, self._cov_op())
 
@@ -291,10 +281,10 @@ class DiffusionProcess:
         c = sde_coefficients(self.schedule, self.eta, cov_op.total, t)
         return c.f * x + c.phi - 0.5 * c.g * c.g * cov_op.apply_flat(score.T).T
 
-    def pfode_rhs_conditional(self, x0: Field, t: float, x: np.ndarray,
-                              conditioning=None) -> np.ndarray:
+    def pfode_rhs_conditional(self, x0: Field, t: float,
+                              x: np.ndarray) -> np.ndarray:
         """Raw PFODE right-hand side with the conditional score, (n, d) states."""
-        cov_op = self._cov_op(conditioning)
+        cov_op = self._cov_op()
         score = self._score(t, x0.flat(), x, cov_op)
         return self._score_flow(t, x, score, cov_op)
 

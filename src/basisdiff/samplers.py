@@ -68,17 +68,14 @@ def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
 
 
 def sample_euler(p: DiffusionProcess, den: Denoiser, x_init: Field,
-                 grid, final_denoise: bool = False) -> Field:
+                 grid) -> Field:
     """Euler walk down the grid: x <- x + (t_next - t) * rhs(x, t).
 
     x_init is used as given: restoration mode passes the degraded
     observation itself, round-trip mode passes a forward sample at the top
-    knot.  With final_denoise the returned state is one exact denoising jump
-    D(x; t_last) instead of x.
+    knot.
     """
     x = euler_trajectory(p, den, x_init.flat()[None, :], grid)[-1]
-    if final_denoise:
-        x = den.denoise(x, float(grid[-1]))
     return Field(x[0], shape=x_init.shape)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, residual_basis
+from .bases import BasisSet
 from .denoisers import Denoiser
 from .fields import Field, Rng, psnr, rmse
 from .process import DiffusionProcess
@@ -83,7 +83,7 @@ def gen_smooth_field_task(size, basis: BasisSet, rng: Rng) -> TaskInstance:
         raise ValueError("basis grid does not match the task size")
     clean = _phantom(shape, rng)
     coef = rng.uniform(0.0, 1.0, basis.M)
-    raw = (coef @ basis.elements(None)).reshape(shape)
+    raw = (coef @ basis.elements()).reshape(shape)
     lo, hi = float(raw.min()), float(raw.max())
     if hi - lo < 1e-12:
         bias = np.full(shape, 1.0)
@@ -134,11 +134,6 @@ def gen_residual_task(size, pattern: str, rng: Rng) -> TaskInstance:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def task_residual_basis(task: TaskInstance) -> BasisSet:
-    """The sample-dependent residual basis shaped for this task."""
-    return residual_basis(task.clean, task.degraded)
-
-
 def _transform(task: TaskInstance, img: Field) -> Field:
     if task.transform == "log":
         v = img.values
@@ -161,11 +156,9 @@ def _region_metrics(a: Field, b: Field, mask: Field, peak: float):
     for key, sel in (("mask", m), ("background", ~m)):
         if not np.any(sel):
             continue
-        diff = a.flat()[sel] - b.flat()[sel]
-        mse = float(np.mean(diff * diff))
-        out[f"rmse_{key}"] = math.sqrt(mse)
-        out[f"psnr_{key}"] = (1e9 if mse == 0.0
-                              else 10.0 * math.log10(peak * peak / mse))
+        a_sel, b_sel = Field(a.flat()[sel]), Field(b.flat()[sel])
+        out[f"rmse_{key}"] = rmse(a_sel, b_sel)
+        out[f"psnr_{key}"] = psnr(a_sel, b_sel, peak)
     return out
 
 

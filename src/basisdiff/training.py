@@ -222,17 +222,16 @@ def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     """One-sample loss and parameter gradient.
 
     Draws the noise internally from rng, so calling twice with identically
-    seeded Rng objects reproduces the same (loss, gradient) pair.  Returns a
+    seeded Rng objects reproduces the same (loss, gradient) pair; a
+    sample-dependent basis is resolved on (x0, degraded).  Returns a
     zero-length gradient for denoisers without trainable parameters.
     """
     m = _check_objective(objective, den, mask, p.shape)
-    conditioning = None
     if p.basis.mode == "sample-dependent":
         if degraded is None:
             raise ValueError("sample-dependent basis requires a degraded partner")
-        conditioning = (x0, degraded)
-    noise = p.noise_from_normals(rng.standard_normal((1, p.basis.M)),
-                                 conditioning)
+        p = DiffusionProcess(p.schedule, p.basis.resolve((x0, degraded)), p.eta)
+    noise = p.noise_from_normals(rng.standard_normal((1, p.basis.M)))
     losses, grad = _batch_loss(objective, den, p, x0.flat()[None, :],
                                np.array([float(t)]), noise, m)
     return float(losses[0]), grad
@@ -245,28 +244,39 @@ def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
     return float(rng.integers(1, int(round(T)) + 1))
 
 
+def _point_processes(p: DiffusionProcess, ds: DiracDataset):
+    """None over a fixed basis; else one process per dataset point, over the
+    basis resolved on that point's (clean, degraded) pair."""
+    if p.basis.mode == "fixed":
+        return None
+    if ds.degraded is None:
+        raise ValueError("sample-dependent basis requires a degraded partner")
+    return [DiffusionProcess(p.schedule, p.basis.resolve(pair), p.eta)
+            for pair in zip(ds.points, ds.degraded)]
+
+
 def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
-                ds: DiracDataset, points: np.ndarray):
+                points: np.ndarray, point_procs=None):
     """(x0, t, noise) for one step, each with one row per batch element.
 
     Each element draws its data index, then its time, then its M noise
     weights, in the order compute_loss would draw them one call at a time.
-    A fixed basis mixes all the weights in one product; a sample-dependent
-    basis mixes each element's weights with its own conditioning pair.
+    A fixed basis mixes all the weights in one product; over a
+    sample-dependent basis each element's weights mix with its own point's
+    rows, from point_procs (_point_processes).
     """
     idx = np.empty(cfg.batch, dtype=np.intp)
     t = np.empty(cfg.batch)
     eps = np.empty((cfg.batch, p.basis.M))
     for k in range(cfg.batch):
-        idx[k] = rng.integers(0, len(ds))
+        idx[k] = rng.integers(0, len(points))
         t[k] = _draw_time(rng, cfg, p.schedule.T)
         eps[k] = rng.standard_normal(p.basis.M)
-    if p.basis.mode == "fixed":
+    if point_procs is None:
         noise = p.noise_from_normals(eps)
     else:
-        noise = np.concatenate([
-            p.noise_from_normals(eps[k:k + 1], (ds.points[i], ds.degraded[i]))
-            for k, i in enumerate(idx)])
+        noise = np.concatenate([point_procs[i].noise_from_normals(eps[k:k + 1])
+                                for k, i in enumerate(idx)])
     return points[idx], t, noise
 
 
@@ -276,13 +286,13 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
 
     The network is wrapped per the objective (wrapper_for).  All
     randomness comes from Rng(cfg.seed, 1), so a fixed config reproduces
-    its trace exactly.  Each step evaluates its whole batch in one forward
-    and one backward pass.
+    its trace exactly.  A sample-dependent basis is resolved once per
+    dataset point, before the first step.  Each step evaluates its whole
+    batch in one forward and one backward pass.
     """
     if len(ds) < 1:
         raise ValueError("dataset must be nonempty")
-    if p.basis.mode == "sample-dependent" and ds.degraded is None:
-        raise ValueError("sample-dependent basis requires a degraded partner")
+    point_procs = _point_processes(p, ds)
     den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
     if cfg.optimizer == "adam":
@@ -296,7 +306,7 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     trace = []
     lr = cfg.lr
     for step in range(cfg.steps):
-        x0, t, noise = _draw_batch(rng, cfg, p, ds, points)
+        x0, t, noise = _draw_batch(rng, cfg, p, points, point_procs)
         losses, grad = _batch_loss(cfg.objective, den, p, x0, t, noise, m)
         mean_loss = float(losses.sum()) / cfg.batch
         if not np.isfinite(mean_loss):

@@ -478,7 +478,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     y = pts[idx]
     s = sched.s(t)
     sig = sched.sigma(t)
-    noise = p._noise_batch(n_samples, draw)
+    noise = p.noise_from_normals(draw.standard_normal((n_samples, p.basis.M)))
     x = s * y + (s * sig) * noise
     d_opt = den.denoise(x, t)
     resid = d_opt - y
@@ -585,7 +585,7 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
     rng = Rng(seed, 80)
 
     # with eta = 0 and the pixel basis the injected noise is iid standard normal
-    noise = p._noise_batch(n_draws, rng)
+    noise = p.noise_from_normals(rng.standard_normal((n_draws, p.basis.M)))
     zs = []
     zs.append(np.abs(noise.mean(axis=0)) * math.sqrt(n_draws))
     zs.append(np.abs(noise.var(axis=0) - 1.0) / math.sqrt(2.0 / n_draws))
@@ -603,8 +603,9 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
     # forward kernel matches x0 + sigma * eps moments
     x0 = Field(rng.standard_normal((2, 2)))
     t = sched.T / 2.0
-    sig = sched.sigma(t)
-    batch = p._forward_batch(x0, t, n_draws, rng.derive(81))
+    s, sig = sched.s(t), sched.sigma(t)
+    eps = rng.derive(81).standard_normal((n_draws, p.basis.M))
+    batch = s * x0.flat() + (s * sig) * p.noise_from_normals(eps)
     z_mean = np.abs(batch.mean(axis=0) - x0.flat()) / (sig / math.sqrt(n_draws))
     z_var = np.abs(batch.var(axis=0) - sig ** 2) / (sig ** 2 * math.sqrt(2.0 / n_draws))
     checks.append(_upper("edm-reduction/forward-kernel-z",

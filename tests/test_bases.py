@@ -95,22 +95,28 @@ def test_residual_basis_tracks_conditioning():
     degraded = Field([1.0, 2.0])
     b = residual_basis(clean, degraded)
     assert b.mode == "sample-dependent" and b.M == 1
-    pair = (clean, degraded)
-    assert np.array_equal(b.elements(pair), [[1.0, 2.0]])
-    assert np.array_equal(b.elements(pair).sum(axis=0), [1.0, 2.0])
-    op = CovarianceOp(b, pair)
+    fixed = b.resolve((clean, degraded))
+    assert fixed.mode == "fixed" and fixed.M == 1 and fixed.shape == (2,)
+    assert np.array_equal(fixed.elements(), [[1.0, 2.0]])
+    assert np.array_equal(fixed.elements().sum(axis=0), [1.0, 2.0])
+    op = CovarianceOp(fixed)
     assert np.array_equal(op.apply_flat(np.eye(2)), [[1.0, 2.0], [2.0, 4.0]])
+    # each pair resolves to its own residual, not the constructor's
+    other = b.resolve((degraded, Field([0.0, 5.0])))
+    assert np.array_equal(other.elements(), [[-1.0, 3.0]])
     # same-image pair: residual direction collapses to zero
-    z = CovarianceOp(b, (clean, clean)).apply_flat(np.eye(2))
+    z = CovarianceOp(b.resolve((clean, clean))).apply_flat(np.eye(2))
     assert np.all(z == 0.0)
 
 
 def test_residual_basis_requires_conditioning():
     b = residual_basis(Field([0.0]), Field([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resolve"):
         b.elements()
+    with pytest.raises(ValueError, match="resolve"):
+        CovarianceOp(b)
     with pytest.raises(ValueError):
-        b.elements((Field([0.0, 1.0]), Field([1.0, 2.0])))
+        b.resolve((Field([0.0, 1.0]), Field([1.0, 2.0])))
     with pytest.raises(ValueError):
         residual_basis(Field([0.0]), Field([1.0, 2.0]))
 
@@ -118,7 +124,7 @@ def test_residual_basis_requires_conditioning():
 def test_fixed_mode_ignores_conditioning():
     b = legendre_trig_basis(1, 2, (3, 3))
     pair = (Field(np.zeros((3, 3))), Field(np.ones((3, 3))))
-    assert b.elements(pair) is b.elements()
+    assert b.resolve(pair) is b
 
 
 def test_constructor_validation():
@@ -220,12 +226,12 @@ def test_whitener_is_made_once_per_operator(monkeypatch):
     assert len(calls) == 1
 
 
-def test_failed_svd_or_nonfinite_rows_are_singular(monkeypatch):
+def test_failed_svd_is_singular_and_nonfinite_rows_are_refused(monkeypatch):
     nan_rows = BasisSet((2,), size=1,
                         provider=lambda c, d: np.array([[np.nan, 1.0]]))
     pair = (Field([0.0, 0.0]), Field([1.0, 1.0]))
-    with pytest.raises(SingularCovarianceError, match="finite"):
-        CovarianceOp(nan_rows, pair).whiten(np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        nan_rows.resolve(pair)
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -41,7 +41,7 @@ def test_extreme_eta_noise_freezes_at_element_sum():
 def test_pixel_noise_is_standard_normal():
     basis = pixel_basis((4,))
     p = DiffusionProcess(make_vp_schedule(), basis, 0.0)
-    draws = p._noise_batch(100_000, Rng(1))
+    draws = p.noise_from_normals(Rng(1).standard_normal((100_000, 4)))
     n = draws.shape[0]
     assert np.all(np.abs(draws.mean(axis=0)) < 4.0 / np.sqrt(n))
     cov = np.cov(draws.T)
@@ -53,11 +53,10 @@ def test_pixel_noise_is_standard_normal():
 def test_residual_noise_coefficient_moments():
     clean = Field([0.0, 1.0, 0.5])
     degraded = Field([1.0, 0.0, 0.5])
-    basis = residual_basis(clean, degraded)
+    basis = residual_basis(clean, degraded).resolve((clean, degraded))
     p = DiffusionProcess(make_vp_schedule(), basis, 10.0)
-    pair = (clean, degraded)
     h1 = (degraded.values - clean.values).reshape(-1)
-    draws = p._noise_batch(20_000, Rng(2), pair)
+    draws = p.noise_from_normals(Rng(2).standard_normal((20_000, 1)))
     # every draw is c * h1 with c = (eta + eps)/(eta + 1)
     coef = draws @ h1 / (h1 @ h1)
     assert np.allclose(draws, coef[:, None] * h1[None, :], atol=1e-12)
@@ -77,14 +76,13 @@ def test_conditional_moments_closed_form():
     sched = make_vp_schedule()
     clean = Field([0.0, 1.0])
     degraded = Field([2.0, 0.5])
-    basis = residual_basis(clean, degraded)
+    basis = residual_basis(clean, degraded).resolve((clean, degraded))
     eta = 10.0
     p = DiffusionProcess(sched, basis, eta)
-    pair = (clean, degraded)
     h1 = degraded.values - clean.values
     for t in (7.0, 50.0, 100.0):
         s, sig = sched.s(t), sched.sigma(t)
-        mom = p.conditional_moments(clean, t, pair)
+        mom = p.conditional_moments(clean, t)
         expect_mean = s * clean.values + (eta * sig * s / (eta + 1.0)) * h1
         assert np.allclose(mom.mean.values, expect_mean, rtol=1e-13)
         assert mom.cov_scale == pytest.approx(
@@ -138,12 +136,12 @@ def test_sde_refuses_fewer_than_one_path(n_paths):
         p.simulate_sde(Field([0.1, 0.2, 0.3]), 4, n_paths, Rng(4))
 
 
-def _stepwise_sde(p, x0, n_steps, n_paths, rng, conditioning=None):
+def _stepwise_sde(p, x0, n_steps, n_paths, rng):
     """Plain Euler-Maruyama: x <- x + (f x + phi) dt + g sqrt(dt) xi H, one
     step at a time from a forward sample at T/1000, drawing as the library
     walk does."""
     sched = p.schedule
-    rows = p.basis.elements(conditioning)
+    rows = p.basis.elements()
     times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
     s, _, sig, _ = sched.evaluate(times[0])
     eps = rng.standard_normal((n_paths, rows.shape[0]))
@@ -177,16 +175,16 @@ def test_sde_scan_matches_a_stepwise_walk(make_schedule, eta, m, d):
 
 
 def test_sde_scan_matches_a_stepwise_walk_on_a_task_basis():
-    # basisdiff simulate on a residual task: the basis comes from the
-    # (clean, degraded) conditioning pair
+    # basisdiff simulate on a residual task: the basis is resolved on the
+    # task's (clean, degraded) pair
     cfg = load_config(CONFIGS / "streaks.json")
     task, basis = build_task(cfg)
-    p = build_process(cfg, basis)
-    assert basis.mode == "sample-dependent" and p.eta == 10.0
+    assert basis.mode == "sample-dependent"
     x0 = _transform(task, task.clean)
-    cond = (x0, _transform(task, task.degraded))
-    got = p.simulate_sde(x0, 64, 20, Rng(14, 3), cond)
-    expect = _stepwise_sde(p, x0, 64, 20, Rng(14, 3), cond)
+    p = build_process(cfg, basis.resolve((x0, _transform(task, task.degraded))))
+    assert p.eta == 10.0
+    got = p.simulate_sde(x0, 64, 20, Rng(14, 3))
+    expect = _stepwise_sde(p, x0, 64, 20, Rng(14, 3))
     _assert_same_cloud(got, expect)
 
 
@@ -254,6 +252,13 @@ def test_marginal_score_requires_fixed_basis():
     p = DiffusionProcess(make_vp_schedule(), residual_basis(clean, degraded), 0.0)
     with pytest.raises(ValueError):
         p.marginal_score_dirac(DiracDataset([clean]), 5.0, np.zeros((1, 2)))
+    # nor does anything else that reads the rows run before resolve
+    with pytest.raises(ValueError, match="resolve"):
+        p.noise_from_normals(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="resolve"):
+        p.conditional_moments(clean, 5.0)
+    with pytest.raises(ValueError, match="resolve"):
+        p.simulate_sde(clean, 4, 2, Rng(4))
 
 
 def test_pfode_assemblies_agree():

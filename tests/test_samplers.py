@@ -112,14 +112,6 @@ def test_reference_is_deterministic():
         sample_reference(p, den, x, 3)
 
 
-def test_final_denoise_jump():
-    p = _process()
-    y = Field([0.9, 0.9])
-    out = sample_euler(p, ConstantDenoiser(y), Field([0.0, 0.0]),
-                       make_time_grid(100.0, 3), final_denoise=True)
-    assert np.array_equal(out.values, y.values)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_state_aborts():
     # finite inputs whose very first update overflows: |dt * rhs| crosses the

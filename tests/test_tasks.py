@@ -5,7 +5,7 @@ import pytest
 
 import basisdiff.tasks as tasks_mod
 from basisdiff import bases
-from basisdiff.bases import legendre_trig_basis, pixel_basis
+from basisdiff.bases import legendre_trig_basis, pixel_basis, residual_basis
 from basisdiff.config import build_process, build_task, load_config
 from basisdiff.denoisers import (ConstantDenoiser, PreconditionedDenoiser,
                                  TinyNetwork)
@@ -15,8 +15,8 @@ from basisdiff.schedules import make_vp_schedule
 from basisdiff.tasks import (TaskInstance, case3_discrete_demo,
                              centered_poisson_sampler, gen_residual_task,
                              gen_smooth_field_task, run_restoration,
-                             task_residual_basis, tv_distance, _region_metrics,
-                             _transform, _untransform)
+                             tv_distance, _region_metrics, _transform,
+                             _untransform)
 from basisdiff.training import weight_from_mask
 
 
@@ -59,8 +59,7 @@ def test_task_generation_validation():
     with pytest.raises(ValueError):
         gen_smooth_field_task((9, 9), basis, Rng(0))
     clean, deg = Field([1.0, 1.0]), Field([2.0, 2.0])
-    moving = task_residual_basis(
-        TaskInstance("streaks", clean, deg, None, "identity"))
+    moving = residual_basis(clean, deg)
     with pytest.raises(ValueError):
         gen_smooth_field_task((8, 8), moving, Rng(0))
     with pytest.raises(ValueError):
@@ -85,8 +84,8 @@ def test_streaks_structure():
     assert set(np.unique(m)) <= {0.0, 1.0}
     assert m.sum() >= 1
     resid = task.degraded.values - task.clean.values
-    basis = task_residual_basis(task)
-    rows = basis.elements((task.clean, task.degraded))
+    basis = residual_basis(task.clean, task.degraded)
+    rows = basis.resolve((task.clean, task.degraded)).elements()
     assert np.array_equal(rows, resid.reshape(1, -1))
     # mask interior carries the dominant corruption, so the derived pixel
     # weight exceeds 1 exactly on the background
@@ -165,7 +164,7 @@ def test_region_metrics_partition():
 
 def test_metrics_dict_region_keys():
     task = gen_residual_task((12, 12), "streaks", Rng(9))
-    basis = task_residual_basis(task)
+    basis = residual_basis(task.clean, task.degraded)
     p = DiffusionProcess(make_vp_schedule(), basis, 10.0)
     res = run_restoration(task, p, ConstantDenoiser(task.clean), steps=0)
     rec = res.metrics_dict()

@@ -6,11 +6,11 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import Schedule, make_vp_schedule
-from basisdiff.bases import pixel_basis, residual_basis
+from basisdiff.bases import BasisSet, pixel_basis, residual_basis
 from basisdiff.training import (Adam, Sgd, TrainConfig, _batch_loss,
                                 _check_objective, _draw_batch, _draw_time,
-                                compute_loss, train, weight_from_mask,
-                                write_loss_trace)
+                                _point_processes, compute_loss, train,
+                                weight_from_mask, write_loss_trace)
 
 
 def _pixel_process(d=2, eta=0.0):
@@ -159,7 +159,8 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
     m = _check_objective(objective, den, mask, p.shape)
 
     batch_rng = Rng(cfg.seed, 1)
-    x0, t, noise = _draw_batch(batch_rng, cfg, p, ds, ds.stacked())
+    x0, t, noise = _draw_batch(batch_rng, cfg, p, ds.stacked(),
+                               _point_processes(p, ds))
     losses, grad = _batch_loss(objective, den, p, x0, t, noise, m)
 
     seq_rng = Rng(cfg.seed, 1)
@@ -184,8 +185,10 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
 
 
 def _reference_train(net, p, ds, cfg):
-    """train() written out: summed batch gradient / B, textbook Adam with
-    its lr decay, and the textbook EMA d ema + (1 - d) params."""
+    """train() written out: each batch element draws its index, time and
+    weights and mixes them over the basis resolved anew on its own pair,
+    then the summed batch gradient / B, textbook Adam with its lr decay, and
+    the textbook EMA d ema + (1 - d) params."""
     wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
     den = PreconditionedDenoiser(net, p, wrap)
     m_obj = _check_objective(cfg.objective, den, None, p.shape)
@@ -196,10 +199,18 @@ def _reference_train(net, p, ds, cfg):
     lr = cfg.lr
     trace = []
     for k in range(1, cfg.steps + 1):
-        x0, t, noise = _draw_batch(rng, cfg, p, ds, ds.stacked())
         # one row per call: each row's own loss and gradient
-        rows = [_batch_loss(cfg.objective, den, p, x0[j:j + 1], t[j:j + 1],
-                            noise[j:j + 1], m_obj) for j in range(cfg.batch)]
+        rows = []
+        for _ in range(cfg.batch):
+            i = rng.integers(0, len(ds))
+            t = _draw_time(rng, cfg, p.schedule.T)
+            eps = rng.standard_normal((1, p.basis.M))
+            pair = (ds.points[i], ds.degraded[i] if ds.degraded else None)
+            q = DiffusionProcess(p.schedule, p.basis.resolve(pair), p.eta)
+            rows.append(_batch_loss(cfg.objective, den, p,
+                                    ds.points[i].flat()[None, :],
+                                    np.array([t]), q.noise_from_normals(eps),
+                                    m_obj))
         trace.append(sum(float(loss[0]) for loss, _ in rows) / cfg.batch)
         grad = sum(g for _, g in rows) / cfg.batch
         if cfg.lr_decay_every and k > 1 and (k - 1) % cfg.lr_decay_every == 0:
@@ -274,6 +285,31 @@ def test_training_conditions_each_element_on_its_own_pair():
     assert trace(deg) != trace(deg[::-1])
     with pytest.raises(ValueError):
         train(TinyNetwork([3, 5, 2], Rng(36)), p, DiracDataset(pts), cfg)
+
+
+def test_training_resolves_each_point_once():
+    # a counting provider: train resolves each dataset point's pair once,
+    # before its first step, where the reference loop resolves one pair per
+    # batch element and step; the loss traces are the same
+    calls = []
+
+    def provider(clean, degraded):
+        calls.append(None)
+        return (degraded.values - clean.values).reshape(1, -1)
+
+    pts = [Field([0.4, -0.6]), Field([-0.1, 0.3])]
+    deg = [Field([0.9, -0.2]), Field([0.3, 0.7])]
+    p = DiffusionProcess(make_vp_schedule(),
+                         BasisSet((2,), provider=provider, size=1), 0.5)
+    ds = DiracDataset(pts, degraded=deg)
+    cfg = TrainConfig(steps=50, batch=4, lr=3e-2, objective="x0-pred", seed=35)
+    net, trace = train(TinyNetwork([3, 5, 2], Rng(36)), p, ds, cfg)
+    assert len(calls) == 2
+    ref_params, ref_trace = _reference_train(TinyNetwork([3, 5, 2], Rng(36)),
+                                             p, ds, cfg)
+    assert len(calls) == 2 + 50 * 4
+    np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
 
 
 def test_mse_x0_on_parameterless_denoiser():
