@@ -23,7 +23,7 @@ from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
 from .denoisers import (CheckpointMismatch, ConstantDenoiser,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
-from .fields import Field, Rng, write_field, write_pgm
+from .fields import Field, Rng, write_csv, write_field, write_pgm
 from .process import DiracDataset
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
 from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
@@ -53,15 +53,14 @@ def _out_dir(args) -> Path:
 
 
 def _training_setup(cfg: dict):
-    """(task, process, dataset, mask, widths) shared by train and restore."""
+    """(task, process, dataset, widths) for train, restore and simulate; the
+    process's basis is resolved on the working-domain (clean, degraded) pair."""
     task, basis = build_task(cfg)
-    p = build_process(cfg, basis)
     x0 = _transform(task, task.clean)
-    deg = _transform(task, task.degraded)
-    ds = DiracDataset([x0], degraded=[deg])
+    p = build_process(cfg, basis.resolve((x0, _transform(task, task.degraded))))
     d = task.clean.size
     widths = [d + 1] + cfg["network"]["hidden"] + [d]
-    return task, p, ds, task.mask, widths
+    return task, p, DiracDataset([x0]), widths
 
 
 def _fingerprint(cfg: dict, widths) -> dict:
@@ -85,10 +84,10 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _train_network(cfg: dict):
-    task, p, ds, mask, widths = _training_setup(cfg)
+    task, p, ds, widths = _training_setup(cfg)
     tc = _train_config(cfg)
     net = TinyNetwork(widths, Rng(cfg["seed"], 2))
-    net, trace = train(net, p, ds, tc, mask=mask)
+    net, trace = train(net, p, ds, tc, mask=task.mask)
     return task, p, net, trace
 
 
@@ -107,11 +106,10 @@ def _build_restore_denoiser(cfg: dict, kind: str):
     if kind == "train":
         task, p, net, _ = _train_network(cfg)
     else:
-        task, p, _, _, widths = _training_setup(cfg)
+        task, p, ds, widths = _training_setup(cfg)
     if kind == "oracle-clean":
-        return task, p, ConstantDenoiser(_transform(task, task.clean))
+        return task, p, ConstantDenoiser(ds.points[0])
     if kind == "analytic":
-        ds = DiracDataset([_transform(task, task.clean)])
         return task, p, DiracMixtureDenoiser(ds, p)
     if kind == "checkpoint":
         path = cfg["restore"]["checkpoint"]
@@ -162,9 +160,8 @@ def cmd_sample(args) -> int:
     grid = make_time_grid(p.schedule.T, sampling["steps"], sampling["scheme"])
     n = sampling["n_samples"]
     out = _out_dir(args)
-    with open(out / "samples.csv", "w") as samples:
-        samples.write("sample," + ",".join(f"x{i}" for i in range(pts[0].size))
-                      + "\n")
+
+    def sample_rows():
         # blocks of samples walk together; each block is written and freed
         # before the next, so the peak memory does not grow with n
         for lo in range(0, n, _SAMPLE_BLOCK):
@@ -173,8 +170,8 @@ def cmd_sample(args) -> int:
             for k, i in enumerate(block):
                 # one stream per sample: the index draw, then the forward noise
                 rng = Rng(cfg["seed"], 100 + i)
-                y = pts[rng.integers(0, len(pts))]
-                x_top[k] = p.forward_sample(y, p.schedule.T, rng).flat()
+                y = pts[rng.integers(0, len(pts))].flat()[None, :]
+                x_top[k] = p.forward_sample(y, p.schedule.T, rng)[0]
             states = euler_trajectory(p, den, x_top, grid)
             finals = states[-1]
             if sampling["final_denoise"]:
@@ -182,8 +179,10 @@ def cmd_sample(args) -> int:
             for k, i in enumerate(block):
                 write_trajectory_csv(grid, states[:, k],
                                      out / f"trajectory_{i:03d}.csv")
-                samples.write(f"{i}," + ",".join(map(repr, finals[k].tolist()))
-                              + "\n")
+                yield [i] + finals[k].tolist()
+
+    write_csv(out / "samples.csv",
+              ["sample"] + [f"x{i}" for i in range(pts[0].size)], sample_rows())
     print(f"wrote {n} samples over a {grid.size - 1}-step grid")
     return 0
 
@@ -194,25 +193,19 @@ def cmd_simulate(args) -> int:
         pts, p = _points_process(cfg)
         x0 = pts[0]
     else:
-        task, basis = build_task(cfg)
-        x0 = _transform(task, task.clean)
-        p = build_process(cfg, basis.resolve(
-            (x0, _transform(task, task.degraded))))
+        _, p, ds, _ = _training_setup(cfg)
+        x0 = ds.points[0]
     n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
     paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3))
     mom = p.conditional_moments(x0, p.schedule.T)
     closed_var = mom.cov_scale * (mom.cov_op.rows ** 2).sum(axis=0)
-    emp_mean = paths.mean(axis=0)
-    emp_var = paths.var(axis=0)
-    lines = ["index,empirical_mean,closed_mean,empirical_var,closed_var"]
-    for i in range(x0.size):
-        lines.append(",".join([str(i), repr(float(emp_mean[i])),
-                               repr(float(mom.mean.flat()[i])),
-                               repr(float(emp_var[i])),
-                               repr(float(closed_var[i]))]))
     out = _out_dir(args)
-    with open(out / "sde_stats.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(out / "sde_stats.csv",
+              ["index", "empirical_mean", "closed_mean", "empirical_var",
+               "closed_var"],
+              zip(range(x0.size), paths.mean(axis=0).tolist(),
+                  mom.mean.flat().tolist(), paths.var(axis=0).tolist(),
+                  closed_var.tolist()))
     print(f"simulated {n_paths} forward paths over {n_steps} steps")
     return 0
 
@@ -238,10 +231,7 @@ def cmd_demo_case3(args) -> int:
     table = case3_discrete_demo(sampler, case3["eta_grid"], case3["n_draws"],
                                 Rng(cfg["seed"], 5))
     out = _out_dir(args)
-    lines = ["eta,tv_distance"]
-    lines += [f"{repr(eta)},{repr(tv)}" for eta, tv in table]
-    with open(out / "case3.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(out / "case3.csv", ["eta", "tv_distance"], table)
     for eta, tv in table:
         print(f"eta={eta:g}: tv={tv:.4f}")
     return 0

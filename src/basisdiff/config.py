@@ -251,6 +251,9 @@ def build_task(cfg: dict):
     if kind == "smooth-field":
         basis = build_fixed_basis(cfg, (size, size))
         return gen_smooth_field_task((size, size), basis, rng), basis
+    if value(cfg, "basis.kind") is not None:
+        raise ConfigError(f"basis.kind does not apply to task.kind = {kind!r}, "
+                          f"whose noise is its own residual basis")
     task = gen_residual_task((size, size), kind, rng)
     return task, residual_basis(task.clean, task.degraded)
 

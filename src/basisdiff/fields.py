@@ -126,8 +126,8 @@ def rmse(a: Field, b: Field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: little-endian extents header followed by raw doubles, plus a
-# PGM dump for eyeballing 2-D fields.
+# Serialization: little-endian extents header followed by raw doubles, a
+# CSV table writer, and a PGM dump for eyeballing 2-D fields.
 
 def field_to_bytes(f: Field) -> bytes:
     head = struct.pack("<Q", f.ndim) + struct.pack(f"<{f.ndim}Q", *f.shape)
@@ -159,6 +159,15 @@ def write_field(f: Field, path) -> None:
 def read_field(path) -> Field:
     with open(path, "rb") as fh:
         return field_from_bytes(fh.read())
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV of the header, then each row as rows yields it; a row holds Python
+    numbers (ndarray.tolist()), printed as repr, which round-trips floats."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_pgm(f: Field, path) -> None:

@@ -135,11 +135,18 @@ class DiffusionProcess:
         """
         return ((self.eta + eps) / (self.eta + 1.0)) @ self.basis.elements()
 
-    def forward_sample(self, x0: Field, t: float, rng: Rng) -> Field:
-        """x_t = s(t) x_0 + s(t) sigma(t) N with a fresh noise draw."""
+    def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
+        """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) clean rows,
+        each with its own N; the (n, M) weights are one rng draw."""
+        if x0.ndim != 2 or x0.shape[1] != self._d:
+            raise ValueError(f"clean rows must be (n, {self._d}), got {x0.shape}")
         s, _, sig, _ = self.schedule.evaluate(t)
-        noise = self.noise_from_normals(rng.standard_normal((1, self.basis.M)))
-        return Field((s * x0.flat() + (s * sig) * noise[0]).reshape(self.shape))
+        x = self.noise_from_normals(
+            rng.standard_normal((x0.shape[0], self.basis.M)))
+        # in place: at 1e5 rows each (n, d) temporary adds to the peak memory
+        x *= s * sig
+        x += s * x0
+        return x
 
     def conditional_moments(self, x0: Field, t: float) -> ConditionalMoments:
         """Exact kernel parameters: mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .denoisers import Denoiser
-from .fields import Field
+from .fields import Field, write_csv
 from .process import DiffusionProcess
 
 TERMINAL_FRACTION = 1e-3  # eps_t = T * this
@@ -69,12 +69,8 @@ def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
 
 def sample_euler(p: DiffusionProcess, den: Denoiser, x_init: Field,
                  grid) -> Field:
-    """Euler walk down the grid: x <- x + (t_next - t) * rhs(x, t).
-
-    x_init is used as given: restoration mode passes the degraded
-    observation itself, round-trip mode passes a forward sample at the top
-    knot.
-    """
+    """Euler walk down the grid, x <- x + (t_next - t) * rhs(x, t), from
+    x_init as given (restoration passes the degraded observation itself)."""
     x = euler_trajectory(p, den, x_init.flat()[None, :], grid)[-1]
     return Field(x[0], shape=x_init.shape)
 
@@ -126,10 +122,6 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
 
 
 def write_trajectory_csv(times, states, path) -> None:
-    """CSV rows (t, state coordinates...) of one (K, d) trajectory; floats
-    print as repr, which round-trips exactly."""
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x{i}" for i in range(states.shape[1])) + "\n")
-        for t, row in zip(times, states):
-            fh.write(repr(float(t)) + "," + ",".join(map(repr, row.tolist()))
-                     + "\n")
+    """CSV rows (t, state coordinates...) of one (K, d) trajectory."""
+    write_csv(path, ["t"] + [f"x{i}" for i in range(states.shape[1])],
+              ([float(t)] + row.tolist() for t, row in zip(times, states)))

@@ -60,11 +60,11 @@ class Schedule:
         if type(t) is not float or not 0.0 <= t <= self.T:
             t = self._check(t)
             if type(t) is not float:
-                # adding zero gives constant parts (the VP s and s') t's shape;
+                # a float part (the VP s and s') is filled out to t's shape;
                 # sigma' divides by sigma, and is +inf where sigma = 0
-                zero = np.zeros(t.shape)
                 with np.errstate(divide="ignore"):
-                    return tuple(v + zero for v in self._parts(t, np))
+                    return tuple(np.full(t.shape, v) if type(v) is float else v
+                                 for v in self._parts(t, np))
         return self._parts(t)
 
     def s(self, t):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import Denoiser, PreconditionedDenoiser, TinyNetwork
-from .fields import Field, Rng
+from .fields import Field, Rng, write_csv
 from .process import DiffusionProcess, DiracDataset
 
 OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
@@ -327,8 +327,6 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
 
 
 def write_loss_trace(trace, path) -> None:
-    """CSV with header step,loss; floats via repr for stable round-trips."""
-    lines = ["step,loss"]
-    lines += [f"{i},{repr(v)}" for i, v in enumerate(trace)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV with header step,loss, one row per step."""
+    write_csv(path, ["step", "loss"],
+              ((i, float(v)) for i, v in enumerate(trace)))

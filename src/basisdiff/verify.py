@@ -349,7 +349,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
         x0 = Field(rng.standard_normal((3,)))
         for _ in range(probes_per_case):
             t = float(sched.T * (0.1 + 0.9 * rng.uniform()))
-            x = p.forward_sample(x0, t, rng)
+            x = p.forward_sample(x0.flat()[None, :], t, rng)
             mom = p.conditional_moments(x0, t)
             cov = mom.cov_scale * (rows.T @ rows)
 
@@ -357,8 +357,8 @@ def _checks_score(seed: int, probes_per_case: int = 13):
                 r = v - mean
                 return -0.5 * float(r @ np.linalg.solve(cov, r))
 
-            fd = _fd_gradient(logpdf, x.flat())
-            sc = p.conditional_score(x0, t, x.flat()[None, :])[0]
+            fd = _fd_gradient(logpdf, x[0])
+            sc = p.conditional_score(x0, t, x)[0]
             cond_err = max(cond_err, np.linalg.norm(sc - fd) / np.linalg.norm(fd))
     checks.append(_upper("score/conditional-vs-fd", cond_err, 1.0e-5, seed))
 
@@ -372,7 +372,8 @@ def _checks_score(seed: int, probes_per_case: int = 13):
         ds = DiracDataset(pts)
         for _ in range(probes_per_case):
             t = float(sched.T * (0.1 + 0.9 * rng.uniform()))
-            x = p.forward_sample(pts[rng.integers(0, 3)], t, rng)
+            x = p.forward_sample(pts[rng.integers(0, 3)].flat()[None, :], t,
+                                 rng)
             moms = [p.conditional_moments(y, t) for y in pts]
             # cov_scale depends on t alone, so the components share one
             # covariance and its normalising constant cancels in the gradient
@@ -386,8 +387,8 @@ def _checks_score(seed: int, probes_per_case: int = 13):
                 mx = max(logs)
                 return mx + math.log(sum(math.exp(l - mx) for l in logs))
 
-            fd = _fd_gradient(logpdf, x.flat())
-            sc = p.marginal_score_dirac(ds, t, x.flat()[None, :])[0]
+            fd = _fd_gradient(logpdf, x[0])
+            sc = p.marginal_score_dirac(ds, t, x)[0]
             marg_err = max(marg_err, np.linalg.norm(sc - fd) / np.linalg.norm(fd))
     checks.append(_upper("score/marginal-vs-fd", marg_err, 1.0e-5, seed))
 
@@ -474,12 +475,8 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     t = sched.T / 5.0
 
     draw = Rng(seed, 62)
-    idx = draw.integers(0, len(pts), (n_samples,))
-    y = pts[idx]
-    s = sched.s(t)
-    sig = sched.sigma(t)
-    noise = p.noise_from_normals(draw.standard_normal((n_samples, p.basis.M)))
-    x = s * y + (s * sig) * noise
+    y = pts[draw.integers(0, len(pts), (n_samples,))]
+    x = p.forward_sample(y, t, draw)
     d_opt = den.denoise(x, t)
     resid = d_opt - y
 
@@ -529,9 +526,9 @@ def _checks_sampler(seed: int):
     # so randomizing them would only add failure modes unrelated to the code
     x_top = Field(np.array([0.9, -1.4]))
     # round-trip start: a data point noised forward to the top knot
-    x_noised = p.forward_sample(pts[1], sched.T, Rng(seed, 71))
+    x_noised = p.forward_sample(pts[1].flat()[None, :], sched.T, Rng(seed, 71))
     # the two starts walk each integrator together, one row each
-    starts = np.stack([x_top.flat(), x_noised.flat()])
+    starts = np.concatenate([x_top.flat()[None, :], x_noised])
     ref, limit = sample_reference(p, den, starts, 4096)
     fine, back = euler_trajectory(p, den, starts,
                                   make_time_grid(sched.T, 1000))[-1]
@@ -601,12 +598,12 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
                      Z_BOUND, seed)]
 
     # forward kernel matches x0 + sigma * eps moments
-    x0 = Field(rng.standard_normal((2, 2)))
+    x0 = rng.standard_normal((2, 2)).reshape(-1)
     t = sched.T / 2.0
-    s, sig = sched.s(t), sched.sigma(t)
-    eps = rng.derive(81).standard_normal((n_draws, p.basis.M))
-    batch = s * x0.flat() + (s * sig) * p.noise_from_normals(eps)
-    z_mean = np.abs(batch.mean(axis=0) - x0.flat()) / (sig / math.sqrt(n_draws))
+    sig = sched.sigma(t)
+    batch = p.forward_sample(np.broadcast_to(x0, (n_draws, x0.size)), t,
+                             rng.derive(81))
+    z_mean = np.abs(batch.mean(axis=0) - x0) / (sig / math.sqrt(n_draws))
     z_var = np.abs(batch.var(axis=0) - sig ** 2) / (sig ** 2 * math.sqrt(2.0 / n_draws))
     checks.append(_upper("edm-reduction/forward-kernel-z",
                          float(max(z_mean.max(), z_var.max())), Z_BOUND, seed))

@@ -12,7 +12,7 @@ from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
 from basisdiff.denoisers import DiracMixtureDenoiser, load_network
 from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess, DiracDataset
-from basisdiff.samplers import make_time_grid, sample_euler
+from basisdiff.samplers import euler_trajectory, make_time_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -161,6 +161,21 @@ def test_restore_oracle_outputs(tmp_path):
     assert (out / "clean.pgm").read_bytes().startswith(b"P5\n")
 
 
+@pytest.mark.parametrize("config", ["streaks.json", "shadow_box.json"])
+def test_analytic_restore_runs_on_residual_tasks(tmp_path, config):
+    # the process is over the basis resolved on the task's own pair, so the
+    # analytic denoiser runs; its one point is the clean field, so it
+    # restores exactly what the clean oracle does
+    restored = {}
+    for kind in ("analytic", "oracle-clean"):
+        out = tmp_path / kind
+        assert main(["restore", "--config", str(CONFIGS / config),
+                     "--set", f"restore.denoiser={kind}",
+                     "--out", str(out)]) == 0
+        restored[kind] = (out / "restored.bin").read_bytes()
+    assert restored["analytic"] == restored["oracle-clean"]
+
+
 def test_restore_zero_steps_is_identity(tmp_path):
     out = tmp_path / "restore0"
     code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
@@ -205,16 +220,16 @@ def _check_against_one_trajectory_runs(out, n, final_denoise):
     for i in range(n):
         rng = Rng(cfg["seed"], 100 + i)
         y = pts[rng.integers(0, len(pts))]
-        x_top = p.forward_sample(y, p.schedule.T, rng)
-        end = sample_euler(p, den, x_top, grid)
+        x_top = p.forward_sample(y.flat()[None, :], p.schedule.T, rng)
+        end = euler_trajectory(p, den, x_top, grid)[-1]
         traj = np.loadtxt(out / f"trajectory_{i:03d}.csv",
                           delimiter=",", skiprows=1)
-        np.testing.assert_allclose(traj[0, 1:], x_top.values, rtol=1e-12)
-        np.testing.assert_allclose(traj[-1, 1:], end.values, rtol=1e-12)
+        np.testing.assert_allclose(traj[0, 1:], x_top[0], rtol=1e-12)
+        np.testing.assert_allclose(traj[-1, 1:], end[0], rtol=1e-12)
         if final_denoise == "true":
-            end = Field(den.denoise(end.flat()[None, :], float(grid[-1]))[0])
+            end = den.denoise(end, float(grid[-1]))
         assert rows[i, 0] == i
-        np.testing.assert_allclose(rows[i, 1:], end.values, rtol=1e-12)
+        np.testing.assert_allclose(rows[i, 1:], end[0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("final_denoise", ["false", "true"])
@@ -442,7 +457,10 @@ def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):
      ["training.time_dist=discrete", "schedule.T=1e19"],
      ["training.time_dist", "schedule.T"]),
     ("sample", "toy_sample.json", ["basis.kind=legendre-trig"],
-     ["basis.kind", "points"])])
+     ["basis.kind", "points"]),
+    # a residual task's noise is its own basis
+    ("train", "streaks.json", ["basis.kind=pixel"],
+     ["basis.kind", "task.kind"])])
 def test_bad_values_exit_2_naming_their_key(tmp_path, capsys, command, config,
                                             overrides, keys):
     args = [command, "--config", str(CONFIGS / config), *SMALL_TRAIN]

@@ -112,6 +112,10 @@ def test_task_builders_are_deterministic():
     assert np.array_equal(task_a.clean.values, task_b.clean.values)
     assert basis_a.mode == "fixed" and basis_a.shape == (8, 8)
     cfg["task"]["kind"] = "streaks"
+    # smooth_field.json's basis.kind has no meaning for a residual task
+    with pytest.raises(ConfigError, match="basis.kind"):
+        build_task(cfg)
+    cfg["basis"]["kind"] = None
     task, basis = build_task(cfg)
     assert basis.mode == "sample-dependent" and task.mask is not None
     cfg["task"]["kind"] = "mystery"

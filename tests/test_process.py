@@ -67,9 +67,14 @@ def test_residual_noise_coefficient_moments():
 
 def test_forward_at_time_zero_is_exact():
     p, _ = _toy_process()
-    x0 = Field([0.3, -1.2, 2.0])
+    x0 = np.array([[0.3, -1.2, 2.0], [1.0, 0.0, -0.5]])
     out = p.forward_sample(x0, 0.0, Rng(3))
-    assert np.array_equal(out.values, x0.values)
+    assert np.array_equal(out, x0)
+    # clean rows only: neither a (d,) vector nor rows of another width
+    with pytest.raises(ValueError, match=r"\(3,\)"):
+        p.forward_sample(x0[0], 0.0, Rng(3))
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        p.forward_sample(x0[:, :2], 0.0, Rng(3))
 
 
 def test_conditional_moments_closed_form():

@@ -482,3 +482,6 @@ def test_write_loss_trace(tmp_path):
     write_loss_trace([1.5, 0.25], path)
     lines = path.read_text().splitlines()
     assert lines == ["step,loss", "0,1.5", "1,0.25"]
+    # numpy scalars print as plain numbers too
+    write_loss_trace(np.array([0.5, 0.25]), path)
+    assert path.read_text().splitlines() == ["step,loss", "0,0.5", "1,0.25"]

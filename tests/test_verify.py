@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from basisdiff import verify
+from basisdiff.process import DiffusionProcess
 from basisdiff.verify import (CheckResult, SUITE_NAMES, SuiteReport, _lower,
                               _upper, run_suite)
 
@@ -157,6 +158,21 @@ def test_coefficient_suite_integrates_the_library_coefficients(monkeypatch,
     # three stages per step, less the one at t = 0
     assert all(n >= 3 * 10_000 - 1 for n in calls)
     assert report.passed == (scaled is None)
+
+
+def test_edm_reduction_checks_the_library_forward_kernel(monkeypatch):
+    # criterion 5's forward-kernel check draws through
+    # DiffusionProcess.forward_sample, so 10 % more noise there fails it
+    real = DiffusionProcess.forward_sample
+
+    def louder(self, x0, t, rng):
+        mean = self.schedule.s(t) * x0
+        return mean + 1.1 * (real(self, x0, t, rng) - mean)
+
+    monkeypatch.setattr(DiffusionProcess, "forward_sample", louder)
+    report = run_suite("edm-reduction", seed=7)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "edm-reduction/forward-kernel-z"]
 
 
 def test_sampler_suite_keeps_its_walks(monkeypatch):
