@@ -1,13 +1,11 @@
 """Basis sets defining structured noise patterns and their covariance.
 
-A basis set is an ordered list [h_1 .. h_M] of fields over one data shape.
-Fixed-mode sets (Legendre + rotated trigonometric family, pixel indicators)
-are constants of the model; sample-dependent sets produce their elements from
-a (clean, degraded) pair, e.g. the single-element residual basis
-h_1 = degraded - clean, and resolve() turns one such pair into a fixed set
-once, so everything downstream sees fixed rows.  The induced covariance
-Sigma = H^T H of the (M, d) element rows H is never formed: products go
-through H^T (H v), and solves through one thin SVD of H.
+A basis set is an ordered list [h_1 .. h_M] of fields over one data shape,
+held as its read-only (M, d) element rows H: the Legendre + rotated
+trigonometric family, the pixel indicators, or the single residual row
+h_1 = degraded - clean of one (clean, degraded) pair.  The induced covariance
+Sigma = H^T H is never formed: products go through H^T (H v), and solves
+through one thin SVD of H.
 """
 
 from __future__ import annotations
@@ -39,60 +37,31 @@ class SingularCovarianceError(RuntimeError):
 class BasisSet:
     """Ordered basis functions [h_1 .. h_M] over a fixed data shape."""
 
-    def __init__(self, shape, elements=None, provider=None, size=None):
+    def __init__(self, shape, elements):
         self.shape = tuple(int(n) for n in shape)
-        self._d = int(np.prod(self.shape)) if self.shape else 0
-        if (elements is None) == (provider is None):
-            raise ValueError("give exactly one of elements or provider")
-        if elements is not None:
-            rows = np.array(elements, dtype=np.float64).reshape(len(elements), -1)
-            if rows.shape[1] != self._d:
-                raise ValueError("basis elements do not match the data shape")
-            if rows.shape[0] < 1:
-                raise ValueError("a basis set needs at least one element")
-            if not np.all(np.isfinite(rows)):
-                raise ValueError("basis elements must be finite")
-            rows.setflags(write=False)
-            self.mode = "fixed"
-            self._rows = rows
-            self._provider = None
-            self._size = rows.shape[0]
-        else:
-            if size is None or size < 1:
-                raise ValueError("sample-dependent basis needs a declared size")
-            self.mode = "sample-dependent"
-            self._rows = None
-            self._provider = provider
-            self._size = int(size)
+        if len(elements) < 1:
+            raise ValueError("a basis set needs at least one element")
+        rows = np.array(elements, dtype=np.float64).reshape(len(elements), -1)
+        if rows.shape[1] != (int(np.prod(self.shape)) if self.shape else 0):
+            raise ValueError("basis elements do not match the data shape")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("basis elements must be finite")
+        rows.setflags(write=False)
+        self._rows = rows
 
     @classmethod
     def from_elements(cls, fields_or_rows, shape) -> "BasisSet":
-        """Fixed basis from an (M, d) array or a list of Fields."""
+        """Basis from an (M, d) array or a list of Fields."""
         rows = [f.values if isinstance(f, Field) else f for f in fields_or_rows]
         return cls(shape, elements=np.asarray(rows, dtype=np.float64))
 
     @property
     def M(self) -> int:
-        return self._size
+        return self._rows.shape[0]
 
     def elements(self) -> np.ndarray:
-        """Stacked (M, d) element matrix of a fixed set; read-only."""
-        if self._rows is None:
-            raise ValueError("sample-dependent basis: resolve it with a "
-                             "(clean, degraded) pair first")
+        """Stacked (M, d) element matrix; read-only."""
         return self._rows
-
-    def resolve(self, pair) -> "BasisSet":
-        """The fixed set for one (clean, degraded) Field pair: self for a
-        fixed set, else the provider's rows for the pair, made once."""
-        if self.mode == "fixed":
-            return self
-        clean, degraded = pair
-        if clean.shape != self.shape or degraded.shape != self.shape:
-            raise ValueError("(clean, degraded) pair does not match the "
-                             "data shape")
-        rows = np.asarray(self._provider(clean, degraded), dtype=np.float64)
-        return BasisSet(self.shape, elements=rows.reshape(self._size, self._d))
 
 
 def legendre_trig_basis(n1: int, n2: int, grid) -> BasisSet:
@@ -153,22 +122,15 @@ def pixel_basis(shape) -> BasisSet:
 
 
 def residual_basis(clean: Field, degraded: Field) -> BasisSet:
-    """Single-element, sample-dependent basis h_1 = degraded - clean.
-
-    The passed pair fixes the data shape; resolve() makes the element for
-    whichever pair it is given.
-    """
+    """Single-element basis whose one row is h_1 = degraded - clean."""
     if clean.shape != degraded.shape:
         raise ValueError(f"shape mismatch: {clean.shape} vs {degraded.shape}")
-
-    def provider(c, d):
-        return (d.values - c.values).reshape(1, -1)
-
-    return BasisSet(clean.shape, provider=provider, size=1)
+    rows = (degraded.values - clean.values).reshape(1, -1)
+    return BasisSet(clean.shape, elements=rows)
 
 
 class CovarianceOp:
-    """Sigma = sum_m h_m h_m^T for the element matrix of a fixed basis.
+    """Sigma = sum_m h_m h_m^T for the element matrix of a basis.
 
     The (M, d) element rows H and their sum sum_m h_m (total) are kept, so
     no product re-reads the basis.  apply_flat() works at any size in

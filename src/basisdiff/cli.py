@@ -53,11 +53,10 @@ def _out_dir(args) -> Path:
 
 
 def _training_setup(cfg: dict):
-    """(task, process, dataset, widths) for train, restore and simulate; the
-    process's basis is resolved on the working-domain (clean, degraded) pair."""
+    """(task, process, dataset, widths) for train, restore and simulate."""
     task, basis = build_task(cfg)
     x0 = _transform(task, task.clean)
-    p = build_process(cfg, basis.resolve((x0, _transform(task, task.degraded))))
+    p = build_process(cfg, basis)
     d = task.clean.size
     widths = [d + 1] + cfg["network"]["hidden"] + [d]
     return task, p, DiracDataset([x0]), widths

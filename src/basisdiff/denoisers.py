@@ -56,8 +56,6 @@ class DiracMixtureDenoiser(Denoiser):
     variant = "analytic-dirac"
 
     def __init__(self, dataset: DiracDataset, process: DiffusionProcess):
-        if process.basis.mode != "fixed":
-            raise ValueError("analytic denoiser requires a fixed-mode basis")
         if dataset.shape != process.shape:
             raise ValueError("dataset shape does not match the process")
         self.dataset = dataset

@@ -38,28 +38,21 @@ class ConditionalMoments:
 
 
 class DiracDataset:
-    """Finite point dataset [y_1 .. y_Y], optionally with degraded partners.
+    """Finite point dataset [y_1 .. y_Y].
 
     A process caches whitened copies of the points (see
     DiffusionProcess.dirac_weights), so the points are not to be changed
     once a process has used the dataset.
     """
 
-    def __init__(self, points, degraded=None):
+    def __init__(self, points):
         if len(points) < 1:
             raise ValueError("dataset needs at least one point")
         shape = points[0].shape
         for p in points:
             if p.shape != shape:
                 raise ValueError("all dataset points must share one shape")
-        if degraded is not None:
-            if len(degraded) != len(points):
-                raise ValueError("degraded list must pair up with points")
-            for d in degraded:
-                if d.shape != shape:
-                    raise ValueError("degraded fields must share the point shape")
         self.points = list(points)
-        self.degraded = list(degraded) if degraded is not None else None
         self.shape = shape
 
     def __len__(self):
@@ -70,13 +63,7 @@ class DiracDataset:
 
 
 class DiffusionProcess:
-    """Forward diffusion with basis-structured noise and its reverse flows.
-
-    Every method that reads the basis rows needs a fixed basis; a
-    sample-dependent one is resolved first (BasisSet.resolve).  The
-    simplified flow pfode_rhs never reads them, so restoration runs over
-    either.
-    """
+    """Forward diffusion with basis-structured noise and its reverse flows."""
 
     def __init__(self, schedule: Schedule, basis: BasisSet, eta: float):
         if eta < 0:

@@ -77,8 +77,6 @@ def gen_smooth_field_task(size, basis: BasisSet, rng: Rng) -> TaskInstance:
     shape = tuple(int(n) for n in size)
     if len(shape) != 2:
         raise ValueError("smooth-field task needs a 2-D size")
-    if basis.mode != "fixed":
-        raise ValueError("smooth-field task needs a fixed basis")
     if basis.shape != shape:
         raise ValueError("basis grid does not match the task size")
     clean = _phantom(shape, rng)

@@ -217,20 +217,14 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
 
 
 def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
-                 x0: Field, t: float, rng: Rng, mask: Field = None,
-                 degraded: Field = None):
+                 x0: Field, t: float, rng: Rng, mask: Field = None):
     """One-sample loss and parameter gradient.
 
     Draws the noise internally from rng, so calling twice with identically
-    seeded Rng objects reproduces the same (loss, gradient) pair; a
-    sample-dependent basis is resolved on (x0, degraded).  Returns a
+    seeded Rng objects reproduces the same (loss, gradient) pair.  Returns a
     zero-length gradient for denoisers without trainable parameters.
     """
     m = _check_objective(objective, den, mask, p.shape)
-    if p.basis.mode == "sample-dependent":
-        if degraded is None:
-            raise ValueError("sample-dependent basis requires a degraded partner")
-        p = DiffusionProcess(p.schedule, p.basis.resolve((x0, degraded)), p.eta)
     noise = p.noise_from_normals(rng.standard_normal((1, p.basis.M)))
     losses, grad = _batch_loss(objective, den, p, x0.flat()[None, :],
                                np.array([float(t)]), noise, m)
@@ -244,26 +238,13 @@ def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
     return float(rng.integers(1, int(round(T)) + 1))
 
 
-def _point_processes(p: DiffusionProcess, ds: DiracDataset):
-    """None over a fixed basis; else one process per dataset point, over the
-    basis resolved on that point's (clean, degraded) pair."""
-    if p.basis.mode == "fixed":
-        return None
-    if ds.degraded is None:
-        raise ValueError("sample-dependent basis requires a degraded partner")
-    return [DiffusionProcess(p.schedule, p.basis.resolve(pair), p.eta)
-            for pair in zip(ds.points, ds.degraded)]
-
-
 def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
-                points: np.ndarray, point_procs=None):
+                points: np.ndarray):
     """(x0, t, noise) for one step, each with one row per batch element.
 
     Each element draws its data index, then its time, then its M noise
-    weights, in the order compute_loss would draw them one call at a time.
-    A fixed basis mixes all the weights in one product; over a
-    sample-dependent basis each element's weights mix with its own point's
-    rows, from point_procs (_point_processes).
+    weights, in the order compute_loss would draw them one call at a time;
+    all the weights mix with the basis rows in one product.
     """
     idx = np.empty(cfg.batch, dtype=np.intp)
     t = np.empty(cfg.batch)
@@ -272,12 +253,7 @@ def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
         idx[k] = rng.integers(0, len(points))
         t[k] = _draw_time(rng, cfg, p.schedule.T)
         eps[k] = rng.standard_normal(p.basis.M)
-    if point_procs is None:
-        noise = p.noise_from_normals(eps)
-    else:
-        noise = np.concatenate([point_procs[i].noise_from_normals(eps[k:k + 1])
-                                for k, i in enumerate(idx)])
-    return points[idx], t, noise
+    return points[idx], t, p.noise_from_normals(eps)
 
 
 def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
@@ -286,13 +262,11 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
 
     The network is wrapped per the objective (wrapper_for).  All
     randomness comes from Rng(cfg.seed, 1), so a fixed config reproduces
-    its trace exactly.  A sample-dependent basis is resolved once per
-    dataset point, before the first step.  Each step evaluates its whole
-    batch in one forward and one backward pass.
+    its trace exactly.  Each step evaluates its whole batch in one forward
+    and one backward pass.
     """
     if len(ds) < 1:
         raise ValueError("dataset must be nonempty")
-    point_procs = _point_processes(p, ds)
     den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
     if cfg.optimizer == "adam":
@@ -306,7 +280,7 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     trace = []
     lr = cfg.lr
     for step in range(cfg.steps):
-        x0, t, noise = _draw_batch(rng, cfg, p, points, point_procs)
+        x0, t, noise = _draw_batch(rng, cfg, p, points)
         losses, grad = _batch_loss(cfg.objective, den, p, x0, t, noise, m)
         mean_loss = float(losses.sum()) / cfg.batch
         if not np.isfinite(mean_loss):

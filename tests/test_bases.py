@@ -94,52 +94,36 @@ def test_residual_basis_tracks_conditioning():
     clean = Field([0.0, 0.0])
     degraded = Field([1.0, 2.0])
     b = residual_basis(clean, degraded)
-    assert b.mode == "sample-dependent" and b.M == 1
-    fixed = b.resolve((clean, degraded))
-    assert fixed.mode == "fixed" and fixed.M == 1 and fixed.shape == (2,)
-    assert np.array_equal(fixed.elements(), [[1.0, 2.0]])
-    assert np.array_equal(fixed.elements().sum(axis=0), [1.0, 2.0])
-    op = CovarianceOp(fixed)
+    assert b.M == 1 and b.shape == (2,)
+    assert np.array_equal(b.elements(), [[1.0, 2.0]])
+    assert np.array_equal(b.elements().sum(axis=0), [1.0, 2.0])
+    op = CovarianceOp(b)
     assert np.array_equal(op.apply_flat(np.eye(2)), [[1.0, 2.0], [2.0, 4.0]])
-    # each pair resolves to its own residual, not the constructor's
-    other = b.resolve((degraded, Field([0.0, 5.0])))
+    # each pair makes its own residual row
+    other = residual_basis(degraded, Field([0.0, 5.0]))
     assert np.array_equal(other.elements(), [[-1.0, 3.0]])
     # same-image pair: residual direction collapses to zero
-    z = CovarianceOp(b.resolve((clean, clean))).apply_flat(np.eye(2))
+    z = CovarianceOp(residual_basis(clean, clean)).apply_flat(np.eye(2))
     assert np.all(z == 0.0)
 
 
 def test_residual_basis_requires_conditioning():
-    b = residual_basis(Field([0.0]), Field([1.0]))
-    with pytest.raises(ValueError, match="resolve"):
-        b.elements()
-    with pytest.raises(ValueError, match="resolve"):
-        CovarianceOp(b)
-    with pytest.raises(ValueError):
-        b.resolve((Field([0.0, 1.0]), Field([1.0, 2.0])))
-    with pytest.raises(ValueError):
+    # the pair fixes the data shape, so its two fields must share one
+    with pytest.raises(ValueError, match="shape mismatch"):
         residual_basis(Field([0.0]), Field([1.0, 2.0]))
 
 
-def test_fixed_mode_ignores_conditioning():
-    b = legendre_trig_basis(1, 2, (3, 3))
-    pair = (Field(np.zeros((3, 3))), Field(np.ones((3, 3))))
-    assert b.resolve(pair) is b
-
-
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        BasisSet((2,))  # neither elements nor provider
-    with pytest.raises(ValueError):
-        BasisSet((2,), elements=[[1.0, 0.0]], provider=lambda c, d: None)
+    with pytest.raises(ValueError, match="at least one element"):
+        BasisSet((2,), elements=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="at least one element"):
+        BasisSet.from_elements([], (2,))
     with pytest.raises(ValueError):
         BasisSet((2,), elements=[[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         BasisSet((2,), elements=[[1.0, np.nan]])
-    with pytest.raises(ValueError):
-        BasisSet((2,), provider=lambda c, d: None)  # no size
     b = BasisSet.from_elements([Field([1.0, 2.0]), Field([0.0, 1.0])], (2,))
-    assert b.M == 2 and b.mode == "fixed"
+    assert b.M == 2 and np.array_equal(b.elements(), [[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_elements_are_read_only():
@@ -227,11 +211,8 @@ def test_whitener_is_made_once_per_operator(monkeypatch):
 
 
 def test_failed_svd_is_singular_and_nonfinite_rows_are_refused(monkeypatch):
-    nan_rows = BasisSet((2,), size=1,
-                        provider=lambda c, d: np.array([[np.nan, 1.0]]))
-    pair = (Field([0.0, 0.0]), Field([1.0, 1.0]))
     with pytest.raises(ValueError, match="finite"):
-        nan_rows.resolve(pair)
+        BasisSet((2,), elements=[[np.nan, 1.0]])
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -110,14 +110,16 @@ def test_task_builders_are_deterministic():
     cfg["task"]["size"] = 8
     (task_a, basis_a), (task_b, _) = build_task(cfg), build_task(cfg)
     assert np.array_equal(task_a.clean.values, task_b.clean.values)
-    assert basis_a.mode == "fixed" and basis_a.shape == (8, 8)
+    assert basis_a.shape == (8, 8)
     cfg["task"]["kind"] = "streaks"
     # smooth_field.json's basis.kind has no meaning for a residual task
     with pytest.raises(ConfigError, match="basis.kind"):
         build_task(cfg)
     cfg["basis"]["kind"] = None
     task, basis = build_task(cfg)
-    assert basis.mode == "sample-dependent" and task.mask is not None
+    assert task.mask is not None and basis.M == 1
+    assert np.array_equal(basis.elements()[0],
+                          task.degraded.flat() - task.clean.flat())
     cfg["task"]["kind"] = "mystery"
     with pytest.raises(ConfigError):
         build_task(cfg)

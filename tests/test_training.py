@@ -6,11 +6,11 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.schedules import Schedule, make_vp_schedule
-from basisdiff.bases import BasisSet, pixel_basis, residual_basis
+from basisdiff.bases import pixel_basis, residual_basis
 from basisdiff.training import (Adam, Sgd, TrainConfig, _batch_loss,
                                 _check_objective, _draw_batch, _draw_time,
-                                _point_processes, compute_loss, train,
-                                weight_from_mask, write_loss_trace)
+                                compute_loss, train, weight_from_mask,
+                                write_loss_trace)
 
 
 def _pixel_process(d=2, eta=0.0):
@@ -134,15 +134,13 @@ def test_adam_zero_rate_leaves_params_bit_identical():
 
 
 def _equivalence_case(basis_kind, objective):
+    ds = DiracDataset([Field([0.4, -0.6, 0.2]), Field([-0.1, 0.3, 0.8])])
     if basis_kind == "pixel":
         p = DiffusionProcess(make_vp_schedule(), pixel_basis((3,)), 0.0)
-        ds = DiracDataset([Field([0.4, -0.6, 0.2]), Field([-0.1, 0.3, 0.8])])
     else:
-        pts = [Field([0.4, -0.6, 0.2]), Field([-0.1, 0.3, 0.8])]
-        deg = [Field([0.9, -0.2, 0.1]), Field([0.3, 0.3, -0.5])]
-        p = DiffusionProcess(make_vp_schedule(),
-                             residual_basis(pts[0], deg[0]), 0.5)
-        ds = DiracDataset(pts, degraded=deg)
+        # one fixed residual row (M = 1 < d = 3) over both points
+        basis = residual_basis(ds.points[0], Field([0.9, -0.2, 0.1]))
+        p = DiffusionProcess(make_vp_schedule(), basis, 0.5)
     wrap = "predict-x0" if objective == "x0-pred" else "predict-noise"
     net = TinyNetwork([4, 6, 3], Rng(32))
     net.params[:] = 0.7 * Rng(33).standard_normal(net.n_params)
@@ -159,8 +157,7 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
     m = _check_objective(objective, den, mask, p.shape)
 
     batch_rng = Rng(cfg.seed, 1)
-    x0, t, noise = _draw_batch(batch_rng, cfg, p, ds.stacked(),
-                               _point_processes(p, ds))
+    x0, t, noise = _draw_batch(batch_rng, cfg, p, ds.stacked())
     losses, grad = _batch_loss(objective, den, p, x0, t, noise, m)
 
     seq_rng = Rng(cfg.seed, 1)
@@ -169,9 +166,8 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
     for k in range(cfg.batch):
         i = seq_rng.integers(0, len(ds))
         tk = _draw_time(seq_rng, cfg, p.schedule.T)
-        degraded = ds.degraded[i] if ds.degraded is not None else None
         loss, g = compute_loss(objective, den, p, ds.points[i], tk, seq_rng,
-                               mask=mask, degraded=degraded)
+                               mask=mask)
         assert tk == t[k] and np.array_equal(ds.points[i].flat(), x0[k])
         seq_losses.append(loss)
         seq_grad += g
@@ -186,9 +182,9 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
 
 def _reference_train(net, p, ds, cfg):
     """train() written out: each batch element draws its index, time and
-    weights and mixes them over the basis resolved anew on its own pair,
-    then the summed batch gradient / B, textbook Adam with its lr decay, and
-    the textbook EMA d ema + (1 - d) params."""
+    weights and takes its own loss and gradient, then the summed batch
+    gradient / B, textbook Adam with its lr decay, and the textbook EMA
+    d ema + (1 - d) params."""
     wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
     den = PreconditionedDenoiser(net, p, wrap)
     m_obj = _check_objective(cfg.objective, den, None, p.shape)
@@ -205,11 +201,9 @@ def _reference_train(net, p, ds, cfg):
             i = rng.integers(0, len(ds))
             t = _draw_time(rng, cfg, p.schedule.T)
             eps = rng.standard_normal((1, p.basis.M))
-            pair = (ds.points[i], ds.degraded[i] if ds.degraded else None)
-            q = DiffusionProcess(p.schedule, p.basis.resolve(pair), p.eta)
             rows.append(_batch_loss(cfg.objective, den, p,
                                     ds.points[i].flat()[None, :],
-                                    np.array([t]), q.noise_from_normals(eps),
+                                    np.array([t]), p.noise_from_normals(eps),
                                     m_obj))
         trace.append(sum(float(loss[0]) for loss, _ in rows) / cfg.batch)
         grad = sum(g for _, g in rows) / cfg.batch
@@ -224,10 +218,12 @@ def _reference_train(net, p, ds, cfg):
     return ema, trace
 
 
-@pytest.mark.parametrize("batch", [3, 8])
-@pytest.mark.parametrize("objective", ["mse-x0", "x0-pred"])
-def test_train_matches_a_reference_loop(batch, objective):
-    p, ds, _, _ = _equivalence_case("pixel", objective)
+@pytest.mark.parametrize("objective, batch, basis_kind", [
+    ("mse-x0", 3, "pixel"), ("mse-x0", 8, "pixel"), ("x0-pred", 3, "pixel"),
+    ("x0-pred", 8, "pixel"), ("x0-pred", 4, "residual")],
+    ids=["mse-x0-3", "mse-x0-8", "x0-pred-3", "x0-pred-8", "x0-pred-4-residual"])
+def test_train_matches_a_reference_loop(objective, batch, basis_kind):
+    p, ds, _, _ = _equivalence_case(basis_kind, objective)
     cfg = TrainConfig(steps=20, batch=batch, lr=3e-2, objective=objective,
                       seed=39, lr_decay=0.5, lr_decay_every=7, ema_decay=0.8)
 
@@ -268,48 +264,6 @@ def test_one_schedule_evaluation_per_batch_row(monkeypatch, objective):
     den.denoise(np.zeros((3, 3)), 40.0)
     den.denoise(np.zeros((1, 3)), 60.0)
     assert counts == {"evaluate": 2}
-
-
-def test_training_conditions_each_element_on_its_own_pair():
-    # x0-pred on a residual basis: the loss sees only the noise through x_t,
-    # so swapping the degraded partners must change the trace
-    pts = [Field([0.4, -0.6]), Field([-0.1, 0.3])]
-    deg = [Field([0.9, -0.2]), Field([0.3, 0.7])]
-    p = DiffusionProcess(make_vp_schedule(), residual_basis(pts[0], deg[0]), 0.5)
-    cfg = TrainConfig(steps=5, batch=4, objective="x0-pred", seed=35)
-
-    def trace(degraded):
-        net = TinyNetwork([3, 5, 2], Rng(36))
-        return train(net, p, DiracDataset(pts, degraded=degraded), cfg)[1]
-
-    assert trace(deg) != trace(deg[::-1])
-    with pytest.raises(ValueError):
-        train(TinyNetwork([3, 5, 2], Rng(36)), p, DiracDataset(pts), cfg)
-
-
-def test_training_resolves_each_point_once():
-    # a counting provider: train resolves each dataset point's pair once,
-    # before its first step, where the reference loop resolves one pair per
-    # batch element and step; the loss traces are the same
-    calls = []
-
-    def provider(clean, degraded):
-        calls.append(None)
-        return (degraded.values - clean.values).reshape(1, -1)
-
-    pts = [Field([0.4, -0.6]), Field([-0.1, 0.3])]
-    deg = [Field([0.9, -0.2]), Field([0.3, 0.7])]
-    p = DiffusionProcess(make_vp_schedule(),
-                         BasisSet((2,), provider=provider, size=1), 0.5)
-    ds = DiracDataset(pts, degraded=deg)
-    cfg = TrainConfig(steps=50, batch=4, lr=3e-2, objective="x0-pred", seed=35)
-    net, trace = train(TinyNetwork([3, 5, 2], Rng(36)), p, ds, cfg)
-    assert len(calls) == 2
-    ref_params, ref_trace = _reference_train(TinyNetwork([3, 5, 2], Rng(36)),
-                                             p, ds, cfg)
-    assert len(calls) == 2 + 50 * 4
-    np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
-    np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
 
 
 def test_mse_x0_on_parameterless_denoiser():
