@@ -17,7 +17,8 @@ from .denoisers import (ConstantDenoiser, Denoiser, DiracMixtureDenoiser,
 from .fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                      field_to_bytes, psnr, read_field, rmse, write_field,
                      write_pgm)
-from .process import ConditionalMoments, DiffusionProcess, DiracDataset
+from .process import (ConditionalMoments, DiffusionProcess, DiracDataset,
+                      KnotTable)
 from .samplers import (euler_trajectory, make_time_grid, sample_euler,
                        sample_reference, write_trajectory_csv)
 from .schedules import (EndpointError, Schedule, SdeCoefficients,
@@ -40,6 +41,7 @@ __all__ = [
     "save_network", "PSNR_EXACT_MATCH", "Field", "Rng", "field_from_bytes",
     "field_to_bytes", "psnr", "read_field", "rmse", "write_field",
     "write_pgm", "ConditionalMoments", "DiffusionProcess", "DiracDataset",
+    "KnotTable",
     "euler_trajectory", "make_time_grid", "sample_euler",
     "sample_reference", "write_trajectory_csv",
     "EndpointError", "Schedule", "SdeCoefficients", "make_ddpm_schedule",

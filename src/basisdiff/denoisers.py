@@ -1,7 +1,9 @@
 """Denoisers D(x; t) -> x0 estimate, and the tiny trainable network behind them.
 
 Three variants share one calling convention: ``denoise(x, t)`` takes flat
-(n, d) states at one time t and returns their (n, d) estimates.
+(n, d) states at one time t and returns their (n, d) estimates.  A reverse
+walk calls ``denoise_at(x, table, k)`` at knot k of its process's knot table;
+by default that is ``denoise`` at the knot's time.
 
 * constant-oracle: returns a fixed field (the conditional optimum when the
   data distribution is a single point).
@@ -22,7 +24,7 @@ import struct
 import numpy as np
 
 from .fields import Field, Rng, field_from_bytes, field_to_bytes
-from .process import DiffusionProcess, DiracDataset
+from .process import DiffusionProcess, DiracDataset, KnotTable
 
 
 class Denoiser:
@@ -30,6 +32,10 @@ class Denoiser:
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
+
+    def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
+        """denoise at knot k of a process's KnotTable."""
+        return self.denoise(x, float(table.t[k]))
 
 
 class ConstantDenoiser(Denoiser):
@@ -62,7 +68,10 @@ class DiracMixtureDenoiser(Denoiser):
         self.process = process
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        w, pts = self.process.dirac_weights(self.dataset, t, x)
+        return self.denoise_at(x, self.process.knot_table(t), 0)
+
+    def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
+        w, pts = self.process.dirac_weights_at(self.dataset, table, k, x)
         return w @ pts
 
     # the benchmark tracer wraps this name on the class itself

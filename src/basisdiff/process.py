@@ -8,7 +8,9 @@ setting; eta -> inf freezes N at sum_m h_m.
 
 The same object exposes the reverse-time machinery built on that kernel:
 conditional/marginal scores and the probability-flow ODE right-hand sides in
-their raw (score) and simplified (denoiser) assemblies.
+their raw (score) and simplified (denoiser) assemblies.  The simplified flow
+and the mixture weights read their state-free coefficients from a KnotTable,
+so a reverse walk evaluates the schedule once for all its knots.
 """
 
 from __future__ import annotations
@@ -35,6 +37,25 @@ class ConditionalMoments:
     mean: Field
     cov_scale: float
     cov_op: CovarianceOp
+
+
+@dataclass(frozen=True)
+class KnotTable:
+    """State-free coefficients at K knot times, each a (K,) float64 array.
+
+    flow_x = s'/s + sigma'/sigma and flow_d = sigma' s/sigma are the gains
+    of the simplified flow; s, shift_gain and cov_scale place the mixture
+    components (DiffusionProcess.dirac_weights_at).  Knot k of a walk is
+    row k of every array.
+    """
+
+    t: np.ndarray
+    s: np.ndarray
+    sigma: np.ndarray
+    flow_x: np.ndarray
+    flow_d: np.ndarray
+    shift_gain: np.ndarray
+    cov_scale: np.ndarray
 
 
 class DiracDataset:
@@ -85,11 +106,33 @@ class DiffusionProcess:
             self._op = CovarianceOp(self.basis)
         return self._op
 
-    def _kernel_scales(self, t: float):
-        """(s, sigma, shift gain eta s sigma/(eta+1), cov_scale) at time t."""
-        s, _, sig, _ = self.schedule.evaluate(t)
-        return (s, sig, self.eta * s * sig / (self.eta + 1.0),
+    def _kernel_scales(self, s, sig):
+        """(shift gain eta s sigma/(eta+1), cov_scale (s sigma/(eta+1))^2)
+        for schedule values s and sigma, floats or arrays."""
+        return (self.eta * s * sig / (self.eta + 1.0),
                 (s * sig / (self.eta + 1.0)) ** 2)
+
+    def knot_table(self, times) -> KnotTable:
+        """The KnotTable at times, from one Schedule.evaluate call.
+
+        times is a (K,) array of knots, or one float for a one-knot table,
+        which takes the schedule's float path.  The gains are inf where
+        sigma = 0 (t = 0); the flow and the weights raise EndpointError there.
+        """
+        s, s_p, sig, sig_p = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                              for v in self.schedule.evaluate(times))
+        t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        shift_gain, cov_scale = self._kernel_scales(s, sig)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return KnotTable(t, s, sig, s_p / s + sig_p / sig, sig_p * s / sig,
+                             shift_gain, cov_scale)
+
+    def check_rows(self, x: np.ndarray, what: str) -> None:
+        """Raise ValueError naming x's shape unless x holds (n, d) rows of
+        this process's width."""
+        if np.ndim(x) != 2 or np.shape(x)[1] != self._d:
+            raise ValueError(f"{what} must be (n, {self._d}) rows, "
+                             f"got shape {np.shape(x)}")
 
     def _whitened(self, ds: DiracDataset):
         """(Y, W Y, W sum_m h_m, Y out of range or None at full rank) for a
@@ -125,8 +168,7 @@ class DiffusionProcess:
     def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
         """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) clean rows,
         each with its own N; the (n, M) weights are one rng draw."""
-        if x0.ndim != 2 or x0.shape[1] != self._d:
-            raise ValueError(f"clean rows must be (n, {self._d}), got {x0.shape}")
+        self.check_rows(x0, "clean states")
         s, _, sig, _ = self.schedule.evaluate(t)
         x = self.noise_from_normals(
             rng.standard_normal((x0.shape[0], self.basis.M)))
@@ -139,7 +181,8 @@ class DiffusionProcess:
         """Exact kernel parameters: mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        s, _, shift_gain, cov_scale = self._kernel_scales(t)
+        s, _, sig, _ = self.schedule.evaluate(t)
+        shift_gain, cov_scale = self._kernel_scales(s, sig)
         op = self._cov_op()
         mean = Field((s * x0.flat() + shift_gain * op.total).reshape(self.shape))
         return ConditionalMoments(mean=mean, cov_scale=cov_scale, cov_op=op)
@@ -198,11 +241,11 @@ class DiffusionProcess:
         itself for the conditional score) or one row per state.  The solve
         takes the residuals as (d, n) columns.
         """
-        s, sig, shift_gain, _ = self._kernel_scales(t)
+        s, _, sig, _ = self.schedule.evaluate(t)
         if sig == 0.0:
             raise EndpointError("score undefined at sigma = 0")
-        if x.ndim != 2 or x.shape[1] != self._d:
-            raise ValueError(f"states must be (n, {self._d}) rows, got {x.shape}")
+        self.check_rows(x, "states")
+        shift_gain, _ = self._kernel_scales(s, sig)
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
         resid = s * post_mean + shift_gain * cov_op.total - x
         return gain * cov_op.solve_flat(resid.T).T
@@ -215,7 +258,15 @@ class DiffusionProcess:
         return self._score(t, x0.flat(), x, self._cov_op())
 
     def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
-        """Posterior weights of the mixture components, and the stacked points.
+        """Posterior weights of the mixture components at time t, and the
+        stacked points: dirac_weights_at on a one-knot table.  A reverse walk
+        tabulates its knots once and calls dirac_weights_at itself."""
+        return self.dirac_weights_at(ds, self.knot_table(t), 0, states)
+
+    def dirac_weights_at(self, ds: DiracDataset, table: KnotTable, k: int,
+                         states: np.ndarray):
+        """Posterior weights of the mixture components at knot k of table,
+        and the stacked points.
 
         Returns (n, Y) weights for (n, d) states (a (d,) state is one row),
         each row summing to one, and the (Y, d) points.  w_i is proportional
@@ -233,7 +284,7 @@ class DiffusionProcess:
         (OUT_OF_RANGE_RTOL) gets weight 0; the rest are weighed as above.
         This is exact for a one-point dataset.
         """
-        s, _, shift_gain, cov_scale = self._kernel_scales(t)
+        s, cov_scale = table.s[k], table.cov_scale[k]
         if cov_scale == 0.0:
             raise EndpointError("mixture weights undefined at sigma = 0")
         pts, white_pts, white_shift, perp_pts = self._whitened(ds)
@@ -242,7 +293,7 @@ class DiffusionProcess:
             states = states[None, :]
         # the (Y, r) component centres s W y_i + c W sum_m h_m, made first
         # so the (n, Y, r) residual is one subtraction
-        centre = s * white_pts + shift_gain * white_shift
+        centre = s * white_pts + table.shift_gain[k] * white_shift
         resid = op.whiten(states)[:, None, :] - centre
         np.square(resid, out=resid)
         # in place from here: n can be 1e5 states, where every (n, Y)
@@ -289,13 +340,20 @@ class DiffusionProcess:
         return self._score_flow(t, x, score, self._cov_op())
 
     def pfode_rhs(self, den, t: float, x: np.ndarray) -> np.ndarray:
-        """Simplified PFODE right-hand side (s'/s + sigma'/sigma) x - (sigma' s/sigma) D.
+        """Simplified PFODE right-hand side at time t: pfode_rhs_at on a
+        one-knot table.  A reverse walk tabulates its knots once and calls
+        pfode_rhs_at itself."""
+        return self.pfode_rhs_at(den, self.knot_table(t), 0, x)
 
-        x holds (n, d) flat states at time t and the result has the same
-        shape.  All basis terms cancel exactly in this form; only the
-        denoiser output enters.
+    def pfode_rhs_at(self, den, table: KnotTable, k: int,
+                     x: np.ndarray) -> np.ndarray:
+        """Simplified PFODE right-hand side (s'/s + sigma'/sigma) x - (sigma' s/sigma) D
+        at knot k of table.
+
+        x holds (n, d) flat states and the result has the same shape.  All
+        basis terms cancel exactly in this form; only the denoiser output
+        enters, so the gains depend on the knot alone.
         """
-        s, s_p, sig, sig_p = self.schedule.evaluate(t)
-        if sig == 0.0:
+        if table.sigma[k] == 0.0:
             raise EndpointError("PFODE undefined at sigma = 0")
-        return (s_p / s + sig_p / sig) * x - (sig_p * s / sig) * den.denoise(x, t)
+        return table.flow_x[k] * x - table.flow_d[k] * den.denoise_at(x, table, k)

@@ -5,6 +5,10 @@ here touches the basis, so rank-deficient noise models sample fine.  Grids
 run from T down to the terminal knot eps_t = T/1000 because the RHS divides
 by sigma(t) and is singular at t = 0.  A classical 4th-order integrator over
 the same field serves as the accuracy oracle in tests and verify suites.
+
+The flow's coefficients depend on the knot alone, never on the state, so
+each walk tabulates them for all its knots once (DiffusionProcess.knot_table,
+one schedule evaluation) and each step looks its knot up in that table.
 """
 
 from __future__ import annotations
@@ -56,14 +60,15 @@ def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
     x_init holds (n, d) flat start states; the result is (len(grid), n, d).
     """
     grid = _check_grid(grid, p.schedule.T)
+    p.check_rows(x_init, "start states")
+    table = p.knot_table(grid[:-1])
     states = np.empty((grid.size,) + np.shape(x_init))
     states[0] = x_init
-    for i in range(grid.size - 1):
-        t = float(grid[i])
-        rhs = p.pfode_rhs(den, t, states[i])
-        states[i + 1] = states[i] + (float(grid[i + 1]) - t) * rhs
-        if not np.all(np.isfinite(states[i + 1])):
-            raise RuntimeError(f"non-finite state after the step at t={t}")
+    for k, h in enumerate(np.diff(grid).tolist()):
+        states[k + 1] = states[k] + h * p.pfode_rhs_at(den, table, k, states[k])
+        if not np.isfinite(states[k + 1]).all():
+            raise RuntimeError(f"non-finite state after the step at "
+                               f"t={float(grid[k])}")
     return states
 
 
@@ -104,20 +109,25 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
     """
     if steps < 4:
         raise ValueError("reference integrator needs at least 4 steps")
+    p.check_rows(x_init, "start states")
     T = p.schedule.T
     eps_t = T * TERMINAL_FRACTION
     span = T - eps_t
-
-    def rhs_u(u: float, x: np.ndarray) -> np.ndarray:
-        t = min(eps_t + span * u * u, T)
-        return (2.0 * span * u) * p.pfode_rhs(den, t, x)
-
     us = np.linspace(1.0, 0.0, steps + 1)
+    start = us[:-1]
+    h = us[1:] - start
+    # knots i, steps + i and 2 steps + i are step i's start u, midpoint
+    # u + h/2 and end u + h; an end can differ from the next start by an ulp
+    u = np.concatenate([start, start + 0.5 * h, start + h])
+    table = p.knot_table(np.minimum(eps_t + span * u * u, T))
+    dt_du = 2.0 * span * u
+
+    def rhs_u(k: int, x: np.ndarray) -> np.ndarray:
+        return dt_du[k] * p.pfode_rhs_at(den, table, k, x)
+
     x = np.asarray(x_init, dtype=np.float64)
-    for i in range(steps):
-        u = float(us[i])
-        h = float(us[i + 1]) - u
-        x = rk4_step(rhs_u, x, h, (u, u + 0.5 * h, u + h))
+    for i, h_i in enumerate(h.tolist()):
+        x = rk4_step(rhs_u, x, h_i, (i, steps + i, 2 * steps + i))
     return x
 
 

@@ -298,14 +298,15 @@ def test_marginal_score_and_denoiser_share_weights(monkeypatch):
     ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(5)])
     den = DiracMixtureDenoiser(ds, p)
     seen = []
-    weights = process.DiffusionProcess.dirac_weights
+    weights = process.DiffusionProcess.dirac_weights_at
 
-    def record(proc, ds, t, states):
-        w, pts = weights(proc, ds, t, states)
+    def record(proc, ds, table, k, states):
+        w, pts = weights(proc, ds, table, k, states)
         seen.append(w)
         return w, pts
 
-    monkeypatch.setattr(process.DiffusionProcess, "dirac_weights", record)
+    # the one weight routine both reach, each through a one-knot table
+    monkeypatch.setattr(process.DiffusionProcess, "dirac_weights_at", record)
     for t in (0.5, 20.0, 80.0):
         x = rng.standard_normal((1, 3))
         score = p.marginal_score_dirac(ds, t, x)[0]

@@ -6,7 +6,7 @@ import pytest
 
 from basisdiff.bases import (BasisSet, SingularCovarianceError,
                              pixel_basis, residual_basis)
-from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.denoisers import ConstantDenoiser, DiracMixtureDenoiser
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.config import build_process, build_task, load_config
@@ -292,6 +292,30 @@ def test_pfode_constant_denoiser_closed_form():
     assert np.allclose(rhs, ratio * (x - y.values), rtol=1e-13)
     with pytest.raises(EndpointError):
         p.pfode_rhs(ConstantDenoiser(y), 0.0, x)
+
+
+@pytest.mark.parametrize("make_schedule", [make_vp_schedule, make_ddpm_schedule])
+def test_flow_and_weights_refuse_sigma_zero_on_a_knot_table(make_schedule):
+    # sigma = 0 only at t = 0: a table with that knot holds inf gains there,
+    # and the flow and the weights read at it raise instead of using them
+    _, rows = _toy_process()
+    p = DiffusionProcess(make_schedule(), BasisSet((3,), elements=rows), 0.0)
+    ds = DiracDataset([Field([0.1, 0.2, 0.3]), Field([-1.0, 0.5, 0.0])])
+    x = np.array([[1.0, -1.0, 0.5]])
+    table = p.knot_table(np.array([0.0, 40.0]))
+    for den in (ConstantDenoiser(Field([0.1, 0.2, 0.3])),
+                DiracMixtureDenoiser(ds, p)):
+        with pytest.raises(EndpointError):
+            p.pfode_rhs(den, 0.0, x)
+        with pytest.raises(EndpointError):
+            p.pfode_rhs_at(den, table, 0, x)
+        assert np.isfinite(p.pfode_rhs_at(den, table, 1, x)).all()
+    with pytest.raises(EndpointError):
+        p.dirac_weights(ds, 0.0, x)
+    with pytest.raises(EndpointError):
+        p.dirac_weights_at(ds, table, 0, x)
+    with pytest.raises(EndpointError):
+        DiracMixtureDenoiser(ds, p).denoise(x, 0.0)
 
 
 def test_dataset_validation():

@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from basisdiff.bases import BasisSet, pixel_basis
-from basisdiff.denoisers import ConstantDenoiser, DiracMixtureDenoiser
-from basisdiff.fields import Field
+from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
+                                 PreconditionedDenoiser, TinyNetwork)
+from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess, DiracDataset
 from basisdiff.samplers import (TERMINAL_FRACTION, euler_trajectory,
-                                make_time_grid, sample_euler,
+                                make_time_grid, rk4_step, sample_euler,
                                 sample_reference, write_trajectory_csv)
-from basisdiff.schedules import make_vp_schedule
+from basisdiff.schedules import Schedule, make_ddpm_schedule, make_vp_schedule
 
 
 def _process(d=2):
@@ -159,3 +162,111 @@ def test_reference_walks_stacked_rows_independently():
     for i in range(3):
         one = sample_reference(p, den, x[i:i + 1], 64)
         np.testing.assert_allclose(stacked[i], one[0], rtol=1e-12, atol=0.0)
+
+
+def _mixture(rows, d, sched=None):
+    p = DiffusionProcess(sched or make_vp_schedule(),
+                         BasisSet((d,), elements=np.asarray(rows)), 2.0)
+    pts = Rng(31).standard_normal((3, d))
+    return p, DiracMixtureDenoiser(DiracDataset([Field(y) for y in pts]), p)
+
+
+def _denoisers(sched):
+    """(name, process, denoiser) over every denoiser kind a walk meets."""
+    full = _mixture([[1.0, 0.0], [0.3, 1.0]], 2, sched)
+    # two rows span 2 of 3 directions: the out-of-range weighing runs
+    deficient = _mixture([[1.0, 0.2, 0.0], [0.0, 1.0, 0.4]], 3, sched)
+    p = full[0]
+    net = PreconditionedDenoiser(TinyNetwork([3, 8, 2], Rng(5)), p,
+                                 "predict-noise")
+    return [("constant", p, ConstantDenoiser(Field([0.4, -0.2]))),
+            ("mixture", *full), ("mixture-rank-deficient", *deficient),
+            ("network", p, net)]
+
+
+def _euler_loop(p, den, x, grid):
+    """The Euler walk as one pfode_rhs call per knot."""
+    for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
+        x = x + (t_next - t) * p.pfode_rhs(den, t, x)
+    return x
+
+
+def _reference_loop(p, den, x, steps):
+    """sample_reference as one pfode_rhs call per RK4 stage time."""
+    T = p.schedule.T
+    eps_t = T * TERMINAL_FRACTION
+    span = T - eps_t
+
+    def rhs_u(u, x):
+        return (2.0 * span * u) * p.pfode_rhs(den, min(eps_t + span * u * u, T), x)
+
+    us = np.linspace(1.0, 0.0, steps + 1).tolist()
+    for u, u_next in zip(us[:-1], us[1:]):
+        h = u_next - u
+        x = rk4_step(rhs_u, x, h, (u, u + 0.5 * h, u + h))
+    return x
+
+
+@pytest.mark.parametrize("make_schedule", [make_vp_schedule, make_ddpm_schedule])
+def test_table_walks_match_a_loop_over_pfode_rhs(make_schedule):
+    # the table takes the schedule's array path and the loop its float path,
+    # which agree to a few ulp; every other operation is the same, so the
+    # O(1) endpoints agree to within tens of ulp
+    for name, p, den in _denoisers(make_schedule()):
+        d = p.basis.elements().shape[1]
+        x = Rng(7).standard_normal((3, d))
+        grid = make_time_grid(p.schedule.T, 40, "quadratic")
+        np.testing.assert_allclose(euler_trajectory(p, den, x, grid)[-1],
+                                   _euler_loop(p, den, x, grid),
+                                   rtol=1e-14, atol=1e-14, err_msg=name)
+        np.testing.assert_allclose(sample_reference(p, den, x, 32),
+                                   _reference_loop(p, den, x, 32),
+                                   rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def test_walks_evaluate_the_schedule_once(monkeypatch):
+    # every Schedule method evaluates through _eval; a walk makes one array
+    # call for all its knots, not one call per step
+    calls = []
+    parts = Schedule._eval
+
+    def counting(sched, t):
+        calls.append(np.shape(t))
+        return parts(sched, t)
+
+    monkeypatch.setattr(Schedule, "_eval", counting)
+    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
+    x = np.array([[0.9, -1.4], [-0.3, 0.2]])
+    for den in (ConstantDenoiser(Field([0.4, -0.2])), mix):
+        calls.clear()
+        euler_trajectory(p, den, x, make_time_grid(p.schedule.T, 1000))
+        assert calls == [(1000,)]
+        calls.clear()
+        sample_reference(p, den, x, 4096)
+        assert calls == [(3 * 4096,)]
+
+
+def _walks(p, den, x):
+    grid = make_time_grid(p.schedule.T, 10)
+    for walk in (lambda: euler_trajectory(p, den, x, grid),
+                 lambda: sample_reference(p, den, x, 8)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(n, 2) rows, got shape {x.shape}")):
+            walk()
+
+
+def test_walks_refuse_a_one_dimensional_start():
+    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
+    for den in (ConstantDenoiser(Field([0.4, -0.2])), mix):
+        _walks(p, den, np.array([0.9, -1.4]))
+
+
+def test_walks_refuse_a_three_dimensional_start():
+    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
+    for den in (ConstantDenoiser(Field([0.4, -0.2])), mix):
+        _walks(p, den, np.array([[[0.9, -1.4]]]))
+
+
+def test_walks_refuse_a_start_of_another_width():
+    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
+    _walks(p, mix, np.array([[0.9, -1.4, 0.3]]))
