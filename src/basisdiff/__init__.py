@@ -11,14 +11,13 @@ suites and a CLI.
 
 from .bases import (BasisSet, CovarianceOp, SingularCovarianceError,
                     legendre_trig_basis, pixel_basis, residual_basis)
-from .denoisers import (ConstantDenoiser, Denoiser, DiracMixtureDenoiser,
-                        PreconditionedDenoiser, TinyNetwork, load_network,
-                        save_network)
+from .denoisers import (ConstantDenoiser, Denoiser, DiracDataset,
+                        DiracMixtureDenoiser, PreconditionedDenoiser,
+                        TinyNetwork, load_network, save_network)
 from .fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                      field_to_bytes, psnr, read_field, rmse, write_field,
                      write_pgm)
-from .process import (ConditionalMoments, DiffusionProcess, DiracDataset,
-                      KnotTable)
+from .process import ConditionalMoments, DiffusionProcess, KnotTable
 from .samplers import (euler_trajectory, make_time_grid, sample_euler,
                        sample_reference, write_trajectory_csv)
 from .schedules import (EndpointError, Schedule, SdeCoefficients,

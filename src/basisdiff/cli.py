@@ -20,11 +20,10 @@ import numpy as np
 from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
                      build_process, build_task, check,
                      load_config, resolved_eta, resolved_objective, value)
-from .denoisers import (CheckpointMismatch, ConstantDenoiser,
+from .denoisers import (CheckpointMismatch, ConstantDenoiser, DiracDataset,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
 from .fields import Field, Rng, write_csv, write_field, write_pgm
-from .process import DiracDataset
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
 from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
                     run_restoration)
@@ -210,7 +209,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed)
+    # the config's seed row holds the one range of a seed
+    report = run_suite(args.suite, value({"seed": args.seed}, "seed"))
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -7,8 +7,9 @@ by default that is ``denoise`` at the knot's time.
 
 * constant-oracle: returns a fixed field (the conditional optimum when the
   data distribution is a single point).
-* analytic-dirac: the exact posterior mean under a finite point dataset,
-  computed with log-stabilized mixture weights.
+* analytic-dirac: the exact posterior mean under a finite point dataset
+  (DiracDataset), computed with log-stabilized mixture weights.  It whitens
+  the points once, when it is made, and owns the one weight routine.
 * preconditioned-network: wraps a small fully-connected network F through
   skip/scale coefficients so that either "F predicts the diffused noise" or
   "F predicts x0 directly" yields a denoiser.
@@ -23,8 +24,40 @@ import struct
 
 import numpy as np
 
+from .bases import COND_LIMIT
 from .fields import Field, Rng, field_from_bytes, field_to_bytes
-from .process import DiffusionProcess, DiracDataset, KnotTable
+from .process import DiffusionProcess, KnotTable
+from .schedules import EndpointError
+
+# Out-of-range squared distances closer than this share of (|x| + s max|y_i|)^2
+# are equal (weights_at): the share below which the rank cutoff of
+# CovarianceOp._factor drops a direction, ~1e5 times the projection round-off.
+OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
+
+
+class DiracDataset:
+    """Finite point dataset [y_1 .. y_Y], stacked once into read-only (Y, d)
+    rows, so no copy made from them (a mixture denoiser's whitened rows)
+    goes stale."""
+
+    def __init__(self, points):
+        if len(points) < 1:
+            raise ValueError("dataset needs at least one point")
+        shape = points[0].shape
+        for p in points:
+            if p.shape != shape:
+                raise ValueError("all dataset points must share one shape")
+        self.points = tuple(points)
+        self.shape = shape
+        self._rows = np.stack([p.flat() for p in self.points])
+        self._rows.setflags(write=False)
+
+    def __len__(self):
+        return len(self.points)
+
+    def stacked(self) -> np.ndarray:
+        """The (Y, d) point rows; read-only."""
+        return self._rows
 
 
 class Denoiser:
@@ -57,22 +90,78 @@ class ConstantDenoiser(Denoiser):
 
 
 class DiracMixtureDenoiser(Denoiser):
-    """Exact posterior mean sum_i w_i y_i under a finite point dataset."""
+    """Exact posterior mean sum_i w_i y_i under a finite point dataset.
+
+    Made once: the point rows Y, W Y and W sum_m h_m for the whitener W of
+    the process's Sigma, and at rank r < d the out-of-range part of Y.
+    """
 
     variant = "analytic-dirac"
 
     def __init__(self, dataset: DiracDataset, process: DiffusionProcess):
         if dataset.shape != process.shape:
             raise ValueError("dataset shape does not match the process")
-        self.dataset = dataset
         self.process = process
+        op = process.cov_op
+        self.rows = dataset.stacked()
+        self._white_rows = op.whiten(self.rows)
+        self._white_shift = op.whiten(op.total)
+        full_rank = self._white_rows.shape[1] == self.rows.shape[1]
+        self._perp_rows = None if full_rank else op.out_of_range(self.rows)
+
+    def weights_at(self, table: KnotTable, k: int,
+                   states: np.ndarray) -> np.ndarray:
+        """Posterior weights of the mixture components at knot k of table.
+
+        Returns (n, Y) weights for (n, d) states (a (d,) state is one row),
+        each row summing to one.  w_i is proportional to
+        N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With the whitener W of
+        Sigma the exponent is |z - s W y_i - c W sum_m h_m|^2 / cov_scale for
+        z = W x, so with the points whitened once a call makes one product of
+        the states with W.  The residual is formed before squaring: expanding
+        the square as |z|^2 - 2 z.y + |y|^2 cancels catastrophically at small
+        sigma.  Log densities with max subtraction keep exp from underflowing.
+
+        At rank r < d the weights are the delta -> 0 limit for Sigma + delta I:
+        a component whose out-of-range distance |(I - V_r V_r^T)(x - s y_i)|^2
+        (the shift is in range) exceeds the least by more than round-off
+        (OUT_OF_RANGE_RTOL) gets weight 0; the rest are weighed as above.
+        This is exact for a one-point dataset.
+        """
+        s, cov_scale = table.s[k], table.cov_scale[k]
+        if cov_scale == 0.0:
+            raise EndpointError("mixture weights undefined at sigma = 0")
+        op = self.process.cov_op
+        if states.ndim == 1:
+            states = states[None, :]
+        # the (Y, r) component centres s W y_i + c W sum_m h_m, made first
+        # so the (n, Y, r) residual is one subtraction
+        centre = s * self._white_rows + table.shift_gain[k] * self._white_shift
+        resid = op.whiten(states)[:, None, :] - centre
+        np.square(resid, out=resid)
+        # in place from here: n can be 1e5 states, where every (n, Y)
+        # temporary adds to the peak memory; dividing by -2 cov_scale
+        # rounds as dividing by cov_scale and halving does
+        w = np.add.reduce(resid, axis=-1)
+        w /= -2.0 * cov_scale
+        if self._perp_rows is not None:
+            far = op.out_of_range(states)[:, None, :] - s * self._perp_rows
+            np.square(far, out=far)
+            dist = far.sum(axis=-1)
+            dist -= dist.min(axis=1, keepdims=True)
+            scale = (np.linalg.norm(states, axis=1)
+                     + s * np.linalg.norm(self.rows, axis=1).max()) ** 2
+            w[dist > OUT_OF_RANGE_RTOL * scale[:, None]] = -np.inf
+        w -= np.maximum.reduce(w, axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
+        return w
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.denoise_at(x, self.process.knot_table(t), 0)
 
     def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
-        w, pts = self.process.dirac_weights_at(self.dataset, table, k, x)
-        return w @ pts
+        return self.weights_at(table, k, x) @ self.rows
 
     # the benchmark tracer wraps this name on the class itself
     denoise_batch = denoise

@@ -10,24 +10,21 @@ The same object exposes the reverse-time machinery built on that kernel:
 conditional/marginal scores and the probability-flow ODE right-hand sides in
 their raw (score) and simplified (denoiser) assemblies.  The simplified flow
 and the mixture weights read their state-free coefficients from a KnotTable,
-so a reverse walk evaluates the schedule once for all its knots.
+so a reverse walk evaluates the schedule once for all its knots.  A process
+holds Sigma's operator and no data: the points of the analytic mixture, and
+their whitened copies, live in its denoiser (denoisers.DiracMixtureDenoiser).
 """
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import COND_LIMIT, BasisSet, CovarianceOp
+from .bases import BasisSet, CovarianceOp
 from .fields import Field, Rng
 from .schedules import EndpointError, Schedule, sde_coefficients
-
-# Out-of-range squared distances closer than this share of (|x| + s max|y_i|)^2
-# are equal (dirac_weights): the share below which the rank cutoff of
-# CovarianceOp._factor drops a direction, ~1e5 times the projection round-off.
-OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class KnotTable:
 
     flow_x = s'/s + sigma'/sigma and flow_d = sigma' s/sigma are the gains
     of the simplified flow; s, shift_gain and cov_scale place the mixture
-    components (DiffusionProcess.dirac_weights_at).  Knot k of a walk is
+    components (DiracMixtureDenoiser.weights_at).  Knot k of a walk is
     row k of every array.
     """
 
@@ -58,53 +55,21 @@ class KnotTable:
     cov_scale: np.ndarray
 
 
-class DiracDataset:
-    """Finite point dataset [y_1 .. y_Y].
-
-    A process caches whitened copies of the points (see
-    DiffusionProcess.dirac_weights), so the points are not to be changed
-    once a process has used the dataset.
-    """
-
-    def __init__(self, points):
-        if len(points) < 1:
-            raise ValueError("dataset needs at least one point")
-        shape = points[0].shape
-        for p in points:
-            if p.shape != shape:
-                raise ValueError("all dataset points must share one shape")
-        self.points = list(points)
-        self.shape = shape
-
-    def __len__(self):
-        return len(self.points)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([p.flat() for p in self.points])
-
-
 class DiffusionProcess:
     """Forward diffusion with basis-structured noise and its reverse flows."""
 
     def __init__(self, schedule: Schedule, basis: BasisSet, eta: float):
-        if eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not 0 <= eta < math.inf:
+            raise ValueError(f"eta must be finite and non-negative, got {eta!r}")
         self.schedule = schedule
         self.basis = basis
         self.eta = float(eta)
         self.shape = basis.shape
         self._d = int(np.prod(self.shape))
-        self._op = None
-        self._whitened_sets = weakref.WeakKeyDictionary()
+        # Sigma's operator: made here, its factorization on first use
+        self.cov_op = CovarianceOp(basis)
 
     # -- forward direction ---------------------------------------------------
-
-    def _cov_op(self) -> CovarianceOp:
-        """Sigma's operator, built on first use, so its factorization is
-        made once per process."""
-        if self._op is None:
-            self._op = CovarianceOp(self.basis)
-        return self._op
 
     def _kernel_scales(self, s, sig):
         """(shift gain eta s sigma/(eta+1), cov_scale (s sigma/(eta+1))^2)
@@ -133,23 +98,6 @@ class DiffusionProcess:
         if np.ndim(x) != 2 or np.shape(x)[1] != self._d:
             raise ValueError(f"{what} must be (n, {self._d}) rows, "
                              f"got shape {np.shape(x)}")
-
-    def _whitened(self, ds: DiracDataset):
-        """(Y, W Y, W sum_m h_m, Y out of range or None at full rank) for a
-        dataset, made on first use; Y stacks the points as rows.
-
-        The cache holds arrays only, never the process, so a process and its
-        factor are freed as soon as the last caller drops them.
-        """
-        sets = self._whitened_sets.get(ds)
-        if sets is None:
-            op = self._cov_op()
-            pts = ds.stacked()
-            white_pts = op.whiten(pts)
-            perp = op.out_of_range(pts) if white_pts.shape[1] < self._d else None
-            sets = self._whitened_sets[ds] = (
-                pts, white_pts, op.whiten(op.total), perp)
-        return sets
 
     def sample_noise(self, rng: Rng) -> Field:
         """One draw of N = sum_m ((eta + eps_m)/(eta + 1)) h_m."""
@@ -183,7 +131,7 @@ class DiffusionProcess:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
         s, _, sig, _ = self.schedule.evaluate(t)
         shift_gain, cov_scale = self._kernel_scales(s, sig)
-        op = self._cov_op()
+        op = self.cov_op
         mean = Field((s * x0.flat() + shift_gain * op.total).reshape(self.shape))
         return ConditionalMoments(mean=mean, cov_scale=cov_scale, cov_op=op)
 
@@ -215,7 +163,7 @@ class DiffusionProcess:
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         sched = self.schedule
-        op = self._cov_op()
+        op = self.cov_op
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
         dt = np.diff(times)
         c = sde_coefficients(sched, self.eta, op.total, times[:-1])
@@ -233,8 +181,8 @@ class DiffusionProcess:
 
     # -- scores and probability-flow ODE --------------------------------------
 
-    def _score(self, t: float, post_mean: np.ndarray, x: np.ndarray,
-               cov_op: CovarianceOp) -> np.ndarray:
+    def _score(self, t: float, post_mean: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
         """((eta+1)/(s sigma))^2 Sigma^{-1} (s D + shift - x) for (n, d) states.
 
         D = post_mean is the posterior mean of x_0: one (d,) point (x_0
@@ -247,97 +195,38 @@ class DiffusionProcess:
         self.check_rows(x, "states")
         shift_gain, _ = self._kernel_scales(s, sig)
         gain = ((self.eta + 1.0) / (s * sig)) ** 2
-        resid = s * post_mean + shift_gain * cov_op.total - x
-        return gain * cov_op.solve_flat(resid.T).T
+        resid = s * post_mean + shift_gain * self.cov_op.total - x
+        return gain * self.cov_op.solve_flat(resid.T).T
 
     def conditional_score(self, x0: Field, t: float,
                           x: np.ndarray) -> np.ndarray:
         """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x) for (n, d) states x."""
         if x0.shape != self.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        return self._score(t, x0.flat(), x, self._cov_op())
+        return self._score(t, x0.flat(), x)
 
-    def dirac_weights(self, ds: DiracDataset, t: float, states: np.ndarray):
-        """Posterior weights of the mixture components at time t, and the
-        stacked points: dirac_weights_at on a one-knot table.  A reverse walk
-        tabulates its knots once and calls dirac_weights_at itself."""
-        return self.dirac_weights_at(ds, self.knot_table(t), 0, states)
-
-    def dirac_weights_at(self, ds: DiracDataset, table: KnotTable, k: int,
-                         states: np.ndarray):
-        """Posterior weights of the mixture components at knot k of table,
-        and the stacked points.
-
-        Returns (n, Y) weights for (n, d) states (a (d,) state is one row),
-        each row summing to one, and the (Y, d) points.  w_i is proportional
-        to N(x; s y_i + c sum_m h_m, cov_scale Sigma).  With the whitener W
-        of Sigma the exponent is |z - s W y_i - c W sum_m h_m|^2 / cov_scale
-        for z = W x, so with the dataset whitened once (_whitened) a call
-        makes one product of the states with W.  The residual is formed
-        before squaring: expanding the square as |z|^2 - 2 z.y + |y|^2
-        cancels catastrophically at small sigma.  Log densities with max
-        subtraction keep exp from underflowing.
-
-        At rank r < d the weights are the delta -> 0 limit for Sigma + delta I:
-        a component whose out-of-range distance |(I - V_r V_r^T)(x - s y_i)|^2
-        (the shift is in range) exceeds the least by more than round-off
-        (OUT_OF_RANGE_RTOL) gets weight 0; the rest are weighed as above.
-        This is exact for a one-point dataset.
-        """
-        s, cov_scale = table.s[k], table.cov_scale[k]
-        if cov_scale == 0.0:
-            raise EndpointError("mixture weights undefined at sigma = 0")
-        pts, white_pts, white_shift, perp_pts = self._whitened(ds)
-        op = self._cov_op()
-        if states.ndim == 1:
-            states = states[None, :]
-        # the (Y, r) component centres s W y_i + c W sum_m h_m, made first
-        # so the (n, Y, r) residual is one subtraction
-        centre = s * white_pts + table.shift_gain[k] * white_shift
-        resid = op.whiten(states)[:, None, :] - centre
-        np.square(resid, out=resid)
-        # in place from here: n can be 1e5 states, where every (n, Y)
-        # temporary adds to the peak memory; dividing by -2 cov_scale
-        # rounds as dividing by cov_scale and halving does
-        w = np.add.reduce(resid, axis=-1)
-        w /= -2.0 * cov_scale
-        if perp_pts is not None:
-            far = op.out_of_range(states)[:, None, :] - s * perp_pts
-            np.square(far, out=far)
-            dist = far.sum(axis=-1)
-            dist -= dist.min(axis=1, keepdims=True)
-            scale = (np.linalg.norm(states, axis=1)
-                     + s * np.linalg.norm(pts, axis=1).max()) ** 2
-            w[dist > OUT_OF_RANGE_RTOL * scale[:, None]] = -np.inf
-        w -= np.maximum.reduce(w, axis=1, keepdims=True)
-        np.exp(w, out=w)
-        w /= np.add.reduce(w, axis=1, keepdims=True)
-        return w, pts
-
-    def marginal_score_dirac(self, ds: DiracDataset, t: float,
+    def marginal_score_dirac(self, den, t: float,
                              x: np.ndarray) -> np.ndarray:
-        """Dirac-mixture marginal score for (n, d) states."""
-        w, pts = self.dirac_weights(ds, t, x)
-        return self._score(t, w @ pts, x, self._cov_op())
+        """Dirac-mixture marginal score for (n, d) states: the score at the
+        posterior mean of den, a DiracMixtureDenoiser over this process."""
+        return self._score(t, den.denoise(x, t), x)
 
-    def _score_flow(self, t: float, x: np.ndarray, score: np.ndarray,
-                    cov_op: CovarianceOp) -> np.ndarray:
+    def _score_flow(self, t: float, x: np.ndarray,
+                    score: np.ndarray) -> np.ndarray:
         """Raw PFODE right-hand side f x + phi - (1/2) g^2 Sigma score, per row."""
-        c = sde_coefficients(self.schedule, self.eta, cov_op.total, t)
-        return c.f * x + c.phi - 0.5 * c.g * c.g * cov_op.apply_flat(score.T).T
+        op = self.cov_op
+        c = sde_coefficients(self.schedule, self.eta, op.total, t)
+        return c.f * x + c.phi - 0.5 * c.g * c.g * op.apply_flat(score.T).T
 
     def pfode_rhs_conditional(self, x0: Field, t: float,
                               x: np.ndarray) -> np.ndarray:
         """Raw PFODE right-hand side with the conditional score, (n, d) states."""
-        cov_op = self._cov_op()
-        score = self._score(t, x0.flat(), x, cov_op)
-        return self._score_flow(t, x, score, cov_op)
+        return self._score_flow(t, x, self._score(t, x0.flat(), x))
 
-    def pfode_rhs_marginal(self, ds: DiracDataset, t: float,
-                           x: np.ndarray) -> np.ndarray:
-        """Raw PFODE right-hand side with the Dirac-mixture score, (n, d) states."""
-        score = self.marginal_score_dirac(ds, t, x)
-        return self._score_flow(t, x, score, self._cov_op())
+    def pfode_rhs_marginal(self, den, t: float, x: np.ndarray) -> np.ndarray:
+        """Raw PFODE right-hand side with the Dirac-mixture score of the
+        mixture denoiser den, (n, d) states."""
+        return self._score_flow(t, x, self.marginal_score_dirac(den, t, x))
 
     def pfode_rhs(self, den, t: float, x: np.ndarray) -> np.ndarray:
         """Simplified PFODE right-hand side at time t: pfode_rhs_at on a

@@ -34,8 +34,8 @@ class Schedule:
     """
 
     def __init__(self, T, parts, alpha_bar=None):
-        if T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < T < math.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {T!r}")
         self.T = float(T)
         self._parts = parts
         self._alpha_bar = alpha_bar
@@ -113,6 +113,9 @@ def _vp_parts(beta_min: float, beta_max: float, T: float):
     B(t) = int_0^t beta is the one integral both VP families build on, and
     abar = exp(-B).
     """
+    for name, v in (("beta_min", beta_min), ("beta_max", beta_max), ("T", T)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if beta_min <= 0 or beta_max < beta_min:
         raise ValueError("need 0 < beta_min <= beta_max")
     if T <= 0:
@@ -184,8 +187,8 @@ def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
     (n,) array gives (n,) arrays f, g and an (n, d) phi, each entry within
     a few ulp of the float path's.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and non-negative, got {eta!r}")
     if np.any(np.less_equal(t, 0.0)):
         raise EndpointError("SDE coefficients are undefined at t <= 0 "
                             "(sigma' diverges at the left endpoint)")

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import Denoiser, PreconditionedDenoiser, TinyNetwork
+from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
+                        TinyNetwork)
 from .fields import Field, Rng, write_csv
-from .process import DiffusionProcess, DiracDataset
+from .process import DiffusionProcess
 
 OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 

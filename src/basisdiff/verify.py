@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, pixel_basis
-from .denoisers import ConstantDenoiser, DiracMixtureDenoiser
+from .denoisers import ConstantDenoiser, DiracDataset, DiracMixtureDenoiser
 from .fields import Field, Rng
-from .process import DiffusionProcess, DiracDataset
+from .process import DiffusionProcess
 from .samplers import (euler_trajectory, make_time_grid, rk4_step, sample_euler,
                        sample_reference)
 from .schedules import (Schedule, make_ddpm_schedule, make_vp_schedule,
@@ -369,7 +369,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
     for eta in (0.0, 10.0):
         p = DiffusionProcess(sched, basis2, eta=eta)
         pts = [Field(2.0 * rng.standard_normal((2,))) for _ in range(3)]
-        ds = DiracDataset(pts)
+        den = DiracMixtureDenoiser(DiracDataset(pts), p)
         for _ in range(probes_per_case):
             t = float(sched.T * (0.1 + 0.9 * rng.uniform()))
             x = p.forward_sample(pts[rng.integers(0, 3)].flat()[None, :], t,
@@ -388,7 +388,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
                 return mx + math.log(sum(math.exp(l - mx) for l in logs))
 
             fd = _fd_gradient(logpdf, x[0])
-            sc = p.marginal_score_dirac(ds, t, x)[0]
+            sc = p.marginal_score_dirac(den, t, x)[0]
             marg_err = max(marg_err, np.linalg.norm(sc - fd) / np.linalg.norm(fd))
     checks.append(_upper("score/marginal-vs-fd", marg_err, 1.0e-5, seed))
 
@@ -450,7 +450,7 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
             for _ in range(draws_per_case):
                 t = float(sched.T * (0.01 + 0.99 * rng.uniform()))
                 x = 2.0 * rng.standard_normal((1, d))
-                raw = p.pfode_rhs_marginal(ds, t, x)
+                raw = p.pfode_rhs_marginal(den, t, x)
                 simp = p.pfode_rhs(den, t, x)
                 scale = max(1.0, float(np.abs(raw).max()))
                 worst = max(worst, float(np.abs(raw - simp).max()) / scale)
@@ -470,8 +470,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     basis = BasisSet.from_elements(rows, (2,))
     p = DiffusionProcess(sched, basis, eta=0.0)
     pts = np.array([[-1.5, 0.0], [1.5, 0.5], [0.0, 1.8]])
-    ds = DiracDataset([Field(row) for row in pts])
-    den = DiracMixtureDenoiser(ds, p)
+    den = DiracMixtureDenoiser(DiracDataset([Field(row) for row in pts]), p)
     t = sched.T / 5.0
 
     draw = Rng(seed, 62)
@@ -502,7 +501,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     for _ in range(20):
         tt = float(sched.T * (0.02 + 0.98 * wrng.uniform()))
         xx = wrng.standard_normal((2,))
-        w = p.dirac_weights(ds, tt, xx)[0][0]
+        w = den.weights_at(p.knot_table(tt), 0, xx)[0]
         worst_norm = max(worst_norm, abs(float(w.sum()) - 1.0))
         worst_neg = max(worst_neg, float(max(0.0, -w.min())))
     checks.append(_upper("optimality/weight-normalisation", worst_norm, 1.0e-12, seed))

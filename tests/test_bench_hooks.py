@@ -13,9 +13,10 @@ import numpy as np
 from basisdiff import bases, samplers, schedules
 from basisdiff.bases import CovarianceOp, pixel_basis
 from basisdiff.config import apply_overrides, check, load_config
-from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
+                                 DiracMixtureDenoiser)
 from basisdiff.fields import Field, Rng
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CONFIGS = PERFBENCH.parent / "configs"
@@ -78,11 +79,12 @@ def test_tracer_reads_the_raw_score_and_sde_call_layouts():
     rows = np.array([[1.0, 0.2], [0.3, 1.1], [0.5, -0.4]])
     p = DiffusionProcess(schedules.make_vp_schedule(),
                          bases.BasisSet((2,), elements=rows), 10.0)
-    ds = DiracDataset([Field([0.5, -0.2]), Field([-1.0, 0.7])])
+    den = DiracMixtureDenoiser(
+        DiracDataset([Field([0.5, -0.2]), Field([-1.0, 0.7])]), p)
     tracer = Tracer()
     try:
         layers.install(tracer)
-        score = p.marginal_score_dirac(ds, 40.0, np.ones((3, 2)))
+        score = p.marginal_score_dirac(den, 40.0, np.ones((3, 2)))
         paths = p.simulate_sde(Field([0.1, 0.2]), 4, 5, Rng(3))
     finally:
         tracer.uninstall()

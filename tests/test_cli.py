@@ -9,9 +9,9 @@ from basisdiff import bases, cli
 from basisdiff.cli import main
 from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
                               resolved_eta)
-from basisdiff.denoisers import DiracMixtureDenoiser, load_network
+from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser, load_network
 from basisdiff.fields import Field, Rng, field_to_bytes
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import euler_trajectory, make_time_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -383,6 +383,20 @@ def test_verify_subcommand_writes_report(tmp_path):
 
 def test_verify_rejects_unknown_suite():
     assert main(["verify", "--suite", "vibes"]) == 2
+
+
+@pytest.mark.parametrize("seed,bound", [(-1, "at least 0"),
+                                        (2 ** 64, f"at most {2 ** 64 - 1}")])
+def test_verify_refuses_a_seed_out_of_range(seed, bound, capsys):
+    assert main(["verify", "--suite", "cancellation", "--seed", str(seed)]) == 2
+    err = capsys.readouterr().err
+    assert f"seed = {seed}" in err and bound in err
+
+
+def test_verify_takes_the_largest_seed(tmp_path):
+    code = main(["verify", "--suite", "cancellation",
+                 "--seed", str(2 ** 64 - 1), "--out", str(tmp_path / "r.json")])
+    assert code == 0
 
 
 def test_demo_case3_table(tmp_path):

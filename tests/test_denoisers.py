@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import json_like
 
-from basisdiff import bases, process
+from basisdiff import bases
 from basisdiff.bases import BasisSet, pixel_basis
 from basisdiff.denoisers import (CheckpointMismatch, ConstantDenoiser,
-                                 DiracMixtureDenoiser, PreconditionedDenoiser,
-                                 TinyNetwork, load_network, save_network)
+                                 DiracDataset, DiracMixtureDenoiser,
+                                 PreconditionedDenoiser, TinyNetwork,
+                                 load_network, save_network)
 from basisdiff.fields import Field, Rng, field_to_bytes
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import make_vp_schedule
 
 
@@ -283,11 +284,11 @@ def test_whitened_weights_match_dense_inverse_oracle(t):
         w = np.exp(logw - logw.max())
         expect[n] = w / w.sum()
     assert np.all(np.sort(expect, axis=1)[:, -2] > 1e-3)  # regime check
-    got, _ = p.dirac_weights(ds, t, states)
+    den = DiracMixtureDenoiser(ds, p)
+    got = den.weights_at(p.knot_table(t), 0, states)
     # exponents are O(10) here, so roundoff in them stays near
     # 10 * cond(Sigma) * eps ~ 1e-13 relative in the weights
     np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0.0)
-    den = DiracMixtureDenoiser(ds, p)
     np.testing.assert_allclose(den.denoise(states, t), expect @ pts,
                                rtol=1e-10, atol=1e-14)
 
@@ -298,18 +299,18 @@ def test_marginal_score_and_denoiser_share_weights(monkeypatch):
     ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(5)])
     den = DiracMixtureDenoiser(ds, p)
     seen = []
-    weights = process.DiffusionProcess.dirac_weights_at
+    weights = DiracMixtureDenoiser.weights_at
 
-    def record(proc, ds, table, k, states):
-        w, pts = weights(proc, ds, table, k, states)
+    def record(mix, table, k, states):
+        w = weights(mix, table, k, states)
         seen.append(w)
-        return w, pts
+        return w
 
     # the one weight routine both reach, each through a one-knot table
-    monkeypatch.setattr(process.DiffusionProcess, "dirac_weights_at", record)
+    monkeypatch.setattr(DiracMixtureDenoiser, "weights_at", record)
     for t in (0.5, 20.0, 80.0):
         x = rng.standard_normal((1, 3))
-        score = p.marginal_score_dirac(ds, t, x)[0]
+        score = p.marginal_score_dirac(den, t, x)[0]
         mean = den.denoise(x, t)[0]
         assert len(seen) == 2
         np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12, atol=0.0)
@@ -331,18 +332,32 @@ def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
         builds.append(1)
         init(op, *args, **kwargs)
 
+    whitened = []
+    whiten = bases.CovarianceOp.whiten
+
+    def counting_whiten(op, v):
+        whitened.append(v)
+        return whiten(op, v)
+
     monkeypatch.setattr(bases.CovarianceOp, "__init__", counting_init)
+    monkeypatch.setattr(bases.CovarianceOp, "whiten", counting_whiten)
     p = _skew_process()
     rng = Rng(23)
     ds = DiracDataset([Field(rng.standard_normal(3)) for _ in range(4)])
     den = DiracMixtureDenoiser(ds, p)
-    for k in range(100):
-        den.denoise(rng.standard_normal((1, 3)), 1.0 + k)
+    # making the denoiser whitens the points once (and the basis sum once)
+    assert sum(v is ds.stacked() for v in whitened) == 1
+    whitened.clear()
+    states = [rng.standard_normal((1, 3)) for _ in range(100)]
+    for k, x in enumerate(states):
+        den.denoise(x, 1.0 + k)
+    # N denoise calls make N whiten calls, each on its states only
+    assert len(whitened) == len(states)
+    assert all(v is x for v, x in zip(whitened, states))
     den.denoise(rng.standard_normal((7, 3)), 30.0)
-    p.pfode_rhs_marginal(ds, 30.0, rng.standard_normal((1, 3)))
+    p.pfode_rhs_marginal(den, 30.0, rng.standard_normal((1, 3)))
     p.pfode_rhs_conditional(ds.points[0], 30.0, rng.standard_normal((1, 3)))
     assert len(builds) == 1
-    assert p._whitened(ds) is p._whitened(ds)  # whitened once per dataset
 
 
 def test_rank_deficient_weights_match_dense_limit():
@@ -369,12 +384,12 @@ def test_rank_deficient_weights_match_dense_limit():
         return np.array(out)
 
     def check(pts, states):
-        ds = DiracDataset([Field(y) for y in pts])
-        got, _ = p.dirac_weights(ds, t, states)
+        den = DiracMixtureDenoiser(DiracDataset([Field(y) for y in pts]), p)
+        got = den.weights_at(p.knot_table(t), 0, states)
         errs = [np.abs(oracle(pts, states, delta) - got).max()
                 for delta in (1e-2, 1e-4, 1e-6)]
         assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-6
-        return got, DiracMixtureDenoiser(ds, p).denoise(states, t)
+        return got, den.denoise(states, t)
 
     rng = Rng(31)
     base = rng.standard_normal(3)
@@ -425,10 +440,12 @@ def test_weights_match_a_log_sum_exp_reference(rows, t):
         + 0.5 * s * width * rng.standard_normal((5, len(rows))) @ rows
     expect = _lse_weights(rows, pts, states, s, shift, (s * width) ** 2)
     assert np.all(np.sort(expect, axis=1)[:, -2] > 1e-3)  # far from one-hot
-    got, stacked = p.dirac_weights(ds, t, states)
-    np.testing.assert_array_equal(stacked, pts)
+    den = DiracMixtureDenoiser(ds, p)
+    table = p.knot_table(t)
+    got = den.weights_at(table, 0, states)
+    np.testing.assert_array_equal(den.rows, pts)
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)
-    one, _ = p.dirac_weights(ds, t, states[3])
+    one = den.weights_at(table, 0, states[3])
     assert one.shape == (1, 4)
     np.testing.assert_allclose(one[0], expect[3], rtol=1e-9, atol=0.0)
 

@@ -6,9 +6,10 @@ import pytest
 
 from basisdiff.bases import (BasisSet, SingularCovarianceError,
                              pixel_basis, residual_basis)
-from basisdiff.denoisers import ConstantDenoiser, DiracMixtureDenoiser
+from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
+                                 DiracMixtureDenoiser)
 from basisdiff.fields import Field, Rng
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 from basisdiff.config import build_process, build_task, load_config
 from basisdiff.schedules import (EndpointError, make_ddpm_schedule,
                                  make_vp_schedule, sde_coefficients)
@@ -27,6 +28,12 @@ def _toy_process(eta=0.0, seed=9, m=4, d=3):
 def test_negative_eta_rejected():
     with pytest.raises(ValueError):
         DiffusionProcess(make_vp_schedule(), pixel_basis((2,)), -0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_eta_rejected(bad):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        DiffusionProcess(make_vp_schedule(), pixel_basis((2,)), bad)
 
 
 def test_extreme_eta_noise_freezes_at_element_sum():
@@ -229,18 +236,18 @@ def test_marginal_score_single_point_equals_conditional():
     for eta in (0.0, 10.0):
         p, _ = _toy_process(eta=eta, seed=11)
         y = Field([0.7, -0.3, 0.1])
-        ds = DiracDataset([y])
+        den = DiracMixtureDenoiser(DiracDataset([y]), p)
         rng = Rng(6)
         for t in (5.0, 55.0, 100.0):
             x = rng.standard_normal((3, 3))
-            a = p.marginal_score_dirac(ds, t, x)
+            a = p.marginal_score_dirac(den, t, x)
             b = p.conditional_score(y, t, x)
             assert a.shape == b.shape == (3, 3)
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
             for i in range(3):
                 row = x[i:i + 1]
                 np.testing.assert_allclose(
-                    a[i], p.marginal_score_dirac(ds, t, row)[0], rtol=1e-12)
+                    a[i], p.marginal_score_dirac(den, t, row)[0], rtol=1e-12)
                 np.testing.assert_allclose(
                     b[i], p.conditional_score(y, t, row)[0], rtol=1e-12)
 
@@ -249,8 +256,8 @@ def test_marginal_score_vanishes_by_symmetry():
     basis = pixel_basis((2,))
     p = DiffusionProcess(make_vp_schedule(), basis, 0.0)
     y = Field([1.0, -0.5])
-    ds = DiracDataset([y, Field(-y.values)])
-    score = p.marginal_score_dirac(ds, 40.0, np.zeros((1, 2)))
+    den = DiracMixtureDenoiser(DiracDataset([y, Field(-y.values)]), p)
+    score = p.marginal_score_dirac(den, 40.0, np.zeros((1, 2)))
     assert np.allclose(score, 0.0, atol=1e-14)
 
 
@@ -261,13 +268,13 @@ def test_pfode_assemblies_agree():
         p, _ = _toy_process(eta=eta, seed=13, m=5, d=3)
         y = Field([0.4, 0.0, -0.9])
         den = ConstantDenoiser(y)  # exact posterior mean for one data point
-        ds = DiracDataset([y])
+        mix = DiracMixtureDenoiser(DiracDataset([y]), p)
         rng = Rng(7)
         for t in (2.0, 48.0, 100.0):
             # three stacked states: each row is its own one-row call
             x = rng.standard_normal((3, 3))
             raw_c = p.pfode_rhs_conditional(y, t, x)
-            raw_m = p.pfode_rhs_marginal(ds, t, x)
+            raw_m = p.pfode_rhs_marginal(mix, t, x)
             simp = p.pfode_rhs(den, t, x)
             assert raw_c.shape == raw_m.shape == (3, 3)
             assert np.allclose(raw_c, simp, atol=1e-10)
@@ -277,7 +284,7 @@ def test_pfode_assemblies_agree():
                 np.testing.assert_allclose(
                     raw_c[i], p.pfode_rhs_conditional(y, t, row)[0], rtol=1e-12)
                 np.testing.assert_allclose(
-                    raw_m[i], p.pfode_rhs_marginal(ds, t, row)[0], rtol=1e-12)
+                    raw_m[i], p.pfode_rhs_marginal(mix, t, row)[0], rtol=1e-12)
 
 
 def test_pfode_constant_denoiser_closed_form():
@@ -310,12 +317,13 @@ def test_flow_and_weights_refuse_sigma_zero_on_a_knot_table(make_schedule):
         with pytest.raises(EndpointError):
             p.pfode_rhs_at(den, table, 0, x)
         assert np.isfinite(p.pfode_rhs_at(den, table, 1, x)).all()
+    mix = DiracMixtureDenoiser(ds, p)
     with pytest.raises(EndpointError):
-        p.dirac_weights(ds, 0.0, x)
+        mix.weights_at(p.knot_table(0.0), 0, x)
     with pytest.raises(EndpointError):
-        p.dirac_weights_at(ds, table, 0, x)
+        mix.weights_at(table, 0, x)
     with pytest.raises(EndpointError):
-        DiracMixtureDenoiser(ds, p).denoise(x, 0.0)
+        mix.denoise(x, 0.0)
 
 
 def test_dataset_validation():
@@ -325,3 +333,15 @@ def test_dataset_validation():
         DiracDataset([Field([1.0]), Field([1.0, 2.0])])
     ds = DiracDataset([Field([1.0, 2.0]), Field([3.0, 4.0])])
     assert ds.stacked().shape == (2, 2) and len(ds) == 2
+
+
+def test_dataset_rows_are_stacked_once_and_read_only():
+    # a mixture denoiser whitens the rows when it is made, so the dataset
+    # must not change under it
+    ds = DiracDataset([Field([1.0, 2.0]), Field([3.0, 4.0])])
+    with pytest.raises(AttributeError):
+        ds.points.append(Field([5.0, 6.0]))
+    with pytest.raises(ValueError):
+        ds.stacked()[0, 0] = 9.0
+    assert ds.stacked() is ds.stacked()
+    np.testing.assert_array_equal(ds.stacked(), [[1.0, 2.0], [3.0, 4.0]])

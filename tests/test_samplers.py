@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from basisdiff.bases import BasisSet, pixel_basis
-from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                                 PreconditionedDenoiser, TinyNetwork)
+from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
+                                 DiracMixtureDenoiser, PreconditionedDenoiser,
+                                 TinyNetwork)
 from basisdiff.fields import Field, Rng
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import (TERMINAL_FRACTION, euler_trajectory,
                                 make_time_grid, rk4_step, sample_euler,
                                 sample_reference, write_trajectory_csv)

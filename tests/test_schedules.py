@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basisdiff.schedules import (EndpointError, make_ddpm_schedule,
+from basisdiff.schedules import (EndpointError, Schedule, make_ddpm_schedule,
                                  make_vp_schedule, sde_coefficients)
 
 # Closed-form values at the default ramp (beta 1e-4 -> 0.02, T = 100),
@@ -68,6 +68,24 @@ def test_constructor_rejects_bad_ramps():
         make_vp_schedule(beta_min=0.02, beta_max=0.01)
     with pytest.raises(ValueError):
         make_vp_schedule(T=0.0)
+
+
+@pytest.mark.parametrize("make", [make_vp_schedule, make_ddpm_schedule])
+@pytest.mark.parametrize("name", ["beta_min", "beta_max", "T"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ramp_refuses_non_finite_values(make, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(**{name: bad})
+    # a finite value far from the defaults is still taken
+    assert make(**{name: 1e300 if name != "beta_min" else 1e-300})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_refuses_a_non_finite_horizon(bad):
+    parts = make_vp_schedule()._parts
+    with pytest.raises(ValueError, match="horizon T must be finite"):
+        Schedule(bad, parts)
+    assert Schedule(1e300, parts).T == 1e300
 
 
 @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
@@ -274,6 +292,14 @@ def test_coefficients_endpoint_and_eta_errors():
         sde_coefficients(sched, 0.0, np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         sde_coefficients(sched, -1.0, np.array([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_coefficients_refuse_a_non_finite_eta(bad):
+    sched = make_vp_schedule()
+    with pytest.raises(ValueError, match="eta must be finite"):
+        sde_coefficients(sched, bad, np.array([1.0]), 1.0)
+    assert sde_coefficients(sched, 1e300, np.array([1.0]), 1.0).g >= 0.0
 
 
 @pytest.mark.parametrize("make", [make_vp_schedule, make_ddpm_schedule])

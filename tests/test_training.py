@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from basisdiff.denoisers import (ConstantDenoiser, DiracMixtureDenoiser,
-                                 PreconditionedDenoiser, TinyNetwork)
+from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
+                                 DiracMixtureDenoiser, PreconditionedDenoiser,
+                                 TinyNetwork)
 from basisdiff.fields import Field, Rng
-from basisdiff.process import DiffusionProcess, DiracDataset
+from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import Schedule, make_vp_schedule
 from basisdiff.bases import pixel_basis, residual_basis
 from basisdiff.training import (Adam, Sgd, TrainConfig, _batch_loss,
