@@ -18,8 +18,8 @@ from .fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                      field_to_bytes, psnr, read_field, rmse, write_field,
                      write_pgm)
 from .process import ConditionalMoments, DiffusionProcess, KnotTable
-from .samplers import (euler_trajectory, make_time_grid, sample_euler,
-                       sample_reference, write_trajectory_csv)
+from .samplers import (euler_trajectory, make_time_grid, sample_reference,
+                       write_trajectory_csv)
 from .schedules import (EndpointError, Schedule, SdeCoefficients,
                         make_ddpm_schedule, make_vp_schedule,
                         sde_coefficients)
@@ -41,8 +41,8 @@ __all__ = [
     "field_to_bytes", "psnr", "read_field", "rmse", "write_field",
     "write_pgm", "ConditionalMoments", "DiffusionProcess", "DiracDataset",
     "KnotTable",
-    "euler_trajectory", "make_time_grid", "sample_euler",
-    "sample_reference", "write_trajectory_csv",
+    "euler_trajectory", "make_time_grid", "sample_reference",
+    "write_trajectory_csv",
     "EndpointError", "Schedule", "SdeCoefficients", "make_ddpm_schedule",
     "make_vp_schedule", "sde_coefficients", "RestorationResult",
     "TaskInstance", "case3_discrete_demo", "centered_poisson_sampler",

@@ -52,8 +52,7 @@ class BasisSet:
     @classmethod
     def from_elements(cls, fields_or_rows, shape) -> "BasisSet":
         """Basis from an (M, d) array or a list of Fields."""
-        rows = [f.values if isinstance(f, Field) else f for f in fields_or_rows]
-        return cls(shape, elements=np.asarray(rows, dtype=np.float64))
+        return cls(shape, elements=fields_or_rows)
 
     @property
     def M(self) -> int:

@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
               ["index", "empirical_mean", "closed_mean", "empirical_var",
                "closed_var"],
               zip(range(x0.size), paths.mean(axis=0).tolist(),
-                  mom.mean.flat().tolist(), paths.var(axis=0).tolist(),
+                  mom.mean.tolist(), paths.var(axis=0).tolist(),
                   closed_var.tolist()))
     print(f"simulated {n_paths} forward paths over {n_steps} steps")
     return 0

@@ -36,20 +36,20 @@ OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
 
 
 class DiracDataset:
-    """Finite point dataset [y_1 .. y_Y], stacked once into read-only (Y, d)
-    rows, so no copy made from them (a mixture denoiser's whitened rows)
-    goes stale."""
+    """Finite point dataset [y_1 .. y_Y] of Fields or arrays, stacked once
+    into read-only float64 (Y, d) rows, so no copy made from them (a mixture
+    denoiser's whitened rows) goes stale."""
 
     def __init__(self, points):
         if len(points) < 1:
             raise ValueError("dataset needs at least one point")
-        shape = points[0].shape
+        shape = np.shape(points[0])
         for p in points:
-            if p.shape != shape:
+            if np.shape(p) != shape:
                 raise ValueError("all dataset points must share one shape")
         self.points = tuple(points)
         self.shape = shape
-        self._rows = np.stack([p.flat() for p in self.points])
+        self._rows = np.array([np.ravel(p) for p in points], dtype=np.float64)
         self._rows.setflags(write=False)
 
     def __len__(self):
@@ -76,8 +76,8 @@ class ConstantDenoiser(Denoiser):
 
     variant = "constant-oracle"
 
-    def __init__(self, y: Field):
-        self.y = y
+    def __init__(self, y):
+        self.y = np.array(y, dtype=np.float64).reshape(-1)  # a flat copy
         self._out = None  # read-only broadcast of y, kept while x's shape holds
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -85,7 +85,7 @@ class ConstantDenoiser(Denoiser):
         if out is None or out.shape != np.shape(x):
             if np.shape(x)[-1] != self.y.size:
                 raise ValueError(f"state width {np.shape(x)[-1]} != {self.y.size}")
-            out = self._out = np.broadcast_to(self.y.flat(), np.shape(x))
+            out = self._out = np.broadcast_to(self.y, np.shape(x))
         return out
 
 
@@ -99,8 +99,7 @@ class DiracMixtureDenoiser(Denoiser):
     variant = "analytic-dirac"
 
     def __init__(self, dataset: DiracDataset, process: DiffusionProcess):
-        if dataset.shape != process.shape:
-            raise ValueError("dataset shape does not match the process")
+        process.clean_point(dataset.points[0])  # ValueError on a wrong shape
         self.process = process
         op = process.cov_op
         self.rows = dataset.stacked()
@@ -108,6 +107,8 @@ class DiracMixtureDenoiser(Denoiser):
         self._white_shift = op.whiten(op.total)
         full_rank = self._white_rows.shape[1] == self.rows.shape[1]
         self._perp_rows = None if full_rank else op.out_of_range(self.rows)
+        # the largest |y_i|, which scales the out-of-range tolerance
+        self._max_norm = np.linalg.norm(self.rows, axis=1).max()
 
     def weights_at(self, table: KnotTable, k: int,
                    states: np.ndarray) -> np.ndarray:
@@ -149,8 +150,7 @@ class DiracMixtureDenoiser(Denoiser):
             np.square(far, out=far)
             dist = far.sum(axis=-1)
             dist -= dist.min(axis=1, keepdims=True)
-            scale = (np.linalg.norm(states, axis=1)
-                     + s * np.linalg.norm(self.rows, axis=1).max()) ** 2
+            scale = (np.linalg.norm(states, axis=1) + s * self._max_norm) ** 2
             w[dist > OUT_OF_RANGE_RTOL * scale[:, None]] = -np.inf
         w -= np.maximum.reduce(w, axis=1, keepdims=True)
         np.exp(w, out=w)

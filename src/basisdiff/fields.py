@@ -23,8 +23,8 @@ class Field:
     """Immutable dense array of 64-bit reals with an explicit shape.
 
     Construction copies the input, coerces to float64, and rejects NaN/Inf
-    entries.  The wrapped array is marked read-only; use ``.values`` for
-    numpy access.
+    entries.  The wrapped array is marked read-only; ``.values`` and
+    ``np.asarray(field)`` read it without a copy, ``np.array(field)`` copies.
     """
 
     __slots__ = ("_values",)
@@ -57,6 +57,9 @@ class Field:
     def flat(self) -> np.ndarray:
         """Row-major flat view of the data."""
         return self._values.reshape(-1)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._values, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"Field(shape={self.shape})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, CovarianceOp
-from .fields import Field, Rng
+from .fields import Rng
 from .schedules import EndpointError, Schedule, sde_coefficients
 
 
@@ -31,7 +31,7 @@ from .schedules import EndpointError, Schedule, sde_coefficients
 class ConditionalMoments:
     """Gaussian kernel parameters: mean, scalar covariance factor, Sigma op."""
 
-    mean: Field
+    mean: np.ndarray
     cov_scale: float
     cov_op: CovarianceOp
 
@@ -99,10 +99,18 @@ class DiffusionProcess:
             raise ValueError(f"{what} must be (n, {self._d}) rows, "
                              f"got shape {np.shape(x)}")
 
-    def sample_noise(self, rng: Rng) -> Field:
-        """One draw of N = sum_m ((eta + eps_m)/(eta + 1)) h_m."""
-        eps = rng.standard_normal((1, self.basis.M))
-        return Field(self.noise_from_normals(eps)[0].reshape(self.shape))
+    def clean_point(self, x0) -> np.ndarray:
+        """A Field, a (d,) array or an array of this process's shape as the
+        flat (d,) float64 clean point; ValueError on any other shape or NaN/inf."""
+        x = np.asarray(x0, dtype=np.float64)
+        if x.shape not in ((self._d,), self.shape) or not np.isfinite(x).all():
+            raise ValueError(f"clean point must be finite, of shape ({self._d},) "
+                             f"or {self.shape}; got shape {x.shape}")
+        return x.reshape(-1)
+
+    def sample_noise(self, rng: Rng) -> np.ndarray:
+        """One (d,) draw of N = sum_m ((eta + eps_m)/(eta + 1)) h_m."""
+        return self.noise_from_normals(rng.standard_normal((1, self.basis.M)))[0]
 
     def noise_from_normals(self, eps: np.ndarray) -> np.ndarray:
         """(n, d) noise rows N for (n, M) standard normal weights eps.
@@ -116,6 +124,7 @@ class DiffusionProcess:
     def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
         """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) clean rows,
         each with its own N; the (n, M) weights are one rng draw."""
+        x0 = np.asarray(x0)
         self.check_rows(x0, "clean states")
         s, _, sig, _ = self.schedule.evaluate(t)
         x = self.noise_from_normals(
@@ -125,19 +134,18 @@ class DiffusionProcess:
         x += s * x0
         return x
 
-    def conditional_moments(self, x0: Field, t: float) -> ConditionalMoments:
-        """Exact kernel parameters: mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
-        if x0.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
+    def conditional_moments(self, x0, t: float) -> ConditionalMoments:
+        """Exact kernel parameters: (d,) mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
+        x0 = self.clean_point(x0)
         s, _, sig, _ = self.schedule.evaluate(t)
         shift_gain, cov_scale = self._kernel_scales(s, sig)
         op = self.cov_op
-        mean = Field((s * x0.flat() + shift_gain * op.total).reshape(self.shape))
-        return ConditionalMoments(mean=mean, cov_scale=cov_scale, cov_op=op)
+        return ConditionalMoments(mean=s * x0 + shift_gain * op.total,
+                                  cov_scale=cov_scale, cov_op=op)
 
     # -- SDE simulation -------------------------------------------------------
 
-    def simulate_sde(self, x0: Field, n_steps: int, n_paths: int,
+    def simulate_sde(self, x0, n_steps: int, n_paths: int,
                      rng: Rng) -> np.ndarray:
         """(n_paths, d) Euler-Maruyama endpoints over a uniform grid on (T/1000, T].
 
@@ -158,6 +166,7 @@ class DiffusionProcess:
         draws the same normals in the same order as a step-by-step walk:
         eps, then one (n_paths, M) draw per step.
         """
+        x0 = self.clean_point(x0)
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if n_paths < 1:
@@ -176,7 +185,7 @@ class DiffusionProcess:
             xi = rng.standard_normal(acc.shape)
             xi *= k
             acc += xi
-        drift = (tail[0] * s) * x0.flat() + (tail[1:] * dt) @ c.phi
+        drift = (tail[0] * s) * x0 + (tail[1:] * dt) @ c.phi
         return drift + acc @ op.rows
 
     # -- scores and probability-flow ODE --------------------------------------
@@ -198,12 +207,9 @@ class DiffusionProcess:
         resid = s * post_mean + shift_gain * self.cov_op.total - x
         return gain * self.cov_op.solve_flat(resid.T).T
 
-    def conditional_score(self, x0: Field, t: float,
-                          x: np.ndarray) -> np.ndarray:
+    def conditional_score(self, x0, t: float, x: np.ndarray) -> np.ndarray:
         """((eta+1)^2 / (s^2 sigma^2)) Sigma^{-1} (mean - x) for (n, d) states x."""
-        if x0.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x0.shape} vs {self.shape}")
-        return self._score(t, x0.flat(), x)
+        return self._score(t, self.clean_point(x0), x)
 
     def marginal_score_dirac(self, den, t: float,
                              x: np.ndarray) -> np.ndarray:
@@ -218,10 +224,9 @@ class DiffusionProcess:
         c = sde_coefficients(self.schedule, self.eta, op.total, t)
         return c.f * x + c.phi - 0.5 * c.g * c.g * op.apply_flat(score.T).T
 
-    def pfode_rhs_conditional(self, x0: Field, t: float,
-                              x: np.ndarray) -> np.ndarray:
+    def pfode_rhs_conditional(self, x0, t: float, x: np.ndarray) -> np.ndarray:
         """Raw PFODE right-hand side with the conditional score, (n, d) states."""
-        return self._score_flow(t, x, self._score(t, x0.flat(), x))
+        return self._score_flow(t, x, self._score(t, self.clean_point(x0), x))
 
     def pfode_rhs_marginal(self, den, t: float, x: np.ndarray) -> np.ndarray:
         """Raw PFODE right-hand side with the Dirac-mixture score of the

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .denoisers import Denoiser
-from .fields import Field, write_csv
+from .fields import write_csv
 from .process import DiffusionProcess
 
 TERMINAL_FRACTION = 1e-3  # eps_t = T * this
@@ -70,14 +70,6 @@ def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
             raise RuntimeError(f"non-finite state after the step at "
                                f"t={float(grid[k])}")
     return states
-
-
-def sample_euler(p: DiffusionProcess, den: Denoiser, x_init: Field,
-                 grid) -> Field:
-    """Euler walk down the grid, x <- x + (t_next - t) * rhs(x, t), from
-    x_init as given (restoration passes the degraded observation itself)."""
-    x = euler_trajectory(p, den, x_init.flat()[None, :], grid)[-1]
-    return Field(x[0], shape=x_init.shape)
 
 
 def rk4_step(rhs, x, h, stages):

@@ -25,7 +25,7 @@ from .bases import BasisSet
 from .denoisers import Denoiser
 from .fields import Field, Rng, psnr, rmse
 from .process import DiffusionProcess
-from .samplers import make_time_grid, sample_euler
+from .samplers import euler_trajectory, make_time_grid
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
         restored = task.degraded
     else:
         grid = make_time_grid(p.schedule.T, steps, scheme)
-        end = sample_euler(p, den, x_init, grid)
-        restored = _untransform(task, end)
+        end = euler_trajectory(p, den, x_init.flat()[None, :], grid)[-1, 0]
+        restored = _untransform(task, Field(end, shape=x_init.shape))
     region_in, region_out = {}, {}
     if task.mask is not None:
         region_in = _region_metrics(task.degraded, task.clean, task.mask, peak)

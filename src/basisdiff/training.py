@@ -23,7 +23,7 @@ import numpy as np
 
 from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
                         TinyNetwork)
-from .fields import Field, Rng, write_csv
+from .fields import Rng, write_csv
 from .process import DiffusionProcess
 
 OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
@@ -131,10 +131,10 @@ class Adam:
         params -= buf
 
 
-def _validate_mask(mask: Field, shape) -> np.ndarray:
-    if mask.shape != shape:
-        raise ValueError(f"mask shape {mask.shape} does not match {shape}")
-    m = mask.flat()
+def _validate_mask(mask, shape) -> np.ndarray:
+    if np.shape(mask) != shape:
+        raise ValueError(f"mask shape {np.shape(mask)} does not match {shape}")
+    m = np.ravel(mask)
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
     return m
@@ -148,14 +148,15 @@ def _row_weights(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return 1.0 + (1.0 - m) * ratio[:, None]
 
 
-def weight_from_mask(mask: Field, noise: Field) -> Field:
-    """Pixel weight 1 + (1-m) * max|m N| / max|(1-m) N|.
+def weight_from_mask(mask, noise) -> np.ndarray:
+    """Pixel weight 1 + (1-m) * max|m N| / max|(1-m) N| in the noise's shape.
 
     max is over pixels of the absolute value; when the non-mask noise
     maximum is zero the second term is defined as zero.
     """
-    m = _validate_mask(mask, noise.shape)
-    return Field(_row_weights(m, noise.flat()[None, :])[0].reshape(noise.shape))
+    shape = np.shape(noise)
+    m = _validate_mask(mask, shape)
+    return _row_weights(m, np.reshape(noise, (1, -1)))[0].reshape(shape)
 
 
 def wrapper_for(objective: str) -> str:
@@ -164,7 +165,7 @@ def wrapper_for(objective: str) -> str:
     return "predict-x0" if objective == "x0-pred" else "predict-noise"
 
 
-def _check_objective(objective: str, den: Denoiser, mask: Field, shape):
+def _check_objective(objective: str, den: Denoiser, mask, shape):
     """Validate the objective/denoiser pairing; the flat mask or None."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -218,16 +219,17 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
 
 
 def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
-                 x0: Field, t: float, rng: Rng, mask: Field = None):
-    """One-sample loss and parameter gradient.
+                 x0, t: float, rng: Rng, mask=None):
+    """One-sample loss and parameter gradient at the clean point x0.
 
     Draws the noise internally from rng, so calling twice with identically
     seeded Rng objects reproduces the same (loss, gradient) pair.  Returns a
     zero-length gradient for denoisers without trainable parameters.
     """
+    x0 = p.clean_point(x0)
     m = _check_objective(objective, den, mask, p.shape)
     noise = p.noise_from_normals(rng.standard_normal((1, p.basis.M)))
-    losses, grad = _batch_loss(objective, den, p, x0.flat()[None, :],
+    losses, grad = _batch_loss(objective, den, p, x0[None, :],
                                np.array([float(t)]), noise, m)
     return float(losses[0]), grad
 
@@ -258,7 +260,7 @@ def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
 
 
 def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
-          cfg: TrainConfig, mask: Field = None):
+          cfg: TrainConfig, mask=None):
     """Run the training loop; returns (net, per-step mean loss trace).
 
     The network is wrapped per the objective (wrapper_for).  All

@@ -21,9 +21,9 @@ import numpy as np
 
 from .bases import BasisSet, pixel_basis
 from .denoisers import ConstantDenoiser, DiracDataset, DiracMixtureDenoiser
-from .fields import Field, Rng
+from .fields import Rng
 from .process import DiffusionProcess
-from .samplers import (euler_trajectory, make_time_grid, rk4_step, sample_euler,
+from .samplers import (euler_trajectory, make_time_grid, rk4_step,
                        sample_reference)
 from .schedules import (Schedule, make_ddpm_schedule, make_vp_schedule,
                         sde_coefficients)
@@ -257,7 +257,7 @@ def _checks_coefficients(seed: int, n_steps: int = 10_000):
 # ---------------------------------------------------------------------------
 
 
-def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
+def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     """Exact mean/covariance of the Euler-Maruyama chain at the last knot.
 
     The update is linear in x with deterministic coefficients and independent
@@ -274,7 +274,7 @@ def _em_chain_moments(p: DiffusionProcess, x0: Field, n_steps: int):
     rows = mom0.cov_op.rows
     sigma_mat = rows.T @ rows
     c = sde_coefficients(sched, p.eta, mom0.cov_op.total, times[:-1])
-    mean = mom0.mean.flat().copy()
+    mean = mom0.mean
     cov = mom0.cov_scale * sigma_mat
     for f, g, phi, dt in zip(c.f.tolist(), c.g.tolist(), c.phi, dts):
         a = 1.0 + f * dt
@@ -288,14 +288,14 @@ def _checks_moments(seed: int, n_paths: int = 10_000, n_steps: int = 512):
     sched = make_vp_schedule()
     rows = rng.standard_normal((2, 4))
     basis = BasisSet.from_elements(rows, (4,))
-    x0 = Field(rng.standard_normal((4,)))
+    x0 = rng.standard_normal((4,))
 
     checks = []
     for stream, eta in ((21, 0.0), (22, 10.0)):
         p = DiffusionProcess(sched, basis, eta=eta)
         paths = p.simulate_sde(x0, n_steps, n_paths, Rng(seed, stream))
         mom = p.conditional_moments(x0, sched.T)
-        mu = mom.mean.flat()
+        mu = mom.mean
         cov = mom.cov_scale * (rows.T @ rows)
         # discretization bias: gap between the exact chain moments and Eq. form
         chain_mu, chain_cov = _em_chain_moments(p, x0, n_steps)
@@ -346,14 +346,14 @@ def _checks_score(seed: int, probes_per_case: int = 13):
     cond_err = 0.0
     for eta in (0.0, 10.0):
         p = DiffusionProcess(sched, basis, eta=eta)
-        x0 = Field(rng.standard_normal((3,)))
+        x0 = rng.standard_normal((3,))
         for _ in range(probes_per_case):
             t = float(sched.T * (0.1 + 0.9 * rng.uniform()))
-            x = p.forward_sample(x0.flat()[None, :], t, rng)
+            x = p.forward_sample(x0[None, :], t, rng)
             mom = p.conditional_moments(x0, t)
             cov = mom.cov_scale * (rows.T @ rows)
 
-            def logpdf(v, mean=mom.mean.flat(), cov=cov):
+            def logpdf(v, mean=mom.mean, cov=cov):
                 r = v - mean
                 return -0.5 * float(r @ np.linalg.solve(cov, r))
 
@@ -368,18 +368,17 @@ def _checks_score(seed: int, probes_per_case: int = 13):
     marg_err = 0.0
     for eta in (0.0, 10.0):
         p = DiffusionProcess(sched, basis2, eta=eta)
-        pts = [Field(2.0 * rng.standard_normal((2,))) for _ in range(3)]
+        pts = [2.0 * rng.standard_normal((2,)) for _ in range(3)]
         den = DiracMixtureDenoiser(DiracDataset(pts), p)
         for _ in range(probes_per_case):
             t = float(sched.T * (0.1 + 0.9 * rng.uniform()))
-            x = p.forward_sample(pts[rng.integers(0, 3)].flat()[None, :], t,
-                                 rng)
+            x = p.forward_sample(pts[rng.integers(0, 3)][None, :], t, rng)
             moms = [p.conditional_moments(y, t) for y in pts]
             # cov_scale depends on t alone, so the components share one
             # covariance and its normalising constant cancels in the gradient
             cov = moms[0].cov_scale * (rows2.T @ rows2)
 
-            def logpdf(v, means=[mom.mean.flat() for mom in moms], cov=cov):
+            def logpdf(v, means=[mom.mean for mom in moms], cov=cov):
                 logs = []
                 for mean in means:
                     r = v - mean
@@ -394,8 +393,8 @@ def _checks_score(seed: int, probes_per_case: int = 13):
 
     # at the kernel mean the conditional score vanishes identically
     p0 = DiffusionProcess(sched, basis, eta=10.0)
-    y = Field(rng.standard_normal((3,)))
-    mean = p0.conditional_moments(y, sched.T / 2.0).mean.flat()
+    y = rng.standard_normal((3,))
+    mean = p0.conditional_moments(y, sched.T / 2.0).mean
     peak = p0.conditional_score(y, sched.T / 2.0, mean[None, :])
     checks.append(_upper("score/zero-at-mean", float(np.abs(peak).max()), 1.0e-12, seed))
     return checks
@@ -413,7 +412,7 @@ def _checks_cancellation(seed: int, draws_per_case: int = 17):
     for d in (2, 3, 4):
         rows = _random_full_rank_rows(d, rng.derive(41 + d))
         basis = BasisSet.from_elements(rows, (d,))
-        x0 = Field(rng.standard_normal((d,)))
+        x0 = rng.standard_normal((d,))
         worst = 0.0
         for eta in (0.0, 10.0):
             p = DiffusionProcess(sched, basis, eta=eta)
@@ -441,7 +440,7 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
     for d in (2, 3):
         rows = _random_full_rank_rows(d, rng.derive(51 + d))
         basis = BasisSet.from_elements(rows, (d,))
-        pts = [Field(2.0 * rng.standard_normal((d,))) for _ in range(3)]
+        pts = [2.0 * rng.standard_normal((d,)) for _ in range(3)]
         ds = DiracDataset(pts)
         worst = 0.0
         for eta in (0.0, 10.0):
@@ -470,7 +469,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     basis = BasisSet.from_elements(rows, (2,))
     p = DiffusionProcess(sched, basis, eta=0.0)
     pts = np.array([[-1.5, 0.0], [1.5, 0.5], [0.0, 1.8]])
-    den = DiracMixtureDenoiser(DiracDataset([Field(row) for row in pts]), p)
+    den = DiracMixtureDenoiser(DiracDataset(pts), p)
     t = sched.T / 5.0
 
     draw = Rng(seed, 62)
@@ -510,7 +509,7 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
 
 
 # ---------------------------------------------------------------------------
-# sampler: Euler convergence order, constant-denoiser closed form, round trip
+# sampler: Euler and RK4 convergence orders, constant-denoiser closed form, round trip
 # ---------------------------------------------------------------------------
 
 
@@ -519,21 +518,21 @@ def _checks_sampler(seed: int):
     rows = np.array([[1.0, 0.0], [0.3, 1.0]])
     basis = BasisSet.from_elements(rows, (2,))
     p = DiffusionProcess(sched, basis, eta=0.0)
-    pts = [Field(np.array([-1.0, 0.5])), Field(np.array([1.2, -0.3])), Field(np.array([0.2, 1.5]))]
+    pts = np.array([[-1.0, 0.5], [1.2, -0.3], [0.2, 1.5]])
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
 
     # fixed, well-scaled toy states: these are identity/convergence checks,
     # so randomizing them would only add failure modes unrelated to the code
-    x_top = Field(np.array([0.9, -1.4]))
+    x_top = np.array([0.9, -1.4])
     # round-trip start: a data point noised forward to the top knot
-    x_noised = p.forward_sample(pts[1].flat()[None, :], sched.T, Rng(seed, 71))
+    x_noised = p.forward_sample(pts[1:2], sched.T, Rng(seed, 71))
     # the two starts walk each integrator together, one row each
-    starts = np.concatenate([x_top.flat()[None, :], x_noised])
+    starts = np.concatenate([x_top[None, :], x_noised])
     ref, limit = sample_reference(p, den, starts, 4096)
     fine, back = euler_trajectory(p, den, starts,
                                   make_time_grid(sched.T, 1000))[-1]
-    e_coarse = float(np.linalg.norm(
-        sample_euler(p, den, x_top, make_time_grid(sched.T, 100)).flat() - ref))
+    e_coarse = float(np.linalg.norm(euler_trajectory(
+        p, den, x_top[None, :], make_time_grid(sched.T, 100))[-1, 0] - ref))
     e_fine = float(np.linalg.norm(fine - ref))
     ratio = e_coarse / e_fine
     checks = [
@@ -542,24 +541,33 @@ def _checks_sampler(seed: int):
     ]
 
     # constant denoiser: x(t) = c + (sigma(t)/sigma(T)) (x_T - c) for s = 1
-    c = Field(np.array([1.2, -0.8]))
+    c = np.array([1.2, -0.8])
     cden = ConstantDenoiser(c)
     grid = make_time_grid(sched.T, 10_000)
-    closed = c.flat() + (sched.sigma(grid[-1]) / sched.sigma(sched.T)) * (x_top.flat() - c.flat())
-    num = sample_euler(p, cden, x_top, grid).flat()
+    closed = c + (sched.sigma(grid[-1]) / sched.sigma(sched.T)) * (x_top - c)
+    num = euler_trajectory(p, cden, x_top[None, :], grid)[-1, 0]
     rel = float(np.linalg.norm(num - closed) / np.linalg.norm(closed))
     checks.append(_upper("sampler/constant-denoiser-euler", rel, 1.0e-4, seed))
 
     ref_t = make_time_grid(sched.T, 1000)
-    closed_ref = c.flat() + (sched.sigma(ref_t[-1]) / sched.sigma(sched.T)) * (x_top.flat() - c.flat())
-    num_ref = sample_reference(p, cden, x_top.flat()[None, :], 1000)[0]
-    rel_ref = float(np.linalg.norm(num_ref - closed_ref) / np.linalg.norm(closed_ref))
+    closed_ref = c + (sched.sigma(ref_t[-1]) / sched.sigma(sched.T)) * (x_top - c)
+
+    def ref_err(steps: int) -> float:
+        num_ref = sample_reference(p, cden, x_top[None, :], steps)[0]
+        return float(np.linalg.norm(num_ref - closed_ref) / np.linalg.norm(closed_ref))
+
+    rel_ref = ref_err(1000)
     checks.append(_upper("sampler/constant-denoiser-reference", rel_ref, 1.0e-8, seed))
 
     # round trip: the noised point integrated back down lands on the PFODE
     # limit as computed by the reference integrator
     rt = float(np.linalg.norm(back - limit) / np.linalg.norm(limit))
     checks.append(_upper("sampler/round-trip-rel-err", rt, 1.0e-2, seed))
+
+    # RK4 is 4th order: twice the steps cut its error about 2^4 = 16-fold,
+    # so the ratio lies in [12, 20], stored as its distance from 16
+    order = ref_err(500) / rel_ref
+    checks.append(_upper("sampler/reference-order", abs(order - 16.0), 4.0, seed))
     return checks
 
 
@@ -613,7 +621,7 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
                          float(max(z_mean.max(), z_var.max())), Z_BOUND, seed))
 
     # per-step agreement between the generic flow and the standard expression
-    pts = [Field(rng.standard_normal((2, 2))) for _ in range(2)]
+    pts = [rng.standard_normal((2, 2)) for _ in range(2)]
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     worst = 0.0
     for _ in range(20):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import json_like
 
 from basisdiff import bases
-from basisdiff.bases import BasisSet, pixel_basis
+from basisdiff.bases import COND_LIMIT, BasisSet, pixel_basis
 from basisdiff.denoisers import (CheckpointMismatch, ConstantDenoiser,
                                  DiracDataset, DiracMixtureDenoiser,
                                  PreconditionedDenoiser, TinyNetwork,
@@ -52,6 +52,38 @@ def test_constant_denoiser():
     assert den.denoise(np.zeros((2,)), 5.0).shape == (2,)
     with pytest.raises(ValueError):
         den.denoise(np.zeros((3, 1)), 5.0)
+
+
+# one clean point as a Field, a flat (d,) array and an array of the
+# process's (2, 2) shape
+CLEAN_FORMS = {"field": Field, "flat": np.ravel, "shaped": np.asarray}
+
+
+@pytest.mark.parametrize("form", sorted(CLEAN_FORMS))
+def test_constant_denoiser_takes_a_field_or_an_array(form):
+    v = np.array([[0.5, -1.0], [2.0, 0.25]])
+    src = v.copy()
+    den = ConstantDenoiser(CLEAN_FORMS[form](src))
+    src[...] = 9.0  # the denoiser keeps its own copy
+    out = den.denoise(np.zeros((3, 4)), 5.0)
+    np.testing.assert_array_equal(out, np.broadcast_to(v.reshape(-1), (3, 4)))
+    with pytest.raises(ValueError, match="state width 3 != 4"):
+        den.denoise(np.zeros((1, 3)), 5.0)
+
+
+@pytest.mark.parametrize("form", sorted(CLEAN_FORMS))
+def test_dataset_takes_fields_or_arrays(form):
+    p = DiffusionProcess(make_vp_schedule(), pixel_basis((2, 2)), 0.0)
+    v = np.array([[0.5, -1.0], [2.0, 0.25]])
+    ds = DiracDataset([CLEAN_FORMS[form](v), CLEAN_FORMS[form](-v)])
+    assert ds.stacked().dtype == np.float64
+    np.testing.assert_array_equal(ds.stacked(), [v.reshape(-1), -v.reshape(-1)])
+    x = np.array([[0.1, 0.2, -0.3, 0.4]])
+    ref = DiracMixtureDenoiser(DiracDataset([Field(v), Field(-v)]), p)
+    np.testing.assert_array_equal(DiracMixtureDenoiser(ds, p).denoise(x, 30.0),
+                                  ref.denoise(x, 30.0))
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        DiracMixtureDenoiser(DiracDataset([np.zeros(3)]), p)
 
 
 def test_network_init_layout():
@@ -408,6 +440,28 @@ def test_rank_deficient_weights_match_dense_limit():
     # one point: weight 1, so the posterior mean is the point itself
     got, mean = check(pts[:1], states)
     np.testing.assert_array_equal(mean, pts[[0, 0, 0]])
+
+
+@pytest.mark.parametrize("factor, expect", [(1e3, [1.0, 0.0]),
+                                            (1e-3, [0.5, 0.5])],
+                         ids=["far", "near"])
+def test_out_of_range_tolerance_sets_the_cut(factor, expect):
+    # basis e1, e2 in d = 3, so e3 is out of range.  The two points share
+    # their in-range part; the second's e3 offset delta puts its out-of-range
+    # distance (s delta)^2 at factor x the cut (|x| + s max|y_i|)^2 / COND_LIMIT,
+    # the share the rank cutoff drops (OUT_OF_RANGE_RTOL).  Far above the cut
+    # it gets weight 0; far below, the points tie.
+    p = DiffusionProcess(make_vp_schedule(),
+                         BasisSet((3,), elements=np.eye(3)[:2]), 0.0)
+    table = p.knot_table(50.0)
+    s = table.s[0]
+    y = np.array([0.4, -0.7, 0.0])
+    x = np.array([[0.3, -0.2, 0.0]])
+    delta = (np.sqrt(factor / COND_LIMIT)
+             * (np.linalg.norm(x) + s * np.linalg.norm(y)) / s)
+    den = DiracMixtureDenoiser(DiracDataset([y, y + [0.0, 0.0, delta]]), p)
+    np.testing.assert_allclose(den.weights_at(table, 0, x), [expect],
+                               rtol=0.0, atol=1e-12)
 
 
 def _lse_weights(rows, pts, states, s, shift, cov_scale):

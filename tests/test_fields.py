@@ -24,6 +24,16 @@ def test_field_copies_and_is_read_only():
         f.values[0] = 5.0
 
 
+def test_field_reads_as_an_array():
+    f = Field([[1.0, 2.0], [3.0, 4.0]])
+    view = np.asarray(f)
+    assert view is f.values and not view.flags.writeable
+    copy = np.array(f)
+    assert copy is not f.values and copy.flags.writeable
+    np.testing.assert_array_equal(copy, f.values)
+    assert np.asarray(f, dtype=np.float32).dtype == np.float32
+
+
 def test_field_rejects_non_finite():
     with pytest.raises(ValueError):
         Field([1.0, np.nan])

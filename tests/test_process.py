@@ -41,7 +41,7 @@ def test_extreme_eta_noise_freezes_at_element_sum():
     target = p.basis.elements().sum(axis=0)
     rng = Rng(0)
     for _ in range(5):
-        n = p.sample_noise(rng).values
+        n = p.sample_noise(rng)
         assert np.allclose(n, target, rtol=1e-4)
 
 
@@ -84,6 +84,63 @@ def test_forward_at_time_zero_is_exact():
         p.forward_sample(x0[:, :2], 0.0, Rng(3))
 
 
+# one clean point in the three forms every clean-point call takes
+SQUARE = np.array([[0.5, -1.0], [2.0, 0.25]])
+CLEAN_FORMS = {"field": Field(SQUARE), "flat": SQUARE.reshape(-1),
+               "shaped": SQUARE}
+
+
+def _square_process(eta=3.0):
+    return DiffusionProcess(make_vp_schedule(), pixel_basis((2, 2)), eta)
+
+
+@pytest.mark.parametrize("call", ["conditional_moments", "simulate_sde",
+                                  "conditional_score", "pfode_rhs_conditional"])
+def test_clean_point_is_a_field_or_an_array(call):
+    p = _square_process()
+    x = np.array([[0.1, 0.2, -0.3, 0.4]])
+    run = {
+        "conditional_moments": lambda x0: p.conditional_moments(x0, 30.0).mean,
+        "simulate_sde": lambda x0: p.simulate_sde(x0, 8, 3, Rng(2)),
+        "conditional_score": lambda x0: p.conditional_score(x0, 30.0, x),
+        "pfode_rhs_conditional":
+            lambda x0: p.pfode_rhs_conditional(x0, 30.0, x),
+    }[call]
+    outs = {form: run(x0) for form, x0 in CLEAN_FORMS.items()}
+    assert outs["field"].shape[-1] == 4
+    for form in ("flat", "shaped"):
+        np.testing.assert_array_equal(outs[form], outs["field"])
+    # any other shape is refused by name, never a raw TypeError
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        run(np.zeros(3))
+    with pytest.raises(ValueError, match=r"got shape \(4, 1\)"):
+        run(Field(np.zeros((4, 1))))
+    # an array gets the finite check a Field makes when it is built
+    with pytest.raises(ValueError, match="must be finite"):
+        run(np.array([0.0, np.nan, 1.0, 2.0]))
+
+
+def test_clean_point_is_flat_float64():
+    p = _square_process()
+    for x0 in CLEAN_FORMS.values():
+        flat = p.clean_point(x0)
+        assert flat.shape == (4,) and flat.dtype == np.float64
+        np.testing.assert_array_equal(flat, SQUARE.reshape(-1))
+    assert p.clean_point(np.array([1, 2, 3, 4])).dtype == np.float64
+    assert p.conditional_moments(SQUARE, 30.0).mean.shape == (4,)
+    assert p.sample_noise(Rng(1)).shape == (4,)
+
+
+def test_forward_sample_reads_a_field_of_rows():
+    p = _square_process()
+    rows = SQUARE.reshape(1, -1)
+    np.testing.assert_array_equal(p.forward_sample(Field(rows), 30.0, Rng(4)),
+                                  p.forward_sample(rows, 30.0, Rng(4)))
+    # a Field of one clean point is not (n, d) rows
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        p.forward_sample(CLEAN_FORMS["field"], 30.0, Rng(4))
+
+
 def test_conditional_moments_closed_form():
     sched = make_vp_schedule()
     clean = Field([0.0, 1.0])
@@ -96,7 +153,7 @@ def test_conditional_moments_closed_form():
         s, sig = sched.s(t), sched.sigma(t)
         mom = p.conditional_moments(clean, t)
         expect_mean = s * clean.values + (eta * sig * s / (eta + 1.0)) * h1
-        assert np.allclose(mom.mean.values, expect_mean, rtol=1e-13)
+        assert np.allclose(mom.mean, expect_mean, rtol=1e-13)
         assert mom.cov_scale == pytest.approx(
             (s * sig / (eta + 1.0)) ** 2, rel=1e-13)
 
@@ -105,9 +162,9 @@ def test_conditional_moments_special_points():
     p, _ = _toy_process(eta=0.0)
     x0 = Field([1.0, -1.0, 0.25])
     mom = p.conditional_moments(x0, 60.0)
-    assert np.allclose(mom.mean.values, x0.values, rtol=1e-15)  # eta=0: no shift
+    assert np.allclose(mom.mean, x0.values, rtol=1e-15)  # eta=0: no shift
     at0 = p.conditional_moments(x0, 0.0)
-    assert np.array_equal(at0.mean.values, x0.values)
+    assert np.array_equal(at0.mean, x0.values)
     assert at0.cov_scale == 0.0
     with pytest.raises(ValueError):
         p.conditional_moments(Field([1.0, 2.0]), 1.0)
@@ -120,7 +177,7 @@ def test_moments_invariant_under_element_order():
     x0 = Field([0.5, 0.5, -0.5])
     a = p.conditional_moments(x0, 42.0)
     b = q.conditional_moments(x0, 42.0)
-    assert np.allclose(a.mean.values, b.mean.values, rtol=1e-15)
+    assert np.allclose(a.mean, b.mean, rtol=1e-15)
     assert a.cov_scale == b.cov_scale
     rows_a, rows_b = a.cov_op.basis.elements(), b.cov_op.basis.elements()
     assert np.allclose(rows_a.T @ rows_a, rows_b.T @ rows_b, rtol=1e-15)
@@ -136,7 +193,7 @@ def test_sde_terminal_tracks_deterministic_limit():
     out = p.simulate_sde(x0, 2000, 3, Rng(4))
     mean = p.conditional_moments(x0, sched.T).mean
     assert out.shape == (3, 2)
-    assert np.allclose(out, mean.values, atol=1e-3)
+    assert np.allclose(out, mean, atol=1e-3)
     with pytest.raises(ValueError):
         p.simulate_sde(x0, 0, 3, Rng(4))
 
@@ -211,9 +268,9 @@ def test_conditional_score_pixel_closed_form():
         mom = p.conditional_moments(x0, t)
         x = rng.standard_normal((1, 3))
         score = p.conditional_score(x0, t, x)
-        expect = (mom.mean.values - x) / mom.cov_scale  # Sigma = I
+        expect = (mom.mean - x) / mom.cov_scale  # Sigma = I
         assert np.allclose(score, expect, rtol=1e-11)
-    mean = p.conditional_moments(x0, 30.0).mean.flat()
+    mean = p.conditional_moments(x0, 30.0).mean
     at_mean = p.conditional_score(x0, 30.0, mean[None, :])
     assert np.allclose(at_mean, 0.0, atol=1e-12)
 

@@ -10,8 +10,8 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import (TERMINAL_FRACTION, euler_trajectory,
-                                make_time_grid, rk4_step, sample_euler,
-                                sample_reference, write_trajectory_csv)
+                                make_time_grid, rk4_step, sample_reference,
+                                write_trajectory_csv)
 from basisdiff.schedules import Schedule, make_ddpm_schedule, make_vp_schedule
 
 
@@ -52,15 +52,15 @@ def test_grid_argument_errors():
 def test_grid_validation_on_walk():
     p = _process()
     den = ConstantDenoiser(Field([0.0, 0.0]))
-    x = Field([1.0, 1.0])
+    x = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError):
-        sample_euler(p, den, x, [50.0])  # one knot
+        euler_trajectory(p, den, x, [50.0])  # one knot
     with pytest.raises(ValueError):
-        sample_euler(p, den, x, [50.0, 60.0])  # increasing
+        euler_trajectory(p, den, x, [50.0, 60.0])  # increasing
     with pytest.raises(ValueError):
-        sample_euler(p, den, x, [120.0, 50.0])  # beyond horizon
+        euler_trajectory(p, den, x, [120.0, 50.0])  # beyond horizon
     with pytest.raises(ValueError):
-        sample_euler(p, den, x, [50.0, 0.0])  # terminal at the singularity
+        euler_trajectory(p, den, x, [50.0, 0.0])  # terminal at the singularity
 
 
 def test_trajectory_bookkeeping():
@@ -72,8 +72,8 @@ def test_trajectory_bookkeeping():
     assert states.shape == (8, 3, 2)
     assert np.array_equal(states[0], x)
     for i in range(3):
-        end = sample_euler(p, den, Field(x[i]), grid)
-        assert np.array_equal(end.values, states[-1, i])
+        end = euler_trajectory(p, den, x[i][None, :], grid)[-1, 0]
+        assert np.array_equal(end, states[-1, i])
 
 
 def test_terminal_fraction_constant():
@@ -85,12 +85,13 @@ def test_euler_matches_contraction_closed_form():
     # sigma(t), so the terminal state is y + (x_T - y) sigma(eps)/sigma(T)
     p = _process()
     sched = p.schedule
-    y = Field([0.2, -0.1])
-    x_top = Field([1.5, -2.0])
+    y = np.array([0.2, -0.1])
+    x_top = np.array([1.5, -2.0])
     ratio = sched.sigma(0.1) / sched.sigma(100.0)
-    exact = y.values + (x_top.values - y.values) * ratio
-    out = sample_euler(p, ConstantDenoiser(y), x_top, make_time_grid(100.0, 10_000))
-    assert np.max(np.abs(out.values - exact)) < 1e-4
+    exact = y + (x_top - y) * ratio
+    out = euler_trajectory(p, ConstantDenoiser(y), x_top[None, :],
+                           make_time_grid(100.0, 10_000))[-1, 0]
+    assert np.max(np.abs(out - exact)) < 1e-4
 
 
 def test_reference_integrator_is_sharp_on_the_closed_form():
@@ -122,9 +123,9 @@ def test_non_finite_state_aborts():
     # float ceiling even though the rhs itself is representable
     p = _process()
     den = ConstantDenoiser(Field([-1.7e308, -1.7e308]))
-    x = Field([1.7e308, 1.7e308])
+    x = np.array([[1.7e308, 1.7e308]])
     with pytest.raises(RuntimeError, match="non-finite"):
-        sample_euler(p, den, x, [100.0, 0.001])
+        euler_trajectory(p, den, x, [100.0, 0.001])
 
 
 def test_write_trajectory_csv(tmp_path):

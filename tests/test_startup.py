@@ -104,3 +104,11 @@ def test_tracer_wraps_cho_factor_before_scipy_is_loaded():
     # no basisdiff code calls cho_factor, so only the build is counted
     assert state == {"before": False, "counters": {"builds": 1},
                      "restored": True}
+
+
+def test_every_public_name_resolves():
+    assert len(set(basisdiff.__all__)) == len(basisdiff.__all__)
+    assert [n for n in basisdiff.__all__ if not hasattr(basisdiff, n)] == []
+    scope = {}
+    exec("from basisdiff import *", scope)
+    assert set(basisdiff.__all__) <= set(scope)

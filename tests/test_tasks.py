@@ -86,7 +86,7 @@ def test_streaks_structure():
                           task.degraded.flat() - task.clean.flat())
     # mask interior carries the dominant corruption, so the derived pixel
     # weight exceeds 1 exactly on the background
-    w = weight_from_mask(task.mask, Field(resid)).values
+    w = weight_from_mask(task.mask, resid)
     assert np.all(w[m == 1.0] == 1.0)
     assert np.all(w[m == 0.0] > 1.0)
 
@@ -126,16 +126,17 @@ def test_restoration_starts_from_degraded_bit_for_bit(monkeypatch):
     p = DiffusionProcess(make_vp_schedule(), basis, 0.0)
     den = ConstantDenoiser(_transform(task, task.clean))
     seen = {}
-    real = tasks_mod.sample_euler
+    real = tasks_mod.euler_trajectory
 
     def spy(proc, d, x_init, grid, **kw):
         seen["x_init"] = x_init
         return real(proc, d, x_init, grid, **kw)
 
-    monkeypatch.setattr(tasks_mod, "sample_euler", spy)
+    monkeypatch.setattr(tasks_mod, "euler_trajectory", spy)
     res = run_restoration(task, p, den, steps=3)
     expect = np.log(task.degraded.values)
-    assert np.array_equal(seen["x_init"].values, expect)
+    # the walk's one start row is the transformed observation itself
+    assert np.array_equal(seen["x_init"], expect.reshape(1, -1))
     assert np.array_equal(res.x_init.values, expect)
 
 

@@ -20,12 +20,25 @@ def _pixel_process(d=2, eta=0.0):
 
 def test_weight_from_mask_frozen_example():
     w = weight_from_mask(Field([1.0, 0.0]), Field([2.0, 0.5]))
-    assert np.array_equal(w.values, [1.0, 5.0])
+    assert np.array_equal(w, [1.0, 5.0])
 
 
 def test_weight_from_mask_division_guard():
     w = weight_from_mask(Field([1.0, 0.0]), Field([2.0, 0.0]))
-    assert np.array_equal(w.values, [1.0, 1.0])
+    assert np.array_equal(w, [1.0, 1.0])
+
+
+def test_weight_from_mask_reads_fields_or_arrays():
+    m = np.array([[1.0, 0.0], [0.0, 1.0]])
+    n = np.array([[2.0, 0.5], [-0.25, 1.0]])
+    w = weight_from_mask(m, n)
+    # 1 + (1 - m) max|m N| / max|(1 - m) N| = 1 + (1 - m) 2 / 0.5
+    np.testing.assert_array_equal(w, [[1.0, 5.0], [5.0, 1.0]])
+    np.testing.assert_array_equal(weight_from_mask(Field(m), Field(n)), w)
+    np.testing.assert_array_equal(weight_from_mask(m, Field(n)), w)
+    with pytest.raises(ValueError, match=r"mask shape \(2, 2\) does not "
+                                         r"match \(4,\)"):
+        weight_from_mask(m, n.reshape(-1))
 
 
 def test_weight_from_mask_validation():
@@ -289,6 +302,23 @@ def test_objective_wrapper_pairing_enforced():
         compute_loss("noise-pred", ConstantDenoiser(x0), p, x0, 10.0, Rng(3))
     with pytest.raises(ValueError):
         compute_loss("banana", noise_den, p, x0, 10.0, Rng(3))
+
+
+@pytest.mark.parametrize("objective", ["noise-pred", "weighted-noise-pred"])
+def test_compute_loss_takes_a_field_or_an_array(objective):
+    p = DiffusionProcess(make_vp_schedule(), pixel_basis((2, 2)), 0.0)
+    den = PreconditionedDenoiser(TinyNetwork([5, 6, 4], Rng(4)), p,
+                                 "predict-noise")
+    v = np.array([[0.7, 0.1], [-0.4, 0.2]])
+    mask = np.array([[1.0, 0.0], [0.0, 1.0]])
+    ref = compute_loss(objective, den, p, Field(v), 35.0, Rng(5),
+                       mask=Field(mask))
+    for x0 in (v.reshape(-1), v):
+        loss, grad = compute_loss(objective, den, p, x0, 35.0, Rng(5),
+                                  mask=mask)
+        assert loss == ref[0] and np.array_equal(grad, ref[1])
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        compute_loss(objective, den, p, np.zeros(3), 35.0, Rng(5), mask=mask)
 
 
 def test_compute_loss_reproducible_from_seed():

@@ -198,7 +198,24 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
     assert sorted(walks) == sorted([
         ("reference", 4096, 2, "DiracMixtureDenoiser"),
         ("reference", 1000, 1, "ConstantDenoiser"),
+        ("reference", 500, 1, "ConstantDenoiser"),
         ("euler", 1000, 2, "DiracMixtureDenoiser"),
         ("euler", 100, 1, "DiracMixtureDenoiser"),
         ("euler", 10_000, 1, "ConstantDenoiser"),
     ])
+
+
+def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
+    # the RK4 midpoint knot moved from h/2 to 0.505 h: the reference drops
+    # to first order, yet its error at 1000 steps still meets the closed-form
+    # bound, so only the order check can see it
+    from basisdiff import samplers
+
+    src = inspect.getsource(samplers.sample_reference)
+    assert src.count("start + 0.5 * h") == 1
+    scope = dict(vars(samplers))
+    exec(src.replace("start + 0.5 * h", "start + 0.505 * h"), scope)
+    monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
+    report = run_suite("sampler", seed=7)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "sampler/reference-order"]
