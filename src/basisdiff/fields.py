@@ -90,12 +90,15 @@ class Rng:
     def standard_normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def uniform(self, low=0.0, high=1.0, shape=()) -> np.ndarray:
+    def uniform(self, low=0.0, high=1.0, shape=None):
+        """Uniform on [low, high); a Python float unless shape given."""
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, shape=None):
         """Integers drawn uniformly from [low, high); scalar unless shape given."""
         if shape is None:
+            if high == low + 1:  # numpy draws nothing for it either
+                return int(low)
             return int(self._gen.integers(low, high))
         return self._gen.integers(low, high, shape)
 

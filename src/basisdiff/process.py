@@ -122,10 +122,12 @@ class DiffusionProcess:
         return ((self.eta + eps) / (self.eta + 1.0)) @ self.basis.elements()
 
     def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
-        """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) clean rows,
-        each with its own N; the (n, M) weights are one rng draw."""
+        """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) finite clean
+        rows, each with its own N; the (n, M) weights are one rng draw."""
         x0 = np.asarray(x0)
         self.check_rows(x0, "clean states")
+        if not np.isfinite(x0).all():
+            raise ValueError("clean states must be finite")
         s, _, sig, _ = self.schedule.evaluate(t)
         x = self.noise_from_normals(
             rng.standard_normal((x0.shape[0], self.basis.M)))

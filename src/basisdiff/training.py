@@ -80,21 +80,26 @@ class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """params -= lr grad in place; returns the update lr grad."""
+        update = self.lr * grad
+        params -= update
+        return update
 
 
 class Adam:
     """Adam with bias correction; updates params and its moments in place.
 
-    m and v are the textbook moments.  The bias corrections c1 = 1 - beta1^k
-    and c2 = 1 - beta2^k are folded into two scalars,
+    m and v are the textbook moments scaled by 1/(1 - beta1) and
+    1/(1 - beta2), so they update as m = beta1 m + g and v = beta2 v + g^2.
+    Those scales and the bias corrections c1 = 1 - beta1^k, c2 = 1 - beta2^k
+    fold into two scalars, with r = sqrt(c2 / (1 - beta2)),
 
-        lr m_hat / (sqrt(v_hat) + eps) = (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)),
+        lr m_hat / (sqrt(v_hat) + eps) = (lr r (1 - beta1) / c1) m / (sqrt(v) + eps r),
 
-    so no parameter-sized pass divides by them.  One scratch buffer of the
-    parameter size is reused across steps, so a step allocates no
-    parameter-sized temporaries.
+    so a step makes ten passes over the parameters.  One scratch buffer of
+    the parameter size is reused across steps; step returns it holding the
+    update it subtracted, valid until the next step.
     """
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -102,37 +107,32 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = None
-        self._v = None
-        self._buf = None
+        self._m = self._v = self._buf = None
         self._k = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
             self._buf = np.empty_like(params)
         self._k += 1
         m, v, buf = self._m, self._v, self._buf
-        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
         m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=buf)
-        m += buf
+        m += grad
+        np.square(grad, out=buf)
         v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=buf)
-        buf *= grad
         v += buf
-        # params -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2))
-        root_c2 = math.sqrt(1.0 - self.beta2 ** self._k)
+        r = math.sqrt((1.0 - self.beta2 ** self._k) / (1.0 - self.beta2))
         np.sqrt(v, out=buf)
-        buf += self.eps * root_c2
+        buf += self.eps * r
         np.divide(m, buf, out=buf)
-        buf *= self.lr * root_c2 / (1.0 - self.beta1 ** self._k)
+        buf *= self.lr * r * (1.0 - self.beta1) / (1.0 - self.beta1 ** self._k)
         params -= buf
+        return buf
 
 
 def _validate_mask(mask, shape) -> np.ndarray:
-    if np.shape(mask) != shape:
+    if np.shape(mask) not in (shape, (math.prod(shape),)):
         raise ValueError(f"mask shape {np.shape(mask)} does not match {shape}")
     m = np.ravel(mask)
     if not np.all((m == 0.0) | (m == 1.0)):
@@ -196,14 +196,15 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     over all rows.  The gradient is zero-length for denoisers without
     trainable parameters.
     """
-    coef = np.array([p.schedule.evaluate(v) for v in t])
+    times = t.tolist()  # floats take the schedule's fast path, np.float64 not
+    coef = np.array([p.schedule.evaluate(v) for v in times])
     s, sig = coef[:, :1], coef[:, 2:3]
     x_t = s * x0 + (s * sig) * noise
 
     if objective == "mse-x0" and not isinstance(den, PreconditionedDenoiser):
         # a generic denoiser takes one time per call: one row at a time
         resid = np.concatenate([den.denoise(x_t[k:k + 1], v)
-                                for k, v in enumerate(t)]) - x0
+                                for k, v in enumerate(times)]) - x0
         return np.einsum("ij,ij->i", resid, resid), np.zeros(0)
 
     seed = 2.0 / len(t)
@@ -237,7 +238,7 @@ def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
 def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
     if cfg.time_dist == "continuous":
         # u in [0,1) mapped to (0, T]
-        return T * (1.0 - float(rng.uniform()))
+        return T * (1.0 - rng.uniform())
     return float(rng.integers(1, int(round(T)) + 1))
 
 
@@ -268,20 +269,16 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     its trace exactly.  Each step evaluates its whole batch in one forward
     and one backward pass.
     """
-    if len(ds) < 1:
-        raise ValueError("dataset must be nonempty")
     den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
-    if cfg.optimizer == "adam":
-        opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    else:
-        opt = Sgd(cfg.lr)
+    opt = (Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+           if cfg.optimizer == "adam" else Sgd(cfg.lr))
     rng = Rng(cfg.seed, 1)
     points = ds.stacked()
-    ema = net.params.copy() if cfg.ema_decay > 0.0 else None
+    # the EMA kept as its offset from the weights, ema - params
+    ema_off = np.zeros_like(net.params) if cfg.ema_decay > 0.0 else None
 
     trace = []
-    lr = cfg.lr
     for step in range(cfg.steps):
         x0, t, noise = _draw_batch(rng, cfg, p, points)
         losses, grad = _batch_loss(cfg.objective, den, p, x0, t, noise, m)
@@ -289,17 +286,15 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
         if not np.isfinite(mean_loss):
             raise RuntimeError(f"non-finite loss {mean_loss} at step {step}")
         if cfg.lr_decay_every > 0 and step > 0 and step % cfg.lr_decay_every == 0:
-            lr *= cfg.lr_decay
-            opt.lr = lr
-        opt.step(net.params, grad)
-        if ema is not None:
-            # ema = p + decay (ema - p), in place
-            ema -= net.params
-            ema *= cfg.ema_decay
-            ema += net.params
+            opt.lr *= cfg.lr_decay
+        update = opt.step(net.params, grad)
+        if ema_off is not None:
+            # params -= update moves ema - params by +update, then it decays
+            ema_off += update
+            ema_off *= cfg.ema_decay
         trace.append(mean_loss)
-    if ema is not None:
-        net.params[:] = ema
+    if ema_off is not None:
+        net.params += ema_off
     return net, trace
 
 

@@ -80,6 +80,28 @@ def test_rng_integers_scalar_and_array():
     assert arr.shape == (5,) and np.all((arr >= 0) & (arr < 10))
 
 
+def test_rng_one_value_range_draws_nothing():
+    # integers(k, k + 1) is k, and leaves the stream where numpy's own
+    # call leaves it: numpy draws nothing for a one-value range either
+    r = Rng(11)
+    gen = np.random.Generator(np.random.Philox(key=np.array([11, 0], np.uint64)))
+    for k in (0, 5, -3):
+        assert r.integers(k, k + 1) == k == gen.integers(k, k + 1)
+        assert r.uniform() == gen.uniform()
+    assert r.standard_normal() == gen.standard_normal()
+
+
+def test_rng_uniform_scalar_matches_the_zero_d_draw():
+    r = Rng(12, 3)
+    gen = np.random.Generator(np.random.Philox(key=np.array([12, 3], np.uint64)))
+    new = [r.uniform() for _ in range(100_000)]
+    old = [gen.uniform(0.0, 1.0, ()) for _ in range(100_000)]
+    assert type(new[0]) is float
+    assert new == [float(v) for v in old]
+    assert r.uniform(0.2, 0.8) == gen.uniform(0.2, 0.8, ())
+    assert r.uniform(shape=(3,)).shape == (3,)
+
+
 def test_rng_rejects_negative_key():
     with pytest.raises(ValueError):
         Rng(-1)

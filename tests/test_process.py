@@ -141,6 +141,13 @@ def test_forward_sample_reads_a_field_of_rows():
         p.forward_sample(CLEAN_FORMS["field"], 30.0, Rng(4))
 
 
+def test_forward_sample_rejects_non_finite_rows():
+    p = _square_process()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            p.forward_sample(np.array([[bad, 0.0, 1.0, 2.0]]), 30.0, Rng(1))
+
+
 def test_conditional_moments_closed_form():
     sched = make_vp_schedule()
     clean = Field([0.0, 1.0])

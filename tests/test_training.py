@@ -41,6 +41,27 @@ def test_weight_from_mask_reads_fields_or_arrays():
         weight_from_mask(m, n.reshape(-1))
 
 
+def test_a_flat_mask_serves_a_shaped_process():
+    # the mask takes the clean point's rule: (d,) or the process's shape
+    p = DiffusionProcess(make_vp_schedule(), pixel_basis((2, 2)), 0.0)
+    den = PreconditionedDenoiser(TinyNetwork([5, 6, 4], Rng(8)), p,
+                                 "predict-noise")
+    flat = np.array([1.0, 0.0, 0.0, 1.0])
+    loss = compute_loss("weighted-noise-pred", den, p, np.zeros(4), 30.0,
+                        Rng(5), mask=flat)
+    shaped = compute_loss("weighted-noise-pred", den, p, np.zeros(4), 30.0,
+                          Rng(5), mask=flat.reshape(2, 2))
+    assert loss[0] == shaped[0] and np.array_equal(loss[1], shaped[1])
+    noise = np.array([[2.0, 0.5], [-0.25, 1.0]])
+    w = weight_from_mask(flat, noise)
+    assert w.shape == (2, 2)
+    np.testing.assert_array_equal(w, weight_from_mask(flat.reshape(2, 2), noise))
+    with pytest.raises(ValueError, match="0 or 1"):
+        weight_from_mask(np.array([1.0, 0.5, 0.0, 1.0]), noise)
+    with pytest.raises(ValueError, match=r"mask shape \(3,\)"):
+        weight_from_mask(np.ones(3), noise)
+
+
 def test_weight_from_mask_validation():
     with pytest.raises(ValueError):
         weight_from_mask(Field([0.5, 0.0]), Field([1.0, 1.0]))
@@ -78,8 +99,9 @@ def test_config_validation():
 def test_sgd_and_adam_single_step():
     params = np.array([1.0, -2.0])
     grad = np.array([0.5, 0.25])
-    Sgd(0.1).step(params, grad)
+    update = Sgd(0.1).step(params, grad)
     assert np.allclose(params, [1.0 - 0.05, -2.0 - 0.025], rtol=1e-15)
+    np.testing.assert_array_equal(update, 0.1 * grad)
     params = np.array([1.0, -2.0])
     opt = Adam(0.1, eps=1e-8)
     opt.step(params, grad)
@@ -103,12 +125,14 @@ def test_adam_matches_textbook_update_in_place():
         m_hat = m / (1.0 - b1 ** k)
         v_hat = v / (1.0 - b2 ** k)
         ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
-        before = params
-        opt.step(params, grad)
-        assert params is before
+        before = params.copy()
+        update = opt.step(params, grad)
         np.testing.assert_allclose(params, ref, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(opt._m, m, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(opt._v, v, rtol=1e-12, atol=0.0)
+        # the moments are kept scaled by 1 / (1 - beta)
+        np.testing.assert_allclose((1.0 - b1) * opt._m, m, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose((1.0 - b2) * opt._v, v, rtol=1e-12, atol=0.0)
+        # step returns the update it subtracted
+        np.testing.assert_array_equal(params, before - update)
     # the update lands in the caller's memory, here a view of a larger array
     big = np.ones(9)
     Adam(lr).step(big[2:7], np.full(5, 0.5))
@@ -197,8 +221,8 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
 def _reference_train(net, p, ds, cfg):
     """train() written out: each batch element draws its index, time and
     weights and takes its own loss and gradient, then the summed batch
-    gradient / B, textbook Adam with its lr decay, and the textbook EMA
-    d ema + (1 - d) params."""
+    gradient / B, textbook Adam (or plain SGD) with its lr decay, and the
+    textbook EMA d ema + (1 - d) params."""
     wrap = "predict-x0" if cfg.objective == "x0-pred" else "predict-noise"
     den = PreconditionedDenoiser(net, p, wrap)
     m_obj = _check_objective(cfg.objective, den, None, p.shape)
@@ -223,23 +247,29 @@ def _reference_train(net, p, ds, cfg):
         grad = sum(g for _, g in rows) / cfg.batch
         if cfg.lr_decay_every and k > 1 and (k - 1) % cfg.lr_decay_every == 0:
             lr *= cfg.lr_decay
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad ** 2
-        m_hat = m / (1.0 - cfg.beta1 ** k)
-        v_hat = v / (1.0 - cfg.beta2 ** k)
-        net.params[:] = net.params - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if cfg.optimizer == "sgd":
+            net.params[:] = net.params - lr * grad
+        else:
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad ** 2
+            m_hat = m / (1.0 - cfg.beta1 ** k)
+            v_hat = v / (1.0 - cfg.beta2 ** k)
+            net.params[:] = net.params - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
         ema = cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * net.params
     return ema, trace
 
 
-@pytest.mark.parametrize("objective, batch, basis_kind", [
-    ("mse-x0", 3, "pixel"), ("mse-x0", 8, "pixel"), ("x0-pred", 3, "pixel"),
-    ("x0-pred", 8, "pixel"), ("x0-pred", 4, "residual")],
-    ids=["mse-x0-3", "mse-x0-8", "x0-pred-3", "x0-pred-8", "x0-pred-4-residual"])
-def test_train_matches_a_reference_loop(objective, batch, basis_kind):
+@pytest.mark.parametrize("objective, batch, basis_kind, optimizer", [
+    ("mse-x0", 3, "pixel", "adam"), ("mse-x0", 8, "pixel", "adam"),
+    ("x0-pred", 3, "pixel", "adam"), ("x0-pred", 8, "pixel", "adam"),
+    ("x0-pred", 4, "residual", "adam"), ("x0-pred", 3, "pixel", "sgd")],
+    ids=["mse-x0-3", "mse-x0-8", "x0-pred-3", "x0-pred-8", "x0-pred-4-residual",
+         "x0-pred-3-sgd"])
+def test_train_matches_a_reference_loop(objective, batch, basis_kind, optimizer):
     p, ds, _, _ = _equivalence_case(basis_kind, objective)
-    cfg = TrainConfig(steps=20, batch=batch, lr=3e-2, objective=objective,
-                      seed=39, lr_decay=0.5, lr_decay_every=7, ema_decay=0.8)
+    cfg = TrainConfig(steps=20, batch=batch, lr=3e-2, optimizer=optimizer,
+                      objective=objective, seed=39, lr_decay=0.5,
+                      lr_decay_every=7, ema_decay=0.8)
 
     def fresh():
         return TinyNetwork([4, 6, 3], Rng(40))
@@ -248,6 +278,39 @@ def test_train_matches_a_reference_loop(objective, batch, basis_kind):
     ref_params, ref_trace = _reference_train(fresh(), p, ds, cfg)
     np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
+
+
+def test_train_ema_matches_the_textbook_ema_over_2000_steps():
+    """The EMA kept as an offset from the weights drifts no further from
+    d ema + (1 - d) params than rounding, over a long slow average."""
+    p, ds, _, _ = _equivalence_case("pixel", "x0-pred")
+    cfg = TrainConfig(steps=2000, batch=1, lr=1e-3, objective="x0-pred",
+                      seed=43, ema_decay=0.999)
+
+    def fresh():
+        return TinyNetwork([4, 6, 3], Rng(44))
+
+    net, trace = train(fresh(), p, ds, cfg)
+    ref_params, ref_trace = _reference_train(fresh(), p, ds, cfg)
+    np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
+
+
+def test_batch_schedule_rows_match_the_per_float64_rows(monkeypatch):
+    p, ds, den, _ = _equivalence_case("pixel", "x0-pred")
+    cfg = TrainConfig(steps=1, batch=8, objective="x0-pred", seed=45)
+    x0, t, noise = _draw_batch(Rng(cfg.seed, 1), cfg, p, ds.stacked())
+    seen = []
+    forward = den.net_forward
+
+    def spy(x_t, times, coef):
+        seen.append(coef)
+        return forward(x_t, times, coef)
+
+    monkeypatch.setattr(den, "net_forward", spy)
+    _batch_loss(cfg.objective, den, p, x0, t, noise)
+    old = np.array([p.schedule.evaluate(v) for v in t])  # np.float64 each
+    assert seen[0].tobytes() == old.tobytes()
 
 
 def _count_schedule_calls(monkeypatch):
