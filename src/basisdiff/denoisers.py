@@ -1,9 +1,10 @@
 """Denoisers D(x; t) -> x0 estimate, and the tiny trainable network behind them.
 
-Three variants share one calling convention: ``denoise(x, t)`` takes flat
-(n, d) states at one time t and returns their (n, d) estimates.  A reverse
-walk calls ``denoise_at(x, table, k)`` at knot k of its process's knot table;
-by default that is ``denoise`` at the knot's time.
+Three variants share one calling convention: ``denoise_at(x, table, k)``
+takes flat (n, d) states at knot k of a process's KnotTable and returns
+their (n, d) estimates.  Every denoiser defines it and every reverse walk
+calls it, so a walk evaluates the schedule once for all its knots;
+``denoise(x, t)`` is the same routine at one time t.
 
 * constant-oracle: returns a fixed field (the conditional optimum when the
   data distribution is a single point).
@@ -61,26 +62,25 @@ class DiracDataset:
 
 
 class Denoiser:
-    variant = "abstract"
-
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
     def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
-        """denoise at knot k of a process's KnotTable."""
-        return self.denoise(x, float(table.t[k]))
+        """The estimates at knot k of a process's KnotTable."""
+        raise NotImplementedError
 
 
 class ConstantDenoiser(Denoiser):
     """D(x; t) = y for every input; realizes the single-point optimum."""
-
-    variant = "constant-oracle"
 
     def __init__(self, y):
         self.y = np.array(y, dtype=np.float64).reshape(-1)  # a flat copy
         self._out = None  # read-only broadcast of y, kept while x's shape holds
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.denoise_at(x, None, 0)
+
+    def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
         out = self._out
         if out is None or out.shape != np.shape(x):
             if np.shape(x)[-1] != self.y.size:
@@ -95,8 +95,6 @@ class DiracMixtureDenoiser(Denoiser):
     Made once: the point rows Y, W Y and W sum_m h_m for the whitener W of
     the process's Sigma, and at rank r < d the out-of-range part of Y.
     """
-
-    variant = "analytic-dirac"
 
     def __init__(self, dataset: DiracDataset, process: DiffusionProcess):
         process.clean_point(dataset.points[0])  # ValueError on a wrong shape
@@ -246,7 +244,6 @@ class PreconditionedDenoiser(Denoiser):
     c_noise = t/T; the time feature is appended as one extra input scalar.
     """
 
-    variant = "preconditioned-network"
     objectives = ("predict-noise", "predict-x0")
 
     def __init__(self, net: TinyNetwork, process: DiffusionProcess,
@@ -262,44 +259,44 @@ class PreconditionedDenoiser(Denoiser):
         self.process = process
         self.objective = objective
 
-    def _net_input(self, x: np.ndarray, t, coef: np.ndarray) -> np.ndarray:
+    def _net_input(self, x: np.ndarray, t, sig) -> np.ndarray:
         """Network input [c_in x, t/T] for flat states at one time t or at
         one time per row.
 
-        coef holds Schedule.evaluate's (s, s', sigma, sigma') at t on its
-        last axis: (4,) for one time, (n, 4) for one time per row, so each
-        column scales whole rows.
+        t and sigma at t (sig), like s and sig in the helpers below, are
+        floats for one time or (n, 1) columns for one time per row, so each
+        value scales a whole row.
         """
-        sig = coef[..., 2:3]
         z = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         np.multiply(1.0 / np.sqrt(1.0 + sig * sig), x, out=z[..., :-1])
-        z[..., -1] = np.asarray(t, dtype=np.float64) / self.process.schedule.T
+        z[..., -1:] = t / self.process.schedule.T
         return z
 
-    def net_forward(self, x: np.ndarray, t, coef: np.ndarray):
+    def net_forward(self, x: np.ndarray, t, sig):
         """(F output, activation cache) for flat states, as in _net_input."""
-        return self.net.forward_cached(self._net_input(x, t, coef))
+        return self.net.forward_cached(self._net_input(x, t, sig))
 
-    def assemble(self, x: np.ndarray, f_out: np.ndarray,
-                 coef: np.ndarray) -> np.ndarray:
+    def assemble(self, x: np.ndarray, f_out: np.ndarray, s, sig) -> np.ndarray:
         """D from the network output: x/s - sigma F for predict-noise, F for
-        predict-x0; coef is the schedule table of _net_input."""
+        predict-x0."""
         if self.objective == "predict-x0":
             return f_out
-        return x / coef[..., :1] - coef[..., 2:3] * f_out
+        return x / s - sig * f_out
 
-    def out_gain(self, coef: np.ndarray):
-        """dD/dF, the c_out coefficient of the wrapper, from the schedule
-        table coef of _net_input: -sigma for predict-noise, one value per
-        row on a last axis of length 1, and 1 for predict-x0."""
+    def out_gain(self, sig):
+        """dD/dF, the c_out coefficient of the wrapper: -sigma for
+        predict-noise and 1 for predict-x0."""
         if self.objective == "predict-noise":
-            return -coef[..., 2:3]
+            return -sig
         return 1.0
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        coef = np.array(self.process.schedule.evaluate(t))
-        f_out, _ = self.net_forward(x, t, coef)
-        return self.assemble(x, f_out, coef)
+        return self.denoise_at(x, self.process.knot_table(t), 0)
+
+    def denoise_at(self, x: np.ndarray, table: KnotTable, k: int) -> np.ndarray:
+        sig = table.sigma[k]
+        f_out, _ = self.net_forward(x, table.t[k], sig)
+        return self.assemble(x, f_out, table.s[k], sig)
 
 
 class CheckpointMismatch(ValueError):

@@ -191,10 +191,10 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     the validated flat mask of weighted-noise-pred.  The 1/B of the mean
     rides on the backward seed, so no pass over the parameters applies it;
     for one row the gradient is that row's own.  The schedule is evaluated
-    once per row, and that table serves the network input, the wrapper and
-    its output gain.  The network runs one forward and one backward pass
-    over all rows.  The gradient is zero-length for denoisers without
-    trainable parameters.
+    once per row, and its s and sigma columns, with the times as a column,
+    serve the network input, the wrapper and its output gain.  The network
+    runs one forward and one backward pass over all rows.  The gradient is
+    zero-length for denoisers without trainable parameters.
     """
     times = t.tolist()  # floats take the schedule's fast path, np.float64 not
     coef = np.array([p.schedule.evaluate(v) for v in times])
@@ -208,11 +208,11 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
         return np.einsum("ij,ij->i", resid, resid), np.zeros(0)
 
     seed = 2.0 / len(t)
-    f_out, acts = den.net_forward(x_t, t, coef)
+    f_out, acts = den.net_forward(x_t, t[:, None], sig)
     if objective == "mse-x0":
-        resid = den.assemble(x_t, f_out, coef) - x0
+        resid = den.assemble(x_t, f_out, s, sig) - x0
         return (np.einsum("ij,ij->i", resid, resid),
-                den.net.backward(acts, seed * den.out_gain(coef) * resid))
+                den.net.backward(acts, seed * den.out_gain(sig) * resid))
     resid = f_out - (x0 if objective == "x0-pred" else noise)
     w = _row_weights(m, noise) if objective == "weighted-noise-pred" else 1.0
     return (np.einsum("ij,ij->i", resid, w * resid),

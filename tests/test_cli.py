@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from basisdiff import bases, cli
+from basisdiff import bases, cli, tasks
 from basisdiff.cli import main
 from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
                               resolved_eta)
@@ -13,6 +13,7 @@ from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser, load_network
 from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import euler_trajectory, make_time_grid
+from basisdiff.schedules import Schedule
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -174,6 +175,48 @@ def test_analytic_restore_runs_on_residual_tasks(tmp_path, config):
                      "--out", str(out)]) == 0
         restored[kind] = (out / "restored.bin").read_bytes()
     assert restored["analytic"] == restored["oracle-clean"]
+
+
+# The paper's claim that richer noise costs nothing at restoration time, as
+# counts: restore's reverse walk evaluates the schedule once for all its
+# knots, with every denoiser, and never reads Sigma's factors or the basis.
+@pytest.mark.parametrize("config, denoiser", [
+    (config, denoiser) for config in ("smooth_field", "streaks", "shadow_box")
+    for denoiser in ("oracle-clean", "analytic", "train")
+] + [("smooth_field", "checkpoint")])
+def test_restore_walk_makes_one_schedule_call(tmp_path, monkeypatch, config,
+                                              denoiser):
+    args = ["--config", str(CONFIGS / f"{config}.json"),
+            "--set", "training.steps=20"]
+    if denoiser == "checkpoint":
+        assert main(["train", *args, "--out", str(tmp_path / "train")]) == 0
+        args += ["--checkpoint", str(tmp_path / "train" / "checkpoint.bin")]
+    counts = {"walk": 0, "evaluate": 0, "_factor": 0, "elements": 0}
+    walking = []
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            counts[name] += len(walking)
+            return fn(*a, **kw)
+        return wrapper
+
+    for cls, name in ((Schedule, "evaluate"), (bases.CovarianceOp, "_factor"),
+                      (bases.BasisSet, "elements")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    walk = tasks.euler_trajectory
+
+    def counted_walk(*a, **kw):
+        counts["walk"] += 1
+        walking.append(True)
+        try:
+            return walk(*a, **kw)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(tasks, "euler_trajectory", counted_walk)
+    assert main(["restore", *args, "--set", f"restore.denoiser={denoiser}",
+                 "--out", str(tmp_path / "restore")]) == 0
+    assert counts == {"walk": 1, "evaluate": 1, "_factor": 0, "elements": 0}
 
 
 def test_restore_zero_steps_is_identity(tmp_path):

@@ -160,8 +160,7 @@ def test_predict_noise_wrapper_algebra():
             f = _manual_forward(net.params, widths, z)
             expect = row / 1.0 - sig * f  # s == 1 for this schedule
             assert np.allclose(got, expect, rtol=1e-13)
-        assert np.array_equal(den.out_gain(np.array(p.schedule.evaluate(t))),
-                              [-sig])
+        assert den.out_gain(sig) == -sig
 
 
 def test_predict_noise_is_identity_at_time_zero():
@@ -182,7 +181,7 @@ def test_predict_x0_wrapper_passes_network_through():
     for t in (0.5, 60.0):
         x = rng.standard_normal((3, 2))
         assert np.array_equal(den.denoise(x, t), [[0.25, -0.5]] * 3)
-        assert den.out_gain(np.array(p.schedule.evaluate(t))) == 1.0
+        assert den.out_gain(p.schedule.sigma(t)) == 1.0
 
 
 def test_wrapper_validation():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -219,3 +220,16 @@ def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
     report = run_suite("sampler", seed=7)
     assert [c.name for c in report.checks if not c.passed] == [
         "sampler/reference-order"]
+
+
+def test_optimality_scores_a_zero_variance_direction_without_a_warning():
+    # at seed 2201 every residual is exactly 0, so each direction's loss
+    # difference has zero variance; it scores +inf, with no divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_suite("optimality", seed=2201)
+    margin = report.checks[0]
+    assert margin.name == "optimality/min-margin-sigmas"
+    assert margin.passed and margin.value == np.inf
+    value = run_suite("optimality", seed=7).checks[0].value
+    assert value == 57.79006227438235
