@@ -49,11 +49,6 @@ class BasisSet:
         rows.setflags(write=False)
         self._rows = rows
 
-    @classmethod
-    def from_elements(cls, fields_or_rows, shape) -> "BasisSet":
-        """Basis from an (M, d) array or a list of Fields."""
-        return cls(shape, elements=fields_or_rows)
-
     @property
     def M(self) -> int:
         return self._rows.shape[0]
@@ -138,7 +133,6 @@ class CovarianceOp:
     """
 
     def __init__(self, basis: BasisSet):
-        self.basis = basis
         self.rows = basis.elements()
         self.total = self.rows.sum(axis=0)
         self._d = self.rows.shape[1]

@@ -23,7 +23,7 @@ from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
 from .denoisers import (CheckpointMismatch, ConstantDenoiser, DiracDataset,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
-from .fields import Field, Rng, write_csv, write_field, write_pgm
+from .fields import Rng, write_csv, write_field, write_pgm
 from .samplers import euler_trajectory, make_time_grid, write_trajectory_csv
 from .tasks import (_transform, case3_discrete_demo, centered_poisson_sampler,
                     run_restoration)
@@ -52,13 +52,12 @@ def _out_dir(args) -> Path:
 
 
 def _training_setup(cfg: dict):
-    """(task, process, dataset, widths) for train, restore and simulate."""
+    """(task, process, transformed clean Field, widths) for a task run."""
     task, basis = build_task(cfg)
-    x0 = _transform(task, task.clean)
     p = build_process(cfg, basis)
     d = task.clean.size
     widths = [d + 1] + cfg["network"]["hidden"] + [d]
-    return task, p, DiracDataset([x0]), widths
+    return task, p, _transform(task, task.clean), widths
 
 
 def _fingerprint(cfg: dict, widths) -> dict:
@@ -82,10 +81,10 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _train_network(cfg: dict):
-    task, p, ds, widths = _training_setup(cfg)
+    task, p, x0, widths = _training_setup(cfg)
     tc = _train_config(cfg)
     net = TinyNetwork(widths, Rng(cfg["seed"], 2))
-    net, trace = train(net, p, ds, tc, mask=task.mask)
+    net, trace = train(net, p, DiracDataset([x0]), tc, mask=task.mask)
     return task, p, net, trace
 
 
@@ -104,11 +103,11 @@ def _build_restore_denoiser(cfg: dict, kind: str):
     if kind == "train":
         task, p, net, _ = _train_network(cfg)
     else:
-        task, p, ds, widths = _training_setup(cfg)
+        task, p, x0, widths = _training_setup(cfg)
     if kind == "oracle-clean":
-        return task, p, ConstantDenoiser(ds.points[0])
+        return task, p, ConstantDenoiser(x0)
     if kind == "analytic":
-        return task, p, DiracMixtureDenoiser(ds, p)
+        return task, p, DiracMixtureDenoiser(DiracDataset([x0]), p)
     if kind == "checkpoint":
         path = cfg["restore"]["checkpoint"]
         if not path:
@@ -138,10 +137,10 @@ def cmd_restore(args) -> int:
 
 
 def _points_process(cfg: dict):
-    """(points, process) for the config's non-empty `points` list, over the
-    pixel basis unless basis.kind names another."""
-    pts = [Field(np.asarray(r, dtype=np.float64)) for r in cfg["points"]]
-    basis = build_fixed_basis(cfg, pts[0].shape, default_kind="pixel")
+    """((Y, d) points, process) for the config's non-empty `points` list,
+    over the pixel basis unless basis.kind names another."""
+    pts = np.asarray(cfg["points"], dtype=np.float64)
+    basis = build_fixed_basis(cfg, pts.shape[1:], default_kind="pixel")
     return pts, build_process(cfg, basis)
 
 
@@ -164,11 +163,11 @@ def cmd_sample(args) -> int:
         # before the next, so the peak memory does not grow with n
         for lo in range(0, n, _SAMPLE_BLOCK):
             block = range(lo, min(lo + _SAMPLE_BLOCK, n))
-            x_top = np.empty((len(block), pts[0].size))
+            x_top = np.empty((len(block), pts.shape[1]))
             for k, i in enumerate(block):
                 # one stream per sample: the index draw, then the forward noise
                 rng = Rng(cfg["seed"], 100 + i)
-                y = pts[rng.integers(0, len(pts))].flat()[None, :]
+                y = pts[rng.integers(0, len(pts))][None, :]
                 x_top[k] = p.forward_sample(y, p.schedule.T, rng)[0]
             states = euler_trajectory(p, den, x_top, grid)
             finals = states[-1]
@@ -180,7 +179,7 @@ def cmd_sample(args) -> int:
                 yield [i] + finals[k].tolist()
 
     write_csv(out / "samples.csv",
-              ["sample"] + [f"x{i}" for i in range(pts[0].size)], sample_rows())
+              ["sample"] + [f"x{i}" for i in range(pts.shape[1])], sample_rows())
     print(f"wrote {n} samples over a {grid.size - 1}-step grid")
     return 0
 
@@ -191,12 +190,11 @@ def cmd_simulate(args) -> int:
         pts, p = _points_process(cfg)
         x0 = pts[0]
     else:
-        _, p, ds, _ = _training_setup(cfg)
-        x0 = ds.points[0]
+        _, p, x0, _ = _training_setup(cfg)
     n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
     paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3))
     mom = p.conditional_moments(x0, p.schedule.T)
-    closed_var = mom.cov_scale * (mom.cov_op.rows ** 2).sum(axis=0)
+    closed_var = mom.cov_scale * (p.cov_op.rows ** 2).sum(axis=0)
     out = _out_dir(args)
     write_csv(out / "sde_stats.csv",
               ["index", "empirical_mean", "closed_mean", "empirical_var",

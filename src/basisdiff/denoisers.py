@@ -37,9 +37,9 @@ OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
 
 
 class DiracDataset:
-    """Finite point dataset [y_1 .. y_Y] of Fields or arrays, stacked once
-    into read-only float64 (Y, d) rows, so no copy made from them (a mixture
-    denoiser's whitened rows) goes stale."""
+    """Finite point dataset [y_1 .. y_Y] of Fields or arrays, held only as
+    its read-only float64 (Y, d) rows and the point shape, so no copy made
+    from them (a mixture denoiser's whitened rows) goes stale."""
 
     def __init__(self, points):
         if len(points) < 1:
@@ -48,13 +48,14 @@ class DiracDataset:
         for p in points:
             if np.shape(p) != shape:
                 raise ValueError("all dataset points must share one shape")
-        self.points = tuple(points)
         self.shape = shape
         self._rows = np.array([np.ravel(p) for p in points], dtype=np.float64)
+        if not np.isfinite(self._rows).all():
+            raise ValueError("dataset points must be finite")
         self._rows.setflags(write=False)
 
     def __len__(self):
-        return len(self.points)
+        return self._rows.shape[0]
 
     def stacked(self) -> np.ndarray:
         """The (Y, d) point rows; read-only."""
@@ -75,6 +76,8 @@ class ConstantDenoiser(Denoiser):
 
     def __init__(self, y):
         self.y = np.array(y, dtype=np.float64).reshape(-1)  # a flat copy
+        if not np.isfinite(self.y).all():
+            raise ValueError("constant denoiser output must be finite")
         self._out = None  # read-only broadcast of y, kept while x's shape holds
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -97,10 +100,11 @@ class DiracMixtureDenoiser(Denoiser):
     """
 
     def __init__(self, dataset: DiracDataset, process: DiffusionProcess):
-        process.clean_point(dataset.points[0])  # ValueError on a wrong shape
+        self.rows = dataset.stacked()
+        # ValueError on a wrong shape
+        process.clean_point(self.rows[0].reshape(dataset.shape))
         self.process = process
         op = process.cov_op
-        self.rows = dataset.stacked()
         self._white_rows = op.whiten(self.rows)
         self._white_shift = op.whiten(op.total)
         full_rank = self._white_rows.shape[1] == self.rows.shape[1]
@@ -197,10 +201,6 @@ class TinyNetwork:
             w = self.params[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
             b = self.params[off + fan_out * fan_in:off + fan_out * (fan_in + 1)]
             yield w, b
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(z)
-        return out
 
     def forward_cached(self, z: np.ndarray):
         """Forward pass keeping post-activation values for backward()."""

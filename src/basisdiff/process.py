@@ -29,11 +29,10 @@ from .schedules import EndpointError, Schedule, sde_coefficients
 
 @dataclass(frozen=True)
 class ConditionalMoments:
-    """Gaussian kernel parameters: mean, scalar covariance factor, Sigma op."""
+    """Gaussian kernel N(mean, cov_scale Sigma); Sigma is the process's cov_op."""
 
     mean: np.ndarray
     cov_scale: float
-    cov_op: CovarianceOp
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,13 @@ class DiffusionProcess:
                              shift_gain, cov_scale)
 
     def check_rows(self, x: np.ndarray, what: str) -> None:
-        """Raise ValueError naming x's shape unless x holds (n, d) rows of
+        """Raise ValueError naming what unless x holds finite (n, d) rows of
         this process's width."""
         if np.ndim(x) != 2 or np.shape(x)[1] != self._d:
             raise ValueError(f"{what} must be (n, {self._d}) rows, "
                              f"got shape {np.shape(x)}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} must be finite")
 
     def clean_point(self, x0) -> np.ndarray:
         """A Field, a (d,) array or an array of this process's shape as the
@@ -119,15 +120,13 @@ class DiffusionProcess:
         apart from mixing them lets a caller take draws one at a time from a
         stream and mix a whole batch in one product.
         """
-        return ((self.eta + eps) / (self.eta + 1.0)) @ self.basis.elements()
+        return ((self.eta + eps) / (self.eta + 1.0)) @ self.cov_op.rows
 
     def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
         """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) finite clean
         rows, each with its own N; the (n, M) weights are one rng draw."""
         x0 = np.asarray(x0)
         self.check_rows(x0, "clean states")
-        if not np.isfinite(x0).all():
-            raise ValueError("clean states must be finite")
         s, _, sig, _ = self.schedule.evaluate(t)
         x = self.noise_from_normals(
             rng.standard_normal((x0.shape[0], self.basis.M)))
@@ -137,13 +136,12 @@ class DiffusionProcess:
         return x
 
     def conditional_moments(self, x0, t: float) -> ConditionalMoments:
-        """Exact kernel parameters: (d,) mean, cov_scale = s^2 sigma^2/(eta+1)^2, Sigma."""
+        """Exact kernel parameters: (d,) mean, cov_scale = s^2 sigma^2/(eta+1)^2."""
         x0 = self.clean_point(x0)
         s, _, sig, _ = self.schedule.evaluate(t)
         shift_gain, cov_scale = self._kernel_scales(s, sig)
-        op = self.cov_op
-        return ConditionalMoments(mean=s * x0 + shift_gain * op.total,
-                                  cov_scale=cov_scale, cov_op=op)
+        return ConditionalMoments(s * x0 + shift_gain * self.cov_op.total,
+                                  cov_scale)
 
     # -- SDE simulation -------------------------------------------------------
 

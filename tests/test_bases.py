@@ -117,12 +117,12 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="at least one element"):
         BasisSet((2,), elements=np.zeros((0, 2)))
     with pytest.raises(ValueError, match="at least one element"):
-        BasisSet.from_elements([], (2,))
+        BasisSet((2,), [])
     with pytest.raises(ValueError):
         BasisSet((2,), elements=[[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         BasisSet((2,), elements=[[1.0, np.nan]])
-    b = BasisSet.from_elements([Field([1.0, 2.0]), Field([0.0, 1.0])], (2,))
+    b = BasisSet((2,), [Field([1.0, 2.0]), Field([0.0, 1.0])])
     assert b.M == 2 and np.array_equal(b.elements(), [[1.0, 2.0], [0.0, 1.0]])
 
 

@@ -86,6 +86,14 @@ def test_dataset_takes_fields_or_arrays(form):
         DiracMixtureDenoiser(DiracDataset([np.zeros(3)]), p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_and_constant_denoiser_refuse_non_finite_points(bad):
+    with pytest.raises(ValueError, match="dataset points must be finite"):
+        DiracDataset([np.array([0.0, 1.0]), np.array([bad, 2.0])])
+    with pytest.raises(ValueError, match="output must be finite"):
+        ConstantDenoiser([bad, 1.0])
+
+
 def test_network_init_layout():
     net = TinyNetwork([3, 5, 2], Rng(0))
     assert net.n_params == (5 * 3 + 5) + (2 * 5 + 2)
@@ -103,8 +111,8 @@ def test_network_forward_matches_flat_layout():
     net = TinyNetwork(widths, Rng(1))
     net.params[:] = Rng(2).standard_normal(net.n_params)
     z = Rng(3).standard_normal(4)
-    assert np.allclose(net.forward(z), _manual_forward(net.params, widths, z),
-                       rtol=1e-14)
+    assert np.allclose(net.forward_cached(z)[0],
+                       _manual_forward(net.params, widths, z), rtol=1e-14)
 
 
 def test_network_backward_sums_rows():
@@ -137,9 +145,9 @@ def test_network_backward_matches_finite_differences():
     for i in idx:
         keep = net.params[i]
         net.params[i] = keep + h
-        up = g @ net.forward(z)
+        up = g @ net.forward_cached(z)[0]
         net.params[i] = keep - h
-        dn = g @ net.forward(z)
+        dn = g @ net.forward_cached(z)[0]
         net.params[i] = keep
         fd = (up - dn) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -387,7 +395,7 @@ def test_fixed_basis_process_builds_one_covariance_op(monkeypatch):
     assert all(v is x for v, x in zip(whitened, states))
     den.denoise(rng.standard_normal((7, 3)), 30.0)
     p.pfode_rhs_marginal(den, 30.0, rng.standard_normal((1, 3)))
-    p.pfode_rhs_conditional(ds.points[0], 30.0, rng.standard_normal((1, 3)))
+    p.pfode_rhs_conditional(ds.stacked()[0], 30.0, rng.standard_normal((1, 3)))
     assert len(builds) == 1
 
 

@@ -148,6 +148,15 @@ def test_forward_sample_rejects_non_finite_rows():
             p.forward_sample(np.array([[bad, 0.0, 1.0, 2.0]]), 30.0, Rng(1))
 
 
+def test_raw_score_refuses_non_finite_states():
+    p = _square_process()
+    x = np.array([[0.1, 0.2, -0.3, 0.4], [np.nan, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="states must be finite"):
+        p.conditional_score(SQUARE, 30.0, x)
+    with pytest.raises(ValueError, match="states must be finite"):
+        p.pfode_rhs_conditional(SQUARE, 30.0, x)
+
+
 def test_conditional_moments_closed_form():
     sched = make_vp_schedule()
     clean = Field([0.0, 1.0])
@@ -186,7 +195,7 @@ def test_moments_invariant_under_element_order():
     b = q.conditional_moments(x0, 42.0)
     assert np.allclose(a.mean, b.mean, rtol=1e-15)
     assert a.cov_scale == b.cov_scale
-    rows_a, rows_b = a.cov_op.basis.elements(), b.cov_op.basis.elements()
+    rows_a, rows_b = p.cov_op.rows, q.cov_op.rows
     assert np.allclose(rows_a.T @ rows_a, rows_b.T @ rows_b, rtol=1e-15)
 
 
@@ -403,9 +412,20 @@ def test_dataset_rows_are_stacked_once_and_read_only():
     # a mixture denoiser whitens the rows when it is made, so the dataset
     # must not change under it
     ds = DiracDataset([Field([1.0, 2.0]), Field([3.0, 4.0])])
-    with pytest.raises(AttributeError):
-        ds.points.append(Field([5.0, 6.0]))
+    # a dataset is its rows: nothing else it holds could drift from them
+    assert set(vars(ds)) == {"_rows", "shape"} and ds.shape == (2,)
     with pytest.raises(ValueError):
         ds.stacked()[0, 0] = 9.0
     assert ds.stacked() is ds.stacked()
     np.testing.assert_array_equal(ds.stacked(), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_dataset_ignores_writes_to_the_callers_arrays():
+    # the rows are a copy: a write to an array the caller passed in reaches
+    # nothing the dataset exposes, so the rows a mixture denoiser whitened
+    # and the rows train draws from stay the dataset's
+    a = np.array([1.0, 2.0])
+    ds = DiracDataset([a, np.array([3.0, 4.0])])
+    a[0] = 99.0
+    np.testing.assert_array_equal(ds.stacked(), [[1.0, 2.0], [3.0, 4.0]])
+    assert not any(np.any(np.asarray(v) == 99.0) for v in vars(ds).values())

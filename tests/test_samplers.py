@@ -154,8 +154,7 @@ def test_reference_walks_stacked_rows_independently():
     # a mixture denoiser over a non-orthogonal basis couples the coordinates
     # of a row, never two rows
     rows = np.array([[1.0, 0.0], [0.3, 1.0]])
-    p = DiffusionProcess(make_vp_schedule(), BasisSet.from_elements(rows, (2,)),
-                         0.0)
+    p = DiffusionProcess(make_vp_schedule(), BasisSet((2,), rows), 0.0)
     pts = [Field([-1.0, 0.5]), Field([1.2, -0.3]), Field([0.2, 1.5])]
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     x = np.array([[0.9, -1.4], [-2.0, 0.3], [0.1, 1.1]])
@@ -272,3 +271,17 @@ def test_walks_refuse_a_three_dimensional_start():
 def test_walks_refuse_a_start_of_another_width():
     p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
     _walks(p, mix, np.array([[0.9, -1.4, 0.3]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_walks_refuse_a_non_finite_start(bad):
+    # refused up front by name, not blamed on the first step or walked into
+    # NaN endpoints
+    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
+    x = np.array([[0.9, -1.4], [bad, 0.2]])
+    grid = make_time_grid(p.schedule.T, 10)
+    for den in (ConstantDenoiser(Field([0.4, -0.2])), mix):
+        for walk in (lambda: euler_trajectory(p, den, x, grid),
+                     lambda: sample_reference(p, den, x, 8)):
+            with pytest.raises(ValueError, match="start states must be finite"):
+                walk()

@@ -177,7 +177,7 @@ def _equivalence_case(basis_kind, objective):
         p = DiffusionProcess(make_vp_schedule(), pixel_basis((3,)), 0.0)
     else:
         # one fixed residual row (M = 1 < d = 3) over both points
-        basis = residual_basis(ds.points[0], Field([0.9, -0.2, 0.1]))
+        basis = residual_basis(Field(ds.stacked()[0]), Field([0.9, -0.2, 0.1]))
         p = DiffusionProcess(make_vp_schedule(), basis, 0.5)
     wrap = "predict-x0" if objective == "x0-pred" else "predict-noise"
     net = TinyNetwork([4, 6, 3], Rng(32))
@@ -204,9 +204,9 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
     for k in range(cfg.batch):
         i = seq_rng.integers(0, len(ds))
         tk = _draw_time(seq_rng, cfg, p.schedule.T)
-        loss, g = compute_loss(objective, den, p, ds.points[i], tk, seq_rng,
+        loss, g = compute_loss(objective, den, p, ds.stacked()[i], tk, seq_rng,
                                mask=mask)
-        assert tk == t[k] and np.array_equal(ds.points[i].flat(), x0[k])
+        assert tk == t[k] and np.array_equal(ds.stacked()[i], x0[k])
         seq_losses.append(loss)
         seq_grad += g
 
@@ -240,7 +240,7 @@ def _reference_train(net, p, ds, cfg):
             t = _draw_time(rng, cfg, p.schedule.T)
             eps = rng.standard_normal((1, p.basis.M))
             rows.append(_batch_loss(cfg.objective, den, p,
-                                    ds.points[i].flat()[None, :],
+                                    ds.stacked()[i][None, :],
                                     np.array([t]), p.noise_from_normals(eps),
                                     m_obj))
         trace.append(sum(float(loss[0]) for loss, _ in rows) / cfg.batch)

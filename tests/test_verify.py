@@ -233,3 +233,20 @@ def test_optimality_scores_a_zero_variance_direction_without_a_warning():
     assert margin.passed and margin.value == np.inf
     value = run_suite("optimality", seed=7).checks[0].value
     assert value == 57.79006227438235
+
+
+def test_battery_sees_a_mixture_centre_shift(monkeypatch):
+    # every mixture component centre moved by 0.1 % of its shift term
+    # sum_m h_m: only the midpoint-weights check can see it
+    from basisdiff.denoisers import DiracMixtureDenoiser
+
+    real = DiracMixtureDenoiser.__init__
+
+    def shifted(self, dataset, process):
+        real(self, dataset, process)
+        self._white_shift = 1.001 * self._white_shift
+
+    monkeypatch.setattr(DiracMixtureDenoiser, "__init__", shifted)
+    report = run_suite("all", seed=7)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "optimality/midpoint-weights"]
