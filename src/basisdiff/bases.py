@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .fields import Field
+from .fields import as_pair
 
 # Condition-number ceiling: directions of Sigma beyond it count as singular.
 COND_LIMIT = 1e12
@@ -115,12 +115,11 @@ def pixel_basis(shape) -> BasisSet:
     return BasisSet(shape, elements=np.eye(d))
 
 
-def residual_basis(clean: Field, degraded: Field) -> BasisSet:
-    """Single-element basis whose one row is h_1 = degraded - clean."""
-    if clean.shape != degraded.shape:
-        raise ValueError(f"shape mismatch: {clean.shape} vs {degraded.shape}")
-    rows = (degraded.values - clean.values).reshape(1, -1)
-    return BasisSet(clean.shape, elements=rows)
+def residual_basis(clean, degraded) -> BasisSet:
+    """Single-element basis whose one row is h_1 = degraded - clean, for two
+    Fields or arrays of one shape."""
+    clean, degraded = as_pair(clean, degraded, "a residual basis")
+    return BasisSet(clean.shape, elements=(degraded - clean).reshape(1, -1))
 
 
 class CovarianceOp:

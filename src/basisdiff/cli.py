@@ -70,19 +70,10 @@ def _fingerprint(cfg: dict, widths) -> dict:
             "process.eta": resolved_eta(cfg)}
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    """TrainConfig from the checked training section, which it range-checks."""
-    try:
-        return TrainConfig(**{**cfg["training"],
-                              "objective": resolved_objective(cfg)})
-    except ValueError as exc:
-        # TrainConfig names the key first in each of its refusals
-        raise ConfigError(f"training.{exc}") from exc
-
-
 def _train_network(cfg: dict):
     task, p, x0, widths = _training_setup(cfg)
-    tc = _train_config(cfg)
+    tc = TrainConfig(**{**cfg["training"],
+                        "objective": resolved_objective(cfg)})
     net = TinyNetwork(widths, Rng(cfg["seed"], 2))
     net, trace = train(net, p, DiracDataset([x0]), tc, mask=task.mask)
     return task, p, net, trace

@@ -4,9 +4,10 @@
 ``DEFAULTS`` is built from it, so no key exists without a rule.  A kind is
 int, float, bool or str, a tuple of allowed names, or ``[kind]`` for a list
 (a list of lists needs rows of one length, at least 1); least and most bound
-each number, and a None default also allows null.  The training rows hold
-the cast only: their ranges live in ``TrainConfig``.  ``value`` checks one
-key and ``check`` every key; a refusal names the key (and a list index).
+each number, and a None default also allows null.  ``cast`` checks one
+value against a row, so ``TrainConfig`` checks its fields against the
+training rows; ``value`` checks one key and ``check`` every key; a refusal
+names the key (and a list index).
 
 An unknown key, in a file or an override (a typo such as
 ``training.stpes``), is refused with the nearest known key, since it would
@@ -23,10 +24,11 @@ eta = 10 with their weighted / direct objectives).
 from __future__ import annotations
 
 import copy
-import difflib
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .bases import BasisSet, legendre_trig_basis, pixel_basis, residual_basis
 from .fields import Rng
@@ -48,6 +50,8 @@ _TASK_OBJECTIVE = {"smooth-field": "noise-pred",
                    "streaks": "weighted-noise-pred",
                    "shadow-box": "x0-pred"}
 _POSITIVE = math.ulp(0.0)  # as a least: every float above zero
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # as a most: every float below one
+OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 
 SCHEMA = {
     "seed": (0, int, 0, 2 ** 64 - 1),  # half of the Philox key
@@ -63,19 +67,22 @@ SCHEMA = {
     "task.size": (16, int, 1, None),
     "points": (None, [[float]], None, None),
     "network.hidden": ([64, 64], [int], 1, None),
-    "training.steps": (2000, int, None, None),
-    "training.batch": (4, int, None, None),
-    "training.lr": (1.0e-3, float, None, None),
-    "training.optimizer": ("adam", str, None, None),
-    "training.beta1": (0.9, float, None, None),
-    "training.beta2": (0.999, float, None, None),
-    "training.eps": (1.0e-8, float, None, None),
-    "training.objective": (None, str, None, None),
-    "training.time_dist": ("continuous", str, None, None),
-    "training.seed": (1, int, None, None),
-    "training.lr_decay": (1.0, float, None, None),
-    "training.lr_decay_every": (0, int, None, None),
-    "training.ema_decay": (0.0, float, None, None),
+    "training.steps": (2000, int, 1, None),
+    "training.batch": (4, int, 1, None),
+    "training.lr": (1.0e-3, float, 0, None),
+    "training.optimizer": ("adam", ("adam", "sgd"), None, None),
+    # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
+    # an EMA decay of 1 would never move off the initial weights
+    "training.beta1": (0.9, float, 0, _BELOW_ONE),
+    "training.beta2": (0.999, float, 0, _BELOW_ONE),
+    "training.eps": (1.0e-8, float, _POSITIVE, None),
+    "training.objective": (None, OBJECTIVES, None, None),
+    "training.time_dist": ("continuous", ("continuous", "discrete"), None,
+                           None),
+    "training.seed": (1, int, 0, 2 ** 64 - 1),
+    "training.lr_decay": (1.0, float, _POSITIVE, None),
+    "training.lr_decay_every": (0, int, 0, None),
+    "training.ema_decay": (0.0, float, 0, _BELOW_ONE),
     "sampling.steps": (5, int, 0, None),
     "sampling.scheme": ("uniform", GRID_SCHEMES, None, None),
     "sampling.n_samples": (4, int, 0, None),
@@ -117,6 +124,7 @@ def _merge(cfg: dict, user: dict, prefix: str = "") -> None:
                 _merge({}, val, path + ".")
             cfg[key] = val
         else:
+            import difflib  # only a refusal reads it, so it loads here
             near = difflib.get_close_matches(path, [*SCHEMA, *DEFAULTS], n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {path!r}{hint}")
@@ -155,8 +163,9 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def _cast(x, kind, least, most, path: str):
-    """x as a value of kind within [least, most]; else a ConfigError."""
+def cast(x, kind, least, most, path: str):
+    """x as a value of kind within [least, most]; else a ConfigError (a
+    ValueError) whose message starts with path."""
     if isinstance(kind, list):
         if not isinstance(x, list):
             raise ConfigError(f"{path} = {x!r} must be a list")
@@ -165,10 +174,10 @@ def _cast(x, kind, least, most, path: str):
                 and all(map(math.isfinite, x))):
             return x  # a row of finite floats, as points has, is cast already
         try:
-            out = [_cast(v, kind[0], least, most, path) for v in x]
+            out = [cast(v, kind[0], least, most, path) for v in x]
         except ConfigError:
             for i, v in enumerate(x):  # again, to name the entry
-                _cast(v, kind[0], least, most, f"{path}.{i}")
+                cast(v, kind[0], least, most, f"{path}.{i}")
         rows = {len(row) for row in out} if isinstance(kind[0], list) else {1}
         if len(rows) > 1 or 0 in rows:
             raise ConfigError(f"{path} rows must share one length >= 1")
@@ -178,10 +187,11 @@ def _cast(x, kind, least, most, path: str):
     elif kind in (bool, str):
         ok, need = isinstance(x, kind), ("true or false" if kind is bool
                                          else "a string")
-    else:  # JSON true is no number, and an int key takes 3.0 but not 2.9
+    else:  # a bool is no number, and an int key takes 3.0 but not 2.9
         need = "an integer" if kind is int else "a finite number"
-        ok = type(x) is int or type(x) is float and (
-            x.is_integer() if kind is int else math.isfinite(x))
+        ok = (isinstance(x, (int, np.integer)) and type(x) is not bool
+              or isinstance(x, (float, np.floating)) and (
+                  float(x).is_integer() if kind is int else math.isfinite(x)))
     if not ok:
         raise ConfigError(f"{path} = {x!r} must be {need}")
     if kind not in (int, float):
@@ -194,7 +204,8 @@ def _cast(x, kind, least, most, path: str):
         need = "positive" if least == _POSITIVE else f"at least {least!r}"
         raise ConfigError(f"{path} = {x!r} must be {need}")
     if most is not None and y > most:
-        raise ConfigError(f"{path} = {x!r} must be at most {most!r}")
+        need = "below 1" if most == _BELOW_ONE else f"at most {most!r}"
+        raise ConfigError(f"{path} = {x!r} must be {need}")
     return y
 
 
@@ -205,7 +216,7 @@ def value(cfg: dict, path: str):
     node = (cfg[head] if head else cfg)[key]
     if node is None and default is None:
         return None
-    return _cast(node, kind, least, most, path)
+    return cast(node, kind, least, most, path)
 
 
 def check(cfg: dict) -> dict:

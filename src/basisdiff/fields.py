@@ -109,26 +109,33 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def psnr(a: Field, b: Field, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; PSNR_EXACT_MATCH when a == b."""
+def as_pair(a, b, what: str):
+    """Fields or arrays a and b as float64 arrays of one non-empty shape,
+    read without a copy; non-finite entries are refused, as a Field does."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError(f"{what} is undefined for empty fields")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("field entries must be finite")
+    return a, b
+
+
+def psnr(a, b, peak: float = 1.0) -> float:
+    """Peak signal-to-noise ratio in dB; PSNR_EXACT_MATCH when a == b."""
+    a, b = as_pair(a, b, "psnr")
     if peak <= 0:
         raise ValueError("peak must be positive")
-    if a.size == 0:
-        raise ValueError("psnr is undefined for empty fields")
-    mse = float(np.mean((a.values - b.values) ** 2))
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_EXACT_MATCH
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def rmse(a: Field, b: Field) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("rmse is undefined for empty fields")
-    return float(np.sqrt(np.mean((a.values - b.values) ** 2)))
+def rmse(a, b) -> float:
+    a, b = as_pair(a, b, "rmse")
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 # ---------------------------------------------------------------------------

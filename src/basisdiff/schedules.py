@@ -22,15 +22,15 @@ class EndpointError(ValueError):
 class Schedule:
     """Signal scale s(t) and noise level sigma(t) with analytic derivatives.
 
-    parts(t, xp=math) returns (s, s', sigma, sigma', d sigma^2/dt) at t in
-    [0, T], so a family shares its common terms across all five in one call;
-    every method below calls it once.  Each method takes a float or a numpy
+    parts(t, xp=math) returns (s, s', sigma, d sigma^2/dt) at t in [0, T],
+    so a family shares its common terms across all four in one call, and
+    _eval derives sigma' = (d sigma^2/dt) / (2 sigma) from them; every
+    method below calls _eval once.  Each method takes a float or a numpy
     array of times: a float runs parts on the math namespace and returns
     floats, an array runs it with xp = numpy and returns float64 arrays of
     the array's shape.  One formula per family serves both.
-    sigma' may be reported as +inf at t = 0 when the analytic formula
-    diverges there (true for the variance-preserving family, where
-    sigma ~ sqrt(t) near zero).
+    sigma' is reported as +inf where sigma = 0, as at t = 0 in the
+    variance-preserving family, where sigma ~ sqrt(t) near zero.
     """
 
     def __init__(self, T, parts, alpha_bar=None):
@@ -62,10 +62,12 @@ class Schedule:
             if type(t) is not float:
                 # a float part (the VP s and s') is filled out to t's shape;
                 # sigma' divides by sigma, and is +inf where sigma = 0
+                s, s_p, sig, ds2 = (np.full(t.shape, v) if type(v) is float
+                                    else v for v in self._parts(t, np))
                 with np.errstate(divide="ignore"):
-                    return tuple(np.full(t.shape, v) if type(v) is float else v
-                                 for v in self._parts(t, np))
-        return self._parts(t)
+                    return s, s_p, sig, ds2 / (2.0 * sig), ds2
+        s, s_p, sig, ds2 = self._parts(t)
+        return s, s_p, sig, ds2 / (2.0 * sig) if sig else math.inf, ds2
 
     def s(self, t):
         return self._eval(t)[0]
@@ -143,12 +145,7 @@ def make_vp_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
         b = b_int(t)
         # 1 - exp(-B) via expm1 keeps precision near t = 0
         sig = xp.sqrt(-xp.expm1(-b))
-        dsigma2 = beta(t) * xp.exp(-b)
-        try:
-            sig_p = dsigma2 / (2.0 * sig)
-        except ZeroDivisionError:  # a float sigma of 0 at t = 0
-            sig_p = math.inf
-        return 1.0, 0.0, sig, sig_p, dsigma2
+        return 1.0, 0.0, sig, beta(t) * xp.exp(-b)
 
     return Schedule(T, parts, alpha_bar=alpha_bar)
 
@@ -167,12 +164,7 @@ def make_ddpm_schedule(beta_min: float = 1e-4, beta_max: float = 0.02,
         s = xp.exp(-0.5 * b)
         # sigma^2 = 1/abar - 1 = expm1(B)
         sig = xp.sqrt(xp.expm1(b))
-        dsigma2 = beta_t * xp.exp(b)
-        try:
-            sig_p = dsigma2 / (2.0 * sig)
-        except ZeroDivisionError:  # a float sigma of 0 at t = 0
-            sig_p = math.inf
-        return s, -0.5 * beta_t * s, sig, sig_p, dsigma2
+        return s, -0.5 * beta_t * s, sig, beta_t * xp.exp(b)
 
     return Schedule(T, parts, alpha_bar=alpha_bar)
 

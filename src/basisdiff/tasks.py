@@ -154,7 +154,7 @@ def _region_metrics(a: Field, b: Field, mask: Field, peak: float):
     for key, sel in (("mask", m), ("background", ~m)):
         if not np.any(sel):
             continue
-        a_sel, b_sel = Field(a.flat()[sel]), Field(b.flat()[sel])
+        a_sel, b_sel = a.flat()[sel], b.flat()[sel]
         out[f"rmse_{key}"] = rmse(a_sel, b_sel)
         out[f"psnr_{key}"] = psnr(a_sel, b_sel, peak)
     return out

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OBJECTIVES, SCHEMA, cast
 from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
                         TinyNetwork)
 from .fields import Rng, write_csv
 from .process import DiffusionProcess
-
-OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 
 
 @dataclass
@@ -46,34 +45,10 @@ class TrainConfig:
     ema_decay: float = 0.0
 
     def __post_init__(self):
-        """Each refusal is a ValueError whose message starts with the key."""
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch}")
-        for key in ("lr", "seed", "lr_decay_every"):
-            value = getattr(self, key)
-            if not value >= 0:
-                raise ValueError(f"{key} must be non-negative, got {value}")
-        if self.seed >= 2 ** 64:  # half of the Philox key
-            raise ValueError(f"seed must be below 2**64, got {self.seed}")
-        # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
-        # an EMA decay of 1 would never move off the initial weights
-        for key in ("beta1", "beta2", "ema_decay"):
-            value = getattr(self, key)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{key} must be in [0, 1), got {value}")
-        for key in ("eps", "lr_decay"):
-            value = getattr(self, key)
-            if not value > 0.0:
-                raise ValueError(f"{key} must be positive, got {value}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective {self.objective!r} is not one of "
-                             f"{', '.join(OBJECTIVES)}")
-        if self.time_dist not in ("continuous", "discrete"):
-            raise ValueError("time_dist must be 'continuous' or 'discrete'")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
+        """Each field cast and checked against its training row of SCHEMA;
+        a refusal is a ValueError whose message starts with the field."""
+        for key, x in vars(self).items():
+            setattr(self, key, cast(x, *SCHEMA["training." + key][1:], key))
 
 
 class Sgd:

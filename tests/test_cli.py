@@ -83,6 +83,23 @@ def test_bad_training_value_is_config_error(tmp_path, capsys, override, key):
     assert key in capsys.readouterr().err
 
 
+def test_sample_refuses_a_bad_training_value(tmp_path, capsys):
+    # sample trains nothing, but checks the training keys all the same
+    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
+                 "--set", "training.beta1=1.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "training.beta1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_oracle_restore_refuses_a_bad_training_value(tmp_path, capsys):
+    code = main(["restore", "--config", str(CONFIGS / "streaks.json"),
+                 "--set", "restore.denoiser=oracle-clean",
+                 "--set", "training.batch=0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "training.batch" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("hidden", ["[6.7]", "6"])
 def test_bad_hidden_width_is_config_error(tmp_path, capsys, hidden):
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),

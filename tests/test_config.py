@@ -17,6 +17,15 @@ from basisdiff.config import (DEFAULTS, SCHEMA, ConfigError, apply_overrides,
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def test_train_config_fields_are_the_training_rows():
+    # a new training field cannot skip the table, nor a row its field
+    import dataclasses
+    from basisdiff.training import TrainConfig
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == {
+        path.partition(".")[2] for path in SCHEMA
+        if path.startswith("training.")}
+
+
 def test_load_merges_over_defaults(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"training": {"batch": 9}}))

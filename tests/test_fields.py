@@ -164,6 +164,22 @@ def test_rmse_scales_linearly(xs, c):
                                                          abs=1e-12)
 
 
+def test_metrics_and_residual_basis_take_an_array_as_a_field():
+    from basisdiff.bases import residual_basis
+    a, b = np.array([0.0, 1.0, 0.25]), np.array([1.0, 1.0, 0.5])
+    for x, y in [(a, b), (a, Field(b)), (Field(a), b)]:
+        assert psnr(x, y, 2.0) == psnr(Field(a), Field(b), 2.0)
+        assert rmse(x, y) == rmse(Field(a), Field(b))
+        np.testing.assert_array_equal(
+            residual_basis(x, y).elements(),
+            residual_basis(Field(a), Field(b)).elements())
+    for bad in [(np.zeros(0), np.zeros(0)), (a, np.array([1.0, np.nan, 0.0])),
+                (a, np.zeros(2))]:
+        for call in (psnr, rmse, residual_basis):
+            with pytest.raises(ValueError):
+                call(*bad)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -96,6 +96,22 @@ def test_config_validation():
             TrainConfig(steps=1, **{key: value})
 
 
+def test_config_refuses_what_the_table_refuses():
+    # a fractional count, a bool and an infinite rate are no values of a key
+    for key, value in [("steps", 2.5), ("batch", True),
+                       ("lr", float("inf"))]:
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainConfig(**{"steps": 1, key: value})
+    # an integral float count is cast to the int, as the CLI casts 3.0
+    batch = TrainConfig(steps=1, batch=2.0).batch
+    assert batch == 2 and type(batch) is int
+
+
+def test_config_takes_numpy_scalars():
+    cfg = TrainConfig(steps=np.int64(5), lr=np.float64(1e-3))
+    assert cfg.steps == 5 and cfg.lr == 1e-3
+
+
 def test_sgd_and_adam_single_step():
     params = np.array([1.0, -2.0])
     grad = np.array([0.5, 0.25])
