@@ -15,10 +15,12 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .fields import as_pair
+from .fields import as_pair, cast
 
 # Condition-number ceiling: directions of Sigma beyond it count as singular.
 COND_LIMIT = 1e12
+LEGENDRE_N1 = (int, 0, None)  # legendre_trig_basis's polynomial degree bound
+LEGENDRE_N2 = (int, 2, None)  # and its trigonometric order bound
 
 
 def __getattr__(name):
@@ -67,10 +69,8 @@ def legendre_trig_basis(n1: int, n2: int, grid) -> BasisSet:
     Every function is rescaled linearly over the grid so min -> 0.9 and
     max -> 1.1; constants map to 1.0 (midpoint of the degenerate range).
     """
-    if n1 < 0:
-        raise ValueError("polynomial degree bound must be non-negative")
-    if n2 < 2:
-        raise ValueError("trigonometric order bound must be at least 2")
+    n1 = cast(n1, *LEGENDRE_N1, "n1")
+    n2 = cast(n2, *LEGENDRE_N2, "n2")
     shape = tuple(int(n) for n in grid)
     if len(shape) != 2 or min(shape) < 1:
         raise ValueError("grid must be 2-D with positive extents")

@@ -198,8 +198,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the config's seed row holds the one range of a seed
-    report = run_suite(args.suite, value({"seed": args.seed}, "seed"))
+    report = run_suite(args.suite, args.seed)
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w") as fh:

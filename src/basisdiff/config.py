@@ -1,13 +1,12 @@
 """Run configuration: one JSON file over defaults, checked against one table.
 
 ``SCHEMA`` has one row per dotted key, ``(default, kind, least, most)``, and
-``DEFAULTS`` is built from it, so no key exists without a rule.  A kind is
-int, float, bool or str, a tuple of allowed names, or ``[kind]`` for a list
-(a list of lists needs rows of one length, at least 1); least and most bound
-each number, and a None default also allows null.  ``cast`` checks one
-value against a row, so ``TrainConfig`` checks its fields against the
-training rows; ``value`` checks one key and ``check`` every key; a refusal
-names the key (and a list index).
+``DEFAULTS`` is built from it, so no key exists without a rule; a None
+default also allows null.  A key a library function reads takes its
+``(kind, least, most)`` from the row kept beside that function, and
+``TrainConfig`` checks its fields against the training rows.
+``fields.cast`` checks one value against a row, ``value`` one key and
+``check`` every key; a refusal names the key (and a list index).
 
 An unknown key, in a file or an override (a typo such as
 ``training.stpes``), is refused with the nearest known key, since it would
@@ -25,23 +24,17 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from pathlib import Path
 
-import numpy as np
-
-from .bases import BasisSet, legendre_trig_basis, pixel_basis, residual_basis
-from .fields import Rng
-from .process import DiffusionProcess
-from .samplers import GRID_SCHEMES
-from .schedules import Schedule, make_ddpm_schedule, make_vp_schedule
-from .tasks import (CASE3_MIN_DRAWS, POISSON_LAM_MAX, gen_residual_task,
-                    gen_smooth_field_task)
-
-
-class ConfigError(ValueError):
-    """Bad config file, bad override, or a value the builders cannot use."""
-
+from .bases import (LEGENDRE_N1, LEGENDRE_N2, BasisSet, legendre_trig_basis,
+                    pixel_basis, residual_basis)
+from .fields import _BELOW_ONE, _POSITIVE, SEED, ConfigError, Rng, cast
+from .process import SDE_COUNT, DiffusionProcess
+from .samplers import GRID_SCHEME
+from .schedules import (BETA, ETA, HORIZON, Schedule, make_ddpm_schedule,
+                        make_vp_schedule)
+from .tasks import (CASE3_DRAWS, CASE3_ETAS, POISSON_LAM_MAX,
+                    gen_residual_task, gen_smooth_field_task)
 
 _SCHEDULES = {"vp-continuous": make_vp_schedule,
               "vp-ddpm": make_ddpm_schedule}
@@ -49,20 +42,18 @@ _TASK_ETA = {"smooth-field": 0.0, "streaks": 10.0, "shadow-box": 10.0}
 _TASK_OBJECTIVE = {"smooth-field": "noise-pred",
                    "streaks": "weighted-noise-pred",
                    "shadow-box": "x0-pred"}
-_POSITIVE = math.ulp(0.0)  # as a least: every float above zero
-_BELOW_ONE = math.nextafter(1.0, 0.0)  # as a most: every float below one
 OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 
 SCHEMA = {
-    "seed": (0, int, 0, 2 ** 64 - 1),  # half of the Philox key
+    "seed": (0, *SEED),
     "schedule.kind": ("vp-continuous", tuple(_SCHEDULES), None, None),
-    "schedule.beta_min": (1.0e-4, float, _POSITIVE, None),
-    "schedule.beta_max": (0.02, float, _POSITIVE, None),
-    "schedule.T": (100.0, float, _POSITIVE, None),
-    "process.eta": (None, float, 0, None),
+    "schedule.beta_min": (1.0e-4, *BETA),
+    "schedule.beta_max": (0.02, *BETA),
+    "schedule.T": (100.0, *HORIZON),
+    "process.eta": (None, *ETA),
     "basis.kind": (None, ("legendre-trig", "pixel"), None, None),
-    "basis.n1": (3, int, 0, None),
-    "basis.n2": (5, int, 2, None),
+    "basis.n1": (3, *LEGENDRE_N1),
+    "basis.n2": (5, *LEGENDRE_N2),
     "task.kind": ("smooth-field", tuple(_TASK_ETA), None, None),
     "task.size": (16, int, 1, None),
     "points": (None, [[float]], None, None),
@@ -79,21 +70,21 @@ SCHEMA = {
     "training.objective": (None, OBJECTIVES, None, None),
     "training.time_dist": ("continuous", ("continuous", "discrete"), None,
                            None),
-    "training.seed": (1, int, 0, 2 ** 64 - 1),
+    "training.seed": (1, *SEED),
     "training.lr_decay": (1.0, float, _POSITIVE, None),
     "training.lr_decay_every": (0, int, 0, None),
     "training.ema_decay": (0.0, float, 0, _BELOW_ONE),
     "sampling.steps": (5, int, 0, None),
-    "sampling.scheme": ("uniform", GRID_SCHEMES, None, None),
+    "sampling.scheme": ("uniform", *GRID_SCHEME),
     "sampling.n_samples": (4, int, 0, None),
     "sampling.final_denoise": (False, bool, None, None),
-    "simulate.n_paths": (1000, int, 1, None),
-    "simulate.n_steps": (256, int, 1, None),
+    "simulate.n_paths": (1000, *SDE_COUNT),
+    "simulate.n_steps": (256, *SDE_COUNT),
     "restore.denoiser": ("train", ("train", "checkpoint", "oracle-clean",
                                    "analytic"), None, None),
     "restore.checkpoint": (None, str, None, None),
-    "case3.eta_grid": ([0.0, 1.0, 10.0, 100.0, 1.0e9], [float], 0, None),
-    "case3.n_draws": (100000, int, CASE3_MIN_DRAWS, None),
+    "case3.eta_grid": ([0.0, 1.0, 10.0, 100.0, 1.0e9], *CASE3_ETAS),
+    "case3.n_draws": (100000, *CASE3_DRAWS),
     "case3.poisson_lambda": (4.0, float, 0, POISSON_LAM_MAX),
 }
 
@@ -163,52 +154,6 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def cast(x, kind, least, most, path: str):
-    """x as a value of kind within [least, most]; else a ConfigError (a
-    ValueError) whose message starts with path."""
-    if isinstance(kind, list):
-        if not isinstance(x, list):
-            raise ConfigError(f"{path} = {x!r} must be a list")
-        if (kind[0] is float and least is None and most is None
-                and set(map(type, x)) <= {float}
-                and all(map(math.isfinite, x))):
-            return x  # a row of finite floats, as points has, is cast already
-        try:
-            out = [cast(v, kind[0], least, most, path) for v in x]
-        except ConfigError:
-            for i, v in enumerate(x):  # again, to name the entry
-                cast(v, kind[0], least, most, f"{path}.{i}")
-        rows = {len(row) for row in out} if isinstance(kind[0], list) else {1}
-        if len(rows) > 1 or 0 in rows:
-            raise ConfigError(f"{path} rows must share one length >= 1")
-        return out
-    if isinstance(kind, tuple):
-        ok, need = x in kind, "one of " + ", ".join(kind)
-    elif kind in (bool, str):
-        ok, need = isinstance(x, kind), ("true or false" if kind is bool
-                                         else "a string")
-    else:  # a bool is no number, and an int key takes 3.0 but not 2.9
-        need = "an integer" if kind is int else "a finite number"
-        ok = (isinstance(x, (int, np.integer)) and type(x) is not bool
-              or isinstance(x, (float, np.floating)) and (
-                  float(x).is_integer() if kind is int else math.isfinite(x)))
-    if not ok:
-        raise ConfigError(f"{path} = {x!r} must be {need}")
-    if kind not in (int, float):
-        return x
-    try:
-        y = kind(x)
-    except OverflowError:  # an int too large for a float
-        raise ConfigError(f"{path} = {x!r} must be {need}") from None
-    if least is not None and y < least:
-        need = "positive" if least == _POSITIVE else f"at least {least!r}"
-        raise ConfigError(f"{path} = {x!r} must be {need}")
-    if most is not None and y > most:
-        need = "below 1" if most == _BELOW_ONE else f"at most {most!r}"
-        raise ConfigError(f"{path} = {x!r} must be {need}")
-    return y
-
-
 def value(cfg: dict, path: str):
     """One table key of cfg, cast to its kind and checked against its row."""
     default, kind, least, most = SCHEMA[path]
@@ -225,12 +170,17 @@ def check(cfg: dict) -> dict:
     for path in SCHEMA:
         head, _, key = path.rpartition(".")
         (cfg[head] if head else cfg)[key] = value(cfg, path)
-    T = cfg["schedule"]["T"]
-    if (cfg["training"]["time_dist"] == "discrete"
-            and not 1 <= round(T) <= 2 ** 63 - 1):
-        raise ConfigError(f"training.time_dist = 'discrete' needs 1 <= "
-                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
+    if cfg["training"]["time_dist"] == "discrete":
+        check_discrete_horizon(cfg["schedule"]["T"], "training.")
     return cfg
+
+
+def check_discrete_horizon(T: float, prefix: str = "") -> None:
+    """Refuse discrete training times 1 .. round(T) unless round(T) is in
+    1 .. 2**63 - 1, the span numpy's integer draw takes."""
+    if not 1 <= round(T) <= 2 ** 63 - 1:
+        raise ConfigError(f"{prefix}time_dist = 'discrete' needs 1 <= "
+                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
 
 
 def build_schedule(cfg: dict) -> Schedule:

@@ -6,6 +6,10 @@ wrapper around numpy's counter-based Philox (4x64) bit generator keyed by
 runs and platforms, which the golden test vectors rely on; distinct stream
 ids give independent sequences.  Normal variates come from numpy's ziggurat
 sampler.
+
+``cast`` checks a value against a row ``(kind, least, most)``; a library
+function reads each scalar argument through it, with a row kept beside the
+function (``SEED`` for Rng), and ``config.SCHEMA`` is built from those rows.
 """
 
 from __future__ import annotations
@@ -17,6 +21,60 @@ import numpy as np
 
 # Finite stand-in for +infinity so metric tables stay portable (CSV/JSON).
 PSNR_EXACT_MATCH = 1.0e9
+_POSITIVE = math.ulp(0.0)  # as a least: every float above zero
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # as a most: every float below one
+
+
+class ConfigError(ValueError):
+    """A value its row refuses, from a config or a library argument."""
+
+
+def cast(x, kind, least, most, path: str):
+    """x as a value of kind within [least, most], None leaving a side open;
+    else a ConfigError (a ValueError) whose message starts with path.  A kind
+    is int, float, bool or str, a tuple of allowed names, or [kind] for a
+    list (a list of lists needs rows of one length, at least 1)."""
+    if isinstance(kind, list):
+        if not isinstance(x, list):
+            raise ConfigError(f"{path} = {x!r} must be a list")
+        if (kind[0] is float and least is None and most is None
+                and set(map(type, x)) <= {float}
+                and all(map(math.isfinite, x))):
+            return x  # a row of finite floats, as points has, is cast already
+        try:
+            out = [cast(v, kind[0], least, most, path) for v in x]
+        except ConfigError:
+            for i, v in enumerate(x):  # again, to name the entry
+                cast(v, kind[0], least, most, f"{path}.{i}")
+        rows = {len(row) for row in out} if isinstance(kind[0], list) else {1}
+        if len(rows) > 1 or 0 in rows:
+            raise ConfigError(f"{path} rows must share one length >= 1")
+        return out
+    if isinstance(kind, tuple):
+        ok, need = x in kind, "one of " + ", ".join(kind)
+    elif kind in (bool, str):
+        ok, need = isinstance(x, kind), ("true or false" if kind is bool
+                                         else "a string")
+    else:  # a bool is no number, and an int key takes 3.0 but not 2.9
+        need = "an integer" if kind is int else "a finite number"
+        ok = (isinstance(x, (int, np.integer)) and type(x) is not bool
+              or isinstance(x, (float, np.floating)) and (
+                  float(x).is_integer() if kind is int else math.isfinite(x)))
+    if not ok:
+        raise ConfigError(f"{path} = {x!r} must be {need}")
+    if kind not in (int, float):
+        return x
+    try:
+        y = kind(x)
+    except OverflowError:  # an int too large for a float
+        raise ConfigError(f"{path} = {x!r} must be {need}") from None
+    if least is not None and y < least:
+        need = "positive" if least == _POSITIVE else f"at least {least!r}"
+        raise ConfigError(f"{path} = {x!r} must be {need}")
+    if most is not None and y > most:
+        need = "below 1" if most == _BELOW_ONE else f"at most {most!r}"
+        raise ConfigError(f"{path} = {x!r} must be {need}")
+    return y
 
 
 class Field:
@@ -65,6 +123,9 @@ class Field:
         return f"Field(shape={self.shape})"
 
 
+SEED = (int, 0, 2 ** 64 - 1)  # a seed or a stream: half of the Philox key
+
+
 class Rng:
     """Deterministic random source keyed by (seed, stream).
 
@@ -74,13 +135,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        seed = int(seed)
-        stream = int(stream)
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be non-negative")
-        self.seed = seed
-        self.stream = stream
-        key = np.array([seed, stream], dtype=np.uint64)
+        self.seed = cast(seed, *SEED, "seed")
+        self.stream = cast(stream, *SEED, "stream")
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, stream: int) -> "Rng":
@@ -125,8 +182,7 @@ def as_pair(a, b, what: str):
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; PSNR_EXACT_MATCH when a == b."""
     a, b = as_pair(a, b, "psnr")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    peak = cast(peak, float, _POSITIVE, None, "peak")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_EXACT_MATCH

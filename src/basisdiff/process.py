@@ -17,14 +17,15 @@ their whitened copies, live in its denoiser (denoisers.DiracMixtureDenoiser).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import BasisSet, CovarianceOp
-from .fields import Rng
-from .schedules import EndpointError, Schedule, sde_coefficients
+from .fields import Rng, cast
+from .schedules import ETA, EndpointError, Schedule, sde_coefficients
+
+SDE_COUNT = (int, 1, None)  # simulate_sde's n_steps and n_paths
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,9 @@ class DiffusionProcess:
     """Forward diffusion with basis-structured noise and its reverse flows."""
 
     def __init__(self, schedule: Schedule, basis: BasisSet, eta: float):
-        if not 0 <= eta < math.inf:
-            raise ValueError(f"eta must be finite and non-negative, got {eta!r}")
         self.schedule = schedule
         self.basis = basis
-        self.eta = float(eta)
+        self.eta = cast(eta, *ETA, "eta")
         self.shape = basis.shape
         self._d = int(np.prod(self.shape))
         # Sigma's operator: made here, its factorization on first use
@@ -167,10 +166,8 @@ class DiffusionProcess:
         eps, then one (n_paths, M) draw per step.
         """
         x0 = self.clean_point(x0)
-        if n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        n_steps = cast(n_steps, *SDE_COUNT, "n_steps")
+        n_paths = cast(n_paths, *SDE_COUNT, "n_paths")
         sched = self.schedule
         op = self.cov_op
         times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)

@@ -16,11 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .denoisers import Denoiser
-from .fields import write_csv
+from .fields import cast, write_csv
 from .process import DiffusionProcess
+from .schedules import HORIZON
 
 TERMINAL_FRACTION = 1e-3  # eps_t = T * this
-GRID_SCHEMES = ("uniform", "quadratic")  # make_time_grid's spacings
+GRID_STEPS = (int, 1, None)  # make_time_grid's steps
+GRID_SCHEME = (("uniform", "quadratic"), None, None)  # and its spacings
+REFERENCE_STEPS = (int, 4, None)  # sample_reference's steps
 
 
 def make_time_grid(T: float, steps: int, scheme: str = "uniform") -> np.ndarray:
@@ -29,17 +32,13 @@ def make_time_grid(T: float, steps: int, scheme: str = "uniform") -> np.ndarray:
     "uniform" spaces knots evenly; "quadratic" densifies spacing toward the
     terminal knot.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    T = cast(T, *HORIZON, "T")
+    steps = cast(steps, *GRID_STEPS, "steps")
     eps_t = T * TERMINAL_FRACTION
-    if scheme == "uniform":
+    if cast(scheme, *GRID_SCHEME, "scheme") == "uniform":
         return np.linspace(T, eps_t, steps + 1)
-    if scheme == "quadratic":
-        u = np.linspace(1.0, 0.0, steps + 1)
-        return eps_t + (T - eps_t) * u * u
-    raise ValueError(f"unknown grid scheme {scheme!r}")
+    u = np.linspace(1.0, 0.0, steps + 1)
+    return eps_t + (T - eps_t) * u * u
 
 
 def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
@@ -99,8 +98,7 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
     the solution smooth in u, which a fixed-step 4th-order integrator needs
     to actually deliver oracle accuracy.
     """
-    if steps < 4:
-        raise ValueError("reference integrator needs at least 4 steps")
+    steps = cast(steps, *REFERENCE_STEPS, "steps")
     p.check_rows(x_init, "start states")
     T = p.schedule.T
     eps_t = T * TERMINAL_FRACTION

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _POSITIVE, cast
+
+HORIZON = (float, _POSITIVE, None)  # T of a schedule and of a time grid
+BETA = (float, _POSITIVE, None)  # each end of the VP beta ramp
+ETA = (float, 0, None)  # the stochasticity mediator eta
+
 
 class EndpointError(ValueError):
     """A schedule quantity was requested at an endpoint where it is undefined."""
@@ -34,9 +40,7 @@ class Schedule:
     """
 
     def __init__(self, T, parts, alpha_bar=None):
-        if not 0 < T < math.inf:
-            raise ValueError(f"horizon T must be finite and positive, got {T!r}")
-        self.T = float(T)
+        self.T = cast(T, *HORIZON, "T")
         self._parts = parts
         self._alpha_bar = alpha_bar
 
@@ -115,13 +119,9 @@ def _vp_parts(beta_min: float, beta_max: float, T: float):
     B(t) = int_0^t beta is the one integral both VP families build on, and
     abar = exp(-B).
     """
-    for name, v in (("beta_min", beta_min), ("beta_max", beta_max), ("T", T)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    if beta_min <= 0 or beta_max < beta_min:
-        raise ValueError("need 0 < beta_min <= beta_max")
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    beta_min = cast(beta_min, *BETA, "beta_min")
+    beta_max = cast(beta_max, float, beta_min, None, "beta_max")
+    T = cast(T, *HORIZON, "T")
     slope = (beta_max - beta_min) / T
 
     def beta(t):
@@ -179,8 +179,7 @@ def sde_coefficients(sched: Schedule, eta: float, basis_sum: np.ndarray,
     (n,) array gives (n,) arrays f, g and an (n, d) phi, each entry within
     a few ulp of the float path's.
     """
-    if not 0 <= eta < math.inf:
-        raise ValueError(f"eta must be finite and non-negative, got {eta!r}")
+    eta = cast(eta, *ETA, "eta")
     if np.any(np.less_equal(t, 0.0)):
         raise EndpointError("SDE coefficients are undefined at t <= 0 "
                             "(sigma' diverges at the left endpoint)")

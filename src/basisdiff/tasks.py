@@ -23,7 +23,7 @@ import numpy as np
 
 from .bases import BasisSet
 from .denoisers import Denoiser
-from .fields import Field, Rng, psnr, rmse
+from .fields import Field, Rng, cast, psnr, rmse
 from .process import DiffusionProcess
 from .samplers import euler_trajectory, make_time_grid
 
@@ -231,7 +231,8 @@ def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
 # raises "lam value too large".
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max
                         - np.sqrt(np.iinfo(np.int64).max) * 10)
-CASE3_MIN_DRAWS = 1000  # draws per arm case3_discrete_demo needs
+CASE3_DRAWS = (int, 1000, None)  # case3_discrete_demo's draws per arm, n
+CASE3_ETAS = ([float], 0, None)  # and each eta of its eta_grid
 
 
 def centered_poisson_sampler(lam: float = 4.0):
@@ -264,15 +265,12 @@ def case3_discrete_demo(noise_sampler, eta_grid, n: int, rng: Rng):
     suppresses the Gaussian smearing, so the distance should fall toward the
     two-sample noise floor; the table reports, it does not assert.
     """
-    if n < CASE3_MIN_DRAWS:
-        raise ValueError(f"need at least {CASE3_MIN_DRAWS} draws per arm")
+    n = cast(n, *CASE3_DRAWS, "n")
     table = []
-    for eta in eta_grid:
-        if eta < 0:
-            raise ValueError("eta must be non-negative")
+    for eta in cast(list(eta_grid), *CASE3_ETAS, "eta_grid"):
         ref = noise_sampler(n, rng)
         h = noise_sampler(n, rng)
         eps = rng.standard_normal(n)
         mediated = (eta + eps) / (eta + 1.0) * h
-        table.append((float(eta), tv_distance(ref, mediated)))
+        table.append((eta, tv_distance(ref, mediated)))
     return table

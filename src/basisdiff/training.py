@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OBJECTIVES, SCHEMA, cast
+from .config import SCHEMA, check_discrete_horizon
 from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
                         TinyNetwork)
-from .fields import Rng, write_csv
+from .fields import Rng, cast, write_csv
 from .process import DiffusionProcess
 
 
@@ -142,8 +142,7 @@ def wrapper_for(objective: str) -> str:
 
 def _check_objective(objective: str, den: Denoiser, mask, shape):
     """Validate the objective/denoiser pairing; the flat mask or None."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
+    cast(objective, *SCHEMA["training.objective"][1:], "objective")
     if objective == "weighted-noise-pred" and mask is None:
         raise ValueError("weighted-noise-pred requires a mask")
     if objective != "mse-x0":
@@ -246,6 +245,8 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     """
     den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
+    if cfg.time_dist == "discrete":
+        check_discrete_horizon(p.schedule.T)
     opt = (Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
            if cfg.optimizer == "adam" else Sgd(cfg.lr))
     rng = Rng(cfg.seed, 1)

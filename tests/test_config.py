@@ -26,6 +26,25 @@ def test_train_config_fields_are_the_training_rows():
         if path.startswith("training.")}
 
 
+@pytest.mark.parametrize("path,owner,row", [
+    ("seed", "fields", "SEED"), ("training.seed", "fields", "SEED"),
+    ("schedule.beta_min", "schedules", "BETA"),
+    ("schedule.beta_max", "schedules", "BETA"),
+    ("schedule.T", "schedules", "HORIZON"), ("process.eta", "schedules", "ETA"),
+    ("basis.n1", "bases", "LEGENDRE_N1"), ("basis.n2", "bases", "LEGENDRE_N2"),
+    ("sampling.scheme", "samplers", "GRID_SCHEME"),
+    ("simulate.n_paths", "process", "SDE_COUNT"),
+    ("simulate.n_steps", "process", "SDE_COUNT"),
+    ("case3.eta_grid", "tasks", "CASE3_ETAS"),
+    ("case3.n_draws", "tasks", "CASE3_DRAWS")])
+def test_schema_rows_are_the_library_rows(path, owner, row):
+    # a key a library function reads takes that function's row, so the
+    # config and the library cannot drift apart
+    import importlib
+    module = importlib.import_module(f"basisdiff.{owner}")
+    assert SCHEMA[path][1:] == getattr(module, row)
+
+
 def test_load_merges_over_defaults(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"training": {"batch": 9}}))

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basisdiff.bases import legendre_trig_basis, pixel_basis
+from basisdiff.denoisers import ConstantDenoiser
 from basisdiff.fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                               field_to_bytes, psnr, read_field, rmse,
                               write_field, write_pgm)
+from basisdiff.process import DiffusionProcess
+from basisdiff.samplers import make_time_grid, sample_reference
+from basisdiff.schedules import make_vp_schedule
+from basisdiff.tasks import case3_discrete_demo
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +112,55 @@ def test_rng_uniform_scalar_matches_the_zero_d_draw():
 def test_rng_rejects_negative_key():
     with pytest.raises(ValueError):
         Rng(-1)
+
+
+def test_rng_takes_an_integral_key_of_any_number_type():
+    top = Rng(np.uint64(2 ** 64 - 1), np.int8(3))
+    assert (top.seed, top.stream) == (2 ** 64 - 1, 3)
+    assert type(top.seed) is int
+    assert Rng(3.0).seed == 3
+    assert Rng(3.0).uniform() == Rng(3).uniform()
+
+
+def _no_draw(n, rng):
+    raise AssertionError("drew before checking its arguments")
+
+
+def _toy_process(eta=0.0):
+    return DiffusionProcess(make_vp_schedule(), pixel_basis((2,)), eta)
+
+
+# each library function reads a scalar argument through fields.cast with
+# the row beside it, so a bad one is refused by name before any arithmetic
+# (tier-1 makes numpy's RuntimeWarning an error, so the inf grid also
+# catches a check that comes after the first product)
+@pytest.mark.parametrize("call,message", [
+    (lambda: Rng(1.5), "seed = 1.5 must be an integer"),
+    (lambda: Rng(2 ** 64),
+     f"seed = {2 ** 64} must be at most {2 ** 64 - 1}"),
+    (lambda: Rng(True), "seed = True must be an integer"),
+    (lambda: make_time_grid(math.nan, 5), "T = nan must be a finite number"),
+    (lambda: make_time_grid(math.inf, 5), "T = inf must be a finite number"),
+    (lambda: make_time_grid(100.0, 2.5), "steps = 2.5 must be an integer"),
+    (lambda: _toy_process().simulate_sde(np.zeros(2), 2.5, 3, Rng(4)),
+     "n_steps = 2.5 must be an integer"),
+    (lambda: _toy_process().simulate_sde(np.zeros(2), 3, 2.5, Rng(4)),
+     "n_paths = 2.5 must be an integer"),
+    (lambda: sample_reference(_toy_process(), ConstantDenoiser(np.zeros(2)),
+                              np.zeros((1, 2)), 4.5),
+     "steps = 4.5 must be an integer"),
+    (lambda: _toy_process(eta=True), "eta = True must be a finite number"),
+    (lambda: legendre_trig_basis(1.5, 5, (4, 4)),
+     "n1 = 1.5 must be an integer"),
+    (lambda: case3_discrete_demo(_no_draw, [math.nan], 1500, Rng(1)),
+     "eta_grid.0 = nan must be a finite number"),
+], ids=["rng-half", "rng-2^64", "rng-bool", "grid-nan-T", "grid-inf-T",
+        "grid-half-steps", "sde-half-steps", "sde-half-paths",
+        "reference-half-steps", "process-bool-eta", "legendre-half-n1",
+        "case3-nan-eta"])
+def test_library_refuses_a_bad_scalar_by_name(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 def test_standard_normal_empty_extent():

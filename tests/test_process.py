@@ -32,7 +32,8 @@ def test_negative_eta_rejected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_eta_rejected(bad):
-    with pytest.raises(ValueError, match="eta must be finite"):
+    with pytest.raises(ValueError,
+                       match=f"^eta = {bad} must be a finite number"):
         DiffusionProcess(make_vp_schedule(), pixel_basis((2,)), bad)
 
 

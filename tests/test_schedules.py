@@ -74,7 +74,8 @@ def test_constructor_rejects_bad_ramps():
 @pytest.mark.parametrize("name", ["beta_min", "beta_max", "T"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_ramp_refuses_non_finite_values(make, name, bad):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError,
+                       match=f"^{name} = {bad} must be a finite number"):
         make(**{name: bad})
     # a finite value far from the defaults is still taken
     assert make(**{name: 1e300 if name != "beta_min" else 1e-300})
@@ -83,7 +84,7 @@ def test_ramp_refuses_non_finite_values(make, name, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_schedule_refuses_a_non_finite_horizon(bad):
     parts = make_vp_schedule()._parts
-    with pytest.raises(ValueError, match="horizon T must be finite"):
+    with pytest.raises(ValueError, match=f"^T = {bad} must be a finite number"):
         Schedule(bad, parts)
     assert Schedule(1e300, parts).T == 1e300
 
@@ -297,7 +298,8 @@ def test_coefficients_endpoint_and_eta_errors():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_coefficients_refuse_a_non_finite_eta(bad):
     sched = make_vp_schedule()
-    with pytest.raises(ValueError, match="eta must be finite"):
+    with pytest.raises(ValueError,
+                       match=f"^eta = {bad} must be a finite number"):
         sde_coefficients(sched, bad, np.array([1.0]), 1.0)
     assert sde_coefficients(sched, 1e300, np.array([1.0]), 1.0).g >= 0.0
 

@@ -41,6 +41,22 @@ def test_import_loads_no_scipy():
     assert loaded == []
 
 
+def test_fields_is_a_leaf():
+    # every layer reads its scalar arguments through fields.cast, so fields
+    # must import no other basisdiff module; the package's __init__, which
+    # loads them all, is stood in for by an empty package
+    loaded = _fresh(f"""
+        import json, sys, types
+        pkg = types.ModuleType("basisdiff")
+        pkg.__path__ = [{str(SRC / "basisdiff")!r}]
+        sys.modules["basisdiff"] = pkg
+        import basisdiff.fields
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "basisdiff")))
+    """)
+    assert loaded == ["basisdiff", "basisdiff.fields"]
+
+
 def test_score_suite_loads_no_scipy_stats():
     state = _fresh("""
         import json, sys

@@ -497,6 +497,23 @@ def test_training_options_smoke():
     assert np.all(np.isfinite(net.params))
 
 
+@pytest.mark.parametrize("T", [0.4, 1e19])
+def test_discrete_training_refuses_a_horizon_before_its_first_step(T):
+    # times are drawn from 1 .. round(T), which numpy's integer draw takes
+    # only for 1 <= round(T) <= 2**63 - 1
+    p = DiffusionProcess(make_vp_schedule(T=T), pixel_basis((2,)), 0.0)
+    net = TinyNetwork([3, 6, 2], Rng(13))
+    before = net.params.copy()
+    cfg = TrainConfig(steps=5, time_dist="discrete")
+    with pytest.raises(ValueError, match=r"^time_dist = 'discrete' needs 1 "
+                                         r"<= round\(schedule\.T\)"):
+        train(net, p, DiracDataset([Field([0.5, 0.5])]), cfg)
+    assert np.array_equal(net.params, before)
+    # the continuous draw takes any horizon
+    assert len(train(net, p, DiracDataset([Field([0.5, 0.5])]),
+                     TrainConfig(steps=2))[1]) == 2
+
+
 def test_masked_training_smoke():
     p = _pixel_process(2)
     ds = DiracDataset([Field([0.5, -0.5])])
