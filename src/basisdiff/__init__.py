@@ -11,7 +11,6 @@ suites and a CLI.
 
 from .bases import (BasisSet, CovarianceOp, SingularCovarianceError,
                     legendre_trig_basis, pixel_basis, residual_basis)
-from .config import OBJECTIVES
 from .denoisers import (ConstantDenoiser, Denoiser, DiracDataset,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
@@ -27,8 +26,8 @@ from .schedules import (EndpointError, Schedule, SdeCoefficients,
 from .tasks import (RestorationResult, TaskInstance, case3_discrete_demo,
                     centered_poisson_sampler, gen_residual_task,
                     gen_smooth_field_task, run_restoration, tv_distance)
-from .training import (TrainConfig, compute_loss, train, weight_from_mask,
-                       write_loss_trace)
+from .training import (OBJECTIVES, TrainConfig, compute_loss, train,
+                       weight_from_mask, write_loss_trace)
 from .verify import CheckResult, SuiteReport, run_suite
 
 __version__ = "0.1.0"

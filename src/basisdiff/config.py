@@ -2,9 +2,9 @@
 
 ``SCHEMA`` has one row per dotted key, ``(default, kind, least, most)``, and
 ``DEFAULTS`` is built from it, so no key exists without a rule; a None
-default also allows null.  A key a library function reads takes its
-``(kind, least, most)`` from the row kept beside that function, and
-``TrainConfig`` checks its fields against the training rows.
+default also allows null.  A ranged key takes its ``(kind, least, most)``
+from the row beside the library function that reads it, the training keys
+from ``training.TRAINING``; only ``cli`` imports this module.
 ``fields.cast`` checks one value against a row, ``value`` one key and
 ``check`` every key; a refusal names the key (and a list index).
 
@@ -28,13 +28,15 @@ from pathlib import Path
 
 from .bases import (LEGENDRE_N1, LEGENDRE_N2, BasisSet, legendre_trig_basis,
                     pixel_basis, residual_basis)
-from .fields import _BELOW_ONE, _POSITIVE, SEED, ConfigError, Rng, cast
+from .denoisers import WIDTHS
+from .fields import SEED, ConfigError, Rng, cast
 from .process import SDE_COUNT, DiffusionProcess
 from .samplers import GRID_SCHEME
 from .schedules import (BETA, ETA, HORIZON, Schedule, make_ddpm_schedule,
                         make_vp_schedule)
-from .tasks import (CASE3_DRAWS, CASE3_ETAS, POISSON_LAM_MAX,
-                    gen_residual_task, gen_smooth_field_task)
+from .tasks import (CASE3_DRAWS, CASE3_ETAS, EXTENT, POISSON_LAM_MAX,
+                    RESTORE_STEPS, gen_residual_task, gen_smooth_field_task)
+from .training import TRAINING, check_discrete_horizon
 
 _SCHEDULES = {"vp-continuous": make_vp_schedule,
               "vp-ddpm": make_ddpm_schedule}
@@ -42,7 +44,6 @@ _TASK_ETA = {"smooth-field": 0.0, "streaks": 10.0, "shadow-box": 10.0}
 _TASK_OBJECTIVE = {"smooth-field": "noise-pred",
                    "streaks": "weighted-noise-pred",
                    "shadow-box": "x0-pred"}
-OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 
 SCHEMA = {
     "seed": (0, *SEED),
@@ -55,26 +56,15 @@ SCHEMA = {
     "basis.n1": (3, *LEGENDRE_N1),
     "basis.n2": (5, *LEGENDRE_N2),
     "task.kind": ("smooth-field", tuple(_TASK_ETA), None, None),
-    "task.size": (16, int, 1, None),
+    "task.size": (16, *EXTENT),
     "points": (None, [[float]], None, None),
-    "network.hidden": ([64, 64], [int], 1, None),
-    "training.steps": (2000, int, 1, None),
-    "training.batch": (4, int, 1, None),
-    "training.lr": (1.0e-3, float, 0, None),
-    "training.optimizer": ("adam", ("adam", "sgd"), None, None),
-    # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
-    # an EMA decay of 1 would never move off the initial weights
-    "training.beta1": (0.9, float, 0, _BELOW_ONE),
-    "training.beta2": (0.999, float, 0, _BELOW_ONE),
-    "training.eps": (1.0e-8, float, _POSITIVE, None),
-    "training.objective": (None, OBJECTIVES, None, None),
-    "training.time_dist": ("continuous", ("continuous", "discrete"), None,
-                           None),
-    "training.seed": (1, *SEED),
-    "training.lr_decay": (1.0, float, _POSITIVE, None),
-    "training.lr_decay_every": (0, int, 0, None),
-    "training.ema_decay": (0.0, float, 0, _BELOW_ONE),
-    "sampling.steps": (5, int, 0, None),
+    "network.hidden": ([64, 64], *WIDTHS),
+    **{"training." + key: (default, *TRAINING[key]) for key, default in {
+        "steps": 2000, "batch": 4, "lr": 1.0e-3, "optimizer": "adam",
+        "beta1": 0.9, "beta2": 0.999, "eps": 1.0e-8, "objective": None,
+        "time_dist": "continuous", "seed": 1, "lr_decay": 1.0,
+        "lr_decay_every": 0, "ema_decay": 0.0}.items()},
+    "sampling.steps": (5, *RESTORE_STEPS),
     "sampling.scheme": ("uniform", *GRID_SCHEME),
     "sampling.n_samples": (4, int, 0, None),
     "sampling.final_denoise": (False, bool, None, None),
@@ -173,14 +163,6 @@ def check(cfg: dict) -> dict:
     if cfg["training"]["time_dist"] == "discrete":
         check_discrete_horizon(cfg["schedule"]["T"], "training.")
     return cfg
-
-
-def check_discrete_horizon(T: float, prefix: str = "") -> None:
-    """Refuse discrete training times 1 .. round(T) unless round(T) is in
-    1 .. 2**63 - 1, the span numpy's integer draw takes."""
-    if not 1 <= round(T) <= 2 ** 63 - 1:
-        raise ConfigError(f"{prefix}time_dist = 'discrete' needs 1 <= "
-                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
 
 
 def build_schedule(cfg: dict) -> Schedule:

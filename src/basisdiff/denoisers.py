@@ -26,7 +26,7 @@ import struct
 import numpy as np
 
 from .bases import COND_LIMIT
-from .fields import Field, Rng, field_from_bytes, field_to_bytes
+from .fields import Field, Rng, cast, field_from_bytes, field_to_bytes
 from .process import DiffusionProcess, KnotTable
 from .schedules import EndpointError
 
@@ -34,6 +34,7 @@ from .schedules import EndpointError
 # are equal (weights_at): the share below which the rank cutoff of
 # CovarianceOp._factor drops a direction, ~1e5 times the projection round-off.
 OUT_OF_RANGE_RTOL = 1.0 / COND_LIMIT
+WIDTHS = ([int], 1, None)  # TinyNetwork's layer widths, input first
 
 
 class DiracDataset:
@@ -178,9 +179,9 @@ class TinyNetwork:
     """
 
     def __init__(self, widths, rng: Rng):
-        widths = [int(w) for w in widths]
-        if len(widths) < 2 or min(widths) < 1:
-            raise ValueError("need at least input and output widths, all >= 1")
+        widths = cast(list(widths), *WIDTHS, "widths")
+        if len(widths) < 2:
+            raise ValueError("need at least input and output widths")
         self.widths = widths
         self._layout = []
         offset = 0

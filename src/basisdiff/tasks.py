@@ -27,6 +27,9 @@ from .fields import Field, Rng, cast, psnr, rmse
 from .process import DiffusionProcess
 from .samplers import euler_trajectory, make_time_grid
 
+EXTENT = (int, 1, None)  # each side of a task generator's size
+RESTORE_STEPS = (int, 0, None)  # run_restoration's steps; 0 runs no walk
+
 
 @dataclass(frozen=True)
 class TaskInstance:
@@ -74,7 +77,7 @@ def gen_smooth_field_task(size, basis: BasisSet, rng: Rng) -> TaskInstance:
     rescaled to span exactly [0.8, 1.25]; clean values stay in (0,1], so the
     log transform is always defined.
     """
-    shape = tuple(int(n) for n in size)
+    shape = tuple(cast(n, *EXTENT, "size") for n in size)
     if len(shape) != 2:
         raise ValueError("smooth-field task needs a 2-D size")
     if basis.shape != shape:
@@ -94,7 +97,7 @@ def gen_smooth_field_task(size, basis: BasisSet, rng: Rng) -> TaskInstance:
 
 def gen_residual_task(size, pattern: str, rng: Rng) -> TaskInstance:
     """Additive-residual corruptions with a region mask."""
-    shape = tuple(int(n) for n in size)
+    shape = tuple(cast(n, *EXTENT, "size") for n in size)
     if len(shape) != 2:
         raise ValueError("residual task needs a 2-D size")
     h, w = shape
@@ -198,6 +201,7 @@ def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
     bit; no noise injected).  steps = 0 is an identity run that skips the
     sampler entirely.
     """
+    steps = cast(steps, *RESTORE_STEPS, "steps")
     if p.shape != task.clean.shape:
         raise ValueError("process shape does not match the task")
     x_init = _transform(task, task.degraded)

@@ -21,11 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMA, check_discrete_horizon
 from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
                         TinyNetwork)
-from .fields import Rng, cast, write_csv
+from .fields import (_BELOW_ONE, _POSITIVE, SEED, ConfigError, Rng, cast,
+                     write_csv)
 from .process import DiffusionProcess
+
+OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
+# one (kind, least, most) row per TrainConfig field, read by its checks
+TRAINING = {
+    "steps": (int, 1, None), "batch": (int, 1, None), "lr": (float, 0, None),
+    "optimizer": (("adam", "sgd"), None, None),
+    # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
+    # an EMA decay of 1 would never move off the initial weights
+    "beta1": (float, 0, _BELOW_ONE), "beta2": (float, 0, _BELOW_ONE),
+    "eps": (float, _POSITIVE, None), "objective": (OBJECTIVES, None, None),
+    "time_dist": (("continuous", "discrete"), None, None), "seed": SEED,
+    "lr_decay": (float, _POSITIVE, None), "lr_decay_every": (int, 0, None),
+    "ema_decay": (float, 0, _BELOW_ONE),
+}
 
 
 @dataclass
@@ -45,10 +59,18 @@ class TrainConfig:
     ema_decay: float = 0.0
 
     def __post_init__(self):
-        """Each field cast and checked against its training row of SCHEMA;
-        a refusal is a ValueError whose message starts with the field."""
+        """Each field cast and checked against its row of TRAINING; a
+        refusal is a ValueError whose message starts with the field."""
         for key, x in vars(self).items():
-            setattr(self, key, cast(x, *SCHEMA["training." + key][1:], key))
+            setattr(self, key, cast(x, *TRAINING[key], key))
+
+
+def check_discrete_horizon(T: float, prefix: str = "") -> None:
+    """Refuse discrete training times 1 .. round(T) unless round(T) is in
+    1 .. 2**63 - 1, the span numpy's integer draw takes."""
+    if not 1 <= round(T) <= 2 ** 63 - 1:
+        raise ConfigError(f"{prefix}time_dist = 'discrete' needs 1 <= "
+                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
 
 
 class Sgd:
@@ -142,7 +164,7 @@ def wrapper_for(objective: str) -> str:
 
 def _check_objective(objective: str, den: Denoiser, mask, shape):
     """Validate the objective/denoiser pairing; the flat mask or None."""
-    cast(objective, *SCHEMA["training.objective"][1:], "objective")
+    cast(objective, *TRAINING["objective"], "objective")
     if objective == "weighted-noise-pred" and mask is None:
         raise ValueError("weighted-noise-pred requires a mask")
     if objective != "mse-x0":

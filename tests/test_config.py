@@ -20,8 +20,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_train_config_fields_are_the_training_rows():
     # a new training field cannot skip the table, nor a row its field
     import dataclasses
-    from basisdiff.training import TrainConfig
-    assert {f.name for f in dataclasses.fields(TrainConfig)} == {
+    from basisdiff.training import TRAINING, TrainConfig
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert names == set(TRAINING) == {
         path.partition(".")[2] for path in SCHEMA
         if path.startswith("training.")}
 
@@ -36,13 +37,23 @@ def test_train_config_fields_are_the_training_rows():
     ("simulate.n_paths", "process", "SDE_COUNT"),
     ("simulate.n_steps", "process", "SDE_COUNT"),
     ("case3.eta_grid", "tasks", "CASE3_ETAS"),
-    ("case3.n_draws", "tasks", "CASE3_DRAWS")])
+    ("case3.n_draws", "tasks", "CASE3_DRAWS"),
+    ("task.size", "tasks", "EXTENT"),
+    ("network.hidden", "denoisers", "WIDTHS"),
+    ("sampling.steps", "tasks", "RESTORE_STEPS"),
+    *(("training." + key, "training", "TRAINING")
+      for key in ("steps", "batch", "lr", "optimizer", "beta1", "beta2",
+                  "eps", "objective", "time_dist", "seed", "lr_decay",
+                  "lr_decay_every", "ema_decay"))])
 def test_schema_rows_are_the_library_rows(path, owner, row):
     # a key a library function reads takes that function's row, so the
-    # config and the library cannot drift apart
+    # config and the library cannot drift apart; a table of rows is read
+    # at the key's last part
     import importlib
-    module = importlib.import_module(f"basisdiff.{owner}")
-    assert SCHEMA[path][1:] == getattr(module, row)
+    want = getattr(importlib.import_module(f"basisdiff.{owner}"), row)
+    if isinstance(want, dict):
+        want = want[path.rpartition(".")[2]]
+    assert SCHEMA[path][1:] == want
 
 
 def test_load_merges_over_defaults(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basisdiff.bases import legendre_trig_basis, pixel_basis
-from basisdiff.denoisers import ConstantDenoiser
+from basisdiff.config import build_process, build_task, load_config
+from basisdiff.denoisers import ConstantDenoiser, TinyNetwork
 from basisdiff.fields import (PSNR_EXACT_MATCH, Field, Rng, field_from_bytes,
                               field_to_bytes, psnr, read_field, rmse,
                               write_field, write_pgm)
 from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import make_time_grid, sample_reference
 from basisdiff.schedules import make_vp_schedule
-from basisdiff.tasks import case3_discrete_demo
+from basisdiff.tasks import (case3_discrete_demo, gen_residual_task,
+                             run_restoration)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,15 @@ def _toy_process(eta=0.0):
     return DiffusionProcess(make_vp_schedule(), pixel_basis((2,)), eta)
 
 
+def _restore_streaks(steps):
+    """run_restoration on streaks.json's task with its clean image as the
+    denoiser."""
+    cfg = load_config(CONFIGS / "streaks.json")
+    task, basis = build_task(cfg)
+    return run_restoration(task, build_process(cfg, basis),
+                           ConstantDenoiser(task.clean), steps)
+
+
 # each library function reads a scalar argument through fields.cast with
 # the row beside it, so a bad one is refused by name before any arithmetic
 # (tier-1 makes numpy's RuntimeWarning an error, so the inf grid also
@@ -154,13 +168,34 @@ def _toy_process(eta=0.0):
      "n1 = 1.5 must be an integer"),
     (lambda: case3_discrete_demo(_no_draw, [math.nan], 1500, Rng(1)),
      "eta_grid.0 = nan must be a finite number"),
+    (lambda: TinyNetwork([3.7, 2], Rng(0)),
+     "widths.0 = 3.7 must be an integer"),
+    (lambda: TinyNetwork([3, True], Rng(0)),
+     "widths.1 = True must be an integer"),
+    (lambda: gen_residual_task((2.5, 2.5), "streaks", Rng(0)),
+     "size = 2.5 must be an integer"),
+    (lambda: gen_residual_task((0, 0), "streaks", Rng(0)),
+     "size = 0 must be at least 1"),
+    (lambda: _restore_streaks(-1), "steps = -1 must be at least 0"),
 ], ids=["rng-half", "rng-2^64", "rng-bool", "grid-nan-T", "grid-inf-T",
         "grid-half-steps", "sde-half-steps", "sde-half-paths",
         "reference-half-steps", "process-bool-eta", "legendre-half-n1",
-        "case3-nan-eta"])
+        "case3-nan-eta", "network-fractional-width", "network-bool-width",
+        "task-half-size", "task-zero-size", "restore-negative-steps"])
 def test_library_refuses_a_bad_scalar_by_name(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+def test_library_casts_an_integral_value_of_any_form():
+    # the casts that refuse 3.7 and True still take a tuple, numpy integers
+    # and an integral float, and hand on plain ints
+    assert TinyNetwork((3, 2), Rng(0)).widths == [3, 2]
+    net = TinyNetwork([np.int64(3), np.int32(4), np.uint8(2)], Rng(0))
+    assert net.widths == [3, 4, 2]
+    assert {type(w) for w in net.widths} == {int}
+    steps = _restore_streaks(0.0).steps
+    assert steps == 0 and type(steps) is int
 
 
 def test_standard_normal_empty_extent():

@@ -57,6 +57,31 @@ def test_fields_is_a_leaf():
     assert loaded == ["basisdiff", "basisdiff.fields"]
 
 
+def test_the_library_sits_below_the_config():
+    # config adapts a JSON file to the library's calls, so no library
+    # module loads it, or the cli above it; the stand-in package keeps the
+    # real __init__ from loading anything on their behalf
+    library = ["fields", "schedules", "bases", "process", "denoisers",
+               "samplers", "tasks", "training", "verify"]
+    above = {"basisdiff.cli", "basisdiff.config"}
+    loaded = _fresh(f"""
+        import importlib, json, sys, types
+        pkg = types.ModuleType("basisdiff")
+        pkg.__path__ = [{str(SRC / "basisdiff")!r}]
+        sys.modules["basisdiff"] = pkg
+        for name in {library!r}:
+            importlib.import_module("basisdiff." + name)
+        print(json.dumps(sorted(set(sys.modules) & {above!r})))
+    """)
+    assert loaded == []
+    loaded = _fresh(f"""
+        import json, sys
+        import basisdiff
+        print(json.dumps(sorted(set(sys.modules) & {above!r})))
+    """)
+    assert loaded == []
+
+
 def test_score_suite_loads_no_scipy_stats():
     state = _fresh("""
         import json, sys
