@@ -26,7 +26,8 @@ import struct
 import numpy as np
 
 from .bases import COND_LIMIT
-from .fields import Field, Rng, cast, field_from_bytes, field_to_bytes
+from .fields import (ConfigError, Field, Rng, cast, field_from_bytes,
+                     field_to_bytes)
 from .process import DiffusionProcess, KnotTable
 from .schedules import EndpointError
 
@@ -349,8 +350,14 @@ def load_network(path, expect: dict = None) -> TinyNetwork:
     except RecursionError:
         raise ValueError("checkpoint header nests too deeply") from None
     widths = header.get("widths") if isinstance(header, dict) else None
-    if not (isinstance(widths, list) and len(widths) >= 2
-            and all(type(w) is int and w >= 1 for w in widths)):
+    # TinyNetwork's rule; a header that breaks it is a bad file (ValueError),
+    # not a bad config value (ConfigError)
+    try:
+        widths = cast(widths, *WIDTHS, "widths")
+    except ConfigError as exc:
+        raise ValueError(f"checkpoint header has no valid widths: "
+                         f"{exc}") from None
+    if len(widths) < 2:
         raise ValueError(f"checkpoint header has no valid widths: {widths!r}")
     params = field_from_bytes(buf[_FIXED + n_head:-_DIGEST])
     # checked before TinyNetwork allocates anything from the header widths

@@ -516,7 +516,8 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
 
 
 # ---------------------------------------------------------------------------
-# sampler: Euler and RK4 convergence orders, constant-denoiser closed form, round trip
+# sampler: Euler and RK4 convergence orders, constant-denoiser closed form,
+# round trip, oracle self-consistency
 # ---------------------------------------------------------------------------
 
 
@@ -535,7 +536,8 @@ def _checks_sampler(seed: int):
     x_noised = p.forward_sample(pts[1:2], sched.T, Rng(seed, 71))
     # the two starts walk each integrator together, one row each
     starts = np.concatenate([x_top[None, :], x_noised])
-    ref, limit = sample_reference(p, den, starts, 4096)
+    oracle = sample_reference(p, den, starts, 1024)
+    ref, limit = oracle
     fine, back = euler_trajectory(p, den, starts,
                                   make_time_grid(sched.T, 1000))[-1]
     e_coarse = float(np.linalg.norm(euler_trajectory(
@@ -572,6 +574,13 @@ def _checks_sampler(seed: int):
     # so the ratio lies in [12, 20], stored as its distance from 16
     order = ref_err(500) / rel_ref
     checks.append(_upper("sampler/reference-order", abs(order - 16.0), 4.0, seed))
+
+    # the mixture oracle against itself at half the steps: for RK4 the
+    # 1024-step error is about this gap / 15, and the bound sits three orders
+    # below the smallest error the oracle judges (the round trip's, 2.8e-5
+    # at seed 90210)
+    gap = float(np.abs(oracle - sample_reference(p, den, starts, 512)).max())
+    checks.append(_upper("sampler/oracle-self-consistency", gap, 1.0e-8, seed))
     return checks
 
 

@@ -14,7 +14,7 @@ from basisdiff.denoisers import (CheckpointMismatch, ConstantDenoiser,
                                  DiracDataset, DiracMixtureDenoiser,
                                  PreconditionedDenoiser, TinyNetwork,
                                  load_network, save_network)
-from basisdiff.fields import Field, Rng, field_to_bytes
+from basisdiff.fields import ConfigError, Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import make_vp_schedule
 
@@ -578,6 +578,25 @@ def test_load_rejects_malformed_headers(tmp_path):
     for blob in bad:
         with pytest.raises(ValueError):
             load_network(_checkpoint(tmp_path, blob))
+
+
+def test_load_reads_header_widths_by_the_network_rule(tmp_path):
+    # a header width is read as TinyNetwork reads it: 4.0 is the integer 4,
+    # while 0, 2.5 and true are refused as a bad file, not a bad config
+    net = TinyNetwork([4, 7, 3], Rng(22))
+    payload = field_to_bytes(Field(net.params))
+    back = load_network(_checkpoint(tmp_path, _frame(
+        b'{"widths": [4.0, 7, 3]}', payload)))
+    assert back.widths == [4, 7, 3]
+    assert all(type(w) is int for w in back.widths)
+    assert np.array_equal(back.params, net.params)
+    for widths in (b"[4, 0, 3]", b"[4, 2.5, 3]", b"[4, true, 3]", b"[4]",
+                   b'"4, 7, 3"'):
+        blob = _frame(b'{"widths": ' + widths + b"}", payload)
+        with pytest.raises(ValueError, match="^checkpoint header has no "
+                                             "valid widths") as err:
+            load_network(_checkpoint(tmp_path, blob))
+        assert not isinstance(err.value, ConfigError)
 
 
 def test_v1_checkpoint_is_refused_with_a_retrain_message(tmp_path):

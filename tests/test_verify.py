@@ -197,7 +197,8 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
     monkeypatch.setattr(verify, "sample_reference", record_reference)
     assert run_suite("sampler", seed=7).passed
     assert sorted(walks) == sorted([
-        ("reference", 4096, 2, "DiracMixtureDenoiser"),
+        ("reference", 1024, 2, "DiracMixtureDenoiser"),
+        ("reference", 512, 2, "DiracMixtureDenoiser"),
         ("reference", 1000, 1, "ConstantDenoiser"),
         ("reference", 500, 1, "ConstantDenoiser"),
         ("euler", 1000, 2, "DiracMixtureDenoiser"),
@@ -209,7 +210,8 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
 def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
     # the RK4 midpoint knot moved from h/2 to 0.505 h: the reference drops
     # to first order, yet its error at 1000 steps still meets the closed-form
-    # bound, so only the order check can see it
+    # bound, so only the order check and the mixture oracle's self-consistency
+    # can see it
     from basisdiff import samplers
 
     src = inspect.getsource(samplers.sample_reference)
@@ -219,7 +221,28 @@ def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
     monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
     report = run_suite("sampler", seed=7)
     assert [c.name for c in report.checks if not c.passed] == [
-        "sampler/reference-order"]
+        "sampler/reference-order", "sampler/oracle-self-consistency"]
+
+
+def test_battery_sees_a_mixture_oracle_reading_stale_denoisers(monkeypatch):
+    # every RK4 stage reads the denoiser at its step's start knot while the
+    # flow gains keep their own knot: a constant denoiser cannot tell, and
+    # the mixture oracle stays close enough for every check it feeds, so
+    # only its self-consistency against half the steps can see it
+    from basisdiff import samplers
+
+    src = inspect.getsource(samplers.sample_reference)
+    rhs = "p.pfode_rhs_at(den, table, k, x)"
+    assert src.count(rhs) == 1
+    stale = ("(table.flow_x[k] * x"
+             " - table.flow_d[k] * den.denoise_at(x, table, k % steps))")
+    scope = dict(vars(samplers))
+    exec(src.replace(rhs, stale), scope)
+    monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
+    report = run_suite("all", seed=7)
+    assert len(report.checks) == 36
+    assert [c.name for c in report.checks if not c.passed] == [
+        "sampler/oracle-self-consistency"]
 
 
 def test_optimality_scores_a_zero_variance_direction_without_a_warning():
