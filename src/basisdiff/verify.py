@@ -242,19 +242,24 @@ def _checks_coefficients(seed: int, n_steps: int = 10_000):
 
 
 # ---------------------------------------------------------------------------
-# moments: Euler-Maruyama terminal cloud matches the kernel mean/covariance
+# moments: the Euler-Maruyama terminal cloud follows the chain's exact law,
+# that law converges to the kernel at first order, and the scan walks the
+# same paths as a plain step-by-step walk
 # ---------------------------------------------------------------------------
 
 
 def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     """Exact mean/covariance of the Euler-Maruyama chain at the last knot.
 
-    The update is linear in x with deterministic coefficients and independent
-    Gaussian increments, so the chain moments follow closed recursions:
+    This is the law of the cloud DiffusionProcess.simulate_sde draws at
+    n_steps, so the moment check reads the cloud against it with no
+    allowance for the O(dt) gap to the continuous-time kernel; the
+    gap-ratio check bounds that gap instead.  The update is linear in x with
+    deterministic coefficients and independent Gaussian increments, so the
+    chain moments follow closed recursions:
     mean <- (1 + f dt) mean + phi dt and C <- (1 + f dt)^2 C + g^2 dt Sigma.
-    Their gap to the continuous-time kernel is the O(dt) bias the moment
-    check must allow for.  The recursion walks step by step, so it shares
-    no arithmetic with the tail-product scan of DiffusionProcess.simulate_sde.
+    The recursion walks step by step, so it shares no arithmetic with the
+    tail-product scan of DiffusionProcess.simulate_sde.
     """
     sched = p.schedule
     times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
@@ -271,7 +276,56 @@ def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     return mean, cov
 
 
-def _checks_moments(seed: int, n_paths: int = 10_000, n_steps: int = 512):
+def _gap_ratio_error(p: DiffusionProcess, x0: np.ndarray, n_steps: int) -> float:
+    """Largest |gap(n)/gap(2n) - 2| over the chain's mean and covariance.
+
+    gap(n) is the largest entry of |chain moment - kernel moment| at T after
+    n steps.  First-order Euler-Maruyama halves it with the step, so a
+    coefficient that disagrees with the kernel shows as a ratio away from 2.
+    A gap that is exactly 0 (the VP eta = 0 mean) must stay exactly 0 at 2n;
+    any other zero gap reads inf.
+    """
+    rows = p.cov_op.rows
+    mom = p.conditional_moments(x0, p.schedule.T)
+    kernel = (mom.mean, mom.cov_scale * (rows.T @ rows))
+
+    def gaps(n):
+        chain = _em_chain_moments(p, x0, n)
+        return [float(np.abs(c - k).max()) for c, k in zip(chain, kernel)]
+
+    worst = 0.0
+    for a, b in zip(gaps(n_steps), gaps(2 * n_steps)):
+        if a == 0.0 or b == 0.0:
+            worst = max(worst, 0.0 if a == b else math.inf)
+        else:
+            worst = max(worst, abs(a / b - 2.0))
+    return worst
+
+
+def _stepwise_endpoints(p: DiffusionProcess, x0: np.ndarray, n_steps: int,
+                        n_paths: int, rng: Rng) -> np.ndarray:
+    """Plain Euler-Maruyama endpoints: x <- x + (f x + phi) dt + g sqrt(dt) xi H.
+
+    One step at a time from a forward sample at T/1000, with float
+    coefficients per step, drawing the start's noise weights and then one
+    (n_paths, M) draw per step as DiffusionProcess.simulate_sde does.
+    """
+    sched = p.schedule
+    rows = p.basis.elements()
+    basis_sum = rows.sum(axis=0)
+    times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1).tolist()
+    s, _, sig, _ = sched.evaluate(times[0])
+    eps = rng.standard_normal((n_paths, rows.shape[0]))
+    x = s * x0 + (s * sig) * (((p.eta + eps) / (p.eta + 1.0)) @ rows)
+    for t, t_next in zip(times[:-1], times[1:]):
+        dt = t_next - t
+        c = sde_coefficients(sched, p.eta, basis_sum, t)
+        xi = rng.standard_normal((n_paths, rows.shape[0]))
+        x = x + (c.f * x + c.phi) * dt + (c.g * math.sqrt(dt)) * (xi @ rows)
+    return x
+
+
+def _checks_moments(seed: int, n_paths: int = 10_000, n_steps: int = 128):
     rng = Rng(seed, 20)
     sched = make_vp_schedule()
     rows = rng.standard_normal((2, 4))
@@ -279,30 +333,38 @@ def _checks_moments(seed: int, n_paths: int = 10_000, n_steps: int = 512):
     x0 = rng.standard_normal((4,))
 
     checks = []
+    pathwise = 0.0
     for stream, eta in ((21, 0.0), (22, 10.0)):
         p = DiffusionProcess(sched, basis, eta=eta)
         paths = p.simulate_sde(x0, n_steps, n_paths, Rng(seed, stream))
-        mom = p.conditional_moments(x0, sched.T)
-        mu = mom.mean
-        cov = mom.cov_scale * (rows.T @ rows)
-        # discretization bias: gap between the exact chain moments and Eq. form
-        chain_mu, chain_cov = _em_chain_moments(p, x0, n_steps)
-        bias_mu = np.abs(chain_mu - mu)
-        bias_cov = np.abs(chain_cov - cov)
+        mu, cov = _em_chain_moments(p, x0, n_steps)
 
         sample_mean = paths.mean(axis=0)
         se_mean = np.sqrt(np.diag(cov) / n_paths)
-        z_mean = (np.abs(sample_mean - mu) - bias_mu) / se_mean
+        z_mean = np.abs(sample_mean - mu) / se_mean
 
         centred = paths - mu
         sample_cov = centred.T @ centred / n_paths
         # SE of a Gaussian sample-covariance entry: sqrt((C_ii C_jj + C_ij^2)/n)
         dvar = np.outer(np.diag(cov), np.diag(cov))
         se_cov = np.sqrt((dvar + cov ** 2) / n_paths)
-        z_cov = (np.abs(sample_cov - cov) - bias_cov) / se_cov
+        z_cov = np.abs(sample_cov - cov) / se_cov
 
         checks.append(_upper(f"moments/eta{eta:g}/mean-z", float(z_mean.max()), Z_BOUND, seed))
         checks.append(_upper(f"moments/eta{eta:g}/cov-z", float(z_cov.max()), Z_BOUND, seed))
+
+        # the scan's own noise path: the same draws walked step by step
+        walked = _stepwise_endpoints(p, x0, 64, 8, Rng(seed, 23))
+        scanned = p.simulate_sde(x0, 64, 8, Rng(seed, 23))
+        pathwise = max(pathwise, float(np.abs(scanned - walked).max()
+                                       / np.abs(walked).max()))
+
+    for tag, make in (("vp", make_vp_schedule), ("ddpm", make_ddpm_schedule)):
+        for eta in (0.0, 10.0):
+            p = DiffusionProcess(make(), basis, eta=eta)
+            checks.append(_upper(f"moments/{tag}/eta{eta:g}/gap-ratio",
+                                 _gap_ratio_error(p, x0, n_steps), 0.5, seed))
+    checks.append(_upper("moments/pathwise-rel-err", pathwise, 1.0e-12, seed))
     return checks
 
 

@@ -54,10 +54,15 @@ def test_criterion_01_kernel_moments_from_integrated_coefficients():
 
 def test_criterion_02_sde_terminal_cloud_moments():
     report, dt = _suite("moments")
-    worst = max(c.value for c in report.checks)
+    z = [c.value for c in report.checks if c.name.endswith("-z")]
+    ratio = [c.value for c in report.checks if c.name.endswith("/gap-ratio")]
+    pathwise, = [c.value for c in report.checks
+                 if c.name == "moments/pathwise-rel-err"]
     ok = report.passed and dt < 30.0
-    _crit(2, ok, f"max |z| {worst:.2f} over {len(report.checks)} "
-                 f"mean/covariance checks (bound 4), {dt:.1f}s")
+    _crit(2, ok, f"max |z| {max(z):.2f} over {len(z)} mean/covariance checks "
+                 f"(bound 4), max |gap ratio - 2| {max(ratio):.3f} over "
+                 f"{len(ratio)} kernel-gap checks (bound 0.5), pathwise rel "
+                 f"err {pathwise:.1e} (bound 1e-12), {dt:.1f}s")
 
 
 def test_criterion_03_scores_against_finite_differences():

@@ -1,13 +1,16 @@
 import dataclasses
 import inspect
 import json
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
 from basisdiff import verify
+from basisdiff.bases import BasisSet
 from basisdiff.process import DiffusionProcess
+from basisdiff.schedules import make_vp_schedule
 from basisdiff.verify import (CheckResult, SUITE_NAMES, SuiteReport, _lower,
                               _upper, run_suite)
 
@@ -207,6 +210,85 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
     ])
 
 
+def test_moments_suite_keeps_its_walks(monkeypatch):
+    # (n_steps, n_paths) of every simulate_sde call: the two clouds, each
+    # followed by its pathwise walk; a speedup must not come from fewer or
+    # shorter walks
+    walks = []
+    real = DiffusionProcess.simulate_sde
+
+    def record(self, x0, n_steps, n_paths, rng):
+        walks.append((n_steps, n_paths))
+        return real(self, x0, n_steps, n_paths, rng)
+
+    monkeypatch.setattr(DiffusionProcess, "simulate_sde", record)
+    assert run_suite("moments", seed=7).passed
+    assert walks == [(128, 10_000), (64, 8), (128, 10_000), (64, 8)]
+
+
+@pytest.mark.parametrize("scaled,failing", [
+    ("f", ["ddpm/eta0", "ddpm/eta10"]),
+    ("g", ["vp/eta0", "vp/eta10", "ddpm/eta0", "ddpm/eta10"]),
+    ("phi", ["vp/eta10", "ddpm/eta10"]),
+])
+def test_moments_suite_sees_a_wrong_coefficient(monkeypatch, scaled, failing):
+    # f, g or phi 1 % off as both the walk and the chain moments see it: the
+    # cloud still follows the chain's law, so only the chain's gap to the
+    # closed-form kernel can see it (f is 0 on the VP schedule)
+    from basisdiff import process
+
+    real = verify.sde_coefficients
+
+    def coefficients(sched, eta, basis_sum, t):
+        c = real(sched, eta, basis_sum, t)
+        return dataclasses.replace(c, **{scaled: 1.01 * getattr(c, scaled)})
+
+    monkeypatch.setattr(process, "sde_coefficients", coefficients)
+    monkeypatch.setattr(verify, "sde_coefficients", coefficients)
+    report = run_suite("moments", seed=7)
+    assert [c.name for c in report.checks if not c.passed] == [
+        f"moments/{case}/gap-ratio" for case in failing]
+
+
+@pytest.mark.parametrize("line,louder", [
+    ("kick = tail[1:]", "kick = 1.01 * tail[1:]"),
+    ("acc *= tail[0]", "acc *= 1.01 * tail[0]"),
+], ids=["kick", "start-noise"])
+def test_battery_sees_a_louder_sde_scan(monkeypatch, line, louder):
+    # simulate_sde's kick, or its start noise, 1 % too large: the 10 000-path
+    # clouds resolve a variance to about 1.4 %, so only the pathwise walk on
+    # the same draws can see it
+    from basisdiff import process
+
+    src = textwrap.dedent(inspect.getsource(DiffusionProcess.simulate_sde))
+    assert src.count(line) == 1
+    scope = dict(vars(process))
+    exec(src.replace(line, louder), scope)
+    monkeypatch.setattr(DiffusionProcess, "simulate_sde", scope["simulate_sde"])
+    report = run_suite("all", seed=7)
+    assert len(report.checks) == 41
+    assert [c.name for c in report.checks if not c.passed] == [
+        "moments/pathwise-rel-err"]
+
+
+@pytest.mark.parametrize("fine_gap,expect", [(0.0, 0.0), (1e-9, np.inf)])
+def test_gap_ratio_reads_inf_when_an_exact_chain_drifts(monkeypatch, fine_gap,
+                                                        expect):
+    # the chain meets the kernel exactly at n steps: it must still meet it
+    # exactly at 2n, or the ratio check reads inf
+    p = DiffusionProcess(make_vp_schedule(),
+                         BasisSet((2,), np.array([[1.0, 2.0]])), eta=0.0)
+    x0 = np.array([0.5, -1.0])
+    mom = p.conditional_moments(x0, p.schedule.T)
+    kernel = (mom.mean, mom.cov_scale * (p.cov_op.rows.T @ p.cov_op.rows))
+
+    def chain(p, x0, n_steps):
+        return kernel[0] + (fine_gap if n_steps == 256 else 0.0), kernel[1]
+
+    monkeypatch.setattr(verify, "_em_chain_moments", chain)
+    assert verify._gap_ratio_error(p, x0, 128) == expect
+
+
 def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
     # the RK4 midpoint knot moved from h/2 to 0.505 h: the reference drops
     # to first order, yet its error at 1000 steps still meets the closed-form
@@ -240,7 +322,7 @@ def test_battery_sees_a_mixture_oracle_reading_stale_denoisers(monkeypatch):
     exec(src.replace(rhs, stale), scope)
     monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
     report = run_suite("all", seed=7)
-    assert len(report.checks) == 36
+    assert len(report.checks) == 41
     assert [c.name for c in report.checks if not c.passed] == [
         "sampler/oracle-self-consistency"]
 
