@@ -23,8 +23,7 @@ from .bases import BasisSet, pixel_basis
 from .denoisers import ConstantDenoiser, DiracDataset, DiracMixtureDenoiser
 from .fields import Rng
 from .process import DiffusionProcess
-from .samplers import (euler_trajectory, make_time_grid, rk4_step,
-                       sample_reference)
+from .samplers import euler_trajectory, make_time_grid, sample_reference
 from .schedules import (Schedule, make_ddpm_schedule, make_vp_schedule,
                         sde_coefficients)
 
@@ -101,105 +100,45 @@ def _random_full_rank_rows(d: int, rng: Rng, cond_cap: float = 1.0e4) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-_RK4_BLOCK = 1024  # steps per vectorised rk4_step in _rk4_walk
-
-
-def _rk4_grid(knots, n_steps: int):
-    """Classical RK4 steps over consecutive knot intervals, about n_steps in all.
-
-    Returns the step sizes h, the (3, n) times at which each step evaluates
-    its right-hand side (start t, midpoint t + h/2, end t + h) and the index
-    of the last step of each interval.
-    """
-    total = knots[-1] - knots[0]
-    starts, sizes, last = [], [], []
-    for a, b in zip(knots[:-1], knots[1:]):
-        n = max(1, int(round(n_steps * (b - a) / total)))
-        ts = np.linspace(a, b, n + 1)
-        starts.append(ts[:-1])
-        sizes.append(ts[1:] - ts[:-1])
-        last.append((last[-1] if last else -1) + n)
-    t, h = np.concatenate(starts), np.concatenate(sizes)
-    return h, np.stack([t, t + 0.5 * h, t + h]), last
-
-
-def _rk4_walk(rhs, lin, x, h, last):
-    """rk4_step over the steps of _rk4_grid; the state after each step in last.
-
-    rhs((k, i), x) is the right-hand side at time k (0 start, 1 midpoint,
-    2 end) of step i, and lin((k, i), x) its part linear in x.  Both ODEs
-    here are elementwise affine in the state with state-free coefficients,
-    so one RK4 step is exactly x <- R_i * x + S_i, where S_i is the step of
-    rhs from 0 and R_i the step of lin from 1.  R_i comes from lin alone, not
-    as step(1) - step(0) of rhs: that difference cancels the constant part
-    and loses digits.  The steps are formed _RK4_BLOCK at a time, one
-    vectorised rk4_step each for R and S with index keys (k, block slice),
-    then scanned in order; a block bounds the (block, *x.shape) temporaries
-    that all steps at once would multiply.
-    """
-    last = set(last)
-    out = []
-    for a in range(0, h.size, _RK4_BLOCK):
-        b = min(a + _RK4_BLOCK, h.size)
-        hb = h[a:b].reshape((-1,) + (1,) * x.ndim)
-        stages = ((0, slice(a, b)), (1, slice(a, b)), (2, slice(a, b)))
-        gain = rk4_step(lin, 1.0, hb, stages)
-        shift = rk4_step(rhs, 0.0, hb, stages)
-        for i in range(b - a):
-            x = gain[i] * x + shift[i]
-            if a + i in last:
-                out.append(x)
-    return out
-
-
-def _integrate_moment_odes(cases, bsums, x0s, sigma_mats, t_targets,
-                           n_steps: int):
-    """RK4 for the kernel mean and covariance ODEs of every case, one u grid.
+def _moments_by_quadrature(sched: Schedule, eta: float, bsum: np.ndarray,
+                           x0: np.ndarray, sigma_mat: np.ndarray, t_targets,
+                           nodes: int):
+    """Kernel mean and covariance at each target time, by quadrature.
 
     d(mean)/dt = f mean + phi from mean(0) = x0 and dV/dt = 2 f V + g^2 Sigma
-    from V(0) = 0, with f, g and phi from one sde_coefficients call per case
-    on the stage times.  For eta > 0 the drift offset phi ~ sigma'(t)
-    diverges like t^(-1/2) at t = 0, which defeats a uniform-step
-    integrator in t, so both walk u = sqrt(t), where each right side gains
-    a factor 2u.  At u = 0, where sde_coefficients is undefined, 2u phi has
-    the finite limit (eta s(0)/(eta+1)) * sqrt(d sigma^2/dt |_0) * sum_m h_m
-    and every other term is 0.  The cases walk together, one row (mean) or
-    (d, d) block (covariance) of the stacked states each.  Returns the
-    stacked means and covariances at each target time.
+    from V(0) = 0 are linear with state-free coefficients, so their
+    variation-of-constants solutions are exact:
+    mean(t) = P(0) x0 + int_0^t P(tau) phi(tau) dtau and
+    V(t) = [int_0^t P(tau)^2 g(tau)^2 dtau] Sigma, with P(tau) = exp(int_tau^t f).
+    For eta > 0 phi ~ sigma' diverges like tau^(-1/2) at 0, so every
+    integral is Gauss-Legendre in u = sqrt(tau), where dtau = 2u du and the
+    integrands are smooth: `nodes` points on [0, sqrt(t)], and for each
+    P(u_k) a nested rule of as many points on [u_k, sqrt(t)].  No node falls
+    at tau = 0, where sde_coefficients is undefined.  f, g and phi come from
+    one sde_coefficients call over every node of every target.  Returns the
+    (targets, d) means and (targets, d, d) covariances.
     """
-    h, us, last = _rk4_grid([0.0] + [math.sqrt(t) for t in t_targets], n_steps)
-    live = us > 0.0
-    u = us[live]
-    t, twou = u * u, 2.0 * u
-    # (stage, step, case) tables of 2u f, 2u g^2 and 2u phi
-    fu = np.zeros(us.shape + (len(cases), 1))
-    g2u = np.zeros(us.shape + (len(cases), 1, 1))
-    phiu = np.empty(us.shape + x0s.shape)
-    for j, (_, sched, eta, _) in enumerate(cases):
-        c = sde_coefficients(sched, eta, bsums[j], np.minimum(t, sched.T))
-        fu[live, j, 0] = twou * c.f
-        g2u[live, j, 0, 0] = twou * (c.g * c.g)
-        phiu[live, j] = twou[:, None] * c.phi
-        phiu[~live, j] = (eta * sched.s(0.0) / (eta + 1.0)) \
-            * math.sqrt(sched.dsigma2_dt(0.0)) * bsums[j]
-
-    def mean_rhs(ki, mu):
-        return fu[ki] * mu + phiu[ki]
-
-    def mean_lin(ki, mu):
-        return fu[ki] * mu
-
-    def var_rhs(ki, v):
-        return (2.0 * fu[ki][..., None]) * v + g2u[ki] * sigma_mats
-
-    def var_lin(ki, v):
-        return (2.0 * fu[ki][..., None]) * v
-
-    return (_rk4_walk(mean_rhs, mean_lin, x0s, h, last),
-            _rk4_walk(var_rhs, var_lin, np.zeros_like(sigma_mats), h, last))
+    xi, w = np.polynomial.legendre.leggauss(nodes)
+    a, b = 0.5 * (1.0 + xi), 0.5 * w  # the rule on [0, 1]
+    top = np.sqrt(np.asarray(t_targets, dtype=float))[:, None]
+    u = top * a  # (targets, nodes) outer nodes
+    # (targets, nodes, 1 + nodes): each outer node, then its inner rule
+    grid = np.concatenate([u[..., None],
+                           u[..., None] + (top - u)[..., None] * a], axis=-1)
+    c = sde_coefficients(sched, eta, bsum, (grid * grid).ravel())
+    twou = 2.0 * grid
+    fu = twou * c.f.reshape(grid.shape)
+    prop = np.exp((top - u) * (fu[..., 1:] @ b))  # P(u_k^2)
+    prop0 = np.exp(top[:, 0] * (fu[..., 0] @ b))  # P(0)
+    weight = top * b * twou[..., 0] * prop  # outer dtau-weights times P
+    phi = c.phi.reshape(grid.shape + bsum.shape)[:, :, 0]
+    g = c.g.reshape(grid.shape)[..., 0]
+    means = prop0[:, None] * x0 + np.einsum("tk,tkd->td", weight, phi)
+    scale = np.sum(weight * prop * g * g, axis=-1)
+    return means, scale[:, None, None] * sigma_mat
 
 
-def _checks_coefficients(seed: int, n_steps: int = 10_000):
+def _checks_coefficients(seed: int, nodes: int = 32):
     rng = Rng(seed, 10)
     vp = make_vp_schedule()
     ddpm = make_ddpm_schedule()
@@ -213,26 +152,23 @@ def _checks_coefficients(seed: int, n_steps: int = 10_000):
     # scaled schedule (s != 1) exercises the f = s'/s term
     cases.append(("ddpm-random-eta10", ddpm, 10.0, rand))
 
-    x0s = np.stack([rng.standard_normal((rows.shape[1],))
-                    for _, _, _, rows in cases])
-    bsums = np.stack([rows.sum(axis=0) for _, _, _, rows in cases])
-    sigma_mats = np.stack([rows.T @ rows for _, _, _, rows in cases])
     t_targets = (vp.T / 2.0, vp.T)  # both schedules share the horizon T
-    means, variances = _integrate_moment_odes(cases, bsums, x0s, sigma_mats,
-                                              t_targets, n_steps)
-
     checks = []
-    for j, (tag, sched, eta, _) in enumerate(cases):
+    for tag, sched, eta, rows in cases:
+        x0 = rng.standard_normal((rows.shape[1],))
+        bsum, sigma_mat = rows.sum(axis=0), rows.T @ rows
+        means, variances = _moments_by_quadrature(sched, eta, bsum, x0,
+                                                  sigma_mat, t_targets, nodes)
         mean_err = 0.0
         var_err = 0.0
         for t, mu_num, v_num in zip(t_targets, means, variances):
             s = sched.s(t)
             sig = sched.sigma(t)
-            mu_ref = s * x0s[j] + (eta * s * sig / (eta + 1.0)) * bsums[j]
-            v_ref = (s * sig / (eta + 1.0)) ** 2 * sigma_mats[j]
-            mean_err = max(mean_err, np.linalg.norm(mu_num[j] - mu_ref)
+            mu_ref = s * x0 + (eta * s * sig / (eta + 1.0)) * bsum
+            v_ref = (s * sig / (eta + 1.0)) ** 2 * sigma_mat
+            mean_err = max(mean_err, np.linalg.norm(mu_num - mu_ref)
                            / np.linalg.norm(mu_ref))
-            var_err = max(var_err, np.linalg.norm(v_num[j] - v_ref)
+            var_err = max(var_err, np.linalg.norm(v_num - v_ref)
                           / np.linalg.norm(v_ref))
         checks += [
             _upper(f"coefficients/{tag}/mean-rel-err", mean_err, 1.0e-6, seed),

@@ -10,7 +10,7 @@ import pytest
 from basisdiff import verify
 from basisdiff.bases import BasisSet
 from basisdiff.process import DiffusionProcess
-from basisdiff.schedules import make_vp_schedule
+from basisdiff.schedules import make_ddpm_schedule, make_vp_schedule
 from basisdiff.verify import (CheckResult, SUITE_NAMES, SuiteReport, _lower,
                               _upper, run_suite)
 
@@ -64,88 +64,59 @@ def test_aggregate_report_covers_every_suite():
         assert r.seed == 3
 
 
-def test_coefficient_suite_keeps_ten_thousand_rk4_steps():
+def _coefficient_nodes():
     params = inspect.signature(verify._checks_coefficients).parameters
-    assert params["n_steps"].default == 10_000
+    return params["nodes"].default
 
 
-def _affine_walk_case(seed, zero_linear):
-    # a random diagonal-affine ODE dx/dt = a x + b on (3, 2) states, tabulated
-    # like the coefficient suite's at (stage, step); the step count is no
-    # multiple of the block, and two outputs fall on a block's final step
-    block = verify._RK4_BLOCK
-    n = 2 * block + 37
-    rng = np.random.default_rng(seed)
-    h = rng.uniform(0.5e-3, 1.5e-3, n)
-    a = np.zeros((3, n, 3, 1)) if zero_linear else rng.normal(size=(3, n, 3, 1))
-    b = rng.normal(size=(3, n, 3, 2))
-
-    def rhs(ki, x):
-        return a[ki] * x + b[ki]
-
-    def lin(ki, x):
-        return a[ki] * x
-
-    last = [17, block - 1, 2 * block - 1, n - 1]
-    return rhs, lin, rng.normal(size=(3, 2)), h, last
+def test_coefficient_suite_keeps_thirty_two_nodes():
+    assert _coefficient_nodes() == 32
 
 
-def _per_step_walk(rhs, x, h, last):
-    out = []
-    for i in range(h.size):
-        x = verify.rk4_step(rhs, x, h[i], ((0, i), (1, i), (2, i)))
-        if i in last:
-            out.append(x)
-    return out
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("zero_linear", [False, True])
-def test_blocked_walk_matches_per_step_walk(zero_linear):
-    # with no linear part every gain is exactly 1, so the walks agree bitwise
-    rhs, lin, x, h, last = _affine_walk_case(5, zero_linear)
-    blocked = verify._rk4_walk(rhs, lin, x, h, last)
-    stepped = _per_step_walk(rhs, x, h, last)
-    assert len(blocked) == len(stepped) == len(last)
-    for got, want in zip(blocked, stepped):
-        if zero_linear:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+@pytest.mark.parametrize("seed", [7, 90210])
+def test_coefficient_quadrature_has_converged(monkeypatch, seed):
+    # every case and target at the suite's node count agrees with twice as
+    # many nodes, so a speedup cannot come from fewer nodes
+    real, seen = verify._moments_by_quadrature, []
 
-
-def test_coefficient_suite_keeps_every_step(monkeypatch):
-    # both moment ODEs walk one grid, and each walk's rk4_step calls, linear
-    # part and full right-hand side alike, cover every step of it; a speedup
-    # must not come from a shorter walk
-    grids, sizes = [], {}
-    grid, step = verify._rk4_grid, verify.rk4_step
-
-    def record_grid(knots, n_steps):
-        out = grid(knots, n_steps)
-        grids.append((n_steps, out[0].size))
+    def compare(sched, eta, bsum, x0, sigma_mat, t_targets, nodes):
+        out = real(sched, eta, bsum, x0, sigma_mat, t_targets, nodes)
+        fine = real(sched, eta, bsum, x0, sigma_mat, t_targets, 2 * nodes)
+        for got, want in zip(out, fine):
+            seen.extend(_rel(g, w) for g, w in zip(got, want))
         return out
 
-    def record_step(rhs, x, h, stages):
-        key = rhs.__qualname__
-        sizes[key] = sizes.get(key, 0) + np.shape(h)[0]
-        return step(rhs, x, h, stages)
+    monkeypatch.setattr(verify, "_moments_by_quadrature", compare)
+    assert run_suite("coefficients", seed=seed).passed
+    assert len(seen) == 5 * 2 * 2  # cases x (mean, covariance) x targets
+    assert max(seen) <= 1.0e-13
 
-    monkeypatch.setattr(verify, "_rk4_grid", record_grid)
-    monkeypatch.setattr(verify, "rk4_step", record_step)
-    assert run_suite("coefficients", seed=7).passed
-    assert [n for n, _ in grids] == [10_000]
-    steps = grids[0][1]
-    local = "_integrate_moment_odes.<locals>."
-    assert sizes == {local + name: steps for name in
-                     ("mean_rhs", "mean_lin", "var_rhs", "var_lin")}
-    assert steps >= 10_000
+
+@pytest.mark.parametrize("make", [make_vp_schedule, make_ddpm_schedule])
+def test_coefficient_quadrature_resolves_the_singular_start(make):
+    # for eta > 0 phi ~ sigma' diverges like t^(-1/2) at t = 0; close to it
+    # the drift offset alone builds the kernel shift, which the quadrature
+    # in u = sqrt(t) still matches to roundoff
+    sched, eta = make(), 10.0
+    rows = np.random.default_rng(3).normal(size=(3, 3))
+    bsum, sigma_mat = rows.sum(axis=0), rows.T @ rows
+    t = sched.T / 1000.0
+    means, covs = verify._moments_by_quadrature(
+        sched, eta, bsum, np.zeros(3), sigma_mat, (t,), _coefficient_nodes())
+    scale = sched.s(t) * sched.sigma(t) / (eta + 1.0)
+    assert _rel(means[0], eta * scale * bsum) <= 1.0e-12
+    assert _rel(covs[0], scale ** 2 * sigma_mat) <= 1.0e-12
 
 
 @pytest.mark.parametrize("scaled", [None, "f", "g", "phi"])
 def test_coefficient_suite_integrates_the_library_coefficients(monkeypatch,
                                                                scaled):
     # criterion 1 takes f, g and phi from schedules.sde_coefficients, one
-    # array call per case on the walk's stage times, so the suite fails when
+    # array call per case on the quadrature's nodes, so the suite fails when
     # any one of them is off by 1 %
     real, calls = verify.sde_coefficients, []
 
@@ -159,8 +130,9 @@ def test_coefficient_suite_integrates_the_library_coefficients(monkeypatch,
     monkeypatch.setattr(verify, "sde_coefficients", coefficients)
     report = run_suite("coefficients", seed=7)
     assert len(calls) == len(report.checks) // 2 == 5
-    # three stages per step, less the one at t = 0
-    assert all(n >= 3 * 10_000 - 1 for n in calls)
+    # per target, each outer node and its nested rule
+    nodes = _coefficient_nodes()
+    assert all(n == 2 * nodes * (1 + nodes) for n in calls)
     assert report.passed == (scaled is None)
 
 
