@@ -123,8 +123,9 @@ def test_criterion_07_euler_convergence_and_closed_form():
           and by_name["euler-error-ratio-max"].passed
           and by_name["constant-denoiser-euler"].passed
           and by_name["constant-denoiser-reference"].passed)
-    _crit(7, ok, f"100-vs-1000-step error ratio {ratio:.2f} in [5, 20]; "
-                 f"closed-form rel err {const:.1e} at 1e4 steps (bound 1e-4)")
+    _crit(7, ok, f"50-vs-500 quadratic steps error ratio {ratio:.2f} in [5, 20]; "
+                 f"closed-form rel err {const:.1e} at 1e3 quadratic steps "
+                 f"(bound 1e-4)")
 
 
 def test_criterion_08_round_trip_reaches_the_flow_limit():

@@ -57,6 +57,41 @@ def test_a_lower_check_failing_below_its_bound_is_not_read_as_upper():
     assert _tool().flags(rows) == []
 
 
+def _band_rows(*values):
+    # a -min/-max pair on one value at seeds 1, 2, ...: the band [5, 20]
+    return _rows(*[_lower("s/ratio-min", v, 5.0, seed) for seed, v in
+                   enumerate(values, 1)],
+                 *[_upper("s/ratio-max", v, 20.0, seed) for seed, v in
+                   enumerate(values, 1)])
+
+
+def test_a_shared_min_max_pair_is_flagged_outside_its_middle_half():
+    # [5^(3/4) 20^(1/4), 5^(1/4) 20^(3/4)] = [7.071, 14.142]; 5.68 sat on the
+    # floor and passed the half-bound rule, 10.17 is in the middle yet sat
+    # above half the max bound
+    tool = _tool()
+    assert tool.band(_band_rows(10.17), "s/ratio-max") == (5.0, 20.0)
+    assert tool.flags(_band_rows(7.08, 10.17, 14.14)) == []
+    assert tool.flags(_band_rows(5.68, 10.17, 7.07, 14.15, 25.0)) == [
+        "s/ratio: outside the middle half of [5, 20] at seeds [1, 3, 4, 5]"]
+
+
+def test_a_min_max_pair_on_different_values_is_two_checks():
+    tool = _tool()
+    rows = _rows(_lower("s/ratio-min", 5.5, 5.0, 1),
+                 _upper("s/ratio-max", 15.0, 20.0, 1))
+    assert tool.band(rows, "s/ratio-min") is None
+    assert tool.flags(rows) == ["s/ratio-max: above half its bound at seeds [1]"]
+
+
+def test_sampler_suite_has_nothing_to_flag_at_four_seeds():
+    tool = _tool()
+    rows = tool.sweep("sampler", (7, 2201, 2204, 90210))
+    assert len(rows) == 7
+    assert tool.band(rows, "sampler/euler-error-ratio-min") == (5.0, 20.0)
+    assert tool.flags(rows) == []
+
+
 def test_coefficient_suite_has_nothing_to_flag_at_the_sweep_seeds():
     tool = _tool()
     rows = tool.sweep("coefficients", tool.SWEEP_SEEDS)

@@ -152,15 +152,22 @@ def test_edm_reduction_checks_the_library_forward_kernel(monkeypatch):
 
 
 def test_sampler_suite_keeps_its_walks(monkeypatch):
-    # (integrator, steps, rows, denoiser) of every walk the suite makes; a
-    # speedup must not come from shorter or fewer walks
+    # (integrator, steps, rows, denoiser) of every walk the suite makes, and
+    # each Euler grid's scheme; a speedup must not come from shorter or fewer
+    # walks, nor from Euler back on the uniform grid
     from basisdiff import samplers
 
     walks = []
     euler, reference = samplers.euler_trajectory, samplers.sample_reference
 
+    def scheme(grid):
+        n = len(grid) - 1
+        return next((s for s in ("uniform", "quadratic") if np.array_equal(
+            grid, samplers.make_time_grid(grid[0], n, s))), None)
+
     def record_euler(p, den, x_init, grid):
-        walks.append(("euler", len(grid) - 1, len(x_init), type(den).__name__))
+        walks.append(("euler", len(grid) - 1, len(x_init), type(den).__name__,
+                      scheme(grid)))
         return euler(p, den, x_init, grid)
 
     def record_reference(p, den, x_init, steps):
@@ -176,10 +183,63 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
         ("reference", 512, 2, "DiracMixtureDenoiser"),
         ("reference", 1000, 1, "ConstantDenoiser"),
         ("reference", 500, 1, "ConstantDenoiser"),
-        ("euler", 1000, 2, "DiracMixtureDenoiser"),
-        ("euler", 100, 1, "DiracMixtureDenoiser"),
-        ("euler", 10_000, 1, "ConstantDenoiser"),
+        ("euler", 500, 2, "DiracMixtureDenoiser", "quadratic"),
+        ("euler", 50, 1, "DiracMixtureDenoiser", "quadratic"),
+        ("euler", 1000, 1, "ConstantDenoiser", "quadratic"),
     ])
+
+
+def test_sampler_euler_walks_are_first_order(monkeypatch):
+    # on the suite's own process, denoisers and top state: on the quadratic
+    # grid ten times the steps cut Euler's error ten-fold at 50/500 and at
+    # 100/1000, and 1000 quadratic steps meet the closed form at least as
+    # well as 10 000 uniform ones; the suite's shorter walks cost no accuracy
+    from basisdiff.samplers import (euler_trajectory, make_time_grid,
+                                    sample_reference)
+
+    walks = []
+    real = verify.euler_trajectory
+
+    def record(p, den, x_init, grid):
+        walks.append((p, den, x_init))
+        return real(p, den, x_init, grid)
+
+    monkeypatch.setattr(verify, "euler_trajectory", record)
+    assert run_suite("sampler", seed=7).passed
+    (p, den, _), (_, _, x_top), (_, cden, _) = walks
+    assert x_top.shape == (1, 2) and type(cden).__name__ == "ConstantDenoiser"
+    T = p.schedule.T
+
+    def end(d, steps, scheme):
+        return euler_trajectory(p, d, x_top, make_time_grid(T, steps, scheme))[-1, 0]
+
+    ref = sample_reference(p, den, x_top, 1024)[0]
+    for coarse in (50, 100):
+        ratio = (np.linalg.norm(end(den, coarse, "quadratic") - ref)
+                 / np.linalg.norm(end(den, 10 * coarse, "quadratic") - ref))
+        assert 9.5 <= ratio <= 10.5
+    sig = p.schedule.sigma
+    closed = cden.y + (sig(make_time_grid(T, 1)[-1]) / sig(T)) * (x_top[0] - cden.y)
+    assert (np.linalg.norm(end(cden, 1000, "quadratic") - closed)
+            <= np.linalg.norm(end(cden, 10_000, "uniform") - closed))
+
+
+@pytest.mark.parametrize("gain", ["flow_x", "flow_d"])
+def test_sampler_suite_sees_a_wrong_flow_gain(monkeypatch, gain):
+    # one flow gain 1 % off in every knot table: Euler and the mixture oracle
+    # walk the same wrong flow and agree, so only the constant denoiser's
+    # closed form, and the RK4 order measured against it, can see it
+    real = DiffusionProcess.knot_table
+
+    def knot_table(self, times):
+        table = real(self, times)
+        return dataclasses.replace(table, **{gain: 1.01 * getattr(table, gain)})
+
+    monkeypatch.setattr(DiffusionProcess, "knot_table", knot_table)
+    report = run_suite("sampler", seed=7)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "sampler/constant-denoiser-euler", "sampler/constant-denoiser-reference",
+        "sampler/reference-order"]
 
 
 def test_moments_suite_keeps_its_walks(monkeypatch):

@@ -9,7 +9,14 @@ For every check of the suite it prints the least and the largest value over
 the seeds, beside the check's bound, and flags:
 
 * any non-finite value (a check that reads ``inf`` or ``nan`` at some seed);
+* a two-sided band outside its geometric middle half at some seed;
 * a deterministic upper check above half its bound at some seed.
+
+A ``-min``/``-max`` pair that reads one value at every seed is one band
+[lo, hi] (a lower bound lo and an upper bound hi on the same value).  Its
+middle half is [lo^(3/4) hi^(1/4), lo^(1/4) hi^(3/4)], [7.07, 14.14] for
+[5, 20]: a value outside it sits within a quarter of the band, on a log
+scale, of one of its ends.
 
 A check is an upper check when, at every seed, it passed exactly when its
 value was at most its bound; a lower check (``value >= bound``) passes
@@ -38,6 +45,20 @@ def sweep(suite: str, seeds) -> dict:
     return rows
 
 
+def band(rows: dict, name: str):
+    """(lo, hi) when name and its -min/-max sibling read one value at every
+    seed, with bounds 0 < lo < hi; else None."""
+    stem, _, side = name.rpartition("-")
+    if side not in ("min", "max"):
+        return None
+    low, high = rows.get(f"{stem}-min"), rows.get(f"{stem}-max")
+    if (low is None or high is None
+            or [(c.seed, c.value) for c in low] != [(c.seed, c.value) for c in high]):
+        return None
+    lo, hi = low[0].threshold, high[0].threshold
+    return (lo, hi) if 0.0 < lo < hi else None
+
+
 def flags(rows: dict) -> list:
     """One line for each check that is non-finite or too close to its bound."""
     out = []
@@ -45,6 +66,16 @@ def flags(rows: dict) -> list:
         bad = [c.seed for c in checks if not math.isfinite(c.value)]
         if bad:
             out.append(f"{name}: non-finite at seeds {bad}")
+            continue
+        bounds = band(rows, name)
+        if bounds:
+            if name.endswith("-min"):
+                lo, hi = bounds
+                mid = lo ** 0.75 * hi ** 0.25, lo ** 0.25 * hi ** 0.75
+                off = [c.seed for c in checks if not mid[0] <= c.value <= mid[1]]
+                if off:
+                    out.append(f"{name[:-4]}: outside the middle half of "
+                               f"[{lo:g}, {hi:g}] at seeds {off}")
             continue
         upper = all(c.passed == (c.value <= c.threshold) for c in checks)
         if upper and not name.endswith("-z"):
