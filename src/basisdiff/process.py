@@ -23,7 +23,8 @@ import numpy as np
 
 from .bases import BasisSet, CovarianceOp
 from .fields import Rng, cast
-from .schedules import ETA, EndpointError, Schedule, sde_coefficients
+from .schedules import (ETA, TERMINAL_FRACTION, EndpointError, Schedule,
+                        sde_coefficients)
 
 SDE_COUNT = (int, 1, None)  # simulate_sde's n_steps and n_paths
 
@@ -170,7 +171,7 @@ class DiffusionProcess:
         n_paths = cast(n_paths, *SDE_COUNT, "n_paths")
         sched = self.schedule
         op = self.cov_op
-        times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
+        times = np.linspace(sched.T * TERMINAL_FRACTION, sched.T, n_steps + 1)
         dt = np.diff(times)
         c = sde_coefficients(sched, self.eta, op.total, times[:-1])
         tail = np.append(np.cumprod((1.0 + c.f * dt)[::-1])[::-1], 1.0)

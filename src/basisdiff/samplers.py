@@ -2,9 +2,10 @@
 
 The Euler integrator follows the simplified right-hand side only; nothing
 here touches the basis, so rank-deficient noise models sample fine.  Grids
-run from T down to the terminal knot eps_t = T/1000 because the RHS divides
-by sigma(t) and is singular at t = 0.  A classical 4th-order integrator over
-the same field serves as the accuracy oracle in tests and verify suites.
+run from T down to the terminal knot eps_t = T * TERMINAL_FRACTION = T/1000
+because the RHS divides by sigma(t) and is singular at t = 0.  make_time_grid
+builds every grid; a classical 4th-order integrator over the same field walks
+its quadratic grid as the accuracy oracle in tests and verify suites.
 
 The flow's coefficients depend on the knot alone, never on the state, so
 each walk tabulates them for all its knots once (DiffusionProcess.knot_table,
@@ -18,9 +19,8 @@ import numpy as np
 from .denoisers import Denoiser
 from .fields import cast, write_csv
 from .process import DiffusionProcess
-from .schedules import HORIZON
+from .schedules import HORIZON, TERMINAL_FRACTION
 
-TERMINAL_FRACTION = 1e-3  # eps_t = T * this
 GRID_STEPS = (int, 1, None)  # make_time_grid's steps
 GRID_SCHEME = (("uniform", "quadratic"), None, None)  # and its spacings
 REFERENCE_STEPS = (int, 4, None)  # sample_reference's steps
@@ -30,7 +30,8 @@ def make_time_grid(T: float, steps: int, scheme: str = "uniform") -> np.ndarray:
     """Descending knots T = t_N > ... > t_0 = T/1000; steps+1 entries.
 
     "uniform" spaces knots evenly; "quadratic" densifies spacing toward the
-    terminal knot.
+    terminal knot: t = eps_t + (T - eps_t) u^2 over uniform u from 1 to 0.
+    Either grid starts on T exactly and stops on eps_t exactly.
     """
     T = cast(T, *HORIZON, "T")
     steps = cast(steps, *GRID_STEPS, "steps")
@@ -38,7 +39,9 @@ def make_time_grid(T: float, steps: int, scheme: str = "uniform") -> np.ndarray:
     if cast(scheme, *GRID_SCHEME, "scheme") == "uniform":
         return np.linspace(T, eps_t, steps + 1)
     u = np.linspace(1.0, 0.0, steps + 1)
-    return eps_t + (T - eps_t) * u * u
+    grid = eps_t + (T - eps_t) * u * u
+    grid[0] = T  # eps_t + (T - eps_t) can round an ulp above T
+    return grid
 
 
 def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
@@ -71,53 +74,36 @@ def euler_trajectory(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
     return states
 
 
-def rk4_step(rhs, x, h, stages):
-    """One classical RK4 step of size h from x.
-
-    rhs(stage, x) is evaluated at the step's start, midpoint and end, which
-    the three entries of stages name: the times t, t + h/2 and t + h, or the
-    keys the caller's rhs looks its coefficients up by.
-    """
-    start, mid, end = stages
-    k1 = rhs(start, x)
-    k2 = rhs(mid, x + 0.5 * h * k1)
-    k3 = rhs(mid, x + 0.5 * h * k2)
-    k4 = rhs(end, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
                      steps: int) -> np.ndarray:
     """Classical RK4 endpoints over [T, T/1000]; the test-side accuracy oracle.
 
     x_init holds (n, d) flat start states; the result is their (n, d)
     endpoints, each row walked independently as in euler_trajectory.
-    Integrates the same right-hand side in the reparametrized time
-    t = eps_t + (T - eps_t) u^2 with uniform u steps.  Near the terminal knot
-    the RHS scale grows like sigma'/sigma ~ 1/(2t); the quadratic map keeps
-    the solution smooth in u, which a fixed-step 4th-order integrator needs
-    to actually deliver oracle accuracy.
+    Walks the same right-hand side down make_time_grid(T, 2 steps,
+    "quadratic") in its uniform variable u: step i runs from knot 2i
+    through its midpoint knot 2i + 1 to knot 2i + 2.  Near the terminal knot the RHS scale grows like sigma'/sigma ~ 1/(2t);
+    the quadratic map keeps the solution smooth in u, which a fixed-step
+    4th-order integrator needs to actually deliver oracle accuracy.
     """
     steps = cast(steps, *REFERENCE_STEPS, "steps")
     p.check_rows(x_init, "start states")
     T = p.schedule.T
-    eps_t = T * TERMINAL_FRACTION
-    span = T - eps_t
-    us = np.linspace(1.0, 0.0, steps + 1)
-    start = us[:-1]
-    h = us[1:] - start
-    # knots i, steps + i and 2 steps + i are step i's start u, midpoint
-    # u + h/2 and end u + h; an end can differ from the next start by an ulp
-    u = np.concatenate([start, start + 0.5 * h, start + h])
-    table = p.knot_table(np.minimum(eps_t + span * u * u, T))
-    dt_du = 2.0 * span * u
+    u = np.linspace(1.0, 0.0, 2 * steps + 1)  # as make_time_grid's
+    table = p.knot_table(make_time_grid(T, 2 * steps, "quadratic"))
+    # dt/du = 2 (T - eps_t) u at each knot, times a step's u-length -1/steps
+    gain = (-2.0 / steps) * (T - T * TERMINAL_FRACTION) * u
 
-    def rhs_u(k: int, x: np.ndarray) -> np.ndarray:
-        return dt_du[k] * p.pfode_rhs_at(den, table, k, x)
+    def rhs(j: int, x: np.ndarray) -> np.ndarray:
+        return gain[j] * p.pfode_rhs_at(den, table, j, x)
 
     x = np.asarray(x_init, dtype=np.float64)
-    for i, h_i in enumerate(h.tolist()):
-        x = rk4_step(rhs_u, x, h_i, (i, steps + i, 2 * steps + i))
+    for j in range(0, 2 * steps, 2):
+        k1 = rhs(j, x)
+        k2 = rhs(j + 1, x + 0.5 * k1)
+        k3 = rhs(j + 1, x + 0.5 * k2)
+        k4 = rhs(j + 2, x + k3)
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return x
 
 

@@ -19,6 +19,9 @@ from .fields import _POSITIVE, cast
 HORIZON = (float, _POSITIVE, None)  # T of a schedule and of a time grid
 BETA = (float, _POSITIVE, None)  # each end of the VP beta ramp
 ETA = (float, 0, None)  # the stochasticity mediator eta
+# every walk stops at the terminal knot eps_t = T * this, short of t = 0,
+# where sigma = 0 and the flow and the SDE coefficients are undefined
+TERMINAL_FRACTION = 1e-3
 
 
 class EndpointError(ValueError):

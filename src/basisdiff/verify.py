@@ -24,8 +24,8 @@ from .denoisers import ConstantDenoiser, DiracDataset, DiracMixtureDenoiser
 from .fields import Rng
 from .process import DiffusionProcess
 from .samplers import euler_trajectory, make_time_grid, sample_reference
-from .schedules import (Schedule, make_ddpm_schedule, make_vp_schedule,
-                        sde_coefficients)
+from .schedules import (TERMINAL_FRACTION, Schedule, make_ddpm_schedule,
+                        make_vp_schedule, sde_coefficients)
 
 # Z-score bound for Monte Carlo checks.
 Z_BOUND = 4.0
@@ -198,7 +198,7 @@ def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     tail-product scan of DiffusionProcess.simulate_sde.
     """
     sched = p.schedule
-    times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1)
+    times = np.linspace(sched.T * TERMINAL_FRACTION, sched.T, n_steps + 1)
     dts = np.diff(times).tolist()
     mom0 = p.conditional_moments(x0, times[0])
     sigma_mat = p.cov_op.rows.T @ p.cov_op.rows
@@ -249,7 +249,8 @@ def _stepwise_endpoints(p: DiffusionProcess, x0: np.ndarray, n_steps: int,
     sched = p.schedule
     rows = p.basis.elements()
     basis_sum = rows.sum(axis=0)
-    times = np.linspace(sched.T / 1000.0, sched.T, n_steps + 1).tolist()
+    times = np.linspace(sched.T * TERMINAL_FRACTION, sched.T,
+                        n_steps + 1).tolist()
     s, _, sig, _ = sched.evaluate(times[0])
     eps = rng.standard_normal((n_paths, rows.shape[0]))
     x = s * x0 + (s * sig) * (((p.eta + eps) / (p.eta + 1.0)) @ rows)

@@ -236,6 +236,17 @@ def test_restore_walk_makes_one_schedule_call(tmp_path, monkeypatch, config,
     assert counts == {"walk": 1, "evaluate": 1, "_factor": 0, "elements": 0}
 
 
+def test_restore_walks_a_quadratic_grid_whose_top_rounds_above_t(tmp_path):
+    # at this T, eps_t + (T - eps_t) rounds an ulp above T; the grid's top
+    # knot is T itself, so the walk accepts its own grid
+    code = main(["restore", "--config", str(CONFIGS / "shadow_box.json"),
+                 "--set", "schedule.T=506.9404186964163",
+                 "--set", "sampling.scheme=quadratic",
+                 "--set", "sampling.steps=5", "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["steps"] == 5
+
+
 def test_restore_zero_steps_is_identity(tmp_path):
     out = tmp_path / "restore0"
     code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),

@@ -11,6 +11,7 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.config import build_process, build_task, load_config
+from basisdiff.samplers import make_time_grid
 from basisdiff.schedules import (EndpointError, make_ddpm_schedule,
                                  make_vp_schedule, sde_coefficients)
 from basisdiff.tasks import _transform
@@ -220,6 +221,25 @@ def test_sde_refuses_fewer_than_one_path(n_paths):
     p, _ = _toy_process()
     with pytest.raises(ValueError, match="n_paths"):
         p.simulate_sde(Field([0.1, 0.2, 0.3]), 4, n_paths, Rng(4))
+
+
+@pytest.mark.parametrize("T", [100.0, 506.9404186964163])
+def test_sde_starts_on_the_reverse_walks_terminal_knot(monkeypatch, T):
+    # the forward walk starts where every reverse grid stops; at the second
+    # T, T / 1000 and T * 1e-3 differ by an ulp
+    from basisdiff import process
+
+    starts = []
+    real = process.sde_coefficients
+
+    def record(sched, eta, basis_sum, t):
+        starts.append(float(np.asarray(t).flat[0]))
+        return real(sched, eta, basis_sum, t)
+
+    monkeypatch.setattr(process, "sde_coefficients", record)
+    p = DiffusionProcess(make_vp_schedule(T=T), pixel_basis((2,)), 0.0)
+    p.simulate_sde(Field([0.1, 0.2]), 8, 3, Rng(4))
+    assert starts == [make_time_grid(T, 8)[-1]]
 
 
 def _stepwise_sde(p, x0, n_steps, n_paths, rng):

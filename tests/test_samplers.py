@@ -9,10 +9,10 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
                                  TinyNetwork)
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
-from basisdiff.samplers import (TERMINAL_FRACTION, euler_trajectory,
-                                make_time_grid, rk4_step, sample_reference,
-                                write_trajectory_csv)
-from basisdiff.schedules import Schedule, make_ddpm_schedule, make_vp_schedule
+from basisdiff.samplers import (euler_trajectory, make_time_grid,
+                                sample_reference, write_trajectory_csv)
+from basisdiff.schedules import (TERMINAL_FRACTION, Schedule,
+                                 make_ddpm_schedule, make_vp_schedule)
 
 
 def _process(d=2):
@@ -28,14 +28,17 @@ def test_uniform_grid_knots():
                           np.linspace(100.0, 0.1, 2))
 
 
-def test_quadratic_grid_shape():
-    grid = make_time_grid(100.0, 8, scheme="quadratic")
+# at the last two T, eps_t + (T - eps_t) rounds an ulp above T
+@pytest.mark.parametrize("T", [100.0, 506.9404186964163, 250.49275492754927])
+def test_quadratic_grid_shape(T):
+    grid = make_time_grid(T, 8, scheme="quadratic")
     assert grid.size == 9
-    assert grid[0] == pytest.approx(100.0, rel=1e-15)
-    assert grid[-1] == pytest.approx(0.1, rel=1e-15)
+    assert grid[0] == T
+    assert grid[-1] == pytest.approx(T / 1000.0, rel=1e-15)
     assert np.all(np.diff(grid) < 0)
+    eps_t = T * TERMINAL_FRACTION
     u = np.linspace(1.0, 0.0, 9)
-    assert np.allclose(grid, 0.1 + 99.9 * u * u, rtol=1e-12)
+    assert np.array_equal(grid[1:], (eps_t + (T - eps_t) * u * u)[1:])
     # quadratic spacing concentrates knots near the terminal time
     assert grid[-2] - grid[-1] < grid[0] - grid[1]
 
@@ -193,7 +196,8 @@ def _euler_loop(p, den, x, grid):
 
 
 def _reference_loop(p, den, x, steps):
-    """sample_reference as one pfode_rhs call per RK4 stage time."""
+    """sample_reference as one pfode_rhs call per RK4 stage, each at its own
+    time t = eps_t + (T - eps_t) u^2 with u its stage's u."""
     T = p.schedule.T
     eps_t = T * TERMINAL_FRACTION
     span = T - eps_t
@@ -204,7 +208,11 @@ def _reference_loop(p, den, x, steps):
     us = np.linspace(1.0, 0.0, steps + 1).tolist()
     for u, u_next in zip(us[:-1], us[1:]):
         h = u_next - u
-        x = rk4_step(rhs_u, x, h, (u, u + 0.5 * h, u + h))
+        k1 = rhs_u(u, x)
+        k2 = rhs_u(u + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs_u(u + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs_u(u_next, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
 
 
@@ -244,7 +252,29 @@ def test_walks_evaluate_the_schedule_once(monkeypatch):
         assert calls == [(1000,)]
         calls.clear()
         sample_reference(p, den, x, 4096)
-        assert calls == [(3 * 4096,)]
+        assert calls == [(2 * 4096 + 1,)]
+
+
+@pytest.mark.parametrize("steps", [4, 7, 1000])
+def test_reference_tabulates_the_quadratic_grid(monkeypatch, steps):
+    # the oracle's knots are make_time_grid's, bit for bit: no second copy
+    # of the map t = eps_t + (T - eps_t) u^2
+    tabulated = []
+    real = DiffusionProcess.knot_table
+
+    def knot_table(self, times):
+        tabulated.append(np.array(times))
+        return real(self, times)
+
+    monkeypatch.setattr(DiffusionProcess, "knot_table", knot_table)
+    for T in (100.0, 506.9404186964163):
+        p = DiffusionProcess(make_vp_schedule(T=T), pixel_basis((2,)), 0.0)
+        tabulated.clear()
+        sample_reference(p, ConstantDenoiser(Field([0.4, -0.2])),
+                         np.array([[0.9, -1.4]]), steps)
+        assert len(tabulated) == 1
+        assert np.array_equal(tabulated[0],
+                              make_time_grid(T, 2 * steps, "quadratic"))
 
 
 def _walks(p, den, x):

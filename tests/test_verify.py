@@ -322,16 +322,29 @@ def test_gap_ratio_reads_inf_when_an_exact_chain_drifts(monkeypatch, fine_gap,
 
 
 def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
-    # the RK4 midpoint knot moved from h/2 to 0.505 h: the reference drops
-    # to first order, yet its error at 1000 steps still meets the closed-form
-    # bound, so only the order check and the mixture oracle's self-consistency
-    # can see it
+    # the RK4 midpoint knots moved from h/2 to 0.505 h in u, in both their
+    # time and their dt/du: the reference drops to first order, yet its
+    # error at 1000 steps still meets the closed-form bound, so only the
+    # order check and the mixture oracle's self-consistency can see it
+    # (moving the time alone also fails constant-denoiser-reference)
     from basisdiff import samplers
 
+    def late(u, steps):
+        u = u.copy()
+        u[1::2] = u[:-1:2] - 0.505 / steps
+        return u
+
+    def grid(T, u):
+        eps_t = T * samplers.TERMINAL_FRACTION
+        return eps_t + (T - eps_t) * u * u
+
     src = inspect.getsource(samplers.sample_reference)
-    assert src.count("start + 0.5 * h") == 1
-    scope = dict(vars(samplers))
-    exec(src.replace("start + 0.5 * h", "start + 0.505 * h"), scope)
+    knots = 'make_time_grid(T, 2 * steps, "quadratic")'
+    us = "np.linspace(1.0, 0.0, 2 * steps + 1)"
+    assert src.count(knots) == 1 and src.count(us) == 1
+    scope = dict(vars(samplers), late=late, grid=grid)
+    exec(src.replace(us, f"late({us}, steps)").replace(knots, "grid(T, u)"),
+         scope)
     monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
     report = run_suite("sampler", seed=7)
     assert [c.name for c in report.checks if not c.passed] == [
@@ -346,10 +359,10 @@ def test_battery_sees_a_mixture_oracle_reading_stale_denoisers(monkeypatch):
     from basisdiff import samplers
 
     src = inspect.getsource(samplers.sample_reference)
-    rhs = "p.pfode_rhs_at(den, table, k, x)"
+    rhs = "p.pfode_rhs_at(den, table, j, x)"
     assert src.count(rhs) == 1
-    stale = ("(table.flow_x[k] * x"
-             " - table.flow_d[k] * den.denoise_at(x, table, k % steps))")
+    stale = ("(table.flow_x[j] * x"
+             " - table.flow_d[j] * den.denoise_at(x, table, j - j % 2))")
     scope = dict(vars(samplers))
     exec(src.replace(rhs, stale), scope)
     monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
