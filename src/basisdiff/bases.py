@@ -5,7 +5,9 @@ held as its read-only (M, d) element rows H: the Legendre + rotated
 trigonometric family, the pixel indicators, or the single residual row
 h_1 = degraded - clean of one (clean, degraded) pair.  The induced covariance
 Sigma = H^T H is never formed: products go through H^T (H v), and solves
-through one thin SVD of H.
+through one thin SVD of H.  The pixel basis is the exception: its H is the
+identity, so it holds no rows, is never factored, and each product with it
+is a copy.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class SingularCovarianceError(RuntimeError):
 
 
 class BasisSet:
-    """Ordered basis functions [h_1 .. h_M] over a fixed data shape."""
+    """Ordered basis functions [h_1 .. h_M] over a fixed data shape.
+
+    The rows are None for the pixel basis alone (pixel_basis), whose
+    elements are the identity: it is made when elements() asks, never kept.
+    """
 
     def __init__(self, shape, elements):
         self.shape = tuple(int(n) for n in shape)
@@ -53,10 +59,16 @@ class BasisSet:
 
     @property
     def M(self) -> int:
+        if self._rows is None:
+            return math.prod(self.shape)
         return self._rows.shape[0]
 
     def elements(self) -> np.ndarray:
         """Stacked (M, d) element matrix; read-only."""
+        if self._rows is None:
+            eye = np.eye(self.M)
+            eye.setflags(write=False)
+            return eye
         return self._rows
 
 
@@ -109,10 +121,11 @@ def legendre_trig_basis(n1: int, n2: int, grid) -> BasisSet:
 def pixel_basis(shape) -> BasisSet:
     """One indicator element per pixel; Sigma is the identity."""
     shape = tuple(int(n) for n in shape)
-    d = int(np.prod(shape))
-    if d < 1:
+    if not shape or math.prod(shape) < 1:
         raise ValueError("pixel basis needs at least one pixel")
-    return BasisSet(shape, elements=np.eye(d))
+    basis = BasisSet.__new__(BasisSet)
+    basis.shape, basis._rows = shape, None
+    return basis
 
 
 def residual_basis(clean, degraded) -> BasisSet:
@@ -128,19 +141,48 @@ class CovarianceOp:
     The (M, d) element rows H and their sum sum_m h_m (total) are kept, so
     no product re-reads the basis.  apply_flat() works at any size in
     O(M d).  Whitening and solves use one thin SVD of H = U S V^T, made once
-    per operator (_factor); Sigma = V S^2 V^T itself is never formed.
+    per operator (_factor); Sigma = V S^2 V^T itself is never formed.  The
+    pixel basis has H = W = Sigma = I: it keeps no rows and is never
+    factored, and each product returns a fresh copy of its operand.
     """
 
     def __init__(self, basis: BasisSet):
-        self.rows = basis.elements()
-        self.total = self.rows.sum(axis=0)
-        self._d = self.rows.shape[1]
+        self._rows = basis._rows
+        if self._rows is None:
+            self._d = basis.M
+            self.total = np.ones(self._d)
+        else:
+            self._d = self._rows.shape[1]
+            self.total = self._rows.sum(axis=0)
         self._factors = None
+
+    def _copy(self, v, axis: int) -> np.ndarray:
+        """v as a new float64 array, after the width check along axis that
+        a product with the identity would make (ValueError)."""
+        v = np.asarray(v)
+        if v.ndim == 0 or v.shape[axis] != self._d:
+            raise ValueError(f"operand of shape {v.shape} does not match "
+                             f"d = {self._d}")
+        return v.astype(np.float64)
+
+    def mix(self, weights: np.ndarray) -> np.ndarray:
+        """(n, d) rows sum_m w_m h_m for (n, M) weights: weights @ H."""
+        if self._rows is None:
+            return self._copy(weights, -1)
+        return weights @ self._rows
+
+    def diagonal(self) -> np.ndarray:
+        """(d,) diagonal of Sigma, sum_m h_m^2."""
+        if self._rows is None:
+            return np.ones(self._d)
+        return (self._rows ** 2).sum(axis=0)
 
     def apply_flat(self, v: np.ndarray) -> np.ndarray:
         # H^T (H v) for a (d,) vector or (d, k) columns: one (M,) contraction
         # then one (d,) accumulation per column
-        return self.rows.T @ (self.rows @ v)
+        if self._rows is None:
+            return self._copy(v, 0)
+        return self._rows.T @ (self._rows @ v)
 
     def _factor(self):
         """Make and cache (S_r^2, W) once per operator, W = S_r^{-1} V_r^T.
@@ -151,7 +193,7 @@ class CovarianceOp:
         SingularCovarianceError.
         """
         try:
-            _, sv, vt = np.linalg.svd(self.rows, full_matrices=False)
+            _, sv, vt = np.linalg.svd(self._rows, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SingularCovarianceError(str(exc)) from exc
         r = int(np.count_nonzero(sv > sv[0] * COND_LIMIT ** -0.5))
@@ -164,6 +206,8 @@ class CovarianceOp:
     def solve_flat(self, rhs: np.ndarray) -> np.ndarray:
         """Sigma^{-1} rhs = W^T (W rhs) for a (d,) vector or (d, k) columns;
         SingularCovarianceError when r < d, where the score is undefined."""
+        if self._rows is None:
+            return self._copy(rhs, 0)
         white = (self._factors or self._factor())[1]
         if white.shape[0] < self._d:
             raise SingularCovarianceError(
@@ -176,10 +220,14 @@ class CovarianceOp:
         Whitened vectors turn Sigma^{-1} quadratic forms on the range of
         Sigma into squared norms, r^T Sigma^+ r = |W r|^2.
         """
+        if self._rows is None:
+            return self._copy(v, -1)
         return v @ (self._factors or self._factor())[1].T
 
     def out_of_range(self, v: np.ndarray) -> np.ndarray:
         """(I - V_r V_r^T) v per row, the part of v outside Sigma's range;
         V_r V_r^T = W^T S_r^2 W."""
+        if self._rows is None:
+            return v - self._copy(v, -1)
         sv2, white = self._factors or self._factor()
         return v - ((v @ white.T) * sv2) @ white

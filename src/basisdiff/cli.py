@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     n_paths, n_steps = cfg["simulate"]["n_paths"], cfg["simulate"]["n_steps"]
     paths = p.simulate_sde(x0, n_steps, n_paths, Rng(cfg["seed"], 3))
     mom = p.conditional_moments(x0, p.schedule.T)
-    closed_var = mom.cov_scale * (p.cov_op.rows ** 2).sum(axis=0)
+    closed_var = mom.cov_scale * p.cov_op.diagonal()
     out = _out_dir(args)
     write_csv(out / "sde_stats.csv",
               ["index", "empirical_mean", "closed_mean", "empirical_var",

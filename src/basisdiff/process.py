@@ -120,7 +120,7 @@ class DiffusionProcess:
         apart from mixing them lets a caller take draws one at a time from a
         stream and mix a whole batch in one product.
         """
-        return ((self.eta + eps) / (self.eta + 1.0)) @ self.cov_op.rows
+        return self.cov_op.mix((self.eta + eps) / (self.eta + 1.0))
 
     def forward_sample(self, x0: np.ndarray, t: float, rng: Rng) -> np.ndarray:
         """(n, d) rows x_t = s(t) x_0 + s(t) sigma(t) N for (n, d) finite clean
@@ -184,7 +184,7 @@ class DiffusionProcess:
             xi *= k
             acc += xi
         drift = (tail[0] * s) * x0 + (tail[1:] * dt) @ c.phi
-        return drift + acc @ op.rows
+        return drift + op.mix(acc)
 
     # -- scores and probability-flow ODE --------------------------------------
 

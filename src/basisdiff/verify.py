@@ -184,6 +184,11 @@ def _checks_coefficients(seed: int, nodes: int = 32):
 # ---------------------------------------------------------------------------
 
 
+def _dense_sigma(p: DiffusionProcess) -> np.ndarray:
+    """The process's Sigma as a dense (d, d) array, Sigma I."""
+    return p.cov_op.apply_flat(np.eye(p.cov_op.total.size))
+
+
 def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     """Exact mean/covariance of the Euler-Maruyama chain at the last knot.
 
@@ -201,7 +206,7 @@ def _em_chain_moments(p: DiffusionProcess, x0: np.ndarray, n_steps: int):
     times = np.linspace(sched.T * TERMINAL_FRACTION, sched.T, n_steps + 1)
     dts = np.diff(times).tolist()
     mom0 = p.conditional_moments(x0, times[0])
-    sigma_mat = p.cov_op.rows.T @ p.cov_op.rows
+    sigma_mat = _dense_sigma(p)
     c = sde_coefficients(sched, p.eta, p.cov_op.total, times[:-1])
     mean = mom0.mean
     cov = mom0.cov_scale * sigma_mat
@@ -221,9 +226,8 @@ def _gap_ratio_error(p: DiffusionProcess, x0: np.ndarray, n_steps: int) -> float
     A gap that is exactly 0 (the VP eta = 0 mean) must stay exactly 0 at 2n;
     any other zero gap reads inf.
     """
-    rows = p.cov_op.rows
     mom = p.conditional_moments(x0, p.schedule.T)
-    kernel = (mom.mean, mom.cov_scale * (rows.T @ rows))
+    kernel = (mom.mean, mom.cov_scale * _dense_sigma(p))
 
     def gaps(n):
         chain = _em_chain_moments(p, x0, n)

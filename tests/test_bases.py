@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from basisdiff import bases
 from basisdiff.bases import (BasisSet, CovarianceOp, SingularCovarianceError,
                              legendre_trig_basis, pixel_basis, residual_basis)
+from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser
 from basisdiff.fields import Field, Rng
+from basisdiff.process import DiffusionProcess
+from basisdiff.samplers import euler_trajectory, make_time_grid
+from basisdiff.schedules import make_vp_schedule
 
 
 def _oracle_legendre_trig(n1, n2, h, w):
@@ -86,8 +90,9 @@ def test_pixel_basis_identity_covariance():
     v = np.array([1.0, -2.0, 0.5, 3.0])
     assert np.array_equal(op.apply_flat(v), v)
     assert pixel_basis((1, 1)).M == 1
-    with pytest.raises(ValueError):
-        pixel_basis((0,))
+    for shape in ((0,), (), (2, 0)):
+        with pytest.raises(ValueError):
+            pixel_basis(shape)
 
 
 def test_residual_basis_tracks_conditioning():
@@ -141,6 +146,9 @@ def test_operator_matches_dense_product():
     for _ in range(10):
         v = rng.standard_normal(3)
         assert np.allclose(op.apply_flat(v), dense @ v, rtol=1e-12, atol=1e-14)
+    w = rng.standard_normal((2, 5))
+    assert np.array_equal(op.mix(w), w @ rows)
+    assert np.allclose(op.diagonal(), np.diag(dense), rtol=1e-12)
 
 
 def test_solve_inverts_apply():
@@ -229,6 +237,77 @@ def test_pixel_whitener_is_exactly_the_identity():
     assert np.array_equal(op.whiten(vs), vs)
     assert np.array_equal(op.whiten(vs[2]), vs[2])
     assert np.array_equal(op.solve_flat(vs[3]), vs[3])
+
+
+def _pixel_run(basis):
+    """Noise, forward samples, SDE endpoints, mixture weights and a 20-step
+    Euler walk over basis, each from fixed draws."""
+    d = basis.M
+    p = DiffusionProcess(make_vp_schedule(), basis, 0.5)
+    rng = Rng(9)
+    pts, eps, x_init = (rng.standard_normal((n, d)) for n in (5, 3, 3))
+    den = DiracMixtureDenoiser(DiracDataset(pts), p)
+    grid = make_time_grid(p.schedule.T, 20, "quadratic")
+    table = p.knot_table(grid[:-1])
+    return (p.noise_from_normals(eps),
+            p.forward_sample(pts[:3], 40.0, Rng(1)),
+            p.simulate_sde(pts[0], 16, 4, Rng(2)),
+            np.stack([den.weights_at(table, k, 30.0 * x_init)
+                      for k in (0, 10, 19)]),
+            euler_trajectory(p, den, 30.0 * x_init, grid))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2, 2), (16, 16)])
+def test_pixel_basis_matches_the_generic_identity_basis(shape, monkeypatch):
+    # pixel_basis skips the factorization and every identity product; the
+    # same elements given as rows take the factored path to the same bits
+    calls = []
+    factor = CovarianceOp._factor
+
+    def counting(op):
+        calls.append(1)
+        return factor(op)
+
+    monkeypatch.setattr(CovarianceOp, "_factor", counting)
+    d = math.prod(shape)
+    pixel = _pixel_run(pixel_basis(shape))
+    assert calls == []
+    generic = _pixel_run(BasisSet(shape, np.eye(d)))
+    assert len(calls) == 1
+    for a, b in zip(pixel, generic):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_pixel_operator_holds_no_square_array():
+    basis = pixel_basis((48, 48))
+    op = CovarianceOp(basis)
+    for obj in (basis, op):
+        assert all(np.size(v) <= 48 * 48 for v in vars(obj).values())
+    assert np.array_equal(op.total, np.ones(48 * 48))
+    assert np.array_equal(basis.elements()[:3, :3], np.eye(3))
+    assert basis.elements() is not basis.elements()
+
+
+def test_pixel_products_are_fresh_copies():
+    basis = pixel_basis((2, 2))
+    op = CovarianceOp(basis)
+    v = np.array([1.0, -2.0, 0.5, 3.0])
+    rows = np.stack([v, 2.0 * v])
+    for out, arg in ((op.whiten(v), v), (op.whiten(rows), rows),
+                     (op.solve_flat(v), v), (op.solve_flat(rows.T), rows.T),
+                     (op.apply_flat(v), v), (op.mix(rows), rows)):
+        assert out.shape == arg.shape and np.array_equal(out, arg)
+        out[...] = 7.0
+    assert np.array_equal(v, [1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal(rows[1], 2.0 * v)
+    assert np.array_equal(basis.elements(), np.eye(4))
+    assert np.array_equal(op.total, np.ones(4))
+    assert np.array_equal(op.diagonal(), np.ones(4))
+    assert np.array_equal(op.out_of_range(rows), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        op.whiten(np.ones(3))
+    with pytest.raises(ValueError):
+        op.mix(np.ones((2, 5)))
 
 
 def test_solve_rejects_rank_deficiency():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from basisdiff import bases, samplers, schedules
-from basisdiff.bases import CovarianceOp, pixel_basis
+from basisdiff.bases import BasisSet, CovarianceOp, pixel_basis
 from basisdiff.config import apply_overrides, check, load_config
 from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
                                  DiracMixtureDenoiser)
@@ -40,8 +40,9 @@ def test_tracer_installs_and_uninstalls_every_wrap():
     try:
         layers.install(tracer)
         # the wraps see the calls: one build, one schedule call; the
-        # cho_factor wrap counts nothing, as no basisdiff code calls it
-        CovarianceOp(pixel_basis((2,))).whiten([1.0, 2.0])
+        # cho_factor wrap counts nothing, as no basisdiff code calls it,
+        # not even whiten on rows that are not the pixel basis
+        CovarianceOp(BasisSet((2,), np.eye(2))).whiten([1.0, 2.0])
         schedules.make_vp_schedule().evaluate(1.0)
     finally:
         tracer.uninstall()

@@ -413,6 +413,10 @@ def test_simulate_rejects_bad_counts(tmp_path, capsys, override, key):
 
 
 def test_sample_factors_sigma_once(tmp_path, monkeypatch):
+    # the pixel basis is the identity and is never factored; a basis that
+    # holds its rows is factored exactly once per run.  Points configs only
+    # take the pixel basis, so the second run swaps in the generic identity
+    # basis, which takes the factored path to the same samples.
     calls = []
     factor = bases.CovarianceOp._factor
 
@@ -421,11 +425,19 @@ def test_sample_factors_sigma_once(tmp_path, monkeypatch):
         return factor(op)
 
     monkeypatch.setattr(bases.CovarianceOp, "_factor", counting)
-    code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
-                 "--set", "sampling.n_samples=3",
-                 "--set", "sampling.steps=20", "--out", str(tmp_path)])
-    assert code == 0
+    args = ["sample", "--config", str(CONFIGS / "toy_sample.json"),
+            "--set", "sampling.n_samples=3", "--set", "sampling.steps=20"]
+    assert main(args + ["--out", str(tmp_path / "pixel")]) == 0
+    assert calls == []
+
+    def generic(cfg, shape, default_kind):
+        return bases.BasisSet(shape, np.eye(int(np.prod(shape))))
+
+    monkeypatch.setattr(cli, "build_fixed_basis", generic)
+    assert main(args + ["--out", str(tmp_path / "generic")]) == 0
     assert len(calls) == 1
+    assert ((tmp_path / "pixel" / "samples.csv").read_bytes()
+            == (tmp_path / "generic" / "samples.csv").read_bytes())
 
 
 def test_simulate_is_reproducible(tmp_path):

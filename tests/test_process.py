@@ -197,7 +197,7 @@ def test_moments_invariant_under_element_order():
     b = q.conditional_moments(x0, 42.0)
     assert np.allclose(a.mean, b.mean, rtol=1e-15)
     assert a.cov_scale == b.cov_scale
-    rows_a, rows_b = p.cov_op.rows, q.cov_op.rows
+    rows_a, rows_b = p.basis.elements(), q.basis.elements()
     assert np.allclose(rows_a.T @ rows_a, rows_b.T @ rows_b, rtol=1e-15)
 
 

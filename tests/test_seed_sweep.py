@@ -100,6 +100,15 @@ def test_coefficient_suite_has_nothing_to_flag_at_the_sweep_seeds():
     assert tool.flags(rows) == []
 
 
+def test_edm_reduction_suite_has_nothing_to_flag_at_the_sweep_seeds():
+    # its noise is the pixel basis, whose operator mixes weights by a copy
+    tool = _tool()
+    rows = tool.sweep("edm-reduction", tool.SWEEP_SEEDS)
+    assert len(rows) == 3
+    assert all(len(checks) == 24 for checks in rows.values())
+    assert tool.flags(rows) == []
+
+
 def test_main_prints_each_check_and_exits_by_its_flags(capsys):
     assert _tool().main(["--suite", "coefficients", "--seeds", "7", "31"]) == 0
     out = capsys.readouterr().out

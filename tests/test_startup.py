@@ -128,12 +128,13 @@ def test_tracer_wraps_cho_factor_before_scipy_is_loaded():
         import layers
         from tracer import Tracer
         from basisdiff import bases
-        from basisdiff.bases import CovarianceOp, pixel_basis
+        from basisdiff.bases import BasisSet, CovarianceOp
         before = "scipy.linalg" in sys.modules
         tracer = Tracer()
         try:
             layers.install(tracer)
-            CovarianceOp(pixel_basis((2,))).whiten(np.array([1.0, 2.0]))
+            # rows that are not the pixel basis, so whiten factors them
+            CovarianceOp(BasisSet((2,), np.eye(2))).whiten(np.array([1.0, 2.0]))
         finally:
             tracer.uninstall()
         from scipy.linalg._decomp_cholesky import cho_factor

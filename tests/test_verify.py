@@ -312,7 +312,8 @@ def test_gap_ratio_reads_inf_when_an_exact_chain_drifts(monkeypatch, fine_gap,
                          BasisSet((2,), np.array([[1.0, 2.0]])), eta=0.0)
     x0 = np.array([0.5, -1.0])
     mom = p.conditional_moments(x0, p.schedule.T)
-    kernel = (mom.mean, mom.cov_scale * (p.cov_op.rows.T @ p.cov_op.rows))
+    rows = p.basis.elements()
+    kernel = (mom.mean, mom.cov_scale * (rows.T @ rows))
 
     def chain(p, x0, n_steps):
         return kernel[0] + (fine_gap if n_steps == 256 else 0.0), kernel[1]
