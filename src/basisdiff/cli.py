@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (SCHEMA, ConfigError, apply_overrides, build_fixed_basis,
-                     build_process, build_task, check,
-                     load_config, resolved_eta, resolved_objective, value)
+from .bases import pixel_basis
+from .config import (SCHEMA, ConfigError, apply_overrides, build_process,
+                     build_task, check, load_config, resolved_eta,
+                     resolved_objective, value)
 from .denoisers import (CheckpointMismatch, ConstantDenoiser, DiracDataset,
                         DiracMixtureDenoiser, PreconditionedDenoiser,
                         TinyNetwork, load_network, save_network)
@@ -129,10 +130,12 @@ def cmd_restore(args) -> int:
 
 def _points_process(cfg: dict):
     """((Y, d) points, process) for the config's non-empty `points` list,
-    over the pixel basis unless basis.kind names another."""
+    over the pixel basis; points are flat, so legendre-trig is refused."""
+    if cfg["basis"]["kind"] == "legendre-trig":
+        raise ConfigError("basis.kind = 'legendre-trig' needs 2-D fields; "
+                          "the points are 1-D")
     pts = np.asarray(cfg["points"], dtype=np.float64)
-    basis = build_fixed_basis(cfg, pts.shape[1:], default_kind="pixel")
-    return pts, build_process(cfg, basis)
+    return pts, build_process(cfg, pixel_basis(pts.shape[1:]))
 
 
 def cmd_sample(args) -> int:

@@ -175,13 +175,9 @@ def build_schedule(cfg: dict) -> Schedule:
         beta_min, beta_max, value(cfg, "schedule.T"))
 
 
-def build_fixed_basis(cfg: dict, shape, default_kind="legendre-trig") -> BasisSet:
-    kind = value(cfg, "basis.kind") or default_kind
-    if kind == "pixel":
+def build_fixed_basis(cfg: dict, shape) -> BasisSet:
+    if value(cfg, "basis.kind") == "pixel":
         return pixel_basis(shape)
-    if len(shape) != 2:
-        raise ConfigError(f"basis.kind = 'legendre-trig' needs 2-D fields; "
-                          f"the points are {len(shape)}-D")
     return legendre_trig_basis(value(cfg, "basis.n1"), value(cfg, "basis.n2"),
                                shape)
 

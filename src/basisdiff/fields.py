@@ -41,11 +41,8 @@ def cast(x, kind, least, most, path: str):
                 and set(map(type, x)) <= {float}
                 and all(map(math.isfinite, x))):
             return x  # a row of finite floats, as points has, is cast already
-        try:
-            out = [cast(v, kind[0], least, most, path) for v in x]
-        except ConfigError:
-            for i, v in enumerate(x):  # again, to name the entry
-                cast(v, kind[0], least, most, f"{path}.{i}")
+        out = [cast(v, kind[0], least, most, f"{path}.{i}")
+               for i, v in enumerate(x)]
         rows = {len(row) for row in out} if isinstance(kind[0], list) else {1}
         if len(rows) > 1 or 0 in rows:
             raise ConfigError(f"{path} rows must share one length >= 1")
@@ -131,7 +128,7 @@ class Rng:
 
     The two ids form the 128-bit Philox key directly, so any (seed, stream)
     pair names one fixed, platform-independent sequence.  One Rng must not be
-    shared across concurrent workers; derive one stream per worker instead.
+    shared across concurrent workers; give each worker its own stream instead.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -139,10 +136,6 @@ class Rng:
         self.stream = cast(stream, *SEED, "stream")
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def derive(self, stream: int) -> "Rng":
-        """Fresh Rng on a different stream of the same seed."""
-        return Rng(self.seed, stream)
 
     def standard_normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)

@@ -82,9 +82,10 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
     endpoints, each row walked independently as in euler_trajectory.
     Walks the same right-hand side down make_time_grid(T, 2 steps,
     "quadratic") in its uniform variable u: step i runs from knot 2i
-    through its midpoint knot 2i + 1 to knot 2i + 2.  Near the terminal knot the RHS scale grows like sigma'/sigma ~ 1/(2t);
-    the quadratic map keeps the solution smooth in u, which a fixed-step
-    4th-order integrator needs to actually deliver oracle accuracy.
+    through its midpoint knot 2i + 1 to knot 2i + 2.  Near the terminal
+    knot the RHS scale grows like sigma'/sigma ~ 1/(2t); the quadratic map
+    keeps the solution smooth in u, which a fixed-step 4th-order
+    integrator needs to actually deliver oracle accuracy.
     """
     steps = cast(steps, *REFERENCE_STEPS, "steps")
     p.check_rows(x_init, "start states")

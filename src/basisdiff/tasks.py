@@ -150,7 +150,7 @@ def _untransform(task: TaskInstance, img: Field) -> Field:
     return img
 
 
-def _region_metrics(a: Field, b: Field, mask: Field, peak: float):
+def _region_metrics(a: Field, b: Field, mask: Field):
     """psnr/rmse restricted to mask==1 and mask==0 pixel sets."""
     m = mask.flat() == 1.0
     out = {}
@@ -159,7 +159,7 @@ def _region_metrics(a: Field, b: Field, mask: Field, peak: float):
             continue
         a_sel, b_sel = a.flat()[sel], b.flat()[sel]
         out[f"rmse_{key}"] = rmse(a_sel, b_sel)
-        out[f"psnr_{key}"] = psnr(a_sel, b_sel, peak)
+        out[f"psnr_{key}"] = psnr(a_sel, b_sel)
     return out
 
 
@@ -193,8 +193,7 @@ class RestorationResult:
 
 
 def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
-                    steps: int, scheme: str = "uniform",
-                    peak: float = 1.0) -> RestorationResult:
+                    steps: int, scheme: str = "uniform") -> RestorationResult:
     """Restore the degraded image by deterministic reverse sampling.
 
     The sampler starts from the transformed degraded image itself (bit-for-
@@ -213,13 +212,13 @@ def run_restoration(task: TaskInstance, p: DiffusionProcess, den: Denoiser,
         restored = _untransform(task, Field(end, shape=x_init.shape))
     region_in, region_out = {}, {}
     if task.mask is not None:
-        region_in = _region_metrics(task.degraded, task.clean, task.mask, peak)
-        region_out = _region_metrics(restored, task.clean, task.mask, peak)
+        region_in = _region_metrics(task.degraded, task.clean, task.mask)
+        region_out = _region_metrics(restored, task.clean, task.mask)
     return RestorationResult(
         task=task.name,
         steps=steps,
-        psnr_in=psnr(task.degraded, task.clean, peak),
-        psnr_out=psnr(restored, task.clean, peak),
+        psnr_in=psnr(task.degraded, task.clean),
+        psnr_out=psnr(restored, task.clean),
         rmse_in=rmse(task.degraded, task.clean),
         rmse_out=rmse(restored, task.clean),
         restored=restored,

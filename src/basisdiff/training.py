@@ -10,8 +10,8 @@ preconditioning wrapper, and descend on one of four objectives:
 * x0-pred             ||F(.) - x0||^2 on the raw network output
 
 Losses are plain squared norms (sums, not means).  Gradients come from the
-network's explicit backward pass; the optimizers implement their update
-rules inline so every arithmetic step is visible to the gradient tests.
+network's explicit backward pass; Adam implements its update rule inline
+so every arithmetic step is visible to the gradient tests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
 # one (kind, least, most) row per TrainConfig field, read by its checks
 TRAINING = {
     "steps": (int, 1, None), "batch": (int, 1, None), "lr": (float, 0, None),
-    "optimizer": (("adam", "sgd"), None, None),
+    "optimizer": (("adam",), None, None),
     # Adam's folded bias correction needs 1 - beta2^k > 0, so beta2 < 1;
     # an EMA decay of 1 would never move off the initial weights
     "beta1": (float, 0, _BELOW_ONE), "beta2": (float, 0, _BELOW_ONE),
@@ -71,17 +71,6 @@ def check_discrete_horizon(T: float, prefix: str = "") -> None:
     if not 1 <= round(T) <= 2 ** 63 - 1:
         raise ConfigError(f"{prefix}time_dist = 'discrete' needs 1 <= "
                           f"round(schedule.T) <= 2**63 - 1, got {T!r}")
-
-
-class Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """params -= lr grad in place; returns the update lr grad."""
-        update = self.lr * grad
-        params -= update
-        return update
 
 
 class Adam:
@@ -269,8 +258,7 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     m = _check_objective(cfg.objective, den, mask, p.shape)
     if cfg.time_dist == "discrete":
         check_discrete_horizon(p.schedule.T)
-    opt = (Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-           if cfg.optimizer == "adam" else Sgd(cfg.lr))
+    opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     rng = Rng(cfg.seed, 1)
     points = ds.stacked()
     # the EMA kept as its offset from the weights, ema - params

@@ -143,7 +143,7 @@ def _checks_coefficients(seed: int, nodes: int = 32):
     vp = make_vp_schedule()
     ddpm = make_ddpm_schedule()
     pixel = np.eye(3)
-    rand = _random_full_rank_rows(3, rng.derive(11))
+    rand = _random_full_rank_rows(3, Rng(seed, 11))
 
     cases = []  # (tag, schedule, eta, basis rows)
     for eta in (0.0, 10.0):
@@ -332,7 +332,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
 
     # conditional score: single Gaussian kernel
     rng = Rng(seed, 30)
-    rows = _random_full_rank_rows(3, rng.derive(31))
+    rows = _random_full_rank_rows(3, Rng(seed, 31))
     basis = BasisSet((3,), rows)
     cond_err = 0.0
     for eta in (0.0, 10.0):
@@ -354,7 +354,7 @@ def _checks_score(seed: int, probes_per_case: int = 13):
     checks.append(_upper("score/conditional-vs-fd", cond_err, 1.0e-5, seed))
 
     # marginal score: explicit equal-weight Gaussian mixture
-    rows2 = _random_full_rank_rows(2, rng.derive(32))
+    rows2 = _random_full_rank_rows(2, Rng(seed, 32))
     basis2 = BasisSet((2,), rows2)
     marg_err = 0.0
     for eta in (0.0, 10.0):
@@ -401,7 +401,7 @@ def _checks_cancellation(seed: int, draws_per_case: int = 17):
     rng = Rng(seed, 40)
     checks = []
     for d in (2, 3, 4):
-        rows = _random_full_rank_rows(d, rng.derive(41 + d))
+        rows = _random_full_rank_rows(d, Rng(seed, 41 + d))
         basis = BasisSet((d,), rows)
         x0 = rng.standard_normal((d,))
         worst = 0.0
@@ -429,7 +429,7 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
     rng = Rng(seed, 50)
     checks = []
     for d in (2, 3):
-        rows = _random_full_rank_rows(d, rng.derive(51 + d))
+        rows = _random_full_rank_rows(d, Rng(seed, 51 + d))
         basis = BasisSet((d,), rows)
         pts = [2.0 * rng.standard_normal((d,)) for _ in range(3)]
         ds = DiracDataset(pts)
@@ -455,8 +455,7 @@ def _checks_marginal(seed: int, draws_per_case: int = 25):
 
 def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 100):
     sched = make_vp_schedule()
-    rng = Rng(seed, 60)
-    rows = _random_full_rank_rows(2, rng.derive(61))
+    rows = _random_full_rank_rows(2, Rng(seed, 61))
     basis = BasisSet((2,), rows)
     p = DiffusionProcess(sched, basis, eta=0.0)
     pts = np.array([[-1.5, 0.0], [1.5, 0.5], [0.0, 1.8]])
@@ -630,7 +629,7 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
     t = sched.T / 2.0
     sig = sched.sigma(t)
     batch = p.forward_sample(np.broadcast_to(x0, (n_draws, x0.size)), t,
-                             rng.derive(81))
+                             Rng(seed, 81))
     z_mean = np.abs(batch.mean(axis=0) - x0) / (sig / math.sqrt(n_draws))
     z_var = np.abs(batch.var(axis=0) - sig ** 2) / (sig ** 2 * math.sqrt(2.0 / n_draws))
     checks.append(_upper("edm-reduction/forward-kernel-z",

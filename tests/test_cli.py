@@ -7,8 +7,7 @@ import pytest
 
 from basisdiff import bases, cli, tasks
 from basisdiff.cli import main
-from basisdiff.config import (build_fixed_basis, build_schedule, load_config,
-                              resolved_eta)
+from basisdiff.config import build_schedule, load_config, resolved_eta
 from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser, load_network
 from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess
@@ -280,8 +279,7 @@ def _check_against_one_trajectory_runs(out, n, final_denoise):
     one-trajectory run from that sample's own Rng(seed, 100 + i) start."""
     cfg = load_config(CONFIGS / "toy_sample.json")
     pts = [Field(np.asarray(r, dtype=np.float64)) for r in cfg["points"]]
-    p = DiffusionProcess(build_schedule(cfg),
-                         build_fixed_basis(cfg, (2,), default_kind="pixel"),
+    p = DiffusionProcess(build_schedule(cfg), bases.pixel_basis((2,)),
                          resolved_eta(cfg))
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     grid = make_time_grid(p.schedule.T, cfg["sampling"]["steps"],
@@ -430,10 +428,10 @@ def test_sample_factors_sigma_once(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "pixel")]) == 0
     assert calls == []
 
-    def generic(cfg, shape, default_kind):
+    def generic(shape):
         return bases.BasisSet(shape, np.eye(int(np.prod(shape))))
 
-    monkeypatch.setattr(cli, "build_fixed_basis", generic)
+    monkeypatch.setattr(cli, "pixel_basis", generic)
     assert main(args + ["--out", str(tmp_path / "generic")]) == 0
     assert len(calls) == 1
     assert ((tmp_path / "pixel" / "samples.csv").read_bytes()
@@ -557,7 +555,10 @@ def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):
      ["basis.kind", "points"]),
     # a residual task's noise is its own basis
     ("train", "streaks.json", ["basis.kind=pixel"],
-     ["basis.kind", "task.kind"])])
+     ["basis.kind", "task.kind"]),
+    # Adam is the one optimizer
+    ("train", "smooth_field.json", ["training.optimizer=sgd"],
+     ["training.optimizer"])])
 def test_bad_values_exit_2_naming_their_key(tmp_path, capsys, command, config,
                                             overrides, keys):
     args = [command, "--config", str(CONFIGS / config), *SMALL_TRAIN]

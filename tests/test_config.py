@@ -138,7 +138,7 @@ def test_basis_builders():
     cfg = {"basis": {"kind": "pixel", "n1": 3, "n2": 5}}
     assert build_fixed_basis(cfg, (2, 2)).M == 4
     cfg["basis"]["kind"] = None
-    assert build_fixed_basis(cfg, (4, 4), default_kind="legendre-trig").M == 162
+    assert build_fixed_basis(cfg, (4, 4)).M == 162
     cfg["basis"]["kind"] = "wavelet"
     with pytest.raises(ConfigError):
         build_fixed_basis(cfg, (2, 2))

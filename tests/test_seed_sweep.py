@@ -5,6 +5,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from basisdiff.verify import CheckResult, SuiteReport, _lower, _upper
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -92,19 +94,15 @@ def test_sampler_suite_has_nothing_to_flag_at_four_seeds():
     assert tool.flags(rows) == []
 
 
-def test_coefficient_suite_has_nothing_to_flag_at_the_sweep_seeds():
+# edm-reduction's noise is the pixel basis, whose operator mixes weights by
+# a copy
+@pytest.mark.parametrize("suite, n_checks", [
+    ("coefficients", 10), ("edm-reduction", 3), ("cancellation", 3),
+    ("marginal", 2)])
+def test_suite_has_nothing_to_flag_at_the_sweep_seeds(suite, n_checks):
     tool = _tool()
-    rows = tool.sweep("coefficients", tool.SWEEP_SEEDS)
-    assert len(rows) == 10
-    assert all(len(checks) == 24 for checks in rows.values())
-    assert tool.flags(rows) == []
-
-
-def test_edm_reduction_suite_has_nothing_to_flag_at_the_sweep_seeds():
-    # its noise is the pixel basis, whose operator mixes weights by a copy
-    tool = _tool()
-    rows = tool.sweep("edm-reduction", tool.SWEEP_SEEDS)
-    assert len(rows) == 3
+    rows = tool.sweep(suite, tool.SWEEP_SEEDS)
+    assert len(rows) == n_checks
     assert all(len(checks) == 24 for checks in rows.values())
     assert tool.flags(rows) == []
 

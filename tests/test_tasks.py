@@ -152,7 +152,7 @@ def test_region_metrics_partition():
     a = Field(rng.standard_normal((6, 6)))
     b = Field(rng.standard_normal((6, 6)))
     mask = Field((rng.standard_normal((6, 6)) > 0).astype(np.float64))
-    got = _region_metrics(a, b, mask, 1.0)
+    got = _region_metrics(a, b, mask)
     n_m = int(mask.values.sum())
     n_b = mask.values.size - n_m
     total = n_m * got["rmse_mask"] ** 2 + n_b * got["rmse_background"] ** 2
