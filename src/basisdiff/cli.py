@@ -42,6 +42,16 @@ def _load(args) -> dict:
     if getattr(args, "steps", None) is not None:
         cfg["sampling"]["steps"] = args.steps
     if getattr(args, "checkpoint", None) is not None:
+        # "restore from PATH": the flag selects the one denoiser that reads
+        # the path, and refuses a --set that names another
+        named = any(item.partition("=")[0] == "restore.denoiser"
+                    for item in args.set)
+        if named and cfg["restore"]["denoiser"] != "checkpoint":
+            raise ConfigError(
+                f"--checkpoint sets restore.checkpoint, which only "
+                f"restore.denoiser = 'checkpoint' reads; --set names "
+                f"restore.denoiser = {cfg['restore']['denoiser']!r}")
+        cfg["restore"]["denoiser"] = "checkpoint"
         cfg["restore"]["checkpoint"] = args.checkpoint
     return check(cfg)
 
@@ -254,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None,
                     help="override sampling.steps")
     sp.add_argument("--checkpoint", default=None,
-                    help="override restore.checkpoint")
+                    help="restore from this checkpoint: sets "
+                         "restore.checkpoint and restore.denoiser=checkpoint")
     sp.set_defaults(func=cmd_restore)
 
     sp = sub.add_parser("simulate", help="run the forward SDE and summarise "

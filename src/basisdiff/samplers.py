@@ -4,8 +4,9 @@ The Euler integrator follows the simplified right-hand side only; nothing
 here touches the basis, so rank-deficient noise models sample fine.  Grids
 run from T down to the terminal knot eps_t = T * TERMINAL_FRACTION = T/1000
 because the RHS divides by sigma(t) and is singular at t = 0.  make_time_grid
-builds every grid; a classical 4th-order integrator over the same field walks
-its quadratic grid as the accuracy oracle in tests and verify suites.
+builds every grid a run walks; a classical 4th-order integrator over the same
+field walks knots geometric in t as the accuracy oracle in tests and verify
+suites.
 
 The flow's coefficients depend on the knot alone, never on the state, so
 each walk tabulates them for all its knots once (DiffusionProcess.knot_table,
@@ -80,20 +81,23 @@ def sample_reference(p: DiffusionProcess, den: Denoiser, x_init: np.ndarray,
 
     x_init holds (n, d) flat start states; the result is their (n, d)
     endpoints, each row walked independently as in euler_trajectory.
-    Walks the same right-hand side down make_time_grid(T, 2 steps,
-    "quadratic") in its uniform variable u: step i runs from knot 2i
-    through its midpoint knot 2i + 1 to knot 2i + 2.  Near the terminal
-    knot the RHS scale grows like sigma'/sigma ~ 1/(2t); the quadratic map
-    keeps the solution smooth in u, which a fixed-step 4th-order
-    integrator needs to actually deliver oracle accuracy.
+    Walks the same right-hand side in lambda = log t, on 2 steps + 1 knots
+    geometric in t from T down to the terminal knot: step i runs from knot
+    2i through its midpoint knot 2i + 1 to knot 2i + 2.  Near the terminal
+    knot the RHS scale grows like sigma'/sigma ~ 1/(2t), so in lambda it
+    stays bounded and the solution smooth, which a fixed-step 4th-order
+    integrator needs to actually deliver oracle accuracy.  log t is nearly
+    DPM-Solver's log sigma but needs no inverse of the schedule.  No run
+    but this oracle walks these knots, so they are no make_time_grid scheme.
     """
     steps = cast(steps, *REFERENCE_STEPS, "steps")
     p.check_rows(x_init, "start states")
     T = p.schedule.T
-    u = np.linspace(1.0, 0.0, 2 * steps + 1)  # as make_time_grid's
-    table = p.knot_table(make_time_grid(T, 2 * steps, "quadratic"))
-    # dt/du = 2 (T - eps_t) u at each knot, times a step's u-length -1/steps
-    gain = (-2.0 / steps) * (T - T * TERMINAL_FRACTION) * u
+    # geomspace sets both end knots exactly: T and eps_t
+    times = np.geomspace(T, T * TERMINAL_FRACTION, 2 * steps + 1)
+    table = p.knot_table(times)
+    # dt/dlambda = t at each knot, times a step's log(eps_t/T)/steps in lambda
+    gain = (np.log(TERMINAL_FRACTION) / steps) * times
 
     def rhs(j: int, x: np.ndarray) -> np.ndarray:
         return gain[j] * p.pfode_rhs_at(den, table, j, x)

@@ -538,7 +538,7 @@ def _checks_sampler(seed: int):
     x_noised = p.forward_sample(pts[1:2], sched.T, Rng(seed, 71))
     # the two starts walk each integrator together, one row each
     starts = np.concatenate([x_top[None, :], x_noised])
-    oracle = sample_reference(p, den, starts, 1024)
+    oracle = sample_reference(p, den, starts, 512)
     ref, limit = oracle
     # Euler walks the quadratic grid, dense where the flow gain grows like
     # 1/(2t): only there is it first order (50/500 ratio 10.2; uniform 4.0)
@@ -564,7 +564,7 @@ def _checks_sampler(seed: int):
 
     num = euler_trajectory(p, cden, x_top[None, :], grid)[-1, 0]
     checks.append(_upper("sampler/constant-denoiser-euler", rel_err(num), 1.0e-4, seed))
-    rel_ref = rel_err(sample_reference(p, cden, x_top[None, :], 1000)[0])
+    rel_ref = rel_err(sample_reference(p, cden, x_top[None, :], 512)[0])
     checks.append(_upper("sampler/constant-denoiser-reference", rel_ref, 1.0e-8, seed))
 
     # round trip: the noised point integrated back down lands on the PFODE
@@ -574,14 +574,14 @@ def _checks_sampler(seed: int):
 
     # RK4 is 4th order: twice the steps cut its error about 2^4 = 16-fold,
     # so the ratio lies in [12, 20], stored as its distance from 16
-    order = rel_err(sample_reference(p, cden, x_top[None, :], 500)[0]) / rel_ref
+    order = rel_err(sample_reference(p, cden, x_top[None, :], 256)[0]) / rel_ref
     checks.append(_upper("sampler/reference-order", abs(order - 16.0), 4.0, seed))
 
-    # the mixture oracle against itself at half the steps: for RK4 the
-    # 1024-step error is about this gap / 15, and the bound sits 500 times
-    # below the smallest error the oracle judges (the round trip's, 5.0e-6
-    # at seed 90210)
-    gap = float(np.abs(oracle - sample_reference(p, den, starts, 512)).max())
+    # the mixture oracle against itself at a quarter of the steps: for RK4
+    # the 512-step error is about this gap / 255, so at the bound it is
+    # about 4e-11, 1e5 times below the smallest error the oracle judges (the
+    # round trip's, 5.0e-6 at seed 90210)
+    gap = float(np.abs(oracle - sample_reference(p, den, starts, 128)).max())
     checks.append(_upper("sampler/oracle-self-consistency", gap, 1.0e-8, seed))
     return checks
 

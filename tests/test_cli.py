@@ -127,6 +127,55 @@ def test_checkpoint_restore_requires_a_path(tmp_path):
     assert code == 2
 
 
+def test_restore_checkpoint_flag_restores_from_its_path(tmp_path, capsys,
+                                                       monkeypatch):
+    # the flag selects the checkpoint denoiser under a config whose
+    # denoiser is train: a missing file fails loudly, naming the path,
+    # without training a network or writing anything
+    trained = []
+
+    def no_training(*a, **kw):
+        trained.append(True)
+        raise RuntimeError("restore --checkpoint trained a network")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "restore"
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--checkpoint", "/nonexistent/ckpt.bin", "--out", str(out)])
+    assert code == 1 and not trained
+    assert "/nonexistent/ckpt.bin" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_restore_checkpoint_flag_refuses_another_denoiser(tmp_path, capsys):
+    out = tmp_path / "restore"
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 "--set", "restore.denoiser=train",
+                 "--checkpoint", "/nonexistent/ckpt.bin", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "restore.checkpoint" in err and "restore.denoiser" in err
+    assert not out.exists()
+
+
+def test_restore_checkpoint_flag_alone_selects_the_checkpoint(tmp_path):
+    # the flag alone restores what the flag plus restore.denoiser=checkpoint
+    # restores, byte for byte; the checkpoint trains one step longer than
+    # the config's, so a restore that retrained would read other bytes
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--set", "training.steps=9",
+                 "--out", str(train_out)]) == 0
+    restore = ["restore", "--config", str(CONFIGS / "smooth_field.json"),
+               *SMALL_TRAIN, "--checkpoint", str(train_out / "checkpoint.bin"),
+               "--steps", "2"]
+    assert main(restore + ["--out", str(tmp_path / "flag")]) == 0
+    assert main(restore + ["--set", "restore.denoiser=checkpoint",
+                           "--out", str(tmp_path / "both")]) == 0
+    assert ((tmp_path / "flag" / "restored.bin").read_bytes()
+            == (tmp_path / "both" / "restored.bin").read_bytes())
+
+
 def test_train_writes_checkpoint_and_trace(tmp_path):
     out = tmp_path / "run"
     code = main(["train", "--config", str(CONFIGS / "smooth_field.json"),

@@ -197,21 +197,21 @@ def _euler_loop(p, den, x, grid):
 
 def _reference_loop(p, den, x, steps):
     """sample_reference as one pfode_rhs call per RK4 stage, each at its own
-    time t = eps_t + (T - eps_t) u^2 with u its stage's u."""
+    time t = exp(lambda) with lambda its stage's lambda = log t."""
     T = p.schedule.T
-    eps_t = T * TERMINAL_FRACTION
-    span = T - eps_t
 
-    def rhs_u(u, x):
-        return (2.0 * span * u) * p.pfode_rhs(den, min(eps_t + span * u * u, T), x)
+    def rhs_lam(lam, x):
+        t = min(np.exp(lam), T)
+        return t * p.pfode_rhs(den, t, x)
 
-    us = np.linspace(1.0, 0.0, steps + 1).tolist()
-    for u, u_next in zip(us[:-1], us[1:]):
-        h = u_next - u
-        k1 = rhs_u(u, x)
-        k2 = rhs_u(u + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs_u(u + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs_u(u_next, x + h * k3)
+    lams = np.linspace(np.log(T), np.log(T * TERMINAL_FRACTION),
+                       steps + 1).tolist()
+    for lam, lam_next in zip(lams[:-1], lams[1:]):
+        h = lam_next - lam
+        k1 = rhs_lam(lam, x)
+        k2 = rhs_lam(lam + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs_lam(lam + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs_lam(lam_next, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
 
@@ -256,9 +256,9 @@ def test_walks_evaluate_the_schedule_once(monkeypatch):
 
 
 @pytest.mark.parametrize("steps", [4, 7, 1000])
-def test_reference_tabulates_the_quadratic_grid(monkeypatch, steps):
-    # the oracle's knots are make_time_grid's, bit for bit: no second copy
-    # of the map t = eps_t + (T - eps_t) u^2
+def test_reference_tabulates_a_geometric_grid(monkeypatch, steps):
+    # the oracle's knots are geometric in t, bit for bit, from T itself down
+    # to the terminal knot itself
     tabulated = []
     real = DiffusionProcess.knot_table
 
@@ -273,8 +273,13 @@ def test_reference_tabulates_the_quadratic_grid(monkeypatch, steps):
         sample_reference(p, ConstantDenoiser(Field([0.4, -0.2])),
                          np.array([[0.9, -1.4]]), steps)
         assert len(tabulated) == 1
-        assert np.array_equal(tabulated[0],
-                              make_time_grid(T, 2 * steps, "quadratic"))
+        knots = tabulated[0]
+        assert np.array_equal(
+            knots, np.geomspace(T, T * TERMINAL_FRACTION, 2 * steps + 1))
+        assert knots[0] == T and knots[-1] == T * TERMINAL_FRACTION
+        np.testing.assert_allclose(knots[1:] / knots[:-1],
+                                   TERMINAL_FRACTION ** (0.5 / steps),
+                                   rtol=1e-13)
 
 
 def _walks(p, den, x):

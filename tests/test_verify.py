@@ -10,7 +10,8 @@ import pytest
 from basisdiff import verify
 from basisdiff.bases import BasisSet
 from basisdiff.process import DiffusionProcess
-from basisdiff.schedules import make_ddpm_schedule, make_vp_schedule
+from basisdiff.schedules import (TERMINAL_FRACTION, make_ddpm_schedule,
+                                 make_vp_schedule)
 from basisdiff.verify import (CheckResult, SUITE_NAMES, SuiteReport, _lower,
                               _upper, run_suite)
 
@@ -153,8 +154,9 @@ def test_edm_reduction_checks_the_library_forward_kernel(monkeypatch):
 
 def test_sampler_suite_keeps_its_walks(monkeypatch):
     # (integrator, steps, rows, denoiser) of every walk the suite makes, and
-    # each Euler grid's scheme; a speedup must not come from shorter or fewer
-    # walks, nor from Euler back on the uniform grid
+    # each Euler grid's scheme; a speedup must not come from fewer walks or
+    # from Euler back on the uniform grid, and a shorter walk is pinned by
+    # the accuracy tests below to be no less accurate than the one it replaced
     from basisdiff import samplers
 
     walks = []
@@ -179,10 +181,10 @@ def test_sampler_suite_keeps_its_walks(monkeypatch):
     monkeypatch.setattr(verify, "sample_reference", record_reference)
     assert run_suite("sampler", seed=7).passed
     assert sorted(walks) == sorted([
-        ("reference", 1024, 2, "DiracMixtureDenoiser"),
         ("reference", 512, 2, "DiracMixtureDenoiser"),
-        ("reference", 1000, 1, "ConstantDenoiser"),
-        ("reference", 500, 1, "ConstantDenoiser"),
+        ("reference", 128, 2, "DiracMixtureDenoiser"),
+        ("reference", 512, 1, "ConstantDenoiser"),
+        ("reference", 256, 1, "ConstantDenoiser"),
         ("euler", 500, 2, "DiracMixtureDenoiser", "quadratic"),
         ("euler", 50, 1, "DiracMixtureDenoiser", "quadratic"),
         ("euler", 1000, 1, "ConstantDenoiser", "quadratic"),
@@ -213,7 +215,7 @@ def test_sampler_euler_walks_are_first_order(monkeypatch):
     def end(d, steps, scheme):
         return euler_trajectory(p, d, x_top, make_time_grid(T, steps, scheme))[-1, 0]
 
-    ref = sample_reference(p, den, x_top, 1024)[0]
+    ref = sample_reference(p, den, x_top, 512)[0]
     for coarse in (50, 100):
         ratio = (np.linalg.norm(end(den, coarse, "quadratic") - ref)
                  / np.linalg.norm(end(den, 10 * coarse, "quadratic") - ref))
@@ -222,6 +224,81 @@ def test_sampler_euler_walks_are_first_order(monkeypatch):
     closed = cden.y + (sig(make_time_grid(T, 1)[-1]) / sig(T)) * (x_top[0] - cden.y)
     assert (np.linalg.norm(end(cden, 1000, "quadratic") - closed)
             <= np.linalg.norm(end(cden, 10_000, "uniform") - closed))
+
+
+def _quadratic_reference(p, den, x, steps):
+    """The RK4 walk the oracle took before it walked log t: make_time_grid's
+    quadratic grid at 2 steps, in its uniform variable u."""
+    from basisdiff.samplers import make_time_grid
+
+    T = p.schedule.T
+    u = np.linspace(1.0, 0.0, 2 * steps + 1)
+    table = p.knot_table(make_time_grid(T, 2 * steps, "quadratic"))
+    # dt/du = 2 (T - eps_t) u at each knot, times a step's u-length -1/steps
+    gain = (-2.0 / steps) * (T - T * TERMINAL_FRACTION) * u
+
+    def rhs(j, x):
+        return gain[j] * p.pfode_rhs_at(den, table, j, x)
+
+    for j in range(0, 2 * steps, 2):
+        k1 = rhs(j, x)
+        k2 = rhs(j + 1, x + 0.5 * k1)
+        k3 = rhs(j + 1, x + 0.5 * k2)
+        k4 = rhs(j + 2, x + k3)
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return x
+
+
+def _suite_references(monkeypatch):
+    """{denoiser class name: (process, denoiser, starts)} of the sampler
+    suite's RK4 walks at seed 7."""
+    walks = {}
+    real = verify.sample_reference
+
+    def record(p, den, x_init, steps):
+        walks[type(den).__name__] = (p, den, x_init)
+        return real(p, den, x_init, steps)
+
+    monkeypatch.setattr(verify, "sample_reference", record)
+    assert run_suite("sampler", seed=7).passed
+    return walks
+
+
+@pytest.mark.parametrize("make_schedule", [make_vp_schedule, make_ddpm_schedule])
+def test_mixture_oracle_is_no_less_accurate_than_before(monkeypatch,
+                                                        make_schedule):
+    # the suite's oracle walk, 512 steps in log t, against the 1024-step
+    # quadratic-u walk it replaced, both measured against a 16 384-step walk
+    # from the suite's two starts, on the suite's basis and points
+    from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser
+    from basisdiff.samplers import sample_reference
+
+    p, den, starts = _suite_references(monkeypatch)["DiracMixtureDenoiser"]
+    q = DiffusionProcess(make_schedule(), p.basis, p.eta)
+    mix = DiracMixtureDenoiser(DiracDataset(den.rows), q)
+    truth = sample_reference(q, mix, starts, 16_384)
+    new = np.abs(sample_reference(q, mix, starts, 512) - truth).max()
+    old = np.abs(_quadratic_reference(q, mix, starts, 1024) - truth).max()
+    assert new <= old
+
+
+@pytest.mark.parametrize("make_schedule", [make_vp_schedule, make_ddpm_schedule])
+def test_constant_reference_is_no_less_accurate_than_before(monkeypatch,
+                                                            make_schedule):
+    # the suite's closed-form walk, 512 steps in log t, against the
+    # 1000-step quadratic-u walk it replaced; for a constant denoiser c the
+    # flow ends on s c + (s sigma)/(s_T sigma_T) (x_T - s_T c)
+    from basisdiff.samplers import sample_reference
+
+    p, cden, x_top = _suite_references(monkeypatch)["ConstantDenoiser"]
+    q = DiffusionProcess(make_schedule(), p.basis, p.eta)
+    T = q.schedule.T
+    s, _, sig, _ = q.schedule.evaluate(T * TERMINAL_FRACTION)
+    s_T, _, sig_T, _ = q.schedule.evaluate(T)
+    closed = s * cden.y + (s * sig) / (s_T * sig_T) * (x_top[0] - s_T * cden.y)
+    new = np.linalg.norm(sample_reference(q, cden, x_top, 512)[0] - closed)
+    old = np.linalg.norm(_quadratic_reference(q, cden, x_top, 1000)[0] - closed)
+    assert new <= old
 
 
 @pytest.mark.parametrize("gain", ["flow_x", "flow_d"])
@@ -323,29 +400,23 @@ def test_gap_ratio_reads_inf_when_an_exact_chain_drifts(monkeypatch, fine_gap,
 
 
 def test_sampler_suite_sees_a_first_order_reference(monkeypatch):
-    # the RK4 midpoint knots moved from h/2 to 0.505 h in u, in both their
-    # time and their dt/du: the reference drops to first order, yet its
-    # error at 1000 steps still meets the closed-form bound, so only the
-    # order check and the mixture oracle's self-consistency can see it
-    # (moving the time alone also fails constant-denoiser-reference)
+    # the RK4 midpoint knots moved from h/2 to 0.505 h in lambda = log t, in
+    # both their time and their dt/dlambda = t: the reference drops to first
+    # order, yet its error at 512 steps still meets the closed-form bound,
+    # so only the order check and the mixture oracle's self-consistency can
+    # see it (moving the time alone also fails constant-denoiser-reference)
     from basisdiff import samplers
 
-    def late(u, steps):
-        u = u.copy()
-        u[1::2] = u[:-1:2] - 0.505 / steps
-        return u
-
-    def grid(T, u):
-        eps_t = T * samplers.TERMINAL_FRACTION
-        return eps_t + (T - eps_t) * u * u
+    def late(times, steps):
+        times = times.copy()
+        times[1::2] = times[:-1:2] * TERMINAL_FRACTION ** (0.505 / steps)
+        return times
 
     src = inspect.getsource(samplers.sample_reference)
-    knots = 'make_time_grid(T, 2 * steps, "quadratic")'
-    us = "np.linspace(1.0, 0.0, 2 * steps + 1)"
-    assert src.count(knots) == 1 and src.count(us) == 1
-    scope = dict(vars(samplers), late=late, grid=grid)
-    exec(src.replace(us, f"late({us}, steps)").replace(knots, "grid(T, u)"),
-         scope)
+    knots = "np.geomspace(T, T * TERMINAL_FRACTION, 2 * steps + 1)"
+    assert src.count(knots) == 1
+    scope = dict(vars(samplers), late=late)
+    exec(src.replace(knots, f"late({knots}, steps)"), scope)
     monkeypatch.setattr(verify, "sample_reference", scope["sample_reference"])
     report = run_suite("sampler", seed=7)
     assert [c.name for c in report.checks if not c.passed] == [
