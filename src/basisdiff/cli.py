@@ -37,23 +37,37 @@ _SAMPLE_BLOCK = 16
 
 
 def _load(args) -> dict:
-    """The checked config: the file, then --set, then restore's flags."""
+    """The checked config: the file, then --set."""
+    return check(apply_overrides(load_config(args.config), args.set))
+
+
+def _load_restore(args) -> dict:
+    """restore's checked config: the file, then --set, then its flags.
+
+    restore refuses what it would not read: a --set of
+    sampling.final_denoise, which only sample reads (a config file may still
+    carry it), and a restore.checkpoint under any restore.denoiser but
+    'checkpoint', whether the file, a --set or --checkpoint set it.
+    """
     cfg = apply_overrides(load_config(args.config), args.set)
-    if getattr(args, "steps", None) is not None:
+    named = {item.partition("=")[0] for item in args.set}
+    if "sampling.final_denoise" in named:
+        raise ConfigError("--set sampling.final_denoise: restore never reads "
+                          "it; only sample does")
+    if args.steps is not None:
         cfg["sampling"]["steps"] = args.steps
-    if getattr(args, "checkpoint", None) is not None:
+    if args.checkpoint is not None:
         # "restore from PATH": the flag selects the one denoiser that reads
-        # the path, and refuses a --set that names another
-        named = any(item.partition("=")[0] == "restore.denoiser"
-                    for item in args.set)
-        if named and cfg["restore"]["denoiser"] != "checkpoint":
-            raise ConfigError(
-                f"--checkpoint sets restore.checkpoint, which only "
-                f"restore.denoiser = 'checkpoint' reads; --set names "
-                f"restore.denoiser = {cfg['restore']['denoiser']!r}")
-        cfg["restore"]["denoiser"] = "checkpoint"
+        # the path, unless a --set names another
         cfg["restore"]["checkpoint"] = args.checkpoint
-    return check(cfg)
+        if "restore.denoiser" not in named:
+            cfg["restore"]["denoiser"] = "checkpoint"
+    cfg = check(cfg)
+    kind, path = cfg["restore"]["denoiser"], cfg["restore"]["checkpoint"]
+    if path is not None and kind != "checkpoint":
+        raise ConfigError(f"restore.checkpoint = {path!r} is read only under "
+                          f"restore.denoiser = 'checkpoint', not {kind!r}")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -121,7 +135,7 @@ def _build_restore_denoiser(cfg: dict, kind: str):
 
 
 def cmd_restore(args) -> int:
-    cfg = _load(args)
+    cfg = _load_restore(args)
     steps = cfg["sampling"]["steps"]
     task, p, den = _build_restore_denoiser(cfg, cfg["restore"]["denoiser"])
     result = run_restoration(task, p, den, steps,

@@ -95,6 +95,43 @@ def _random_full_rank_rows(d: int, rng: Rng, cond_cap: float = 1.0e4) -> np.ndar
             return rows
 
 
+# Rows per block of a population cloud.  The 1e5-row clouds are drawn and
+# reduced a block at a time, so no (1e5, d) array is held whole.
+_BLOCK_ROWS = 8192
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive _BLOCK_ROWS-row blocks that cover n rows.
+
+    Drawing each block in order from one stream gives the same values, row
+    for row, as one (n, ...) draw.
+    """
+    for lo in range(0, n, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, n))
+
+
+def _cloud_moments(draw, n: int, centre, order: int):
+    """Mean powers 1..order and mean cross products of an n-row cloud about
+    its known centre, drawn and reduced a block at a time.
+
+    draw(rows) returns the cloud's next (rows, d) block.  Each block is
+    transposed to (d, rows), so that every sum runs along contiguous memory:
+    numpy sums a contiguous row pairwise, but an (n, d) array's axis-0 sum
+    row by row.  Returns the (order, d) mean powers and the (d, d) mean cross
+    products.
+    """
+    powers = cross = 0.0
+    for rows in _row_blocks(n):
+        e = np.ascontiguousarray((draw(rows.stop - rows.start) - centre).T)
+        term, sums = e, [e.sum(axis=1)]
+        for _ in range(order - 1):
+            term = term * e
+            sums.append(term.sum(axis=1))
+        powers = powers + np.array(sums)
+        cross = cross + e @ e.T
+    return powers / n, cross / n
+
+
 # ---------------------------------------------------------------------------
 # coefficients: SDE drift/diffusion reproduce the closed-form kernel moments
 # ---------------------------------------------------------------------------
@@ -462,11 +499,17 @@ def _checks_optimality(seed: int, n_samples: int = 100_000, n_directions: int = 
     den = DiracMixtureDenoiser(DiracDataset(pts), p)
     t = sched.T / 5.0
 
+    # every index, then each block's normals: the one (n_samples, 2) draw of
+    # forward_sample, written a block at a time into the residual
     draw = Rng(seed, 62)
-    y = pts[draw.integers(0, len(pts), (n_samples,))]
-    x = p.forward_sample(y, t, draw)
-    d_opt = den.denoise(x, t)
-    resid = d_opt - y
+    index = draw.integers(0, len(pts), (n_samples,))
+    table = p.knot_table(t)
+    resid = np.empty((n_samples, 2))
+    for rows in _row_blocks(n_samples):
+        y = pts[index[rows]]
+        x = p.forward_sample(y, t, draw)
+        resid[rows] = den.denoise_at(x, table, 0) - y
+    del index  # np.cov below copies resid
 
     # Perturbing the denoiser by a constant delta changes each per-sample loss
     # by exactly 2 delta . resid + |delta|^2; common random numbers keep the
@@ -605,33 +648,33 @@ def _checks_edm_reduction(seed: int, n_draws: int = 100_000):
     rng = Rng(seed, 80)
 
     # with eta = 0 and the pixel basis the injected noise is iid standard normal
-    noise = p.noise_from_normals(rng.standard_normal((n_draws, p.basis.M)))
-    zs = []
-    zs.append(np.abs(noise.mean(axis=0)) * math.sqrt(n_draws))
-    zs.append(np.abs(noise.var(axis=0) - 1.0) / math.sqrt(2.0 / n_draws))
-    # raw-moment standard errors under N(0,1): Var(X^3) = 15, Var(X^4) = 96;
-    # the powers are products in one reused buffer (a general pow costs ~10x)
-    power = noise * noise
-    power *= noise
-    zs.append(np.abs(power.mean(axis=0)) / math.sqrt(15.0 / n_draws))
-    power *= noise
-    zs.append(np.abs(power.mean(axis=0) - 3.0) / math.sqrt(96.0 / n_draws))
-    cov = noise.T @ noise / n_draws
-    off = cov[~np.eye(4, dtype=bool)]
-    zs.append(np.abs(off) * math.sqrt(n_draws))
+    d = p.basis.M
+    (m1, m2, m3, m4), cross = _cloud_moments(
+        lambda rows: p.noise_from_normals(rng.standard_normal((rows, d))),
+        n_draws, 0.0, 4)
+    zs = [
+        np.abs(m1) * math.sqrt(n_draws),
+        np.abs(m2 - m1 * m1 - 1.0) / math.sqrt(2.0 / n_draws),
+        # raw-moment standard errors under N(0,1): Var(X^3) = 15, Var(X^4) = 96
+        np.abs(m3) / math.sqrt(15.0 / n_draws),
+        np.abs(m4 - 3.0) / math.sqrt(96.0 / n_draws),
+        np.abs(cross[~np.eye(d, dtype=bool)]) * math.sqrt(n_draws),
+    ]
     checks = [_upper("edm-reduction/noise-normality-z", float(np.concatenate(zs).max()),
                      Z_BOUND, seed)]
-    # freed before the forward-kernel draw, which makes (n_draws, 4) arrays too
-    del noise, power
 
     # forward kernel matches x0 + sigma * eps moments
     x0 = rng.standard_normal((2, 2)).reshape(-1)
     t = sched.T / 2.0
     sig = sched.sigma(t)
-    batch = p.forward_sample(np.broadcast_to(x0, (n_draws, x0.size)), t,
-                             Rng(seed, 81))
-    z_mean = np.abs(batch.mean(axis=0) - x0) / (sig / math.sqrt(n_draws))
-    z_var = np.abs(batch.var(axis=0) - sig ** 2) / (sig ** 2 * math.sqrt(2.0 / n_draws))
+    kernel = Rng(seed, 81)
+    (shift, second), _ = _cloud_moments(
+        lambda rows: p.forward_sample(
+            np.broadcast_to(x0, (rows, x0.size)), t, kernel),
+        n_draws, x0, 2)
+    z_mean = np.abs(shift) / (sig / math.sqrt(n_draws))
+    z_var = (np.abs(second - shift * shift - sig ** 2)
+             / (sig ** 2 * math.sqrt(2.0 / n_draws)))
     checks.append(_upper("edm-reduction/forward-kernel-z",
                          float(max(z_mean.max(), z_var.max())), Z_BOUND, seed))
 

@@ -158,6 +158,43 @@ def test_restore_checkpoint_flag_refuses_another_denoiser(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_restore_refuses_a_checkpoint_no_denoiser_reads(tmp_path, capsys,
+                                                         source):
+    # restore.checkpoint under any denoiser but checkpoint: a --set or a
+    # config file that sets it exits 2, naming both keys, before any output
+    args = ["restore", "--out", str(tmp_path / "restore")]
+    if source == "set":
+        args += ["--config", str(CONFIGS / "streaks.json"),
+                 "--set", "restore.checkpoint=/nonexistent/ckpt.bin"]
+    else:
+        cfg = json.loads((CONFIGS / "streaks.json").read_text())
+        cfg.setdefault("restore", {})["checkpoint"] = "/nonexistent/ckpt.bin"
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "restore.checkpoint" in err and "restore.denoiser" in err
+    assert not (tmp_path / "restore").exists()
+
+
+def test_restore_refuses_a_final_denoise_override(tmp_path, capsys):
+    # only sample reads sampling.final_denoise: restore refuses it from the
+    # command line, but a config file that carries it stays legal
+    out = tmp_path / "restore"
+    code = main(["restore", "--config", str(CONFIGS / "streaks.json"),
+                 "--set", "sampling.final_denoise=true", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sampling.final_denoise" in err and "restore" in err
+    assert not out.exists()
+    cfg = json.loads((CONFIGS / "streaks.json").read_text())
+    cfg.setdefault("sampling", {})["final_denoise"] = True
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["restore", "--config", str(tmp_path / "cfg.json"),
+                 "--steps", "2", "--out", str(out)]) == 0
+
+
 def test_restore_checkpoint_flag_alone_selects_the_checkpoint(tmp_path):
     # the flag alone restores what the flag plus restore.denoiser=checkpoint
     # restores, byte for byte; the checkpoint trains one step longer than

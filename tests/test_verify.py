@@ -335,6 +335,99 @@ def test_moments_suite_keeps_its_walks(monkeypatch):
     assert walks == [(128, 10_000), (64, 8), (128, 10_000), (64, 8)]
 
 
+def _draw_runs(monkeypatch):
+    """Record every Rng draw; the returned function gives one (seed, stream)'s
+    draws as (method, rows, row shape) runs, consecutive draws of one method
+    and row shape merged, so a cloud drawn in blocks reads as one run."""
+    from basisdiff.fields import Rng
+
+    log = []
+    for method in ("standard_normal", "integers"):
+        def record(self, *args, _real=getattr(Rng, method), _method=method):
+            out = _real(self, *args)
+            log.append((self.seed, self.stream, _method, np.shape(out)))
+            return out
+
+        monkeypatch.setattr(Rng, method, record)
+
+    def runs(seed, stream):
+        merged = []
+        for s, st, method, shape in log:
+            if (s, st) != (seed, stream):
+                continue
+            rows, row = (shape[0], shape[1:]) if shape else (1, ())
+            if merged and (merged[-1][0], merged[-1][2]) == (method, row):
+                merged[-1][1] += rows
+            else:
+                merged.append([method, rows, row])
+        return [tuple(run) for run in merged]
+
+    return runs
+
+
+def test_population_suites_keep_their_draws(monkeypatch):
+    # the 1e5-row clouds, counted in rows per (seed, stream): a speedup must
+    # not come from fewer draws, and a cloud drawn in blocks keeps its stream
+    runs = _draw_runs(monkeypatch)
+    assert run_suite("edm-reduction", seed=7).passed
+    assert runs(7, 80)[0] == ("standard_normal", 100_000, (4,))
+    assert runs(7, 81) == [("standard_normal", 100_000, (4,))]
+    assert run_suite("optimality", seed=7).passed
+    assert runs(7, 62) == [("integers", 100_000, ()),
+                           ("standard_normal", 100_000, (2,))]
+
+
+@pytest.mark.parametrize("seed", [7, 2201, 90210])
+def test_streamed_edm_moments_match_a_whole_cloud_reference(seed):
+    # edm-reduction's two clouds reduced a block at a time, against the same
+    # draws made in one call and summed exactly (math.fsum) column by column
+    import math
+
+    from basisdiff.bases import pixel_basis
+    from basisdiff.fields import Rng
+
+    n = 100_000
+    p = DiffusionProcess(make_vp_schedule(), pixel_basis((2, 2)), eta=0.0)
+    t = p.schedule.T / 2.0
+
+    def reference(cloud, order):
+        columns = cloud.T
+        powers = [[math.fsum(c ** k) / n for c in columns]
+                  for k in range(1, order + 1)]
+        cross = [[math.fsum(a * b) / n for b in columns] for a in columns]
+        return np.array(powers), np.array(cross)
+
+    rng = Rng(seed, 80)
+    streamed = verify._cloud_moments(
+        lambda rows: p.noise_from_normals(rng.standard_normal((rows, 4))),
+        n, 0.0, 4)
+    whole = reference(Rng(seed, 80).standard_normal((n, 4)), 4)
+    x0 = rng.standard_normal((2, 2)).reshape(-1)
+    kernel = Rng(seed, 81)
+    streamed_kernel = verify._cloud_moments(
+        lambda rows: p.forward_sample(np.broadcast_to(x0, (rows, 4)), t, kernel),
+        n, x0, 2)
+    whole_kernel = reference(p.forward_sample(
+        np.broadcast_to(x0, (n, 4)), t, Rng(seed, 81)) - x0, 2)
+    for got, want in zip(streamed + streamed_kernel, whole + whole_kernel):
+        np.testing.assert_allclose(got, want, rtol=1.0e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("suite", ["edm-reduction", "optimality"])
+def test_population_suites_hold_no_whole_cloud(suite):
+    # each 1e5-row cloud is drawn and reduced in blocks: the suite's traced
+    # peak stays under 4 MB (a whole (1e5, 4) cloud is 3.2 MB by itself)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert run_suite(suite, seed=7).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0e6
+
+
 @pytest.mark.parametrize("scaled,failing", [
     ("f", ["ddpm/eta0", "ddpm/eta10"]),
     ("g", ["vp/eta0", "vp/eta10", "ddpm/eta0", "ddpm/eta10"]),
