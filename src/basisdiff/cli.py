@@ -44,16 +44,12 @@ def _load(args) -> dict:
 def _load_restore(args) -> dict:
     """restore's checked config: the file, then --set, then its flags.
 
-    restore refuses what it would not read: a --set of
-    sampling.final_denoise, which only sample reads (a config file may still
-    carry it), and a restore.checkpoint under any restore.denoiser but
-    'checkpoint', whether the file, a --set or --checkpoint set it.
+    restore refuses a restore.checkpoint it would not read: one under any
+    restore.denoiser but 'checkpoint', whether the file, a --set or
+    --checkpoint set it.
     """
     cfg = apply_overrides(load_config(args.config), args.set)
     named = {item.partition("=")[0] for item in args.set}
-    if "sampling.final_denoise" in named:
-        raise ConfigError("--set sampling.final_denoise: restore never reads "
-                          "it; only sample does")
     if args.steps is not None:
         cfg["sampling"]["steps"] = args.steps
     if args.checkpoint is not None:
@@ -86,10 +82,11 @@ def _training_setup(cfg: dict):
 
 
 def _fingerprint(cfg: dict, widths) -> dict:
-    """The run a checkpoint belongs to: restore refuses it under any other."""
+    """The run a checkpoint belongs to: restore refuses it under any other.
+    The seed picks both the task image and the network's starting weights."""
     head = {path: value(cfg, path) for path in SCHEMA
             if path.startswith(("schedule.", "task.", "basis."))}
-    return {**head, "widths": list(widths),
+    return {**head, "seed": value(cfg, "seed"), "widths": list(widths),
             "basis.kind": value(cfg, "basis.kind") or "legendre-trig",
             "training.objective": resolved_objective(cfg),
             "process.eta": resolved_eta(cfg)}
@@ -122,8 +119,6 @@ def _build_restore_denoiser(cfg: dict, kind: str):
         task, p, x0, widths = _training_setup(cfg)
     if kind == "oracle-clean":
         return task, p, ConstantDenoiser(x0)
-    if kind == "analytic":
-        return task, p, DiracMixtureDenoiser(DiracDataset([x0]), p)
     if kind == "checkpoint":
         path = cfg["restore"]["checkpoint"]
         if not path:
@@ -188,13 +183,10 @@ def cmd_sample(args) -> int:
                 y = pts[rng.integers(0, len(pts))][None, :]
                 x_top[k] = p.forward_sample(y, p.schedule.T, rng)[0]
             states = euler_trajectory(p, den, x_top, grid)
-            finals = states[-1]
-            if sampling["final_denoise"]:
-                finals = den.denoise(finals, float(grid[-1]))
             for k, i in enumerate(block):
                 write_trajectory_csv(grid, states[:, k],
                                      out / f"trajectory_{i:03d}.csv")
-                yield [i] + finals[k].tolist()
+                yield [i] + states[-1, k].tolist()
 
     write_csv(out / "samples.csv",
               ["sample"] + [f"x{i}" for i in range(pts.shape[1])], sample_rows())

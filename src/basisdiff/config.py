@@ -36,7 +36,7 @@ from .schedules import (BETA, ETA, HORIZON, Schedule, make_ddpm_schedule,
                         make_vp_schedule)
 from .tasks import (CASE3_DRAWS, CASE3_ETAS, EXTENT, POISSON_LAM_MAX,
                     RESTORE_STEPS, gen_residual_task, gen_smooth_field_task)
-from .training import TRAINING, check_discrete_horizon
+from .training import TRAINING
 
 _SCHEDULES = {"vp-continuous": make_vp_schedule,
               "vp-ddpm": make_ddpm_schedule}
@@ -67,11 +67,10 @@ SCHEMA = {
     "sampling.steps": (5, *RESTORE_STEPS),
     "sampling.scheme": ("uniform", *GRID_SCHEME),
     "sampling.n_samples": (4, int, 0, None),
-    "sampling.final_denoise": (False, bool, None, None),
     "simulate.n_paths": (1000, *SDE_COUNT),
     "simulate.n_steps": (256, *SDE_COUNT),
-    "restore.denoiser": ("train", ("train", "checkpoint", "oracle-clean",
-                                   "analytic"), None, None),
+    "restore.denoiser": ("train", ("train", "checkpoint", "oracle-clean"),
+                         None, None),
     "restore.checkpoint": (None, str, None, None),
     "case3.eta_grid": ([0.0, 1.0, 10.0, 100.0, 1.0e9], *CASE3_ETAS),
     "case3.n_draws": (100000, *CASE3_DRAWS),
@@ -160,8 +159,6 @@ def check(cfg: dict) -> dict:
     for path in SCHEMA:
         head, _, key = path.rpartition(".")
         (cfg[head] if head else cfg)[key] = value(cfg, path)
-    if cfg["training"]["time_dist"] == "discrete":
-        check_discrete_horizon(cfg["schedule"]["T"], "training.")
     return cfg
 
 

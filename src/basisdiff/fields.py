@@ -32,8 +32,8 @@ class ConfigError(ValueError):
 def cast(x, kind, least, most, path: str):
     """x as a value of kind within [least, most], None leaving a side open;
     else a ConfigError (a ValueError) whose message starts with path.  A kind
-    is int, float, bool or str, a tuple of allowed names, or [kind] for a
-    list (a list of lists needs rows of one length, at least 1)."""
+    is int, float or str, a tuple of allowed names, or [kind] for a list (a
+    list of lists needs rows of one length, at least 1)."""
     if isinstance(kind, list):
         if not isinstance(x, list):
             raise ConfigError(f"{path} = {x!r} must be a list")
@@ -49,9 +49,8 @@ def cast(x, kind, least, most, path: str):
         return out
     if isinstance(kind, tuple):
         ok, need = x in kind, "one of " + ", ".join(kind)
-    elif kind in (bool, str):
-        ok, need = isinstance(x, kind), ("true or false" if kind is bool
-                                         else "a string")
+    elif kind is str:
+        ok, need = isinstance(x, str), "a string"
     else:  # a bool is no number, and an int key takes 3.0 but not 2.9
         need = "an integer" if kind is int else "a finite number"
         ok = (isinstance(x, (int, np.integer)) and type(x) is not bool

@@ -23,8 +23,7 @@ import numpy as np
 
 from .denoisers import (Denoiser, DiracDataset, PreconditionedDenoiser,
                         TinyNetwork)
-from .fields import (_BELOW_ONE, _POSITIVE, SEED, ConfigError, Rng, cast,
-                     write_csv)
+from .fields import _BELOW_ONE, _POSITIVE, SEED, Rng, cast, write_csv
 from .process import DiffusionProcess
 
 OBJECTIVES = ("mse-x0", "noise-pred", "weighted-noise-pred", "x0-pred")
@@ -36,7 +35,7 @@ TRAINING = {
     # an EMA decay of 1 would never move off the initial weights
     "beta1": (float, 0, _BELOW_ONE), "beta2": (float, 0, _BELOW_ONE),
     "eps": (float, _POSITIVE, None), "objective": (OBJECTIVES, None, None),
-    "time_dist": (("continuous", "discrete"), None, None), "seed": SEED,
+    "time_dist": (("continuous",), None, None), "seed": SEED,
     "lr_decay": (float, _POSITIVE, None), "lr_decay_every": (int, 0, None),
     "ema_decay": (float, 0, _BELOW_ONE),
 }
@@ -63,14 +62,6 @@ class TrainConfig:
         refusal is a ValueError whose message starts with the field."""
         for key, x in vars(self).items():
             setattr(self, key, cast(x, *TRAINING[key], key))
-
-
-def check_discrete_horizon(T: float, prefix: str = "") -> None:
-    """Refuse discrete training times 1 .. round(T) unless round(T) is in
-    1 .. 2**63 - 1, the span numpy's integer draw takes."""
-    if not 1 <= round(T) <= 2 ** 63 - 1:
-        raise ConfigError(f"{prefix}time_dist = 'discrete' needs 1 <= "
-                          f"round(schedule.T) <= 2**63 - 1, got {T!r}")
 
 
 class Adam:
@@ -220,27 +211,22 @@ def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     return float(losses[0]), grad
 
 
-def _draw_time(rng: Rng, cfg: TrainConfig, T: float) -> float:
-    if cfg.time_dist == "continuous":
-        # u in [0,1) mapped to (0, T]
-        return T * (1.0 - rng.uniform())
-    return float(rng.integers(1, int(round(T)) + 1))
-
-
 def _draw_batch(rng: Rng, cfg: TrainConfig, p: DiffusionProcess,
                 points: np.ndarray):
     """(x0, t, noise) for one step, each with one row per batch element.
 
-    Each element draws its data index, then its time, then its M noise
-    weights, in the order compute_loss would draw them one call at a time;
-    all the weights mix with the basis rows in one product.
+    Each element draws its data index, then its time (u in [0, 1) mapped
+    to (0, T]), then its M noise weights, in the order compute_loss would
+    draw them one call at a time; all the weights mix with the basis rows
+    in one product.
     """
+    T = p.schedule.T
     idx = np.empty(cfg.batch, dtype=np.intp)
     t = np.empty(cfg.batch)
     eps = np.empty((cfg.batch, p.basis.M))
     for k in range(cfg.batch):
         idx[k] = rng.integers(0, len(points))
-        t[k] = _draw_time(rng, cfg, p.schedule.T)
+        t[k] = T * (1.0 - rng.uniform())
         eps[k] = rng.standard_normal(p.basis.M)
     return points[idx], t, p.noise_from_normals(eps)
 
@@ -256,8 +242,6 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
     """
     den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
     m = _check_objective(cfg.objective, den, mask, p.shape)
-    if cfg.time_dist == "discrete":
-        check_discrete_horizon(p.schedule.T)
     opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     rng = Rng(cfg.seed, 1)
     points = ds.stacked()

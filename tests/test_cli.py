@@ -1,5 +1,6 @@
 import json
 import struct
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from basisdiff import bases, cli, tasks
 from basisdiff.cli import main
 from basisdiff.config import build_schedule, load_config, resolved_eta
-from basisdiff.denoisers import DiracDataset, DiracMixtureDenoiser, load_network
+from basisdiff.denoisers import (DiracDataset, DiracMixtureDenoiser,
+                                 load_network, save_network)
 from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import euler_trajectory, make_time_grid
@@ -178,21 +180,39 @@ def test_restore_refuses_a_checkpoint_no_denoiser_reads(tmp_path, capsys,
     assert not (tmp_path / "restore").exists()
 
 
-def test_restore_refuses_a_final_denoise_override(tmp_path, capsys):
-    # only sample reads sampling.final_denoise: restore refuses it from the
-    # command line, but a config file that carries it stays legal
-    out = tmp_path / "restore"
-    code = main(["restore", "--config", str(CONFIGS / "streaks.json"),
-                 "--set", "sampling.final_denoise=true", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "sampling.final_denoise" in err and "restore" in err
+# retired inputs: restore's analytic denoiser was the clean image itself,
+# final_denoise no bundled run read, and discrete times no run drew; each
+# is refused before any output, naming its key
+@pytest.mark.parametrize("command, config, overrides, key", [
+    ("restore", "streaks.json", ["restore.denoiser=analytic"],
+     "restore.denoiser"),
+    ("restore", "shadow_box.json", ["restore.denoiser=analytic"],
+     "restore.denoiser"),
+    ("sample", "toy_sample.json", ["sampling.final_denoise=true"],
+     "sampling.final_denoise"),
+    ("restore", "streaks.json", ["sampling.final_denoise=true"],
+     "sampling.final_denoise"),
+    ("simulate", "toy_sample.json", ["sampling.final_denoise=true"],
+     "sampling.final_denoise"),
+    ("sample", "file", [], "sampling.final_denoise"),
+    ("restore", "file", [], "sampling.final_denoise"),
+    ("train", "smooth_field.json", ["training.time_dist=discrete"],
+     "training.time_dist")])
+def test_retired_inputs_exit_2_naming_their_key(tmp_path, capsys, command,
+                                                config, overrides, key):
+    if config == "file":  # a config file that carries the key
+        source = "toy_sample.json" if command == "sample" else "streaks.json"
+        cfg = json.loads((CONFIGS / source).read_text())
+        cfg["sampling"]["final_denoise"] = True
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+    args = [command, "--config", str(CONFIGS / config), *SMALL_TRAIN]
+    for item in overrides:
+        args += ["--set", item]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
-    cfg = json.loads((CONFIGS / "streaks.json").read_text())
-    cfg.setdefault("sampling", {})["final_denoise"] = True
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["restore", "--config", str(tmp_path / "cfg.json"),
-                 "--steps", "2", "--out", str(out)]) == 0
 
 
 def test_restore_checkpoint_flag_alone_selects_the_checkpoint(tmp_path):
@@ -266,17 +286,20 @@ def test_restore_oracle_outputs(tmp_path):
 
 @pytest.mark.parametrize("config", ["streaks.json", "shadow_box.json"])
 def test_analytic_restore_runs_on_residual_tasks(tmp_path, config):
-    # the process is over the basis resolved on the task's own pair, so the
-    # analytic denoiser runs; its one point is the clean field, so it
-    # restores exactly what the clean oracle does
-    restored = {}
-    for kind in ("analytic", "oracle-clean"):
-        out = tmp_path / kind
-        assert main(["restore", "--config", str(CONFIGS / config),
-                     "--set", f"restore.denoiser={kind}",
-                     "--out", str(out)]) == 0
-        restored[kind] = (out / "restored.bin").read_bytes()
-    assert restored["analytic"] == restored["oracle-clean"]
+    # why restore has no analytic denoiser: over the basis resolved on the
+    # task's own pair, the one-point mixture of the library weighs its one
+    # point, the clean field, by exactly 1, so it restores byte for byte
+    # what the clean oracle does
+    assert main(["restore", "--config", str(CONFIGS / config),
+                 "--out", str(tmp_path)]) == 0
+    cfg = cli._load(Namespace(config=CONFIGS / config, set=[]))
+    task, p, x0, _ = cli._training_setup(cfg)
+    result = tasks.run_restoration(task, p,
+                                   DiracMixtureDenoiser(DiracDataset([x0]), p),
+                                   cfg["sampling"]["steps"],
+                                   scheme=cfg["sampling"]["scheme"])
+    assert (field_to_bytes(result.restored)
+            == (tmp_path / "restored.bin").read_bytes())
 
 
 # The paper's claim that richer noise costs nothing at restoration time, as
@@ -284,7 +307,7 @@ def test_analytic_restore_runs_on_residual_tasks(tmp_path, config):
 # knots, with every denoiser, and never reads Sigma's factors or the basis.
 @pytest.mark.parametrize("config, denoiser", [
     (config, denoiser) for config in ("smooth_field", "streaks", "shadow_box")
-    for denoiser in ("oracle-clean", "analytic", "train")
+    for denoiser in ("oracle-clean", "train")
 ] + [("smooth_field", "checkpoint")])
 def test_restore_walk_makes_one_schedule_call(tmp_path, monkeypatch, config,
                                               denoiser):
@@ -360,7 +383,7 @@ def test_sample_writes_trajectories(tmp_path):
         assert len(tlines) == 6  # header + 5 knots
 
 
-def _check_against_one_trajectory_runs(out, n, final_denoise):
+def _check_against_one_trajectory_runs(out, n):
     """Every samples.csv row, and each trajectory's ends, equal a
     one-trajectory run from that sample's own Rng(seed, 100 + i) start."""
     cfg = load_config(CONFIGS / "toy_sample.json")
@@ -381,28 +404,23 @@ def _check_against_one_trajectory_runs(out, n, final_denoise):
                           delimiter=",", skiprows=1)
         np.testing.assert_allclose(traj[0, 1:], x_top[0], rtol=1e-12)
         np.testing.assert_allclose(traj[-1, 1:], end[0], rtol=1e-12)
-        if final_denoise == "true":
-            end = den.denoise(end, float(grid[-1]))
         assert rows[i, 0] == i
         np.testing.assert_allclose(rows[i, 1:], end[0], rtol=1e-12)
 
 
-@pytest.mark.parametrize("final_denoise", ["false", "true"])
-def test_sample_batch_matches_one_trajectory_runs(tmp_path, monkeypatch,
-                                                  final_denoise):
+def test_sample_batch_matches_one_trajectory_runs(tmp_path, monkeypatch):
     # samples walk stacked Euler passes, one per block; each row must still
     # be the one-trajectory run from its own Rng(seed, 100 + i) start
-    args = ["sample", "--config", str(CONFIGS / "toy_sample.json"),
-            "--set", f"sampling.final_denoise={final_denoise}"]
+    args = ["sample", "--config", str(CONFIGS / "toy_sample.json")]
     n = load_config(CONFIGS / "toy_sample.json")["sampling"]["n_samples"]
     assert n <= cli._SAMPLE_BLOCK  # all samples in one block
     assert main(args + ["--out", str(tmp_path / "one")]) == 0
-    _check_against_one_trajectory_runs(tmp_path / "one", n, final_denoise)
+    _check_against_one_trajectory_runs(tmp_path / "one", n)
     # blocks of 2, the last one short
     monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 2)
     assert main(args + ["--set", "sampling.n_samples=5",
                         "--out", str(tmp_path / "blocks")]) == 0
-    _check_against_one_trajectory_runs(tmp_path / "blocks", 5, final_denoise)
+    _check_against_one_trajectory_runs(tmp_path / "blocks", 5)
 
 
 def test_sample_rejects_negative_count(tmp_path):
@@ -416,9 +434,7 @@ def test_sample_rejects_negative_count(tmp_path):
     ("sampling.steps=3.7", "sampling.steps"),
     ("sampling.steps=0", "sampling.steps"),
     ("seed=1.5", "seed"),
-    ("seed=-1", "seed"),
-    ("sampling.final_denoise=no", "sampling.final_denoise"),
-    ("sampling.final_denoise=1", "sampling.final_denoise")])
+    ("seed=-1", "seed")])
 def test_sample_rejects_bad_counts(tmp_path, capsys, override, key):
     code = main(["sample", "--config", str(CONFIGS / "toy_sample.json"),
                  "--set", override, "--out", str(tmp_path)])
@@ -630,13 +646,13 @@ def test_demo_case3_rejects_fractional_draws(tmp_path, capsys):
     # a seed is half of a 128-bit Philox key
     ("train", "smooth_field.json", ["training.seed=1e30"], ["training.seed"]),
     ("sample", "toy_sample.json", ["seed=1e30"], ["seed"]),
+    # an objective outside the four
+    ("train", "smooth_field.json", ["training.objective=mse"],
+     ["training.objective"]),
     # cross-key refusals name both keys
     ("train", "smooth_field.json",
-     ["training.time_dist=discrete", "schedule.T=0.4"],
-     ["training.time_dist", "schedule.T"]),
-    ("train", "smooth_field.json",
-     ["training.time_dist=discrete", "schedule.T=1e19"],
-     ["training.time_dist", "schedule.T"]),
+     ["schedule.beta_min=0.01", "schedule.beta_max=0.005"],
+     ["schedule.beta_max", "schedule.beta_min"]),
     ("sample", "toy_sample.json", ["basis.kind=legendre-trig"],
      ["basis.kind", "points"]),
     # a residual task's noise is its own basis
@@ -676,4 +692,21 @@ def test_checkpoint_restore_refuses_another_run(tmp_path, capsys):
                    + field_to_bytes(Field(net.params)))
     assert main(restore + ["--checkpoint", str(v1)]) == 1
     assert "re-train" in capsys.readouterr().err
+    # the seed picks the image and the starting weights: seed 11's
+    # checkpoint restores seed 11's image and no other
+    ckpt = ["--checkpoint", str(tmp_path / "seed11" / "checkpoint.bin")]
+    assert main(["train", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--out", str(tmp_path / "seed11")]) == 0
+    capsys.readouterr()
+    assert main(restore + ckpt + ["--set", "seed=12"]) == 2
+    assert "with seed = 11, but this run has 12" in capsys.readouterr().err
+    # a checkpoint whose header holds no seed is refused the same way
+    cfg = cli._load(Namespace(config=CONFIGS / "smooth_field.json",
+                              set=SMALL_TRAIN[1::2]))
+    head = cli._fingerprint(cfg, net.widths)
+    del head["seed"]
+    save_network(net, tmp_path / "unseeded.bin", head)
+    assert main(restore + ["--checkpoint", str(tmp_path / "unseeded.bin")]) == 2
+    assert "with seed = None, but this run has 11" in capsys.readouterr().err
     assert not (tmp_path / "restore").exists()
+    assert main(restore + ckpt + ["--out", str(tmp_path / "seed11")]) == 0

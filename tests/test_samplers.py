@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from basisdiff.bases import BasisSet, pixel_basis
+from basisdiff.bases import BasisSet, CovarianceOp, pixel_basis
 from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
                                  DiracMixtureDenoiser, PreconditionedDenoiser,
                                  TinyNetwork)
@@ -235,7 +235,11 @@ def test_table_walks_match_a_loop_over_pfode_rhs(make_schedule):
 
 def test_walks_evaluate_the_schedule_once(monkeypatch):
     # every Schedule method evaluates through _eval; a walk makes one array
-    # call for all its knots, not one call per step
+    # call for all its knots, not one call per step.  The paper's claim that
+    # richer noise costs nothing in the reverse walk, as counts: with every
+    # denoiser kind, the walk never reads Sigma's factors or the basis rows
+    walks = [(name, p, den, Rng(7).standard_normal((2, *p.shape)))
+             for name, p, den in _denoisers(make_vp_schedule())]
     calls = []
     parts = Schedule._eval
 
@@ -243,16 +247,25 @@ def test_walks_evaluate_the_schedule_once(monkeypatch):
         calls.append(np.shape(t))
         return parts(sched, t)
 
+    reads = []
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            reads.append(name)
+            return fn(*a, **kw)
+        return wrapper
+
     monkeypatch.setattr(Schedule, "_eval", counting)
-    p, mix = _mixture([[1.0, 0.0], [0.3, 1.0]], 2)
-    x = np.array([[0.9, -1.4], [-0.3, 0.2]])
-    for den in (ConstantDenoiser(Field([0.4, -0.2])), mix):
+    for cls, name in ((CovarianceOp, "_factor"), (BasisSet, "elements")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for name, p, den, x in walks:
         calls.clear()
         euler_trajectory(p, den, x, make_time_grid(p.schedule.T, 1000))
-        assert calls == [(1000,)]
+        assert calls == [(1000,)], name
         calls.clear()
         sample_reference(p, den, x, 4096)
-        assert calls == [(2 * 4096 + 1,)]
+        assert calls == [(2 * 4096 + 1,)], name
+        assert reads == [], name
 
 
 @pytest.mark.parametrize("steps", [4, 7, 1000])

@@ -97,7 +97,7 @@ def test_score_suite_loads_no_scipy_stats():
 @pytest.mark.parametrize("args", [
     ["train", "--config", "smooth_field.json", "--set", "training.steps=3"],
     ["restore", "--config", "smooth_field.json",
-     "--set", "restore.denoiser=analytic"],
+     "--set", "restore.denoiser=oracle-clean"],
     ["sample", "--config", "toy_sample.json"],
     ["simulate", "--config", "toy_sample.json", "--set", "simulate.n_paths=50",
      "--set", "simulate.n_steps=8"],

@@ -9,9 +9,8 @@ from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import Schedule, make_vp_schedule
 from basisdiff.bases import pixel_basis, residual_basis
 from basisdiff.training import (Adam, TrainConfig, _batch_loss,
-                                _check_objective, _draw_batch, _draw_time,
-                                compute_loss, train, weight_from_mask,
-                                write_loss_trace)
+                                _check_objective, _draw_batch, compute_loss,
+                                train, weight_from_mask, write_loss_trace)
 
 
 def _pixel_process(d=2, eta=0.0):
@@ -79,8 +78,6 @@ def test_config_validation():
         TrainConfig(steps=1, lr=-1e-3)
     with pytest.raises(ValueError):
         TrainConfig(steps=1, objective="nope")
-    with pytest.raises(ValueError):
-        TrainConfig(steps=1, time_dist="sometimes")
     for name in ("lbfgs", "sgd"):
         with pytest.raises(ValueError, match="^optimizer "):
             TrainConfig(steps=1, optimizer=name)
@@ -92,7 +89,9 @@ def test_config_validation():
                        ("ema_decay", -0.5), ("lr_decay", 0.0),
                        ("lr_decay", -1.0), ("beta2", float("nan")),
                        ("eps", float("nan")), ("lr", float("nan")),
-                       ("seed", -1), ("lr_decay_every", -3)]:
+                       ("seed", -1), ("lr_decay_every", -3),
+                       # times are drawn on (0, T] only
+                       ("time_dist", "discrete"), ("time_dist", "sometimes")]:
         with pytest.raises(ValueError, match=f"^{key} "):
             TrainConfig(steps=1, **{key: value})
 
@@ -216,7 +215,7 @@ def test_batched_step_matches_sequential_compute_loss(basis_kind, objective):
     seq_grad = np.zeros_like(den.net.params)
     for k in range(cfg.batch):
         i = seq_rng.integers(0, len(ds))
-        tk = _draw_time(seq_rng, cfg, p.schedule.T)
+        tk = p.schedule.T * (1.0 - seq_rng.uniform())
         loss, g = compute_loss(objective, den, p, ds.stacked()[i], tk, seq_rng,
                                mask=mask)
         assert tk == t[k] and np.array_equal(ds.stacked()[i], x0[k])
@@ -250,7 +249,7 @@ def _reference_train(net, p, ds, cfg):
         rows = []
         for _ in range(cfg.batch):
             i = rng.integers(0, len(ds))
-            t = _draw_time(rng, cfg, p.schedule.T)
+            t = p.schedule.T * (1.0 - rng.uniform())
             eps = rng.standard_normal((1, p.basis.M))
             rows.append(_batch_loss(cfg.objective, den, p,
                                     ds.stacked()[i][None, :],
@@ -478,32 +477,15 @@ def test_training_reproducible_from_seed():
 
 
 def test_training_options_smoke():
-    # adam + discrete times + decay + averaged snapshot all run end to end
+    # adam + decay + averaged snapshot all run end to end
     p = _pixel_process(2)
     ds = DiracDataset([Field([0.5, 0.5])])
     net = TinyNetwork([3, 6, 2], Rng(13))
-    cfg = TrainConfig(steps=40, lr=1e-3, time_dist="discrete",
-                      lr_decay=0.5, lr_decay_every=10, ema_decay=0.9, seed=6)
+    cfg = TrainConfig(steps=40, lr=1e-3, lr_decay=0.5, lr_decay_every=10,
+                      ema_decay=0.9, seed=6)
     _, trace = train(net, p, ds, cfg)
     assert len(trace) == 40 and np.all(np.isfinite(trace))
     assert np.all(np.isfinite(net.params))
-
-
-@pytest.mark.parametrize("T", [0.4, 1e19])
-def test_discrete_training_refuses_a_horizon_before_its_first_step(T):
-    # times are drawn from 1 .. round(T), which numpy's integer draw takes
-    # only for 1 <= round(T) <= 2**63 - 1
-    p = DiffusionProcess(make_vp_schedule(T=T), pixel_basis((2,)), 0.0)
-    net = TinyNetwork([3, 6, 2], Rng(13))
-    before = net.params.copy()
-    cfg = TrainConfig(steps=5, time_dist="discrete")
-    with pytest.raises(ValueError, match=r"^time_dist = 'discrete' needs 1 "
-                                         r"<= round\(schedule\.T\)"):
-        train(net, p, DiracDataset([Field([0.5, 0.5])]), cfg)
-    assert np.array_equal(net.params, before)
-    # the continuous draw takes any horizon
-    assert len(train(net, p, DiracDataset([Field([0.5, 0.5])]),
-                     TrainConfig(steps=2))[1]) == 2
 
 
 def test_masked_training_smoke():
