@@ -365,10 +365,14 @@ def load_network(path, expect: dict = None) -> TinyNetwork:
     if params.size != n_params:
         raise ValueError("parameter payload does not match the architecture")
     for key in sorted(expect or {}):
-        if header.get(key) != expect[key]:
+        if key not in header:
+            raise CheckpointMismatch(
+                f"checkpoint {path} predates the header field {key!r} that "
+                f"this run checks; re-train it with `basisdiff train`")
+        if header[key] != expect[key]:
             raise CheckpointMismatch(
                 f"checkpoint {path} was trained with {key} = "
-                f"{header.get(key)!r}, but this run has {expect[key]!r}; "
+                f"{header[key]!r}, but this run has {expect[key]!r}; "
                 f"restore it under its own config or re-train")
     net = TinyNetwork(widths, Rng(0))
     net.params[:] = params.flat()

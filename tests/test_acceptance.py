@@ -151,7 +151,8 @@ def test_criterion_09_trained_restoration_improves_the_image():
     ok = (result.psnr_out > result.psnr_in
           and result.rmse_out < result.rmse_in
           and untouched and dt < 600.0)
-    _crit(9, ok, f"psnr {result.psnr_in:.2f} -> {result.psnr_out:.2f} dB, "
+    _crit(9, ok, f"memorises one image: psnr {result.psnr_in:.2f} -> "
+                 f"{result.psnr_out:.2f} dB, "
                  f"rmse {result.rmse_in:.2e} -> {result.rmse_out:.2e}, "
                  f"{result.steps} steps, init untouched, {dt:.0f}s")
 

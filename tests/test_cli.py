@@ -10,7 +10,7 @@ from basisdiff import bases, cli, tasks
 from basisdiff.cli import main
 from basisdiff.config import build_schedule, load_config, resolved_eta
 from basisdiff.denoisers import (DiracDataset, DiracMixtureDenoiser,
-                                 load_network, save_network)
+                                 TinyNetwork, load_network, save_network)
 from basisdiff.fields import Field, Rng, field_to_bytes
 from basisdiff.process import DiffusionProcess
 from basisdiff.samplers import euler_trajectory, make_time_grid
@@ -700,13 +700,23 @@ def test_checkpoint_restore_refuses_another_run(tmp_path, capsys):
     capsys.readouterr()
     assert main(restore + ckpt + ["--set", "seed=12"]) == 2
     assert "with seed = 11, but this run has 12" in capsys.readouterr().err
-    # a checkpoint whose header holds no seed is refused the same way
-    cfg = cli._load(Namespace(config=CONFIGS / "smooth_field.json",
-                              set=SMALL_TRAIN[1::2]))
-    head = cli._fingerprint(cfg, net.widths)
-    del head["seed"]
-    save_network(net, tmp_path / "unseeded.bin", head)
-    assert main(restore + ["--checkpoint", str(tmp_path / "unseeded.bin")]) == 2
-    assert "with seed = None, but this run has 11" in capsys.readouterr().err
     assert not (tmp_path / "restore").exists()
     assert main(restore + ckpt + ["--out", str(tmp_path / "seed11")]) == 0
+
+
+def test_checkpoint_restore_refuses_a_header_without_a_seed(tmp_path, capsys):
+    # a checkpoint saved before its header held the seed: no config can
+    # match it, so the message asks for a re-train
+    cfg = cli._load(Namespace(config=CONFIGS / "smooth_field.json",
+                              set=SMALL_TRAIN[1::2]))
+    widths = cli._training_setup(cfg)[3]
+    head = cli._fingerprint(cfg, widths)
+    del head["seed"]
+    save_network(TinyNetwork(widths, Rng(0)), tmp_path / "unseeded.bin", head)
+    code = main(["restore", "--config", str(CONFIGS / "smooth_field.json"),
+                 *SMALL_TRAIN, "--checkpoint", str(tmp_path / "unseeded.bin"),
+                 "--out", str(tmp_path / "restore")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "predates" in err and "'seed'" in err and "re-train" in err
+    assert not (tmp_path / "restore").exists()
