@@ -7,10 +7,11 @@ from basisdiff.denoisers import (ConstantDenoiser, DiracDataset,
 from basisdiff.fields import Field, Rng
 from basisdiff.process import DiffusionProcess
 from basisdiff.schedules import Schedule, make_vp_schedule
-from basisdiff.bases import pixel_basis, residual_basis
+from basisdiff.bases import BasisSet, pixel_basis, residual_basis
 from basisdiff.training import (Adam, TrainConfig, _batch_loss,
-                                _check_objective, _draw_batch, compute_loss,
-                                train, weight_from_mask, write_loss_trace)
+                                _check_objective, _draw_batch, _row_weights,
+                                compute_loss, train, weight_from_mask,
+                                wrapper_for, write_loss_trace)
 
 
 def _pixel_process(d=2, eta=0.0):
@@ -301,6 +302,100 @@ def test_train_ema_matches_the_textbook_ema_over_2000_steps():
     ref_params, ref_trace = _reference_train(fresh(), p, ds, cfg)
     np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(net.params, ref_params, rtol=1e-10, atol=0.0)
+
+
+def _plain_train(net, p, ds, cfg, mask=None):
+    """train() as plain array expressions, each op a fresh array: per-row
+    draws, the schedule rows as np.array of tuples, a @ w.T + b then tanh,
+    (delta @ w) * (1 - a**2), and the seed * w * resid backward seed.
+    Adam and the EMA are train()'s own."""
+    den = PreconditionedDenoiser(net, p, wrapper_for(cfg.objective))
+    m = _check_objective(cfg.objective, den, mask, p.shape)
+    opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    rng = Rng(cfg.seed, 1)
+    points = ds.stacked()
+    layers = list(net._layers())
+    ema_off = np.zeros_like(net.params) if cfg.ema_decay > 0.0 else None
+    trace = []
+    for step in range(cfg.steps):
+        idx = np.empty(cfg.batch, dtype=np.intp)
+        t = np.empty(cfg.batch)
+        eps = np.empty((cfg.batch, p.basis.M))
+        for k in range(cfg.batch):
+            idx[k] = rng.integers(0, len(points))
+            t[k] = p.schedule.T * (1.0 - rng.uniform())
+            eps[k] = rng.standard_normal(p.basis.M)
+        x0, noise = points[idx], p.noise_from_normals(eps)
+
+        coef = np.array([p.schedule.evaluate(v) for v in t.tolist()])
+        s, sig = coef[:, :1], coef[:, 2:3]
+        x_t = s * x0 + (s * sig) * noise
+        a = den._net_input(x_t, t[:, None], sig)
+        acts = [a]
+        for i, (w, b) in enumerate(layers):
+            pre = a @ w.T + b
+            a = pre if i == len(layers) - 1 else np.tanh(pre)
+            acts.append(a)
+
+        seed = 2.0 / cfg.batch
+        if cfg.objective == "mse-x0":
+            resid = den.assemble(x_t, a, s, sig) - x0
+            losses = np.einsum("ij,ij->i", resid, resid)
+            delta = seed * den.out_gain(sig) * resid
+        else:
+            resid = a - (x0 if cfg.objective == "x0-pred" else noise)
+            w = (_row_weights(m, noise)
+                 if cfg.objective == "weighted-noise-pred" else 1.0)
+            losses = np.einsum("ij,ij->i", resid, w * resid)
+            delta = seed * w * resid
+        grad = np.empty_like(net.params)
+        for i in range(len(layers) - 1, -1, -1):
+            off, fan_out, fan_in = net._layout[i]
+            np.matmul(delta.T, acts[i], out=grad[
+                off:off + fan_out * fan_in].reshape(fan_out, fan_in))
+            np.sum(delta, axis=0, out=grad[
+                off + fan_out * fan_in:off + fan_out * (fan_in + 1)])
+            if i > 0:
+                delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
+
+        mean_loss = float(losses.sum()) / cfg.batch
+        if cfg.lr_decay_every > 0 and step > 0 and step % cfg.lr_decay_every == 0:
+            opt.lr *= cfg.lr_decay
+        update = opt.step(net.params, grad)
+        if ema_off is not None:
+            ema_off += update
+            ema_off *= cfg.ema_decay
+        trace.append(mean_loss)
+    if ema_off is not None:
+        net.params += ema_off
+    return net, trace
+
+
+@pytest.mark.parametrize("basis_kind", ["pixel", "rows"])
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("objective", ["mse-x0", "noise-pred",
+                                       "weighted-noise-pred", "x0-pred"])
+def test_train_is_bitwise_the_plain_step(objective, batch, basis_kind):
+    """train() writes its arrays in place, yet every weight and every loss
+    is bitwise the one the plain expressions give."""
+    if basis_kind == "pixel":
+        p = DiffusionProcess(make_vp_schedule(), pixel_basis((2, 3)), 0.0)
+    else:  # four dense rows over six pixels, shifted by eta
+        rows = 0.5 + Rng(46).uniform(shape=(4, 6))
+        p = DiffusionProcess(make_vp_schedule(), BasisSet((2, 3), rows), 0.7)
+    ds = DiracDataset([Rng(47 + k).standard_normal(6) for k in range(3)])
+    mask = (np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+            if objective == "weighted-noise-pred" else None)
+    cfg = TrainConfig(steps=25, batch=batch, lr=2e-2, objective=objective,
+                      seed=48, lr_decay=0.7, lr_decay_every=6, ema_decay=0.9)
+
+    def fresh():
+        return TinyNetwork([7, 9, 5, 6], Rng(49))
+
+    net, trace = train(fresh(), p, ds, cfg, mask=mask)
+    ref, ref_trace = _plain_train(fresh(), p, ds, cfg, mask=mask)
+    assert trace == ref_trace
+    assert np.array_equal(net.params, ref.params)
 
 
 def test_batch_schedule_rows_match_the_per_float64_rows(monkeypatch):
