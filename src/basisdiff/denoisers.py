@@ -207,11 +207,13 @@ class TinyNetwork:
     def forward_cached(self, z: np.ndarray):
         """Forward pass keeping post-activation values for backward()."""
         acts = [np.asarray(z, dtype=np.float64)]
-        layers = list(self._layers())
+        last = len(self._layout) - 1
         a = acts[0]
-        for i, (w, b) in enumerate(layers):
-            pre = a @ w.T + b
-            a = pre if i == len(layers) - 1 else np.tanh(pre)
+        for i, (w, b) in enumerate(self._layers()):
+            a = a @ w.T  # a fresh array, so z is never written
+            a += b
+            if i < last:
+                np.tanh(a, out=a)
             acts.append(a)
         return a, acts
 
@@ -219,21 +221,24 @@ class TinyNetwork:
         """Gradient of sum(grad_out * output) w.r.t. the flat parameters.
 
         An (n, out) grad_out sums the per-row gradients inside the weight
-        products; a 1-D grad_out (with 1-D activations) is one row.
+        products; a 1-D grad_out (with 1-D activations) is one row.  Neither
+        acts nor grad_out is written, and acts[-1] is never read.
         """
         grad = np.empty_like(self.params)
-        layers = list(self._layers())
-        delta = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-        for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            a_prev = np.atleast_2d(acts[i])
+        delta = np.asarray(grad_out, dtype=np.float64)
+        if delta.ndim == 1:
+            delta, acts = delta[None, :], [a[None, :] for a in acts]
+        for i in range(len(self._layout) - 1, -1, -1):
             off, fan_out, fan_in = self._layout[i]
-            gw = grad[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
-            np.matmul(delta.T, a_prev, out=gw)
-            np.sum(delta, axis=0,
-                   out=grad[off + fan_out * fan_in:off + fan_out * (fan_in + 1)])
-            if i > 0:
-                delta = (delta @ w) * (1.0 - acts[i] ** 2)
+            end = off + fan_out * fan_in  # the weights end, the bias starts
+            np.matmul(delta.T, acts[i],
+                      out=grad[off:end].reshape(fan_out, fan_in))
+            np.add.reduce(delta, axis=0, out=grad[end:end + fan_out])
+            if i > 0:  # (delta @ w) * (1 - a^2), the gain in one scratch
+                gain = np.square(acts[i])
+                np.subtract(1.0, gain, out=gain)
+                delta = delta @ self.params[off:end].reshape(fan_out, fan_in)
+                delta *= gain
         return grad
 
 

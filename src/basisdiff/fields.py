@@ -141,6 +141,8 @@ class Rng:
 
     def uniform(self, low=0.0, high=1.0, shape=None):
         """Uniform on [low, high); a Python float unless shape given."""
+        if shape is None and low == 0.0 and high == 1.0:
+            return self._gen.random()  # numpy's low + (high - low) u is u
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, shape=None):

@@ -169,13 +169,17 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     for one row the gradient is that row's own.  The schedule is evaluated
     once per row, and its s and sigma columns, with the times as a column,
     serve the network input, the wrapper and its output gain.  The network
-    runs one forward and one backward pass over all rows.  The gradient is
-    zero-length for denoisers without trainable parameters.
+    runs one forward and one backward pass over all rows, and the residual
+    and the backward seed overwrite its output, which backward never reads.
+    The gradient is zero-length for denoisers without trainable parameters.
     """
     times = t.tolist()  # floats take the schedule's fast path, np.float64 not
-    coef = np.array([p.schedule.evaluate(v) for v in times])
+    coef = np.empty((len(times), 4))
+    for k, v in enumerate(times):
+        coef[k] = p.schedule.evaluate(v)
     s, sig = coef[:, :1], coef[:, 2:3]
-    x_t = s * x0 + (s * sig) * noise
+    x_t = s * x0
+    x_t += (s * sig) * noise
 
     if objective == "mse-x0" and not isinstance(den, PreconditionedDenoiser):
         # a generic denoiser takes one time per call: one row at a time
@@ -186,13 +190,17 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
     seed = 2.0 / len(t)
     f_out, acts = den.net_forward(x_t, t[:, None], sig)
     if objective == "mse-x0":
-        resid = den.assemble(x_t, f_out, s, sig) - x0
-        return (np.einsum("ij,ij->i", resid, resid),
-                den.net.backward(acts, seed * den.out_gain(sig) * resid))
-    resid = f_out - (x0 if objective == "x0-pred" else noise)
-    w = _row_weights(m, noise) if objective == "weighted-noise-pred" else 1.0
-    return (np.einsum("ij,ij->i", resid, w * resid),
-            den.net.backward(acts, seed * w * resid))
+        resid = den.assemble(x_t, f_out, s, sig)  # f_out itself for predict-x0
+        resid -= x0
+        w, gain = None, den.out_gain(sig)
+    else:
+        resid = f_out
+        resid -= x0 if objective == "x0-pred" else noise
+        w = _row_weights(m, noise) if objective == "weighted-noise-pred" else None
+        gain = 1.0 if w is None else w
+    losses = np.einsum("ij,ij->i", resid, resid if w is None else w * resid)
+    resid *= seed * gain  # the seed * gain * resid of the plain expression
+    return losses, den.net.backward(acts, resid)
 
 
 def compute_loss(objective: str, den: Denoiser, p: DiffusionProcess,
@@ -253,7 +261,7 @@ def train(net: TinyNetwork, p: DiffusionProcess, ds: DiracDataset,
         x0, t, noise = _draw_batch(rng, cfg, p, points)
         losses, grad = _batch_loss(cfg.objective, den, p, x0, t, noise, m)
         mean_loss = float(losses.sum()) / cfg.batch
-        if not np.isfinite(mean_loss):
+        if not math.isfinite(mean_loss):
             raise RuntimeError(f"non-finite loss {mean_loss} at step {step}")
         if cfg.lr_decay_every > 0 and step > 0 and step % cfg.lr_decay_every == 0:
             opt.lr *= cfg.lr_decay

@@ -133,6 +133,29 @@ def test_network_backward_sums_rows():
                                atol=1e-15 * np.abs(rows).max())
 
 
+@pytest.mark.parametrize("widths", [[4, 7, 5, 3], [4, 3]])
+@pytest.mark.parametrize("rows", [None, 1, 6], ids=["1-D", "1", "6"])
+def test_network_passes_write_none_of_their_inputs(widths, rows):
+    """forward_cached and backward write their activations and deltas in
+    place, but only in arrays they made: z, acts and grad_out keep every
+    bit, and no activation past the input shares z's memory."""
+    net = TinyNetwork(widths, Rng(50))
+    z = Rng(51).standard_normal(widths[0] if rows is None else (rows, widths[0]))
+    z_bytes = z.tobytes()
+    out, acts = net.forward_cached(z)
+    assert z.tobytes() == z_bytes
+    assert acts[0].tobytes() == z_bytes and acts[-1] is out
+    assert not any(np.shares_memory(a, z) for a in acts[1:])
+    acts_bytes = [a.tobytes() for a in acts]
+    g = Rng(52).standard_normal(out.shape)
+    g_bytes = g.tobytes()
+    net.backward(acts, g)
+    assert g.tobytes() == g_bytes
+    assert [a.tobytes() for a in acts] == acts_bytes
+    assert [a.shape for a in acts] == [np.shape(z)] + [
+        np.shape(z)[:-1] + (n,) for n in widths[1:]]
+
+
 def test_network_backward_matches_finite_differences():
     net = TinyNetwork([3, 5, 4, 2], Rng(4))
     net.params[:] = 0.5 * Rng(5).standard_normal(net.n_params)

@@ -113,6 +113,26 @@ def test_rng_uniform_scalar_matches_the_zero_d_draw():
     assert r.uniform(shape=(3,)).shape == (3,)
 
 
+def test_rng_default_uniform_is_the_twin_generators_draw():
+    """uniform() takes numpy's random(): the same floats as uniform(0, 1)
+    and the same stream state after; shaped and ranged calls are numpy's."""
+    r = Rng(53, 4)
+    twin = np.random.Generator(np.random.Philox(key=np.array([53, 4], np.uint64)))
+    new = [r.uniform() for _ in range(10_000)]
+    old = [twin.uniform(0.0, 1.0) for _ in range(10_000)]
+    assert {type(v) for v in new} == {float}
+    assert np.array(new).tobytes() == np.array(old).tobytes()
+    # the Philox counter, key and buffer, printed in full
+    assert repr(r._gen.bit_generator.state) == repr(twin.bit_generator.state)
+    assert r.uniform(0.2, 0.8) == twin.uniform(0.2, 0.8)
+    assert r.uniform(0, 1) == twin.uniform(0.0, 1.0)
+    assert (r.uniform(shape=(3, 2)).tobytes()
+            == twin.uniform(0.0, 1.0, (3, 2)).tobytes())
+    assert r.uniform(-1.0, 2.0, 5).tobytes() == twin.uniform(-1.0, 2.0, 5).tobytes()
+    assert r.uniform(shape=()).tobytes() == twin.uniform(0.0, 1.0, ()).tobytes()
+    assert repr(r._gen.bit_generator.state) == repr(twin.bit_generator.state)
+
+
 def test_rng_rejects_negative_key():
     with pytest.raises(ValueError):
         Rng(-1)
