@@ -199,7 +199,7 @@ def _batch_loss(objective: str, den: Denoiser, p: DiffusionProcess,
         w = _row_weights(m, noise) if objective == "weighted-noise-pred" else None
         gain = 1.0 if w is None else w
     losses = np.einsum("ij,ij->i", resid, resid if w is None else w * resid)
-    resid *= seed * gain  # the seed * gain * resid of the plain expression
+    resid *= seed * gain  # seed * gain first, the order the trained bits keep
     return losses, den.net.backward(acts, resid)
 
 
